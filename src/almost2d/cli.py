@@ -358,7 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p.add_argument("--dealias", choices=("two-thirds", "none"), default=None)
+    p.add_argument(
+        "--dealias",
+        choices=("two-thirds", "none"),
+        default=None,
+        help="2/3-rule truncation (default) or none: the aliased rotational form",
+    )
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="family sweeps with criterion columns")

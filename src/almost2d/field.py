@@ -271,7 +271,11 @@ def pressure(u: SpectralVectorField) -> np.ndarray:
 
 
 def advection(u: SpectralVectorField, apply_dealias: bool = True) -> SpectralVectorField:
-    """(u . grad) u formed in physical space, then truncated."""
+    """(u . grad) u formed in physical space, then truncated.
+
+    The convective form, with complex FFTs; the solver uses the rotational
+    form and tests compare the two.
+    """
     n = u.grid.n
     u_phys = np.fft.ifftn(u.coeffs, axes=(1, 2, 3)).real * n**3
     k1, k2, k3 = u.grid.k_deriv

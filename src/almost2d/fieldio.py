@@ -66,7 +66,12 @@ def read_field(path: str) -> SpectralVectorField:
     for key, expected in _REQUIRED.items():
         if pairs.get(key) != expected:
             raise ValueError(f"{path}: header {key}={pairs.get(key)!r}, expected {expected!r}")
-    n = int(pairs["n"])
+    if "n" not in pairs:
+        raise ValueError(f"{path}: header has no n= line")
+    try:
+        n = int(pairs["n"])
+    except ValueError:
+        raise ValueError(f"{path}: header n={pairs['n']!r} is not an integer") from None
     grid = GridSpec(n)
     body = raw[sep + 2:]
     expected_bytes = 3 * n**3 * 8

@@ -73,12 +73,16 @@ class GridSpec:
         )
 
 
+def _reflect(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """a(-k) along the given wavenumber axes of the numpy FFT layout."""
+    for axis in axes:
+        a = np.roll(np.flip(a, axis=axis), 1, axis=axis)
+    return a
+
+
 def mirror_conjugate(coeffs: np.ndarray) -> np.ndarray:
     """conj(c(-k)) on the last three axes, the Hermitian partner array."""
-    out = np.conj(coeffs)
-    for axis in (-3, -2, -1):
-        out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
-    return out
+    return _reflect(np.conj(coeffs), (-3, -2, -1))
 
 
 def hermitian_defect(coeffs: np.ndarray) -> float:
@@ -88,3 +92,28 @@ def hermitian_defect(coeffs: np.ndarray) -> float:
 
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (coeffs + mirror_conjugate(coeffs))
+
+
+def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
+    """The k3 >= 0 half (``numpy.fft.rfftn`` layout) of a Hermitian coefficient
+    array.  Index n/2 on the last axis holds the Nyquist mode k3 = -n/2 of the
+    full layout; every other k3 < 0 mode is the conjugate of a stored one."""
+    n = coeffs.shape[-1]
+    return coeffs[..., : n // 2 + 1].copy()
+
+
+def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of ``half_spectrum``: the full coefficient array, exactly Hermitian.
+
+    The k3 = 0 and k3 = n/2 planes are their own mirror images; the Hermitian
+    part of each is kept, which is what ``irfftn`` reads from them.
+    """
+    m = n // 2 + 1
+    out = np.empty(half.shape[:-1] + (n,), dtype=complex)
+    out[..., :m] = half
+    for plane in (0, n // 2):
+        p = half[..., plane : plane + 1]
+        out[..., plane : plane + 1] = 0.5 * (p + np.conj(_reflect(p, (-3, -2))))
+    # out[k1, k2, -j] = conj(half[-k1, -k2, j]) for j = n/2 - 1, ..., 1
+    out[..., m:] = np.conj(_reflect(half[..., n // 2 - 1 : 0 : -1], (-3, -2)))
+    return out

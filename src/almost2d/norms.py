@@ -218,10 +218,17 @@ def horizontal_parts(u: SpectralVectorField) -> HorizontalParts:
 
 
 def p2d_split(u: SpectralVectorField) -> tuple[SpectralVectorField, SpectralVectorField]:
-    """Vertical-average projection: (k3 = 0 plane restriction, remainder)."""
-    two_d = np.zeros_like(u.coeffs)
-    two_d[:, :, :, 0] = u.coeffs[:, :, :, 0]
-    perp = u.coeffs - two_d
+    """Vertical-average projection: (k3 = 0 plane restriction, remainder).
+
+    For a mean-zero field the roundoff k = 0 coefficient is dropped, so both
+    parts carry the mean-zero flag exactly.
+    """
+    coeffs = u.coeffs.copy()
+    if u.mean_zero:
+        coeffs[:, 0, 0, 0] = 0.0
+    two_d = np.zeros_like(coeffs)
+    two_d[:, :, :, 0] = coeffs[:, :, :, 0]
+    perp = coeffs - two_d
     return (
         SpectralVectorField(u.grid, two_d, u.mean_zero),
         SpectralVectorField(u.grid, perp, True),

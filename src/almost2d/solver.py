@@ -10,19 +10,34 @@ functionals against instantaneous spectral right-hand sides:
     dE/dt <= E^3 / (3456 pi^4 nu^3)                   (cubic bound)
     ||omega_h|| < R1 nu  =>  dE/dt <= 0               (horizontal decay)
     ||omega_h(t)||^2 <= ||omega_h(0)||^2 exp(int ||omega||_L2^4 / (R2 nu^3))
+
+The nonlinear term is evaluated in rotational form, P(u x omega) with
+omega = curl u, using real FFTs: the state is the k3 >= 0 half spectrum
+(``numpy.fft.rfftn`` layout), each stage makes 6 inverse and 3 forward
+real transforms, and ``run`` converts from and to the full-spectrum
+``SpectralVectorField`` only at entry and exit.  (u.grad)u and omega x u
+differ by the gradient grad(|u|^2/2), which the Leray projection P removes.
+Under the 2/3 rule every product is alias-free, so the rotational form
+equals the convective form ``field.advection`` to roundoff.  With
+``dealias="none"`` the two forms alias differently and their tendencies
+differ by O(1) at the resolved scales; "none" means the aliased rotational
+form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
+import scipy.fft
 
 from .criteria import constants
-from .field import SpectralVectorField, StrainField, advection, leray_project, strain
-from .grid import GridSpec
+from .field import SpectralVectorField, StrainField
+from .grid import GridSpec, full_spectrum, half_spectrum
 
 ALL_MONITORS = frozenset({"strain_identity", "enstrophy_inequality", "horizontal"})
 
@@ -54,8 +69,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.nu <= 0:
             raise ValueError(f"viscosity must be positive, got {self.nu}")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
+            raise ValueError("dt and t_end must be positive and finite")
+        ratio = self.t_end / self.dt
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise ValueError(
+                f"t_end={self.t_end!r} is not an integer multiple of dt={self.dt!r}"
+            )
         if self.dealias not in ("two_thirds", "none"):
             raise ValueError(f"unknown dealias rule {self.dealias!r}")
         if self.record_stride < 1:
@@ -63,6 +83,10 @@ class SolverConfig:
         unknown = set(self.monitors) - ALL_MONITORS
         if unknown:
             raise ValueError(f"unknown monitors {sorted(unknown)}")
+
+    @property
+    def n_steps(self) -> int:
+        return round(self.t_end / self.dt)
 
 
 @dataclass
@@ -101,24 +125,86 @@ class DiagnosticsSeries:
                 fh.write(",".join(cells) + "\n")
 
 
+class _HalfLattice(NamedTuple):
+    """Multipliers on the k3 >= 0 half lattice, broadcastable to (n, n, n/2 + 1).
+    Cached per grid and shared between calls, so the arrays made here are
+    read-only (k1 and k2 are the grid's own ``k_deriv`` arrays)."""
+
+    k_deriv: tuple[np.ndarray, np.ndarray, np.ndarray]  # Nyquist zeroed
+    k_sq: np.ndarray
+    inv_kderiv_sq: np.ndarray  # 1/|k_deriv|^2, 0 where k_deriv = 0
+    dealias_mask: np.ndarray
+    multiplicity: np.ndarray  # Plancherel weight: 1 on k3 = 0, n/2, else 2
+    omega_h_weight: np.ndarray  # 1/(2 pi |k|), 0 at k = 0
+
+
+@functools.lru_cache(maxsize=8)
+def _half_lattice(grid: GridSpec) -> _HalfLattice:
+    m = grid.n // 2 + 1
+    k1, k2, k3 = grid.k_deriv
+    k3 = np.ascontiguousarray(k3[..., :m])
+    kd_sq = k1**2 + k2**2 + k3**2
+    k_sq = np.ascontiguousarray(grid.k_sq[..., :m])
+    multiplicity = np.full((1, 1, m), 2.0)
+    multiplicity[..., 0] = multiplicity[..., -1] = 1.0
+    k_abs = np.sqrt(k_sq)
+    with np.errstate(divide="ignore"):
+        inv_kderiv_sq = np.where(kd_sq == 0, 0.0, 1.0 / kd_sq)
+        omega_h_weight = np.where(k_abs == 0, 0.0, 1.0 / (2 * np.pi * k_abs))
+    dealias_mask = np.ascontiguousarray(grid.dealias_mask[..., :m])
+    for a in (k3, k_sq, inv_kderiv_sq, dealias_mask, multiplicity, omega_h_weight):
+        a.setflags(write=False)
+    return _HalfLattice(
+        (k1, k2, k3), k_sq, inv_kderiv_sq, dealias_mask, multiplicity, omega_h_weight
+    )
+
+
+def _irfft3(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Grid samples from half-spectrum coefficients (1/n^3 forward convention)."""
+    return scipy.fft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+
+
+def _rfft3(samples: np.ndarray) -> np.ndarray:
+    """Half-spectrum coefficients of real grid samples."""
+    return scipy.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward")
+
+
 def rhs(u: SpectralVectorField, nu: float, dealias_rule: str = "two_thirds") -> SpectralVectorField:
     """Leray-projected tendency nu lap(u) - P_df((u.grad)u)."""
-    tendency = nonlinear_term(u, dealias_rule)
-    tendency.coeffs += -nu * 4 * np.pi**2 * u.grid.k_sq * u.coeffs
-    return tendency
+    grid = u.grid
+    c = half_spectrum(u.coeffs)
+    tendency = nonlinear_term(c, grid, dealias_rule)
+    tendency -= nu * 4 * np.pi**2 * _half_lattice(grid).k_sq * c
+    return SpectralVectorField(grid, full_spectrum(tendency, grid.n), True)
 
 
-def nonlinear_term(u: SpectralVectorField, dealias_rule: str = "two_thirds") -> SpectralVectorField:
-    adv = advection(u, apply_dealias=(dealias_rule == "two_thirds"))
-    projected, _ = leray_project(adv)
-    projected.coeffs *= -1.0
-    projected.coeffs[:, 0, 0, 0] = 0.0
-    return projected
+def nonlinear_term(
+    u_hat: np.ndarray, grid: GridSpec, dealias_rule: str = "two_thirds"
+) -> np.ndarray:
+    """-P(omega x u) = P(u x omega) on half-spectrum coefficients (3, n, n, n/2+1).
 
-
-def _strain_physical(s_field: StrainField) -> np.ndarray:
-    n = s_field.grid.n
-    return np.fft.ifftn(s_field.comps, axes=(1, 2, 3)).real * n**3
+    Under the 2/3 rule the product is truncated to the dealias mask.  The
+    k = 0 mode of the result is zero.
+    """
+    n = grid.n
+    lat = _half_lattice(grid)
+    k1, k2, k3 = lat.k_deriv
+    c0, c1, c2 = u_hat
+    fields = np.empty((6,) + u_hat.shape[1:], dtype=complex)
+    fields[:3] = u_hat
+    fields[3] = 2j * np.pi * (k2 * c2 - k3 * c1)
+    fields[4] = 2j * np.pi * (k3 * c0 - k1 * c2)
+    fields[5] = 2j * np.pi * (k1 * c1 - k2 * c0)
+    u1, u2, u3, w1, w2, w3 = _irfft3(fields, n)
+    out = _rfft3(np.stack([u2 * w3 - u3 * w2, u3 * w1 - u1 * w3, u1 * w2 - u2 * w1]))
+    if dealias_rule == "two_thirds":
+        out *= lat.dealias_mask
+    dot = (k1 * out[0] + k2 * out[1] + k3 * out[2]) * lat.inv_kderiv_sq
+    out[0] -= dot * k1
+    out[1] -= dot * k2
+    out[2] -= dot * k3
+    out[:, 0, 0, 0] = 0.0
+    return out
 
 
 def _det_integral(s_phys: np.ndarray) -> float:
@@ -137,24 +223,28 @@ def _strain_l3(s_phys: np.ndarray) -> float:
     return float(np.mean(mag**3) ** (1.0 / 3.0))
 
 
-def _spectral_diagnostics(u: SpectralVectorField) -> dict:
-    grid = u.grid
-    c = u.coeffs
-    abs_sq = np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2 + np.abs(c[2]) ** 2
-    four_pi_sq_ksq = 4 * np.pi**2 * grid.k_sq
+def _spectral_diagnostics(c: np.ndarray, grid: GridSpec) -> dict:
+    """One diagnostics row from half-spectrum coefficients."""
+    lat = _half_lattice(grid)
+    abs_sq = lat.multiplicity * (np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2 + np.abs(c[2]) ** 2)
+    four_pi_sq_ksq = 4 * np.pi**2 * lat.k_sq
     K = 0.5 * float(np.sum(abs_sq))
     E = 0.5 * float(np.sum(four_pi_sq_ksq * abs_sq))
     strain_h1 = 0.5 * float(np.sum(four_pi_sq_ksq**2 * abs_sq))
 
-    k1, k2, k3 = grid.k_deriv
+    ks = lat.k_deriv
+    k1, k2, k3 = ks
     w1 = 2j * np.pi * (k2 * c[2] - k3 * c[1])
     w2 = 2j * np.pi * (k3 * c[0] - k1 * c[2])
-    kabs_safe = np.where(grid.k_abs == 0, 1.0, grid.k_abs)
-    weight = np.where(grid.k_abs == 0, 0.0, 1.0 / (2 * np.pi * kabs_safe))
-    omega_h_sq = float(np.sum(weight * (np.abs(w1) ** 2 + np.abs(w2) ** 2)))
+    omega_h_sq = float(
+        np.sum(lat.multiplicity * lat.omega_h_weight * (np.abs(w1) ** 2 + np.abs(w2) ** 2))
+    )
 
-    s_field = strain(u)
-    s_phys = _strain_physical(s_field)
+    # Shat_ij = pi i (k_i uhat_j + k_j uhat_i)
+    s_hat = np.empty((6,) + c.shape[1:], dtype=complex)
+    for (i, j), slot in StrainField.INDEX.items():
+        s_hat[slot] = 1j * np.pi * (ks[i - 1] * c[j - 1] + ks[j - 1] * c[i - 1])
+    s_phys = _irfft3(s_hat, grid.n)
     return {
         "K": K,
         "E": E,
@@ -177,13 +267,15 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
         raise ValueError("initial data must be divergence-free")
 
     grid = cfg.grid
-    u = u0.copy()
+    lat = _half_lattice(grid)
+    u = half_spectrum(u0.coeffs)
+    u[:, 0, 0, 0] = 0.0
     if cfg.dealias == "two_thirds":
-        u.coeffs *= grid.dealias_mask
+        u *= lat.dealias_mask
 
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.n_steps
     h = cfg.dt
-    half_decay = np.exp(-4 * np.pi**2 * grid.k_sq * cfg.nu * h / 2.0)
+    half_decay = np.exp(-4 * np.pi**2 * lat.k_sq * cfg.nu * h / 2.0)
     full_decay = half_decay**2
 
     stability = _advective_cfl_warning(u, cfg)
@@ -191,8 +283,8 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
     rows = []
     status = "completed"
 
-    def record(step: int, state: SpectralVectorField) -> bool:
-        diag = _spectral_diagnostics(state)
+    def record(step: int, state: np.ndarray) -> bool:
+        diag = _spectral_diagnostics(state, grid)
         diag["t"] = step * h
         rows.append(diag)
         if not math.isfinite(diag["E"]):
@@ -204,14 +296,11 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
         status = "blowup_suspected" if math.isfinite(rows[-1]["E"]) else "nan_abort"
         n_steps = 0
     for step in range(1, n_steps + 1):
-        k1 = nonlinear_term(u, cfg.dealias).coeffs
-        s2 = SpectralVectorField(grid, half_decay * (u.coeffs + 0.5 * h * k1), True)
-        k2 = nonlinear_term(s2, cfg.dealias).coeffs
-        s3 = SpectralVectorField(grid, half_decay * u.coeffs + 0.5 * h * k2, True)
-        k3 = nonlinear_term(s3, cfg.dealias).coeffs
-        s4 = SpectralVectorField(grid, full_decay * u.coeffs + h * half_decay * k3, True)
-        k4 = nonlinear_term(s4, cfg.dealias).coeffs
-        u.coeffs = full_decay * u.coeffs + (h / 6.0) * (
+        k1 = nonlinear_term(u, grid, cfg.dealias)
+        k2 = nonlinear_term(half_decay * (u + 0.5 * h * k1), grid, cfg.dealias)
+        k3 = nonlinear_term(half_decay * u + 0.5 * h * k2, grid, cfg.dealias)
+        k4 = nonlinear_term(full_decay * u + h * half_decay * k3, grid, cfg.dealias)
+        u = full_decay * u + (h / 6.0) * (
             full_decay * k1 + 2 * half_decay * (k2 + k3) + k4
         )
         if step % cfg.record_stride == 0 or step == n_steps:
@@ -226,15 +315,14 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
 
     series = _assemble_series(rows, cfg)
     series.status = status
-    series.final_field = u
+    series.final_field = SpectralVectorField(grid, full_spectrum(u, grid.n), u0.mean_zero)
     series.summary.update(stability)
     return series
 
 
-def _advective_cfl_warning(u: SpectralVectorField, cfg: SolverConfig) -> dict:
-    from .norms import lebesgue_norm
-
-    umax = lebesgue_norm(u, np.inf)
+def _advective_cfl_warning(u_hat: np.ndarray, cfg: SolverConfig) -> dict:
+    samples = _irfft3(u_hat, cfg.grid.n)
+    umax = float(np.max(np.sqrt(np.sum(samples**2, axis=0))))
     cfl = cfg.dt * umax * cfg.grid.n
     if cfl > 0.5:
         warnings.warn(
@@ -247,6 +335,10 @@ def _advective_cfl_warning(u: SpectralVectorField, cfg: SolverConfig) -> dict:
 
 
 def _assemble_series(rows: list[dict], cfg: SolverConfig) -> DiagnosticsSeries:
+    # Imported on use: scipy.integrate adds 34 modules and about 2 MB to
+    # every process that imports almost2d, and only a run needs it.
+    from scipy.integrate import cumulative_trapezoid
+
     m = len(rows)
     cols = {
         key: np.array([row[key] for row in rows])
@@ -255,10 +347,8 @@ def _assemble_series(rows: list[dict], cfg: SolverConfig) -> DiagnosticsSeries:
     }
     t, K, E = cols["t"], cols["K"], cols["E"]
 
-    energy_residual = np.empty(m)
-    for i in range(m):
-        dissipated = np.trapezoid(E[: i + 1], t[: i + 1]) if i > 0 else 0.0
-        energy_residual[i] = abs(K[i] - K[0] + 2 * cfg.nu * dissipated)
+    dissipated = cumulative_trapezoid(E, t, initial=0.0)
+    energy_residual = np.abs(K - K[0] + 2 * cfg.nu * dissipated)
 
     dEdt = np.full(m, np.nan)
     if m >= 3:
@@ -292,22 +382,18 @@ def _assemble_series(rows: list[dict], cfg: SolverConfig) -> DiagnosticsSeries:
     gronwall_ok = True
     gronwall_max_log_ratio = -math.inf
     if want_horizontal and m >= 2:
-        omega_h0 = cols["omega_h_hminushalf"][0]
-        omega_l2_quartic = (2 * E) ** 2
-        for i in range(1, m):
-            omega_h = cols["omega_h_hminushalf"][i]
-            if omega_h0 <= 1e-13 * math.sqrt(max(E[0], 1.0)):
-                # 2D data: the envelope degenerates to zero
-                if omega_h > 1e-12 * math.sqrt(max(E[0], 1.0)):
-                    gronwall_ok = False
-                continue
-            exponent = np.trapezoid(omega_l2_quartic[: i + 1], t[: i + 1]) / (
-                consts.r2 * cfg.nu**3
-            )
-            log_ratio = 2 * math.log(max(omega_h, 1e-300) / omega_h0) - exponent
-            gronwall_max_log_ratio = max(gronwall_max_log_ratio, log_ratio)
-            if log_ratio > 1e-6:
-                gronwall_ok = False
+        omega_h = cols["omega_h_hminushalf"]
+        e0_scale = math.sqrt(max(E[0], 1.0))
+        if omega_h[0] <= 1e-13 * e0_scale:
+            # 2D data: the envelope degenerates to zero
+            gronwall_ok = not bool(np.any(omega_h[1:] > 1e-12 * e0_scale))
+        else:
+            exponent = cumulative_trapezoid((2 * E) ** 2, t) / (consts.r2 * cfg.nu**3)
+            log_ratio = 2 * np.log(np.maximum(omega_h[1:], 1e-300) / omega_h[0]) - exponent
+            log_ratio = log_ratio[~np.isnan(log_ratio)]
+            if log_ratio.size:
+                gronwall_max_log_ratio = float(np.max(log_ratio))
+            gronwall_ok = not bool(np.any(log_ratio > 1e-6))
 
     per_step_increase = float(np.max(np.diff(K))) if m >= 2 else 0.0
     summary = {

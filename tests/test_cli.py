@@ -131,3 +131,49 @@ class TestCli:
 
     def test_io_error_exit_code(self, capsys):
         assert main(["norms", "/nonexistent/file.field"]) == 2
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+    return lines[0]
+
+
+class TestCliDefects:
+    """Inputs that once escaped as tracebacks or spurious domain errors."""
+
+    @pytest.mark.parametrize(
+        "header_n, message",
+        [(None, "no n= line"), ("16.5", "not an integer"), ("sixteen", "not an integer")],
+    )
+    def test_bad_n_header_is_a_domain_error(self, tmp_path, grid16, capsys, header_n, message):
+        path = str(tmp_path / "u.field")
+        write_field(path, random_divergence_free(grid16, 6, kmax=4))
+        raw = open(path, "rb").read()
+        new = b"" if header_n is None else f"n={header_n}\n".encode()
+        open(path, "wb").write(raw.replace(b"n=16\n", new, 1))
+        with pytest.raises(ValueError, match=message):
+            read_field(path)
+        assert main(["norms", path]) == 1
+        assert message in _one_error_line(capsys)
+
+    def test_iftimie_check_on_un_file(self, tmp_path, capsys):
+        path = str(tmp_path / "u5.field")
+        assert main(["construct", "un", "--n", "24", "--index", "5", "--output", path]) == 0
+        assert main(["check", path, "--nu", "0.1", "--iftimie-c", "2.0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        names = [r["name"] for r in doc["reports"]]
+        assert len(names) == 4 and names[:3] == ["small-data", "gamma2d", "gamma2d-lp"]
+
+    def test_simulate_rejects_t_end_off_the_step_lattice(self, tmp_path, capsys):
+        field = str(tmp_path / "tg.field")
+        main(["construct", "taylor-green", "--n", "16", "--output", field])
+        out = str(tmp_path / "run.csv")
+        argv = ["simulate", "--initial", field, "--output", out, "--nu", "0.01"]
+        assert main(argv + ["--dt", "3e-3", "--t-end", "0.01"]) == 1
+        assert "integer multiple of dt" in _one_error_line(capsys)
+        assert main(argv + ["--dt", "2e-3", "--t-end", "0.01"]) == 0
+        last = open(out).read().strip().splitlines()[-1]
+        assert float(last.split(",")[0]) == pytest.approx(0.01, rel=1e-12)

@@ -21,7 +21,7 @@ from almost2d import (
     to_spectral,
 )
 from almost2d.field import divergence, divergence_defect, scalar_to_physical
-from almost2d.grid import hermitian_defect
+from almost2d.grid import full_spectrum, half_spectrum, hermitian_defect
 from almost2d.norms import sobolev_norm, strain_sobolev_norm
 from conftest import random_physical, seeded_fields
 
@@ -319,3 +319,15 @@ class TestHermitianPreservation:
         physical = float(np.mean(np.sum(f.samples**2, axis=0)))
         spectral = float(np.sum(np.abs(u.coeffs) ** 2))
         assert physical == pytest.approx(spectral, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_half_spectrum_round_trip(self, n):
+        grid = GridSpec(n)
+        (u,) = seeded_fields(grid, 1, kmax=n // 2 - 1, base_seed=5)
+        half = half_spectrum(u.coeffs)
+        assert half.shape == (3, n, n, n // 2 + 1)
+        assert np.array_equal(full_spectrum(half, n), u.coeffs)
+        # any half array maps to an exactly Hermitian full array
+        rng = np.random.default_rng(n)
+        noise = rng.standard_normal(half.shape) + 1j * rng.standard_normal(half.shape)
+        assert hermitian_defect(full_spectrum(noise, n)) == 0.0

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import scipy.fft
+
 from almost2d import (
+    GridSpec,
     SolverConfig,
     SpectralVectorField,
     constants,
@@ -13,12 +16,16 @@ from almost2d import (
     run,
     taylor_green_2d,
 )
+from almost2d.cli import main
 from almost2d.families import random_divergence_free, set_mode_pair
-from almost2d.field import advection, divergence_defect
+from almost2d.field import advection, curl, divergence_defect, leray_project
+from almost2d.grid import half_spectrum, hermitian_defect
 from almost2d.solver import (
+    _assemble_series,
     monitor_enstrophy_inequality,
     monitor_horizontal,
     monitor_strain_identity,
+    nonlinear_term,
 )
 
 
@@ -53,6 +60,103 @@ class TestRhs:
         tendency = rhs(u, 0.3)
         assert divergence_defect(tendency) < 1e-12
         assert np.max(np.abs(tendency.coeffs[:, 0, 0, 0])) == 0.0
+
+
+def projected(coeffs, grid):
+    """P(v) with the k = 0 mode zeroed, on full-spectrum coefficients."""
+    out, _ = leray_project(SpectralVectorField(grid, coeffs))
+    out.coeffs[:, 0, 0, 0] = 0.0
+    return out.coeffs
+
+
+def rotational_reference(u):
+    """-P(omega x u) with full-spectrum complex FFTs and no truncation."""
+    n = u.grid.n
+    u_phys = np.fft.ifftn(u.coeffs, axes=(1, 2, 3)).real * n**3
+    w_phys = np.fft.ifftn(curl(u).coeffs, axes=(1, 2, 3)).real * n**3
+    product = np.cross(u_phys, w_phys, axis=0)  # u x omega = -(omega x u)
+    return projected(np.fft.fftn(product, axes=(1, 2, 3)) / n**3, u.grid)
+
+
+def rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestRotationalForm:
+    """The solver's P(u x omega) against the convective form -P((u.grad)u)."""
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_equals_convective_form_under_two_thirds_rule(self, grid32, seed):
+        u = random_divergence_free(grid32, seed)
+        convective = -projected(advection(u).coeffs, grid32)
+        got = nonlinear_term(half_spectrum(u.coeffs), grid32)
+        assert rel_err(got, half_spectrum(convective)) <= 1e-12
+
+    def test_undealiased_rhs_is_the_aliased_rotational_form(self, grid16):
+        u = random_divergence_free(grid16, 31, kmax=7)
+        nu = 0.05
+        viscous = -nu * 4 * np.pi**2 * grid16.k_sq * u.coeffs
+        got = rhs(u, nu, "none").coeffs
+        assert rel_err(got, rotational_reference(u) + viscous) <= 1e-12
+        # the convective form aliases differently: O(1), not roundoff
+        convective = -projected(advection(u, apply_dealias=False).coeffs, grid16)
+        assert rel_err(got, convective + viscous) > 1e-2
+
+    def test_final_field_hermitian_and_divergence_free(self, grid32):
+        u0 = random_divergence_free(grid32, 41, kmax=6, amplitude=0.2)
+        dt = 1e-3
+        final = run(u0, SolverConfig(grid=grid32, nu=0.05, dt=dt, t_end=20 * dt)).final_field
+        assert hermitian_defect(final.coeffs) <= 1e-14
+        assert divergence_defect(final) <= 1e-12
+
+
+_FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+              "fftn", "ifftn", "rfftn", "irfftn")
+
+
+@pytest.fixture
+def transform_counts(monkeypatch):
+    """Counts of 3-D and other transforms made through numpy.fft and scipy.fft."""
+    counts = {"3d": 0, "other": 0}
+
+    def counting(fn, default_ndim):
+        def wrapper(a, *args, **kwargs):
+            arr = np.asarray(a)
+            axes = kwargs.get("axes", args[1] if len(args) > 1 else None)
+            if axes is None:
+                axes = range(-(default_ndim or arr.ndim), 0)
+            axes = tuple(axes) if np.iterable(axes) else (axes,)
+            batch = arr.size // math.prod(arr.shape[ax] for ax in axes)
+            counts["3d" if len(axes) == 3 else "other"] += batch
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for module in (np.fft, scipy.fft):
+        for name in _FFT_NAMES:
+            default_ndim = {"2": 2, "n": None}.get(name[-1], 1)
+            monkeypatch.setattr(module, name, counting(getattr(module, name), default_ndim))
+    return counts
+
+
+class TestTransformBudget:
+    """A simulate invocation makes 36 3-D transforms per step (4 stages of
+    6 inverse + 3 forward), 6 per recorded row (strain) and 6 once (field
+    read and CFL), and no transforms of other dimension."""
+
+    @pytest.mark.parametrize("steps, stride", [(3, 1), (4, 2), (5, 2)])
+    def test_simulate_transform_count(self, tmp_path, transform_counts, steps, stride):
+        field = str(tmp_path / "u.field")
+        assert main(["construct", "random", "--n", "8", "--seed", "3", "--output", field]) == 0
+        cfgfile = tmp_path / "sim.cfg"
+        cfgfile.write_text(f"nu=0.1\ndt=1e-3\nt_end={steps * 1e-3!r}\nrecord_stride={stride}\n")
+        out = str(tmp_path / "run.csv")
+        transform_counts.update({"3d": 0, "other": 0})
+        assert main(["simulate", "--config", str(cfgfile), "--initial", field,
+                     "--output", out]) == 0
+        rows = len(open(out).read().strip().splitlines()) - 1
+        assert rows == steps // stride + 1 + (steps % stride > 0)
+        assert transform_counts == {"3d": 36 * steps + 6 * rows + 6, "other": 0}
 
 
 class TestRun:
@@ -200,7 +304,37 @@ class TestMonitors:
             monitor_strain_identity(series, 0)
 
 
+def test_assemble_series_closed_forms_on_many_rows():
+    """Linear K and constant E: the energy residual and the Gronwall exponent
+    are linear in t, row by row."""
+    m, nu, e, slope, growth = 10_000, 0.3, 2.0, 0.5, 1.0
+    dt = 1e-4
+    t = dt * np.arange(m)
+    omega_h = 1e-3 * np.exp(growth * t)
+    rows = [
+        {"t": t[i], "K": 1.0 - slope * t[i], "E": e, "strain_h1_sq": 1.0,
+         "det_S_integral": 0.0, "omega_h_hminushalf": omega_h[i], "strain_l3": 1.0}
+        for i in range(m)
+    ]
+    cfg = SolverConfig(grid=GridSpec(4), nu=nu, dt=dt, t_end=(m - 1) * dt)
+    series = _assemble_series(rows, cfg)
+    np.testing.assert_allclose(
+        series.energy_eq_residual, abs(2 * nu * e - slope) * t, rtol=1e-10, atol=1e-15
+    )
+    rate = 2 * growth - (2 * e) ** 2 / (constants().r2 * nu**3)
+    assert rate < 0  # the largest log ratio is on the first step
+    assert series.summary["gronwall_max_log_ratio"] == pytest.approx(rate * t[1], rel=1e-9)
+    assert series.summary["gronwall_envelope_ok"]
+
+
 class TestConfigValidation:
+    def test_t_end_must_be_a_multiple_of_dt(self, grid16):
+        with pytest.raises(ValueError, match="integer multiple of dt"):
+            SolverConfig(grid=grid16, nu=1.0, dt=3e-3, t_end=0.01)
+        with pytest.raises(ValueError, match="integer multiple of dt"):
+            SolverConfig(grid=grid16, nu=1.0, dt=3e-3, t_end=1e-3)
+        assert SolverConfig(grid=grid16, nu=1.0, dt=1e-3, t_end=0.2).n_steps == 200
+
     def test_bad_viscosity(self, grid16):
         with pytest.raises(ValueError, match="positive"):
             SolverConfig(grid=grid16, nu=0.0, dt=1e-3, t_end=1.0)
