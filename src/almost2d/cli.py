@@ -86,17 +86,16 @@ def _cmd_constants(args) -> int:
 
 def _cmd_norms(args) -> int:
     u = fieldio.read_field(args.field)
-    w = curl(u)
-    parts = norms.horizontal_parts(u)
+    s = norms.field_summary(u)
     payload = {
         "n": u.grid.n,
-        "l2": norms.lebesgue_norm(u, 2),
-        "hhalf": norms.sobolev_norm(u, 0.5),
-        "h1": norms.sobolev_norm(u, 1.0),
-        "energy": 0.5 * norms.lebesgue_norm(u, 2) ** 2,
-        "enstrophy": 0.5 * norms.sobolev_norm(w, 0) ** 2,
-        "omega_h_hminushalf": norms.sobolev_norm(parts.omega_h, -0.5),
-        "omega_l2": norms.sobolev_norm(w, 0),
+        "l2": math.sqrt(2 * s.K),
+        "hhalf": s.hhalf,
+        "h1": s.h1,
+        "energy": s.K,
+        "enstrophy": s.E,
+        "omega_h_hminushalf": s.omega_h_hminushalf,
+        "omega_l2": math.sqrt(2 * s.E),
     }
     _emit(args, payload)
     return 0
@@ -104,13 +103,11 @@ def _cmd_norms(args) -> int:
 
 def _cmd_check(args) -> int:
     u = fieldio.read_field(args.field)
-    w = curl(u)
-    K0 = 0.5 * norms.lebesgue_norm(u, 2) ** 2
-    E0 = 0.5 * norms.sobolev_norm(w, 0) ** 2
+    s = norms.field_summary(u)
     reports = [
-        criteria.small_data_check(K0, E0, args.nu),
-        criteria.gamma2d_check(u, args.nu),
-        criteria.gamma2d_lp_check(w, args.nu),
+        criteria.small_data_check(s.K, s.E, args.nu),
+        criteria.gamma2d_from_norms(s.omega_h_hminushalf, s.K, s.E, args.nu),
+        criteria.gamma2d_lp_check(curl(u), args.nu),
     ]
     if args.iftimie_c is not None:
         reports.append(criteria.iftimie_check(u, args.nu, args.iftimie_c))
@@ -136,13 +133,12 @@ def _construct_field(args) -> SpectralVectorField:
 
 def _closed_form_sidecar(args, u: SpectralVectorField) -> dict:
     """Closed-form norms, where the family states them, next to grid values."""
-    w = curl(u)
-    parts = norms.horizontal_parts(u)
+    s = norms.field_summary(u)
     computed = {
-        "energy": 0.5 * norms.lebesgue_norm(u, 2) ** 2,
-        "enstrophy": 0.5 * norms.sobolev_norm(w, 0) ** 2,
-        "hhalf_sq": norms.sobolev_norm(u, 0.5) ** 2,
-        "omega_h_hminushalf": norms.sobolev_norm(parts.omega_h, -0.5),
+        "energy": s.K,
+        "enstrophy": s.E,
+        "hhalf_sq": s.hhalf**2,
+        "omega_h_hminushalf": s.omega_h_hminushalf,
     }
     closed: dict[str, float] = {}
     if args.family == "taylor-green":
@@ -227,32 +223,24 @@ def _cmd_sweep(args) -> int:
             w = families.annulus_analog(n, grid)  # the family is a vorticity
             K0 = 0.5 * norms.sobolev_norm(w, -1.0) ** 2
             E0 = 0.5 * norms.sobolev_norm(w, 0.0) ** 2
-            omega_h = w.copy()
-            omega_h.coeffs[2] = 0.0
-            omh = norms.sobolev_norm(omega_h, -0.5)
-            criterion = omh * math.exp(
-                K0 * E0 / (criteria.constants().r2 * args.nu**3)
-            )
+            omh = norms.sobolev_norm(norms.horizontal(w), -0.5)
             besov = norms.besov_norm(w, 0.5, 2.0).value
             rows.append(
                 {
                     "n": n,
                     "omega_h_hminushalf": omh,
                     "KE_product": K0 * E0,
-                    "criterion_quantity": criterion,
+                    "criterion_quantity": criteria.criterion_quantity(
+                        omh, K0, E0, args.nu
+                    ),
                     "besov_half": besov,
                 }
             )
     elif args.family == "un":
         for n in args.n:
-            u = families.un_family(n, grid)
-            parts = norms.horizontal_parts(u)
+            s = norms.field_summary(families.un_family(n, grid))
             rows.append(
-                {
-                    "n": n,
-                    "hhalf_sq": norms.sobolev_norm(u, 0.5) ** 2,
-                    "omega_h_hminushalf": norms.sobolev_norm(parts.omega_h, -0.5),
-                }
+                {"n": n, "hhalf_sq": s.hhalf**2, "omega_h_hminushalf": s.omega_h_hminushalf}
             )
     elif args.family == "rescaled":
         base = families.helical_base_vorticity(grid)

@@ -115,12 +115,12 @@ class RescaledVorticity:
         return self.stretch ** (1.0 / q) * base
 
     def component_lebesgue_norm(self, part: str, q: float) -> float:
-        from .norms import lebesgue_norm
+        from .norms import horizontal, lebesgue_norm
 
-        sub = self.field.copy()
         if part == "horizontal":
-            sub.coeffs[2] = 0.0
+            sub = horizontal(self.field)
         elif part == "vertical":
+            sub = self.field.copy()
             sub.coeffs[0] = 0.0
             sub.coeffs[1] = 0.0
         else:

@@ -38,6 +38,11 @@ def _require_mean_zero(u: SpectralVectorField, context: str) -> None:
         raise ValueError(f"{context} requires a mean-zero field")
 
 
+def _require_divergence_free(u: SpectralVectorField, context: str) -> None:
+    if divergence_defect(u) > 1e-8:
+        raise ValueError(f"{context} requires a divergence-free field")
+
+
 def sobolev_norm(u: SpectralVectorField, s: float) -> float:
     """Homogeneous Sobolev norm of order s on the torus."""
     if s < 0:
@@ -75,53 +80,6 @@ def lebesgue_norm(u: SpectralVectorField, p: float) -> float:
     if p == np.inf:
         return float(np.max(mag))
     return float(np.mean(mag**p) ** (1.0 / p))
-
-
-def strain_lebesgue_norm(s_field: StrainField, p: float) -> float:
-    """Grid Lp norm of the pointwise Frobenius magnitude |S(x)|."""
-    from .field import scalar_to_physical
-
-    if p != np.inf and p < 1:
-        raise ValueError(f"Lebesgue norm requires p >= 1, got {p}")
-    mag_sq = np.zeros((s_field.grid.n,) * 3)
-    for slot, w in enumerate(StrainField.FROBENIUS_WEIGHTS):
-        mag_sq += w * scalar_to_physical(s_field.grid, s_field.comps[slot]) ** 2
-    mag = np.sqrt(mag_sq)
-    if p == np.inf:
-        return float(np.max(mag))
-    return float(np.mean(mag**p) ** (1.0 / p))
-
-
-class NormKind(Enum):
-    SOBOLEV = "sobolev"
-    LEBESGUE = "lebesgue"
-    BESOV = "besov"
-
-
-@dataclass(frozen=True)
-class NormRequest:
-    kind: NormKind
-    s: float | None = None
-    p: float | None = None
-
-    def __post_init__(self):
-        if self.kind is NormKind.SOBOLEV and self.s is None:
-            raise ValueError("sobolev norm needs an order s")
-        if self.kind is NormKind.LEBESGUE and (self.p is None or self.p < 1):
-            raise ValueError("lebesgue norm needs p >= 1")
-        if self.kind is NormKind.BESOV:
-            if self.s is None or self.s <= 0:
-                raise ValueError("besov norm needs smoothness s > 0 (the norm is B^{-s})")
-            if self.p is None or self.p < 1:
-                raise ValueError("besov norm needs p >= 1")
-
-
-def evaluate_norm(u: SpectralVectorField, req: NormRequest) -> float:
-    if req.kind is NormKind.SOBOLEV:
-        return sobolev_norm(u, req.s)
-    if req.kind is NormKind.LEBESGUE:
-        return lebesgue_norm(u, req.p)
-    return besov_norm(u, req.s, req.p).value
 
 
 @dataclass(frozen=True)
@@ -180,6 +138,41 @@ def besov_norm(
     return BesovResult(value, t_star)
 
 
+@dataclass(frozen=True)
+class FieldSummary:
+    """The scalars of the almost-2D criterion and the norm battery of a
+    velocity field, all Plancherel sums over its coefficients."""
+
+    K: float  # energy 1/2 sum |uhat|^2, k = 0 included (= 1/2 ||u||_{L2}^2)
+    E: float  # enstrophy 1/2 ||curl u||_{L2}^2
+    hhalf: float  # ||u||_{H^1/2}
+    h1: float  # ||u||_{H^1}
+    omega_h_hminushalf: float  # ||(omega_1, omega_2, 0)||_{H^-1/2}
+
+
+def field_summary(u: SpectralVectorField) -> FieldSummary:
+    """FieldSummary of a divergence-free velocity field, with no transform."""
+    _require_divergence_free(u, "field summary")
+    w = curl(u)
+    return FieldSummary(
+        K=0.5 * sobolev_norm(u, 0) ** 2,
+        E=0.5 * sobolev_norm(w, 0) ** 2,
+        hhalf=sobolev_norm(u, 0.5),
+        h1=sobolev_norm(u, 1.0),
+        omega_h_hminushalf=sobolev_norm(horizontal(w), -0.5),
+    )
+
+
+def horizontal(v: SpectralVectorField) -> SpectralVectorField:
+    """(v1, v2, 0) as a new field.  As in p2d_split, a mean-zero input's
+    roundoff k = 0 coefficient is dropped, so the part keeps the flag."""
+    coeffs = v.coeffs.copy()
+    coeffs[2] = 0.0
+    if v.mean_zero:
+        coeffs[:, 0, 0, 0] = 0.0
+    return SpectralVectorField(v.grid, coeffs, v.mean_zero)
+
+
 @dataclass
 class HorizontalParts:
     """Horizontal vorticity, the vector v3 = d3 u + grad u3, and the two
@@ -201,15 +194,11 @@ class HorizontalParts:
 
 
 def horizontal_parts(u: SpectralVectorField) -> HorizontalParts:
-    if divergence_defect(u) > 1e-8:
-        raise ValueError("horizontal decomposition requires a divergence-free field")
-    w = curl(u)
-    omega_h = w.copy()
-    omega_h.coeffs[2] = 0.0
+    _require_divergence_free(u, "horizontal decomposition")
     v3 = partial3(u) + gradient_of_component(u, 2)
     s_field = strain(u)
     return HorizontalParts(
-        omega_h=omega_h,
+        omega_h=horizontal(curl(u)),
         v3=v3,
         s13=s_field.comps[StrainField.INDEX[(1, 3)]],
         s23=s_field.comps[StrainField.INDEX[(2, 3)]],

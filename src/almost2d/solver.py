@@ -429,25 +429,3 @@ def _nanmin(a: np.ndarray) -> float:
     vals = a[~np.isnan(a)]
     return float(np.min(vals)) if len(vals) else 0.0
 
-
-def monitor_strain_identity(series: DiagnosticsSeries, index: int) -> float:
-    """Relative residual of dE/dt = -2 nu ||S||_{H1}^2 - 4 int det S at an
-    interior recorded row (already tabulated by run)."""
-    value = series.strain_identity_residual[index]
-    if np.isnan(value):
-        raise ValueError("residual needs three consecutive recorded steps")
-    return float(value)
-
-
-def monitor_enstrophy_inequality(series: DiagnosticsSeries, index: int) -> float:
-    value = series.enstrophy_ineq_slack[index]
-    if np.isnan(value):
-        raise ValueError("slack needs three consecutive recorded steps")
-    return float(value)
-
-
-def monitor_horizontal(series: DiagnosticsSeries, index: int) -> dict:
-    value = series.horizontal_decay_flag[index]
-    if np.isnan(value):
-        raise ValueError("flag needs three consecutive recorded steps")
-    return {"flag": bool(value > 0.5), "lhs": float(series.omega_h_hminushalf[index])}

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .criteria import constants
+from .criteria import criterion_quantity
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -106,9 +106,9 @@ def lambda_n_report(n: int, quad: QuadratureSpec = QuadratureSpec(), nu: float =
                 f"{label} quadrature {value} does not sit below its bound {bound}"
             )
 
-    ke_product = 0.25 * l2_sq * hminus1_sq
-    criterion = math.sqrt(horizontal_sq) * math.exp(
-        ke_product / (constants().r2 * nu**3)
+    # K0 = ||u||_{L2}^2 / 2 = ||omega||_{H^-1}^2 / 2 and E0 = ||omega||_{L2}^2 / 2.
+    criterion = criterion_quantity(
+        math.sqrt(horizontal_sq), 0.5 * hminus1_sq, 0.5 * l2_sq, nu
     )
     # sup_t sqrt(t) exp(-40 pi^2 t) at t* = 1/(80 pi^2), times 6 pi loglog^(1/2):
     # lower bound for the squared B^{-1/2}_{2,inf} norm.

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from almost2d import to_physical
+from almost2d import PhysicalVectorField, to_physical
 from almost2d.cli import main
 from almost2d.families import random_divergence_free
 from almost2d.fieldio import read_field, write_field
+from conftest import random_physical
 
 
 class TestFieldFile:
@@ -158,6 +159,13 @@ class TestCliDefects:
             read_field(path)
         assert main(["norms", path]) == 1
         assert message in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("verb", [["norms"], ["check", "--nu", "0.1"]], ids=["norms", "check"])
+    def test_divergent_field_is_a_domain_error(self, tmp_path, grid16, capsys, verb):
+        path = str(tmp_path / "div.field")
+        write_field(path, PhysicalVectorField(grid16, random_physical(grid16, 12)))
+        assert main(verb[:1] + [path] + verb[1:]) == 1
+        assert "divergence-free" in _one_error_line(capsys)
 
     def test_iftimie_check_on_un_file(self, tmp_path, capsys):
         path = str(tmp_path / "u5.field")

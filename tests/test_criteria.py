@@ -22,7 +22,9 @@ from almost2d.criteria import (
     SMALL_DATA_COEFF,
     gamma2d_from_norms,
     gamma2d_lp_from_norms,
+    iftimie_check,
 )
+from almost2d.norms import field_summary, horizontal, horizontal_parts, p2d_split
 from conftest import seeded_fields
 
 
@@ -248,3 +250,22 @@ class TestIftimieCheck:
 
         with pytest.raises(ValueError, match="positive"):
             iftimie_check(taylor_green_2d(grid32), 1.0, 0.0)
+
+
+def test_checks_and_splits_leave_inputs_untouched(grid16):
+    """Every criterion and decomposition is a pure function of its field."""
+    (u,) = seeded_fields(grid16, 1, base_seed=398)
+    w = curl(u)
+    calls = [
+        (field_summary, u),
+        (lambda v: gamma2d_check(v, 0.1), u),
+        (lambda v: gamma2d_lp_check(v, 0.1), w),
+        (lambda v: iftimie_check(v, 0.1, 2.0), u),
+        (p2d_split, u),
+        (horizontal_parts, u),
+        (horizontal, w),
+    ]
+    for fn, field in calls:
+        saved = field.coeffs.copy()
+        fn(field)
+        assert np.array_equal(field.coeffs, saved)

@@ -20,13 +20,7 @@ from almost2d import (
     un_family,
 )
 from almost2d.field import gradient_of_component, partial3
-from almost2d.norms import (
-    BesovSearchConfig,
-    NormKind,
-    NormRequest,
-    evaluate_norm,
-    v3_omega_h_ratio,
-)
+from almost2d.norms import BesovSearchConfig, field_summary, horizontal, v3_omega_h_ratio
 from almost2d.families import set_mode_pair
 from conftest import seeded_fields
 
@@ -183,6 +177,37 @@ class TestHorizontalParts:
                 assert max(abs(r - 1) for r in ratios) < 1e-10
 
 
+class TestFieldSummary:
+    def test_plancherel_against_transforms_and_lattice_sums(self, grid16):
+        """K against the grid L2 norm, E against 2 pi^2 sum |k|^2 |uhat|^2
+        (|k x uhat| = |k| |uhat| for solenoidal modes), omega_h against
+        the horizontal decomposition."""
+        for u in seeded_fields(grid16, 3, base_seed=395):
+            s = field_summary(u)
+            lattice = float(np.sum(grid16.k_sq * np.abs(u.coeffs) ** 2))
+            assert s.K == pytest.approx(0.5 * lebesgue_norm(u, 2) ** 2, rel=1e-12)
+            assert s.E == pytest.approx(2 * math.pi**2 * lattice, rel=1e-12)
+            assert s.hhalf == pytest.approx(sobolev_norm(u, 0.5), rel=1e-12)
+            assert s.h1 == pytest.approx(sobolev_norm(u, 1.0), rel=1e-12)
+            assert s.omega_h_hminushalf == pytest.approx(
+                sobolev_norm(horizontal_parts(u).omega_h, -0.5), rel=1e-12
+            )
+
+    def test_un_family_closed_forms(self, grid24):
+        s = field_summary(un_family(5, grid24))
+        assert s.hhalf**2 == pytest.approx(27.0, rel=1e-12)
+        assert s.omega_h_hminushalf == pytest.approx(1.0, rel=1e-12)
+
+
+class TestHorizontal:
+    def test_keeps_horizontal_components(self, grid16):
+        (u,) = seeded_fields(grid16, 1, base_seed=397)
+        h = horizontal(u)
+        assert np.array_equal(h.coeffs[:2], u.coeffs[:2])
+        assert not np.any(h.coeffs[2])
+        assert h.coeffs is not u.coeffs and h.mean_zero
+
+
 class TestVerticalAverage:
     def test_x3_independent_field_is_its_own_average(self, grid16):
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
@@ -277,19 +302,3 @@ class TestConeFilter:
         with pytest.raises(ValueError, match="0 < eps < 1"):
             cone_filter(u, 1.5, "inside")
 
-
-class TestNormRequest:
-    def test_dispatch(self, grid16):
-        (u,) = seeded_fields(grid16, 1, base_seed=390)
-        assert evaluate_norm(u, NormRequest(NormKind.SOBOLEV, s=0.5)) == pytest.approx(
-            sobolev_norm(u, 0.5)
-        )
-        assert evaluate_norm(u, NormRequest(NormKind.LEBESGUE, p=3.0)) == pytest.approx(
-            lebesgue_norm(u, 3.0)
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NormRequest(NormKind.BESOV, s=-1.0, p=2.0)
-        with pytest.raises(ValueError):
-            NormRequest(NormKind.LEBESGUE, p=0.5)

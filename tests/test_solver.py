@@ -20,13 +20,8 @@ from almost2d.cli import main
 from almost2d.families import random_divergence_free, set_mode_pair
 from almost2d.field import advection, curl, divergence_defect, leray_project
 from almost2d.grid import half_spectrum, hermitian_defect
-from almost2d.solver import (
-    _assemble_series,
-    monitor_enstrophy_inequality,
-    monitor_horizontal,
-    monitor_strain_identity,
-    nonlinear_term,
-)
+from almost2d.norms import field_summary
+from almost2d.solver import _assemble_series, nonlinear_term
 
 
 def single_mode(grid, k, value):
@@ -223,6 +218,18 @@ class TestRun:
         assert series.status in ("nan_abort", "blowup_suspected")
         assert len(series.t) < 21  # stopped early
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_first_row_is_the_field_summary(self, n):
+        """The solver's half-spectrum sums agree with the full-spectrum
+        battery; kmax=4 lies inside the 2/3 mask, so run keeps u0 as is."""
+        grid = GridSpec(n)
+        u0 = random_divergence_free(grid, 31 + n, kmax=4)
+        series = run(u0, SolverConfig(grid=grid, nu=0.1, dt=1e-4, t_end=1e-4))
+        s = field_summary(u0)
+        assert series.K[0] == pytest.approx(s.K, rel=1e-12)
+        assert series.E[0] == pytest.approx(s.E, rel=1e-12)
+        assert series.omega_h_hminushalf[0] == pytest.approx(s.omega_h_hminushalf, rel=1e-12)
+
     def test_rejects_bad_initial_data(self, grid16):
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[0, 0, 0, 0] = 1.0
@@ -282,6 +289,14 @@ class TestMonitors:
         series, _, _ = monitored_run
         assert series.summary["horizontal_flag_all_true"]
         assert series.summary["gronwall_envelope_ok"]
+        # Centered-difference columns are NaN exactly at the end rows.
+        for col in (
+            series.strain_identity_residual,
+            series.enstrophy_ineq_slack,
+            series.horizontal_decay_flag,
+        ):
+            assert np.all(np.isnan(col[[0, -1]]))
+            assert np.all(np.isfinite(col[1:-1]))
 
     def test_horizontal_flag_exercised_below_threshold(self, grid32):
         """A small-amplitude field keeps omega_h below R1 nu, so the decay
@@ -292,16 +307,6 @@ class TestMonitors:
         small = series.omega_h_hminushalf[1:-1] < constants().r1 * 0.5
         assert np.all(small)
         assert series.summary["horizontal_flag_all_true"]
-
-    def test_monitor_accessors(self, monitored_run):
-        series, _, _ = monitored_run
-        idx = len(series.t) // 2
-        assert monitor_strain_identity(series, idx) >= 0
-        assert math.isfinite(monitor_enstrophy_inequality(series, idx))
-        info = monitor_horizontal(series, idx)
-        assert set(info) == {"flag", "lhs"}
-        with pytest.raises(ValueError, match="consecutive"):
-            monitor_strain_identity(series, 0)
 
 
 def test_assemble_series_closed_forms_on_many_rows():
