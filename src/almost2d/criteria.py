@@ -66,10 +66,14 @@ class CriterionReport:
         }
 
 
+def _require_positive_viscosity(nu: float) -> None:
+    if not nu > 0:
+        raise ValueError(f"viscosity must be positive, got {nu}")
+
+
 def small_data_check(K0: float, E0: float, nu: float) -> CriterionReport:
     """Energy-enstrophy product against 6912 pi^4 nu^4."""
-    if nu <= 0:
-        raise ValueError(f"viscosity must be positive, got {nu}")
+    _require_positive_viscosity(nu)
     if K0 < 0 or E0 < 0:
         raise ValueError("energy and enstrophy must be nonnegative")
     lhs = K0 * E0
@@ -84,6 +88,7 @@ def gamma2d_from_norms(
 ) -> CriterionReport:
     """Almost-2D criterion from precomputed scalars (the field-level
     gamma2d_check reduces to this)."""
+    _require_positive_viscosity(nu)
     consts = constants()
     exponent = (K0 * E0 - SMALL_DATA_COEFF * nu**4) / (consts.r2 * nu**3)
     rhs = consts.r1 * nu
@@ -110,15 +115,17 @@ def gamma2d_check(u: SpectralVectorField, nu: float) -> CriterionReport:
     """Almost-2D global-regularity criterion on a velocity field:
     ||omega_h||_{H^-1/2} exp((K0 E0 - 6912 pi^4 nu^4)/(R2 nu^3)) < R1 nu.
     """
-    if nu <= 0:
-        raise ValueError(f"viscosity must be positive, got {nu}")
     s = field_summary(u)
     return gamma2d_from_norms(s.omega_h_hminushalf, s.K, s.E, nu)
 
 
 def criterion_quantity(omega_h: float, K0: float, E0: float, nu: float) -> float:
-    """The unshifted criterion quantity ||omega_h|| exp(K0 E0 / (R2 nu^3))."""
-    return omega_h * math.exp(K0 * E0 / (constants().r2 * nu**3))
+    """The unshifted criterion quantity ||omega_h|| exp(K0 E0 / (R2 nu^3));
+    inf where the exponential overflows."""
+    _require_positive_viscosity(nu)
+    with np.errstate(over="ignore"):
+        growth = np.exp(K0 * E0 / (constants().r2 * nu**3))
+    return float(omega_h * growth) if omega_h > 0 else 0.0
 
 
 def gamma2d_lp_from_norms(
@@ -126,6 +133,7 @@ def gamma2d_lp_from_norms(
 ) -> CriterionReport:
     """Lp-form criterion from precomputed vorticity norms; also the entry
     point for objects that expose norms without a plain field (rescalings)."""
+    _require_positive_viscosity(nu)
     consts = constants()
     product = 0.25 * consts.c2**2 * omega_l65**2 * omega_l2**2
     exponent = (product - SMALL_DATA_COEFF * nu**4) / (consts.r2 * nu**3)
@@ -158,8 +166,6 @@ def gamma2d_lp_check(omega: SpectralVectorField, nu: float) -> CriterionReport:
     Also certifies the derivation direction: the Hilbert-norm criterion's
     left side on u = biot_savart(omega) never exceeds this one.
     """
-    if nu <= 0:
-        raise ValueError(f"viscosity must be positive, got {nu}")
     report = gamma2d_lp_from_norms(
         lebesgue_norm(horizontal(omega), 1.5),
         lebesgue_norm(omega, 1.2),
@@ -185,20 +191,10 @@ class Envelopes:
     nu: float
     inapplicable_reason: str | None = None
 
-    def horizontal_gronwall(
-        self, omega_h0_norm: float, omega_l2_quartic_integral: float
-    ) -> float:
-        """Envelope for ||omega_h(t)||_{H^-1/2}^2 given int_0^t ||omega||_L2^4."""
-        r2 = constants().r2
-        return omega_h0_norm**2 * math.exp(
-            omega_l2_quartic_integral / (r2 * self.nu**3)
-        )
-
 
 def envelopes(K0: float, E0: float, nu: float, t: float) -> Envelopes:
     """Global (small-data) and local-in-time enstrophy bounds at time t."""
-    if nu <= 0:
-        raise ValueError(f"viscosity must be positive, got {nu}")
+    _require_positive_viscosity(nu)
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     reason = None
@@ -228,8 +224,7 @@ class BlowupTimeBounds:
 
 
 def blowup_time_bounds(K0: float, E0: float, nu: float) -> BlowupTimeBounds:
-    if nu <= 0:
-        raise ValueError(f"viscosity must be positive, got {nu}")
+    _require_positive_viscosity(nu)
     upper = K0**2 / (13824 * math.pi**4 * nu**5)
     lower = math.inf if E0 == 0 else 1728 * math.pi**4 * nu**3 / E0**2
     return BlowupTimeBounds(upper, lower)
@@ -250,8 +245,7 @@ def iftimie_check(u: SpectralVectorField, nu: float, c: float) -> CriterionRepor
     """
     from .norms import p2d_split
 
-    if nu <= 0:
-        raise ValueError(f"viscosity must be positive, got {nu}")
+    _require_positive_viscosity(nu)
     if c <= 0:
         raise ValueError(f"the criterion constant must be positive, got {c}")
     two_d, perp = p2d_split(u)

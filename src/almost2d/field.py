@@ -122,16 +122,6 @@ def to_physical(u: SpectralVectorField) -> PhysicalVectorField:
     return PhysicalVectorField(u.grid, np.ascontiguousarray(samples.real))
 
 
-def scalar_to_physical(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse transform of a scalar coefficient array, real part returned."""
-    n = grid.n
-    samples = np.fft.ifftn(coeffs) * n**3
-    scale = max(float(np.max(np.abs(samples.real))), 1e-300)
-    if np.max(np.abs(samples.imag)) > HERMITIAN_TOL * max(scale, 1.0):
-        raise ValueError("scalar field has a non-real inverse transform")
-    return samples.real
-
-
 def divergence(u: SpectralVectorField) -> np.ndarray:
     """Spectral divergence as a scalar coefficient array."""
     k1, k2, k3 = u.grid.k_deriv

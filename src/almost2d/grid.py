@@ -85,11 +85,6 @@ def mirror_conjugate(coeffs: np.ndarray) -> np.ndarray:
     return _reflect(np.conj(coeffs), (-3, -2, -1))
 
 
-def hermitian_defect(coeffs: np.ndarray) -> float:
-    """Max |c(k) - conj(c(-k))|, zero for coefficients of a real field."""
-    return float(np.max(np.abs(coeffs - mirror_conjugate(coeffs))))
-
-
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (coeffs + mirror_conjugate(coeffs))
 

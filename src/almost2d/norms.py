@@ -6,7 +6,10 @@ with the k=0 term included only at s=0 (where Hs coincides with L2).
 Lebesgue norms are equal-weight grid quadratures of the pointwise
 Euclidean magnitude |u(x)|.  The heat-kernel Besov norm B^{-s}_{p,inf}
 is sup_{t>0} t^{s/2} ||e^{t lap} u||_{Lp}, discretized by a log-spaced
-coarse scan plus bounded refinement around the interior maximum.
+coarse scan plus bounded refinement around the interior maximum.  For
+p = 2 each t is a Plancherel sum over integer |k|^2 shells,
+    ||e^{t lap} u||_{L2}^2 = sum_shells exp(-8 pi^2 |k|^2 t) sum_{shell} |uhat(k)|^2,
+with the coefficients binned once; p != 2 transforms e^{t lap} u at each t.
 """
 
 from __future__ import annotations
@@ -117,8 +120,12 @@ def besov_norm(
     if float(np.max(np.abs(u.coeffs))) == 0.0:
         return BesovResult(0.0, cfg.t_min)
 
-    def objective(t: float) -> float:
-        return t ** (s / 2.0) * lebesgue_norm(heat_semigroup(u, t), p)
+    if p == 2:
+        objective = _heat_l2_objective(u, s)
+    else:
+
+        def objective(t: float) -> float:
+            return t ** (s / 2.0) * lebesgue_norm(heat_semigroup(u, t), p)
 
     ts = np.geomspace(cfg.t_min, cfg.t_max, cfg.coarse_points)
     values = np.array([objective(t) for t in ts])
@@ -136,6 +143,25 @@ def besov_norm(
     t_star = float(res.x)
     value = max(float(-res.fun), float(values[imax]))
     return BesovResult(value, t_star)
+
+
+def _heat_l2_objective(u: SpectralVectorField, s: float):
+    """t -> t^{s/2} ||e^{t lap} u||_{L2} with no transform per t: the
+    squared coefficients are binned once into integer |k|^2 shells, and
+    only the occupied shells are kept."""
+    to_physical(u)  # the Hermitian check that the transform path makes
+    weights = np.bincount(
+        u.grid.k_sq.astype(np.int64).ravel(),
+        weights=np.sum(np.abs(u.coeffs) ** 2, axis=0).ravel(),
+    )
+    shells = np.flatnonzero(weights)
+    weights = weights[shells]
+    decay = -8 * np.pi**2 * shells.astype(float)
+
+    def objective(t: float) -> float:
+        return t ** (s / 2.0) * math.sqrt(float(np.dot(np.exp(decay * t), weights)))
+
+    return objective
 
 
 @dataclass(frozen=True)

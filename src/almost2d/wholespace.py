@@ -3,11 +3,13 @@
 The thin-annulus family, the heat-kernel embedding constants, and the cone
 constants are exact integrals over R^3; cylindrical or radial Gauss-Legendre
 quadrature evaluates them, with analytic 1D reductions as independent
-oracles where the tests demand one.
+oracles where the tests demand one.  Each Gauss-Legendre rule is built once
+per node count and mapped to every interval that uses it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -36,9 +38,9 @@ class QuadratureSpec:
             raise ValueError("node counts must be >= 16")
 
     def nodes(self, a: float, b: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights on [a, b]."""
+        """Nodes and weights on [a, b], as new arrays."""
         if self.scheme is QuadScheme.GAUSS_LEGENDRE:
-            x, w = np.polynomial.legendre.leggauss(count)
+            x, w = _gauss_legendre(count)
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             return mid + half * x, half * w
         x = np.linspace(a, b, count)
@@ -46,6 +48,16 @@ class QuadratureSpec:
         w[0] *= 0.5
         w[-1] *= 0.5
         return x, w
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count-node Gauss-Legendre rule on [-1, 1], read-only; its
+    eigen-solve runs once per count."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @dataclass
@@ -210,15 +222,17 @@ def cone_embedding_constant(
     R = _radial_truncation(s, quad)
     r, wr = quad.nodes(0.0, R, quad.radial_nodes)
 
-    direct_sum = 0.0
-    for ri, wi in zip(r, wr):
-        z, wz = quad.nodes(-eps * ri, eps * ri, quad.vertical_nodes)
-        rho_sq = ri**2 + z**2
-        integrand = (2 * math.pi * np.sqrt(rho_sq)) ** (s / 2) * np.exp(
-            -4 * math.pi**2 * s * rho_sq
-        )
-        direct_sum += 2 * math.pi * ri * wi * float(np.sum(wz * integrand))
-    direct = direct_sum ** (1.0 / s)
+    # Vertical rule on [-eps r_i, eps r_i] for every radial node at once:
+    # z_ij = eps r_i x_j, w_ij = eps r_i w_j.
+    x, wx = quad.nodes(-1.0, 1.0, quad.vertical_nodes)
+    half = (eps * r)[:, None]
+    z, wz = half * x, half * wx
+    rho_sq = (r**2)[:, None] + z**2
+    integrand = (2 * math.pi * np.sqrt(rho_sq)) ** (s / 2) * np.exp(
+        -4 * math.pi**2 * s * rho_sq
+    )
+    vertical = np.sum(wz * integrand, axis=1)
+    direct = float(np.sum(2 * math.pi * r * wr * vertical)) ** (1.0 / s)
 
     tail = 4 * math.pi * r ** (2 + s / 2) * np.exp(-4 * math.pi**2 * s * r**2)
     i_s = float(np.sum(wr * tail))

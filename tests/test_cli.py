@@ -185,3 +185,34 @@ class TestCliDefects:
         assert main(argv + ["--dt", "2e-3", "--t-end", "0.01"]) == 0
         last = open(out).read().strip().splitlines()[-1]
         assert float(last.split(",")[0]) == pytest.approx(0.01, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "rescaled", "--m", "2", "--nu", "0"],
+            ["sweep", "annulus-analog", "--n", "3", "--nu", "0"],
+            ["sweep", "annulus-analog", "--nu", "-1"],
+            ["wholespace", "lambda-n", "--n", "3", "--nu", "0"],
+        ],
+        ids=["rescaled-0", "annulus-0", "annulus-negative", "lambda-n-0"],
+    )
+    def test_nonpositive_viscosity_is_a_domain_error(self, capsys, argv):
+        assert main(argv) == 1
+        assert "viscosity must be positive" in _one_error_line(capsys)
+
+    def test_overflowing_criterion_quantity_is_inf(self, capsys):
+        assert main(["wholespace", "lambda-n", "--n", "3", "--nu", "0.01"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["criterion_quantity"] == "inf"
+
+
+class TestAnalysisTransformBudget:
+    def test_sweep_annulus_transform_count(self, tmp_path, transform_counts):
+        """sweep annulus-analog makes 3 3-D transforms per besov_norm call (the
+        Hermitian check of the vorticity) and no other: annulus_analog builds
+        coefficients directly, the Sobolev norms and the p = 2 Besov objective
+        are coefficient sums.  Three n values give 9."""
+        out = str(tmp_path / "sweep.json")
+        assert main(["sweep", "annulus-analog", "--n", "3,6,12", "--n-grid", "32",
+                     "--output", out]) == 0
+        assert transform_counts == {"3d": 9, "other": 0}

@@ -20,6 +20,7 @@ from almost2d import (
 )
 from almost2d.criteria import (
     SMALL_DATA_COEFF,
+    criterion_quantity,
     gamma2d_from_norms,
     gamma2d_lp_from_norms,
     iftimie_check,
@@ -76,6 +77,10 @@ class TestSmallData:
     def test_invalid_nu(self):
         with pytest.raises(ValueError, match="positive"):
             small_data_check(1.0, 1.0, 0.0)
+        for nu in (0.0, -1.0):
+            for helper in (gamma2d_from_norms, gamma2d_lp_from_norms, criterion_quantity):
+                with pytest.raises(ValueError, match="viscosity must be positive"):
+                    helper(0.5, 1.0, 1.0, nu)
 
 
 class TestGamma2d:
@@ -188,13 +193,6 @@ class TestEnvelopes:
         env = envelopes(1e9, 1e9, 0.1, 0.0)
         assert env.global_enstrophy_bound is None
         assert "threshold" in env.inapplicable_reason
-
-    def test_gronwall_form(self):
-        env = envelopes(0.0, 1.0, 2.0, 0.0)
-        value = env.horizontal_gronwall(0.5, 3.0)
-        assert value == pytest.approx(
-            0.25 * math.exp(3.0 / (constants().r2 * 8.0)), rel=1e-12
-        )
 
 
 class TestBlowupBounds:

@@ -23,8 +23,8 @@ from almost2d import (
 )
 from almost2d.families import helical_base_vorticity, random_divergence_free
 from almost2d.field import divergence_defect
-from almost2d.grid import hermitian_defect
 from almost2d.norms import lebesgue_norm as LN
+from conftest import hermitian_defect
 
 
 ALL_GENERATORS = [

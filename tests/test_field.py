@@ -20,10 +20,10 @@ from almost2d import (
     to_physical,
     to_spectral,
 )
-from almost2d.field import divergence, divergence_defect, scalar_to_physical
-from almost2d.grid import full_spectrum, half_spectrum, hermitian_defect
+from almost2d.field import divergence, divergence_defect
+from almost2d.grid import full_spectrum, half_spectrum
 from almost2d.norms import sobolev_norm, strain_sobolev_norm
-from conftest import random_physical, seeded_fields
+from conftest import hermitian_defect, random_physical, scalar_to_physical, seeded_fields
 
 
 class TestTransforms:

@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from almost2d import (
+    GridSpec,
     PhysicalVectorField,
     SpectralVectorField,
+    annulus_analog,
     besov_norm,
     cone_filter,
     curl,
+    heat_semigroup,
     horizontal_parts,
     lebesgue_norm,
     p2d_split,
@@ -20,7 +24,13 @@ from almost2d import (
     un_family,
 )
 from almost2d.field import gradient_of_component, partial3
-from almost2d.norms import BesovSearchConfig, field_summary, horizontal, v3_omega_h_ratio
+from almost2d.norms import (
+    BesovSearchConfig,
+    _heat_l2_objective,
+    field_summary,
+    horizontal,
+    v3_omega_h_ratio,
+)
 from almost2d.families import set_mode_pair
 from conftest import seeded_fields
 
@@ -131,6 +141,54 @@ class TestBesovNorm:
         (u,) = seeded_fields(grid16, 1, base_seed=230)
         with pytest.raises(ValueError, match="s > 0"):
             besov_norm(u, 0.0, 2.0)
+
+    def test_non_hermitian_input_rejected_at_p2(self, grid16):
+        coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
+        coeffs[0, 1, 2, 3] = 1.0  # no conjugate partner at -k
+        with pytest.raises(ValueError, match="Hermitian"):
+            besov_norm(SpectralVectorField(grid16, coeffs, True), 0.5, 2.0)
+
+
+def transform_route_besov(u, s, p, cfg=BesovSearchConfig()):
+    """besov_norm's scan and refinement over the transform-per-t objective."""
+
+    def objective(t):
+        return t ** (s / 2.0) * lebesgue_norm(heat_semigroup(u, t), p)
+
+    ts = np.geomspace(cfg.t_min, cfg.t_max, cfg.coarse_points)
+    values = np.array([objective(t) for t in ts])
+    imax = int(np.argmax(values))
+    res = minimize_scalar(
+        lambda t: -objective(t),
+        bounds=(ts[imax - 1], ts[imax + 1]),
+        method="bounded",
+        options={"maxiter": cfg.refine_iters, "xatol": 1e-14},
+    )
+    return max(float(-res.fun), float(values[imax]))
+
+
+P2_FIELDS = [
+    pytest.param(lambda n=n: annulus_analog(n, GridSpec(32)), id=f"annulus-{n}")
+    for n in (3, 6, 12)
+] + [pytest.param(lambda: curl(un_family(3, GridSpec(24))), id="curl-un-3")]
+
+
+class TestBesovPlancherel:
+    """p = 2: shell sums over the coefficients against heat flow + transform."""
+
+    @pytest.mark.parametrize("make", P2_FIELDS)
+    def test_matches_transform_route(self, make):
+        w = make()
+        got = besov_norm(w, 0.5, 2.0).value
+        assert got == pytest.approx(transform_route_besov(w, 0.5, 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("make", P2_FIELDS)
+    def test_objective_pointwise(self, make):
+        w = make()
+        objective = _heat_l2_objective(w, 0.5)
+        for t in np.geomspace(1e-6, 1e2, 8):
+            want = t**0.25 * lebesgue_norm(heat_semigroup(w, t), 2.0)
+            assert objective(t) == pytest.approx(want, rel=1e-12)
 
 
 class TestHorizontalParts:

@@ -5,8 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import scipy.fft
-
 from almost2d import (
     GridSpec,
     SolverConfig,
@@ -19,9 +17,10 @@ from almost2d import (
 from almost2d.cli import main
 from almost2d.families import random_divergence_free, set_mode_pair
 from almost2d.field import advection, curl, divergence_defect, leray_project
-from almost2d.grid import half_spectrum, hermitian_defect
+from almost2d.grid import half_spectrum
 from almost2d.norms import field_summary
 from almost2d.solver import _assemble_series, nonlinear_term
+from conftest import hermitian_defect
 
 
 def single_mode(grid, k, value):
@@ -103,35 +102,6 @@ class TestRotationalForm:
         final = run(u0, SolverConfig(grid=grid32, nu=0.05, dt=dt, t_end=20 * dt)).final_field
         assert hermitian_defect(final.coeffs) <= 1e-14
         assert divergence_defect(final) <= 1e-12
-
-
-_FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
-              "fftn", "ifftn", "rfftn", "irfftn")
-
-
-@pytest.fixture
-def transform_counts(monkeypatch):
-    """Counts of 3-D and other transforms made through numpy.fft and scipy.fft."""
-    counts = {"3d": 0, "other": 0}
-
-    def counting(fn, default_ndim):
-        def wrapper(a, *args, **kwargs):
-            arr = np.asarray(a)
-            axes = kwargs.get("axes", args[1] if len(args) > 1 else None)
-            if axes is None:
-                axes = range(-(default_ndim or arr.ndim), 0)
-            axes = tuple(axes) if np.iterable(axes) else (axes,)
-            batch = arr.size // math.prod(arr.shape[ax] for ax in axes)
-            counts["3d" if len(axes) == 3 else "other"] += batch
-            return fn(a, *args, **kwargs)
-
-        return wrapper
-
-    for module in (np.fft, scipy.fft):
-        for name in _FFT_NAMES:
-            default_ndim = {"2": 2, "n": None}.get(name[-1], 1)
-            monkeypatch.setattr(module, name, counting(getattr(module, name), default_ndim))
-    return counts
 
 
 class TestTransformBudget:

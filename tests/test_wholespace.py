@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from almost2d import besov_norm, curl, un_family
@@ -15,6 +16,7 @@ from almost2d.wholespace import (
     lambda_n_closed_forms,
     lambda_n_report,
 )
+from almost2d.wholespace import _gauss_legendre
 
 
 class TestLambdaN:
@@ -117,6 +119,45 @@ class TestConeConstant:
             cone_embedding_constant(4.0, 1.2)
         with pytest.raises(ValueError, match="p > 2"):
             cone_embedding_constant(2.0, 0.5)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("p", [4.0, 6.0, math.inf])
+    def test_matches_per_node_loop(self, p, eps):
+        """One Gauss-Legendre rule per radial node, summed node by node."""
+        s = 2.0 if p == math.inf else 1.0 / (0.5 - 1.0 / p)
+        R = math.sqrt(42.0 / (4 * math.pi**2 * s)) + 1.0
+        x, w = np.polynomial.legendre.leggauss(128)
+        r, wr = 0.5 * R * (x + 1.0), 0.5 * R * w
+        direct_sum = 0.0
+        for ri, wi in zip(r, wr):
+            z, wz = eps * ri * x, eps * ri * w
+            rho_sq = ri**2 + z**2
+            integrand = (2 * math.pi * np.sqrt(rho_sq)) ** (s / 2) * np.exp(
+                -4 * math.pi**2 * s * rho_sq
+            )
+            direct_sum += 2 * math.pi * ri * wi * float(np.sum(wz * integrand))
+        i_s = float(np.sum(wr * 4 * math.pi * r ** (2 + s / 2) * np.exp(-4 * math.pi**2 * s * r**2)))
+        majorant = math.sqrt(2 * math.pi) * 2**0.25 * (i_s * eps) ** (1.0 / s)
+        cone = cone_embedding_constant(p, eps)
+        assert cone.direct == pytest.approx(direct_sum ** (1.0 / s), rel=1e-13)
+        assert cone.majorant == pytest.approx(majorant, rel=1e-13)
+
+
+class TestRuleCache:
+    def test_cached_rule_is_read_only(self):
+        x, w = _gauss_legendre(32)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+    def test_writing_returned_nodes_leaves_the_rule_intact(self):
+        quad = QuadratureSpec()
+        x, w = quad.nodes(-1.0, 1.0, 32)
+        fresh = np.polynomial.legendre.leggauss(32)
+        x[:] = 7.0
+        w[:] = 7.0
+        again = quad.nodes(-1.0, 1.0, 32)
+        assert np.array_equal(again[0], fresh[0]) and np.array_equal(again[1], fresh[1])
 
 
 class TestHeatKernel:
