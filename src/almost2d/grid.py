@@ -89,16 +89,10 @@ def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (coeffs + mirror_conjugate(coeffs))
 
 
-def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
-    """The k3 >= 0 half (``numpy.fft.rfftn`` layout) of a Hermitian coefficient
-    array.  Index n/2 on the last axis holds the Nyquist mode k3 = -n/2 of the
-    full layout; every other k3 < 0 mode is the conjugate of a stored one."""
-    n = coeffs.shape[-1]
-    return coeffs[..., : n // 2 + 1].copy()
-
-
 def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of ``half_spectrum``: the full coefficient array, exactly Hermitian.
+    """The full coefficient array, exactly Hermitian, from its k3 >= 0 half
+    ``half = coeffs[..., :n//2 + 1]`` (``numpy.fft.rfftn`` layout, where index
+    n/2 on the last axis holds the Nyquist mode k3 = -n/2).
 
     The k3 = 0 and k3 = n/2 planes are their own mirror images; the Hermitian
     part of each is kept, which is what ``irfftn`` reads from them.

@@ -43,6 +43,12 @@ def hermitian_defect(coeffs):
     return float(np.max(np.abs(coeffs - mirror_conjugate(coeffs))))
 
 
+def half_spectrum(coeffs):
+    """The k3 >= 0 half (``numpy.fft.rfftn`` layout) of a coefficient array."""
+    n = coeffs.shape[-1]
+    return coeffs[..., : n // 2 + 1].copy()
+
+
 def scalar_to_physical(grid, coeffs):
     """Inverse transform of a scalar coefficient array, real part returned."""
     n = grid.n

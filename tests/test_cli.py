@@ -187,6 +187,29 @@ class TestCliDefects:
         assert float(last.split(",")[0]) == pytest.approx(0.01, rel=1e-12)
 
     @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            (["--nu", "nan"], "", "viscosity must be positive and finite"),
+            (["--nu", "inf"], "", "viscosity must be positive and finite"),
+            (["--nu", "0.1"], "blowup_threshold=nan\n", "blowup_threshold must be positive"),
+            (["--nu", "0.1"], "blowup_threshold=0\n", "blowup_threshold must be positive"),
+        ],
+        ids=["nu-nan", "nu-inf", "threshold-nan", "threshold-0"],
+    )
+    def test_simulate_rejects_nonfinite_viscosity_and_bad_threshold(
+        self, tmp_path, capsys, flags, config, message
+    ):
+        field = str(tmp_path / "tg.field")
+        assert main(["construct", "taylor-green", "--n", "8", "--output", field]) == 0
+        cfgfile = tmp_path / "sim.cfg"
+        cfgfile.write_text("dt=1e-3\nt_end=3e-3\n" + config)
+        out = tmp_path / "run.csv"
+        argv = ["simulate", "--config", str(cfgfile), "--initial", field, "--output", str(out)]
+        assert main(argv + flags) == 1
+        assert message in _one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["sweep", "rescaled", "--m", "2", "--nu", "0"],

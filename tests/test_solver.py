@@ -1,9 +1,11 @@
 """Time integration and trajectory monitors."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from almost2d import (
     GridSpec,
@@ -14,13 +16,13 @@ from almost2d import (
     run,
     taylor_green_2d,
 )
+from almost2d import solver
 from almost2d.cli import main
 from almost2d.families import random_divergence_free, set_mode_pair
 from almost2d.field import advection, curl, divergence_defect, leray_project
-from almost2d.grid import half_spectrum
 from almost2d.norms import field_summary
-from almost2d.solver import _assemble_series, nonlinear_term
-from conftest import hermitian_defect
+from almost2d.solver import _assemble_series, _lattice, nonlinear_term
+from conftest import half_spectrum, hermitian_defect
 
 
 def single_mode(grid, k, value):
@@ -83,7 +85,8 @@ class TestRotationalForm:
     def test_equals_convective_form_under_two_thirds_rule(self, grid32, seed):
         u = random_divergence_free(grid32, seed)
         convective = -projected(advection(u).coeffs, grid32)
-        got = nonlinear_term(half_spectrum(u.coeffs), grid32)
+        lat = _lattice(grid32, "two_thirds")
+        got = lat.pad(nonlinear_term(lat.crop(u.coeffs), grid32))
         assert rel_err(got, half_spectrum(convective)) <= 1e-12
 
     def test_undealiased_rhs_is_the_aliased_rotational_form(self, grid16):
@@ -102,6 +105,73 @@ class TestRotationalForm:
         final = run(u0, SolverConfig(grid=grid32, nu=0.05, dt=dt, t_end=20 * dt)).final_field
         assert hermitian_defect(final.coeffs) <= 1e-14
         assert divergence_defect(final) <= 1e-12
+
+
+def swap_x1_x2(u):
+    """The reflection across x1 = x2: (u2, u1, u3) at (x2, x1, x3)."""
+    coeffs = u.coeffs[[1, 0, 2]].transpose(0, 2, 1, 3).copy()
+    return SpectralVectorField(u.grid, coeffs, u.mean_zero)
+
+
+class TestSymmetries:
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_run_commutes_with_swapping_x1_and_x2(self, n):
+        """The swap maps solutions to solutions and keeps K, E, ||S||_{H1},
+        int det S and ||omega_h||_{H^-1/2}.  kmax = n/2 - 1 puts modes outside
+        the 2/3 block, so the truncation at entry is swapped too."""
+        grid = GridSpec(n)
+        u0 = random_divergence_free(grid, 50 + n, kmax=n // 2 - 1, amplitude=0.2)
+        cfg = SolverConfig(grid=grid, nu=0.05, dt=1e-3, t_end=10e-3)
+        direct, swapped = run(u0, cfg), run(swap_x1_x2(u0), cfg)
+        for col in ("K", "E", "strain_h1_sq", "det_S_integral", "omega_h_hminushalf"):
+            np.testing.assert_allclose(getattr(swapped, col), getattr(direct, col),
+                                       rtol=1e-12, atol=0, err_msg=col)
+        assert rel_err(swapped.final_field.coeffs, swap_x1_x2(direct.final_field).coeffs) <= 1e-12
+
+    def test_two_dimensional_data_stays_two_dimensional(self, grid16):
+        series = run(
+            taylor_green_2d(grid16, 2.0),
+            SolverConfig(grid=grid16, nu=0.05, dt=1e-3, t_end=0.02),
+        )
+        assert np.all(series.omega_h_hminushalf <= 1e-13 * np.sqrt(series.E))
+
+    def test_state_stays_in_the_two_thirds_block(self, grid16):
+        u0 = random_divergence_free(grid16, 61, kmax=7, amplitude=0.2)
+        final = run(u0, SolverConfig(grid=grid16, nu=0.05, dt=1e-3, t_end=5e-3)).final_field
+        inside = grid16.dealias_mask
+        assert np.all(final.coeffs[:, ~inside] == 0.0)
+        assert np.count_nonzero(final.coeffs[:, inside]) > 0.9 * 3 * np.count_nonzero(inside)
+
+
+class TestThreads:
+    def test_threaded_transforms_leave_the_output_unchanged(self, tmp_path, monkeypatch):
+        """Lowering the threshold makes an n=16 simulate use every core; the
+        CSV and the summary are byte-identical to the run on one thread."""
+        field = str(tmp_path / "u.field")
+        assert main(["construct", "random", "--n", "16", "--seed", "5", "--output", field]) == 0
+        cfgfile = tmp_path / "sim.cfg"
+        cfgfile.write_text("nu=0.05\ndt=5e-4\nt_end=5e-3\n")
+
+        def simulate(name):
+            out = str(tmp_path / name)
+            assert main(["simulate", "--config", str(cfgfile), "--initial", field,
+                         "--output", out]) == 0
+            return open(out, "rb").read(), open(out + ".summary.json", "rb").read()
+
+        one_thread = simulate("one.csv")
+        workers = []
+        irfftn = scipy.fft.irfftn
+
+        def spy(*args, **kwargs):
+            workers.append(kwargs["workers"])
+            return irfftn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "irfftn", spy)
+        monkeypatch.setattr(solver, "THREADED_MIN_N", 4)
+        threaded = simulate("threaded.csv")
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert set(workers) == {cores}
+        assert threaded == one_thread
 
 
 class TestTransformBudget:
