@@ -10,9 +10,11 @@ from .field import (
     PhysicalVectorField,
     SpectralVectorField,
     StrainField,
+    advection,
     biot_savart,
     curl,
     dealias,
+    divergence,
     heat_semigroup,
     leray_project,
     pressure,

@@ -221,9 +221,10 @@ def _cmd_sweep(args) -> int:
     if args.family == "annulus-analog":
         for n in args.n:
             w = families.annulus_analog(n, grid)  # the family is a vorticity
-            K0 = 0.5 * norms.sobolev_norm(w, -1.0) ** 2
-            E0 = 0.5 * norms.sobolev_norm(w, 0.0) ** 2
-            omh = norms.sobolev_norm(norms.horizontal(w), -0.5)
+            spectrum = norms.ShellSpectrum(grid, w.coeffs)
+            K0 = 0.5 * float(spectrum.sobolev_sq(-1.0).sum())
+            E0 = 0.5 * float(spectrum.sobolev_sq(0.0).sum())
+            omh = math.sqrt(spectrum.sobolev_sq(-0.5)[:2].sum())
             besov = norms.besov_norm(w, 0.5, 2.0).value
             rows.append(
                 {

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .field import SpectralVectorField, biot_savart
-from .norms import field_summary, horizontal, lebesgue_norm, sobolev_norm
+from .norms import field_summary, horizontal, lebesgue_norm, p2d_split, sobolev_norm
 
 CONSTANTS_VERSION = "whole-space-sharp-v1"
 
@@ -66,14 +66,17 @@ class CriterionReport:
         }
 
 
-def _require_positive_viscosity(nu: float) -> None:
+def _require_valid_inputs(nu: float, *norms: float) -> None:
+    """nu > 0 and finite norms: a NaN norm must not reach a verdict."""
     if not nu > 0:
         raise ValueError(f"viscosity must be positive, got {nu}")
+    if not all(math.isfinite(x) for x in norms):
+        raise ValueError(f"criterion norms must be finite, got {norms}")
 
 
 def small_data_check(K0: float, E0: float, nu: float) -> CriterionReport:
     """Energy-enstrophy product against 6912 pi^4 nu^4."""
-    _require_positive_viscosity(nu)
+    _require_valid_inputs(nu)
     if K0 < 0 or E0 < 0:
         raise ValueError("energy and enstrophy must be nonnegative")
     lhs = K0 * E0
@@ -88,7 +91,7 @@ def gamma2d_from_norms(
 ) -> CriterionReport:
     """Almost-2D criterion from precomputed scalars (the field-level
     gamma2d_check reduces to this)."""
-    _require_positive_viscosity(nu)
+    _require_valid_inputs(nu, omega_h_norm, K0, E0)
     consts = constants()
     exponent = (K0 * E0 - SMALL_DATA_COEFF * nu**4) / (consts.r2 * nu**3)
     rhs = consts.r1 * nu
@@ -122,7 +125,7 @@ def gamma2d_check(u: SpectralVectorField, nu: float) -> CriterionReport:
 def criterion_quantity(omega_h: float, K0: float, E0: float, nu: float) -> float:
     """The unshifted criterion quantity ||omega_h|| exp(K0 E0 / (R2 nu^3));
     inf where the exponential overflows."""
-    _require_positive_viscosity(nu)
+    _require_valid_inputs(nu, omega_h, K0, E0)
     with np.errstate(over="ignore"):
         growth = np.exp(K0 * E0 / (constants().r2 * nu**3))
     return float(omega_h * growth) if omega_h > 0 else 0.0
@@ -133,7 +136,7 @@ def gamma2d_lp_from_norms(
 ) -> CriterionReport:
     """Lp-form criterion from precomputed vorticity norms; also the entry
     point for objects that expose norms without a plain field (rescalings)."""
-    _require_positive_viscosity(nu)
+    _require_valid_inputs(nu, omega_h_l32, omega_l65, omega_l2)
     consts = constants()
     product = 0.25 * consts.c2**2 * omega_l65**2 * omega_l2**2
     exponent = (product - SMALL_DATA_COEFF * nu**4) / (consts.r2 * nu**3)
@@ -194,7 +197,7 @@ class Envelopes:
 
 def envelopes(K0: float, E0: float, nu: float, t: float) -> Envelopes:
     """Global (small-data) and local-in-time enstrophy bounds at time t."""
-    _require_positive_viscosity(nu)
+    _require_valid_inputs(nu)
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     reason = None
@@ -224,7 +227,7 @@ class BlowupTimeBounds:
 
 
 def blowup_time_bounds(K0: float, E0: float, nu: float) -> BlowupTimeBounds:
-    _require_positive_viscosity(nu)
+    _require_valid_inputs(nu)
     upper = K0**2 / (13824 * math.pi**4 * nu**5)
     lower = math.inf if E0 == 0 else 1728 * math.pi**4 * nu**3 / E0**2
     return BlowupTimeBounds(upper, lower)
@@ -243,14 +246,12 @@ def iftimie_check(u: SpectralVectorField, nu: float, c: float) -> CriterionRepor
     The constant c is not pinned by any computation here; the caller must
     supply one, and the report records it.
     """
-    from .norms import p2d_split
-
-    _require_positive_viscosity(nu)
+    _require_valid_inputs(nu)
     if c <= 0:
         raise ValueError(f"the criterion constant must be positive, got {c}")
     two_d, perp = p2d_split(u)
     perp_half = sobolev_norm(perp, 0.5)
-    two_d_l2 = lebesgue_norm(two_d, 2.0)
+    two_d_l2 = sobolev_norm(two_d, 0)
     exponent = two_d_l2**2 / (c * nu**2)
     log_lhs = math.log(perp_half) + exponent if perp_half > 0 else -math.inf
     with np.errstate(over="ignore"):

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import SpectralVectorField, leray_project
+from .field import SpectralVectorField, divergence_defect, leray_project
 from .grid import GridSpec, hermitian_symmetrize
+from .norms import horizontal, lebesgue_norm
 
 
 def _empty(grid: GridSpec) -> np.ndarray:
@@ -43,6 +44,8 @@ def taylor_green_2d(grid: GridSpec, amplitude: float = 1.0) -> SpectralVectorFie
 
     Closed forms at A=1: K0 = 1/4, E0 = 2 pi^2, omega_h = 0.
     """
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     coeffs = _empty(grid)
     a = amplitude / 4.0
     # sin(a)cos(b) = (1/4i)(e^{i(a+b)} + e^{i(a-b)} - e^{-i(a-b)} - e^{-i(a+b)})
@@ -107,16 +110,10 @@ class RescaledVorticity:
     stretch: int
 
     def lebesgue_norm(self, q: float) -> float:
-        from .norms import lebesgue_norm
-
         base = lebesgue_norm(self.field, q)
-        if q == np.inf:
-            return base
-        return self.stretch ** (1.0 / q) * base
+        return base if q == np.inf else self.stretch ** (1.0 / q) * base
 
     def component_lebesgue_norm(self, part: str, q: float) -> float:
-        from .norms import horizontal, lebesgue_norm
-
         if part == "horizontal":
             sub = horizontal(self.field)
         elif part == "vertical":
@@ -125,10 +122,7 @@ class RescaledVorticity:
             sub.coeffs[1] = 0.0
         else:
             raise ValueError(f"unknown part {part!r}")
-        base = lebesgue_norm(sub, q)
-        if q == np.inf:
-            return base
-        return self.stretch ** (1.0 / q) * base
+        return RescaledVorticity(sub, self.stretch).lebesgue_norm(q)
 
 
 def rescaled_vorticity(
@@ -142,8 +136,8 @@ def rescaled_vorticity(
     """
     if m < 2:
         raise ValueError(f"stretch factor must be an integer >= 2, got {m}")
-    if a <= 0:
-        raise ValueError(f"log exponent must be positive, got {a}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"log exponent must be positive and finite, got {a}")
     grid = base_omega.grid
     n = grid.n
     eps = 1.0 / m
@@ -229,12 +223,8 @@ def annulus_analog(
         coeffs[:, i1, i2, i3] = vec
     coeffs = hermitian_symmetrize(coeffs)
     field = SpectralVectorField(grid, coeffs, mean_zero=True)
-    defect = np.abs(
-        kline.reshape(-1, 1, 1) * coeffs[0]
-        + kline.reshape(1, -1, 1) * coeffs[1]
-        + kline.reshape(1, 1, -1) * coeffs[2]
-    )
-    if float(np.max(defect)) > 1e-12 * field.amplitude():
+    # The shell stays inside |k_i| < n/2, where k_deriv is the plain lattice.
+    if divergence_defect(field) > 1e-12:
         raise AssertionError("annulus construction produced a non-solenoidal mode")
     return field
 
@@ -245,6 +235,8 @@ def random_divergence_free(
     """Seeded band-limited random field: Gaussian coefficients on the modes
     with every |k_i| <= kmax, mirrored for Hermitian symmetry, then Leray
     projected and recentered to mean zero."""
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     n = grid.n
     if kmax is None:
         kmax = max(1, n // 4)

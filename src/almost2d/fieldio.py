@@ -58,7 +58,10 @@ def read_field(path: str) -> SpectralVectorField:
         if "=" not in line:
             raise ValueError(f"{path}: malformed header line {line!r}")
         key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key = key.strip()
+        if key in pairs:
+            raise ValueError(f"{path}: header key {key!r} appears more than once")
+        pairs[key] = value.strip()
     if pairs.get("version") != str(FORMAT_VERSION):
         raise ValueError(
             f"{path}: unsupported field file version {pairs.get('version')!r}"

@@ -8,6 +8,12 @@ from functools import cached_property
 import numpy as np
 
 
+def _axes(line: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A 1-D array along each of the three axes, broadcastable to (n, n, n)."""
+    n = len(line)
+    return line.reshape(n, 1, 1), line.reshape(1, n, 1), line.reshape(1, 1, n)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform n x n x n grid on the unit torus.
@@ -25,11 +31,7 @@ class GridSpec:
     @cached_property
     def k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Integer wavenumbers along each axis, broadcastable to (n, n, n)."""
-        kline = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        k1 = kline.reshape(self.n, 1, 1)
-        k2 = kline.reshape(1, self.n, 1)
-        k3 = kline.reshape(1, 1, self.n)
-        return k1, k2, k3
+        return _axes(np.fft.fftfreq(self.n, d=1.0 / self.n))
 
     @cached_property
     def k_deriv(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -39,22 +41,14 @@ class GridSpec:
         real fields real (Hermitian symmetry).
         """
         kline = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        kline = kline.copy()
         kline[self.n // 2] = 0.0
-        k1 = kline.reshape(self.n, 1, 1)
-        k2 = kline.reshape(1, self.n, 1)
-        k3 = kline.reshape(1, 1, self.n)
-        return k1, k2, k3
+        return _axes(kline)
 
     @cached_property
     def k_sq(self) -> np.ndarray:
         """|k|^2 on the full lattice, shape (n, n, n)."""
         k1, k2, k3 = self.k
         return k1**2 + k2**2 + k3**2
-
-    @cached_property
-    def k_abs(self) -> np.ndarray:
-        return np.sqrt(self.k_sq)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -65,12 +59,7 @@ class GridSpec:
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grid point coordinates x_i = j/n, broadcastable to (n, n, n)."""
-        x = np.arange(self.n) / self.n
-        return (
-            x.reshape(self.n, 1, 1),
-            x.reshape(1, self.n, 1),
-            x.reshape(1, 1, self.n),
-        )
+        return _axes(np.arange(self.n) / self.n)
 
 
 def _reflect(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:

@@ -1,15 +1,14 @@
 """Function-space norms and anisotropic decompositions.
 
-Homogeneous Sobolev norms use the lattice sum
-    ||f||_{Hs}^2 = sum_{k != 0} (2 pi |k|)^{2s} |fhat(k)|^2,
-with the k=0 term included only at s=0 (where Hs coincides with L2).
+Every Hilbert-space quantity is a dot product with one shell spectrum
+P(m) = sum_{|k|^2 = m} |fhat(k)|^2, m = 0 ... 3 (n/2)^2 (``ShellSpectrum``):
+    ||f||_{Hs}^2 = sum_{m > 0} (2 pi sqrt(m))^{2s} P(m)  (m = 0 too at s = 0),
+    ||e^{t lap} f||_{L2}^2 = sum_m exp(-8 pi^2 m t) P(m).
 Lebesgue norms are equal-weight grid quadratures of the pointwise
 Euclidean magnitude |u(x)|.  The heat-kernel Besov norm B^{-s}_{p,inf}
 is sup_{t>0} t^{s/2} ||e^{t lap} u||_{Lp}, discretized by a log-spaced
-coarse scan plus bounded refinement around the interior maximum.  For
-p = 2 each t is a Plancherel sum over integer |k|^2 shells,
-    ||e^{t lap} u||_{L2}^2 = sum_shells exp(-8 pi^2 |k|^2 t) sum_{shell} |uhat(k)|^2,
-with the coefficients binned once; p != 2 transforms e^{t lap} u at each t.
+coarse scan plus bounded refinement around the interior maximum; p = 2
+evaluates the spectrum at each t, p != 2 transforms e^{t lap} u.
 """
 
 from __future__ import annotations
@@ -32,13 +31,15 @@ from .field import (
     strain,
     to_physical,
 )
+from .grid import GridSpec
 
 MEAN_TOL = 1e-13
 
 
-def _require_mean_zero(u: SpectralVectorField, context: str) -> None:
-    if float(np.max(np.abs(u.coeffs[:, 0, 0, 0]))) > MEAN_TOL * u.amplitude():
-        raise ValueError(f"{context} requires a mean-zero field")
+def _is_mean_zero(magnitude: np.ndarray) -> bool:
+    """The k = 0 test on |coeffs|, relative to the largest magnitude."""
+    amplitude = float(np.max(magnitude)) or 1.0
+    return float(np.max(magnitude[:, 0, 0, 0])) <= MEAN_TOL * amplitude
 
 
 def _require_divergence_free(u: SpectralVectorField, context: str) -> None:
@@ -46,32 +47,41 @@ def _require_divergence_free(u: SpectralVectorField, context: str) -> None:
         raise ValueError(f"{context} requires a divergence-free field")
 
 
+class ShellSpectrum:
+    """Shell-summed spectrum P_c(m) = sum_{|k|^2 = m} |c_c(k)|^2 of each
+    component c of a coefficient array (c, n, n, n), Nyquist modes
+    included, with the k = 0 mean-zero test of the array recorded."""
+
+    def __init__(self, grid: GridSpec, coeffs: np.ndarray):
+        power = np.abs(coeffs)
+        self.mean_zero = _is_mean_zero(power)
+        np.square(power, out=power)
+        size = 3 * (grid.n // 2) ** 2 + 1
+        shells = grid.k_sq.astype(np.int64).ravel()
+        self.power = np.stack(
+            [np.bincount(shells, weights=p.ravel(), minlength=size) for p in power]
+        )
+        self._m = np.arange(size, dtype=float)
+
+    def sobolev_sq(self, s: float) -> np.ndarray:
+        """||.||_{Hs}^2 of each component; s < 0 needs a mean-zero array."""
+        if s == 0:
+            return self.power.sum(axis=1)
+        if s < 0 and not self.mean_zero:
+            raise ValueError(f"sobolev norm with s={s} < 0 requires a mean-zero field")
+        weight = np.zeros_like(self._m)
+        weight[1:] = (2 * np.pi * np.sqrt(self._m[1:])) ** (2 * s)
+        return self.power @ weight
+
+    def heat_l2(self, t: float) -> float:
+        """||e^{t lap} .||_{L2} of the whole array."""
+        decay = np.exp(-8 * np.pi**2 * self._m * t)
+        return math.sqrt(float(np.dot(decay, self.power.sum(axis=0))))
+
+
 def sobolev_norm(u: SpectralVectorField, s: float) -> float:
     """Homogeneous Sobolev norm of order s on the torus."""
-    if s < 0:
-        _require_mean_zero(u, f"sobolev norm with s={s} < 0")
-    weight = _sobolev_weight(u.grid, s)
-    total = float(np.sum(weight * np.abs(u.coeffs) ** 2))
-    return math.sqrt(total)
-
-
-def _sobolev_weight(grid, s: float) -> np.ndarray:
-    if s == 0:
-        return np.ones_like(grid.k_sq)
-    kabs = grid.k_abs
-    safe = np.where(kabs == 0, 1.0, kabs)
-    weight = (2 * np.pi * safe) ** (2 * s)
-    weight = np.where(kabs == 0, 0.0, weight)
-    return weight
-
-
-def strain_sobolev_norm(s_field: StrainField, s: float) -> float:
-    """Frobenius Sobolev norm of the strain, off-diagonals counted twice."""
-    weight = _sobolev_weight(s_field.grid, s)
-    total = 0.0
-    for slot, w in enumerate(StrainField.FROBENIUS_WEIGHTS):
-        total += w * float(np.sum(weight * np.abs(s_field.comps[slot]) ** 2))
-    return math.sqrt(total)
+    return math.sqrt(ShellSpectrum(u.grid, u.coeffs).sobolev_sq(s).sum())
 
 
 def lebesgue_norm(u: SpectralVectorField, p: float) -> float:
@@ -116,12 +126,18 @@ def besov_norm(
     """Heat-kernel Besov norm B^{-s}_{p,inf} with the maximizing time."""
     if s <= 0:
         raise ValueError(f"besov norm is defined for smoothness s > 0, got {s}")
-    _require_mean_zero(u, "besov norm")
+    if not _is_mean_zero(np.abs(u.coeffs)):
+        raise ValueError("besov norm requires a mean-zero field")
     if float(np.max(np.abs(u.coeffs))) == 0.0:
         return BesovResult(0.0, cfg.t_min)
 
     if p == 2:
-        objective = _heat_l2_objective(u, s)
+        to_physical(u)  # the Hermitian check that the transform path makes
+        spectrum = ShellSpectrum(u.grid, u.coeffs)
+
+        def objective(t: float) -> float:
+            return t ** (s / 2.0) * spectrum.heat_l2(t)
+
     else:
 
         def objective(t: float) -> float:
@@ -145,25 +161,6 @@ def besov_norm(
     return BesovResult(value, t_star)
 
 
-def _heat_l2_objective(u: SpectralVectorField, s: float):
-    """t -> t^{s/2} ||e^{t lap} u||_{L2} with no transform per t: the
-    squared coefficients are binned once into integer |k|^2 shells, and
-    only the occupied shells are kept."""
-    to_physical(u)  # the Hermitian check that the transform path makes
-    weights = np.bincount(
-        u.grid.k_sq.astype(np.int64).ravel(),
-        weights=np.sum(np.abs(u.coeffs) ** 2, axis=0).ravel(),
-    )
-    shells = np.flatnonzero(weights)
-    weights = weights[shells]
-    decay = -8 * np.pi**2 * shells.astype(float)
-
-    def objective(t: float) -> float:
-        return t ** (s / 2.0) * math.sqrt(float(np.dot(np.exp(decay * t), weights)))
-
-    return objective
-
-
 @dataclass(frozen=True)
 class FieldSummary:
     """The scalars of the almost-2D criterion and the norm battery of a
@@ -179,13 +176,14 @@ class FieldSummary:
 def field_summary(u: SpectralVectorField) -> FieldSummary:
     """FieldSummary of a divergence-free velocity field, with no transform."""
     _require_divergence_free(u, "field summary")
-    w = curl(u)
+    velocity = ShellSpectrum(u.grid, u.coeffs)
+    vorticity = ShellSpectrum(u.grid, curl(u).coeffs)
     return FieldSummary(
-        K=0.5 * sobolev_norm(u, 0) ** 2,
-        E=0.5 * sobolev_norm(w, 0) ** 2,
-        hhalf=sobolev_norm(u, 0.5),
-        h1=sobolev_norm(u, 1.0),
-        omega_h_hminushalf=sobolev_norm(horizontal(w), -0.5),
+        K=0.5 * float(velocity.sobolev_sq(0).sum()),
+        E=0.5 * float(vorticity.sobolev_sq(0).sum()),
+        hhalf=math.sqrt(velocity.sobolev_sq(0.5).sum()),
+        h1=math.sqrt(velocity.sobolev_sq(1.0).sum()),
+        omega_h_hminushalf=math.sqrt(vorticity.sobolev_sq(-0.5)[:2].sum()),
     )
 
 
@@ -212,11 +210,8 @@ class HorizontalParts:
 
     def sh_sobolev_norm(self, s: float) -> float:
         """Frobenius Sobolev norm of [[0,0,S13],[0,0,S23],[-S13,-S23,0]]."""
-        weight = _sobolev_weight(self.grid, s)
-        total = 2.0 * float(
-            np.sum(weight * (np.abs(self.s13) ** 2 + np.abs(self.s23) ** 2))
-        )
-        return math.sqrt(total)
+        spectrum = ShellSpectrum(self.grid, np.stack((self.s13, self.s23)))
+        return math.sqrt(2.0 * spectrum.sobolev_sq(s).sum())
 
 
 def horizontal_parts(u: SpectralVectorField) -> HorizontalParts:
@@ -297,12 +292,3 @@ def cone_filter(
     return SpectralVectorField(
         u.grid, u.coeffs * mask, u.mean_zero or part is ConePart.OUTSIDE
     )
-
-
-def v3_omega_h_ratio(u: SpectralVectorField, q: float) -> float:
-    """||v3||_Lq / ||omega_h||_Lq, the two-sided Riesz-equivalence ratio."""
-    parts = horizontal_parts(u)
-    denom = lebesgue_norm(parts.omega_h, q)
-    if denom == 0:
-        raise ValueError("omega_h vanishes; ratio undefined")
-    return lebesgue_norm(parts.v3, q) / denom

@@ -138,33 +138,6 @@ def lambda_n_report(n: int, quad: QuadratureSpec = QuadratureSpec(), nu: float =
     )
 
 
-def lambda_n_closed_forms(n: int, quad: QuadratureSpec = QuadratureSpec()) -> dict:
-    """Independent 1D reductions of the shell integrals (analytic in z).
-
-    volume and l2_sq are fully closed-form; hminus1_sq reduces to
-    loglog^(1/2) ln2 / pi; horizontal keeps a smooth 1D r-integral.
-    """
-    loglog_half = math.sqrt(math.log(math.log(n)))
-    volume = 6 * math.pi / n
-    l2_sq = loglog_half * (6 * math.pi + 4 * math.pi * math.log(2) / (3 * n**2))
-    hminus1_sq = loglog_half * math.log(2) / math.pi
-
-    def horiz_integrand(r: np.ndarray) -> np.ndarray:
-        # int_{-1/n}^{1/n} z^2/sqrt(r^2+z^2) dz, analytic in z
-        zmax = 1.0 / n
-        inner = zmax * np.sqrt(zmax**2 + r**2) - r**2 * np.arcsinh(zmax / r)
-        return inner / r
-
-    r, wr = quad.nodes(1.0, 2.0, quad.radial_nodes)
-    horizontal_sq = n * loglog_half * float(np.sum(wr * horiz_integrand(r)))
-    return {
-        "volume": volume,
-        "l2_sq": l2_sq,
-        "hminus1_sq_upper": hminus1_sq,
-        "horizontal_hminushalf_sq": horizontal_sq,
-    }
-
-
 def _holder_exponent(p: float) -> float:
     """s with 1/s = 1/2 - 1/p, the Holder pairing exponent."""
     if p != math.inf and p <= 2:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from almost2d import GridSpec
+from almost2d import GridSpec, horizontal_parts, lebesgue_norm
 from almost2d.families import random_divergence_free
-from almost2d.field import HERMITIAN_TOL
+from almost2d.field import HERMITIAN_TOL, StrainField
 from almost2d.grid import mirror_conjugate
+from almost2d.wholespace import QuadratureSpec
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +58,55 @@ def scalar_to_physical(grid, coeffs):
     if np.max(np.abs(samples.imag)) > HERMITIAN_TOL * max(scale, 1.0):
         raise ValueError("scalar field has a non-real inverse transform")
     return samples.real
+
+
+def strain_sobolev_norm(s_field, s):
+    """Frobenius Sobolev norm of the strain, off-diagonals counted twice,
+    summed over the full lattice with its own weight (2 pi |k|)^{2s}."""
+    kabs = np.sqrt(s_field.grid.k_sq)
+    weight = (2 * np.pi * np.where(kabs == 0, 1.0, kabs)) ** (2 * s)
+    if s != 0:
+        weight[0, 0, 0] = 0.0
+    total = 0.0
+    for slot, w in enumerate(StrainField.FROBENIUS_WEIGHTS):
+        total += w * float(np.sum(weight * np.abs(s_field.comps[slot]) ** 2))
+    return math.sqrt(total)
+
+
+def v3_omega_h_ratio(u, q):
+    """||v3||_Lq / ||omega_h||_Lq, the two-sided Riesz-equivalence ratio."""
+    parts = horizontal_parts(u)
+    denom = lebesgue_norm(parts.omega_h, q)
+    if denom == 0:
+        raise ValueError("omega_h vanishes; ratio undefined")
+    return lebesgue_norm(parts.v3, q) / denom
+
+
+def lambda_n_closed_forms(n, quad=QuadratureSpec()):
+    """Independent 1D reductions of the thin-shell integrals (analytic in z).
+
+    volume and l2_sq are fully closed-form; hminus1_sq reduces to
+    loglog^(1/2) ln2 / pi; horizontal keeps a smooth 1D r-integral.
+    """
+    loglog_half = math.sqrt(math.log(math.log(n)))
+    volume = 6 * math.pi / n
+    l2_sq = loglog_half * (6 * math.pi + 4 * math.pi * math.log(2) / (3 * n**2))
+    hminus1_sq = loglog_half * math.log(2) / math.pi
+
+    def horiz_integrand(r):
+        # int_{-1/n}^{1/n} z^2/sqrt(r^2+z^2) dz, analytic in z
+        zmax = 1.0 / n
+        inner = zmax * np.sqrt(zmax**2 + r**2) - r**2 * np.arcsinh(zmax / r)
+        return inner / r
+
+    r, wr = quad.nodes(1.0, 2.0, quad.radial_nodes)
+    horizontal_sq = n * loglog_half * float(np.sum(wr * horiz_integrand(r)))
+    return {
+        "volume": volume,
+        "l2_sq": l2_sq,
+        "hminus1_sq_upper": hminus1_sq,
+        "horizontal_hminushalf_sq": horizontal_sq,
+    }
 
 
 _FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",

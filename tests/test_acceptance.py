@@ -37,7 +37,7 @@ from almost2d.families import (
 )
 from almost2d.field import gradient_of_component, partial3
 from almost2d.norms import lebesgue_norm as LN
-from almost2d.norms import strain_sobolev_norm
+from conftest import strain_sobolev_norm
 from almost2d.wholespace import (
     besov_embedding_constant,
     heat_kernel_constants,

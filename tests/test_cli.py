@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from almost2d import PhysicalVectorField, to_physical
+from almost2d import PhysicalVectorField, SpectralVectorField, families, to_physical
 from almost2d.cli import main
-from almost2d.families import random_divergence_free
+from almost2d.families import annulus_analog, random_divergence_free
 from almost2d.fieldio import read_field, write_field
 from conftest import random_physical
 
@@ -222,6 +222,40 @@ class TestCliDefects:
     def test_nonpositive_viscosity_is_a_domain_error(self, capsys, argv):
         assert main(argv) == 1
         assert "viscosity must be positive" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["construct", "taylor-green", "--n", "8", "--amplitude", "nan"], "amplitude"),
+            (["construct", "random", "--n", "8", "--amplitude", "inf"], "amplitude"),
+            (["sweep", "rescaled", "--m", "2", "--a", "nan"], "log exponent"),
+        ],
+        ids=["taylor-green-nan", "random-inf", "rescaled-nan"],
+    )
+    def test_nonfinite_amplitude_is_a_domain_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.field"
+        assert main(argv + ["--output", str(out)]) == 1
+        assert message in _one_error_line(capsys)
+        assert not out.exists()
+
+    def test_repeated_header_key_is_a_domain_error(self, tmp_path, grid16, capsys):
+        path = str(tmp_path / "u.field")
+        write_field(path, random_divergence_free(grid16, 6, kmax=4))
+        raw = open(path, "rb").read()
+        open(path, "wb").write(b"n=99\n" + raw)
+        assert main(["norms", path]) == 1
+        assert "appears more than once" in _one_error_line(capsys)
+
+    def test_annulus_sweep_rejects_a_nonzero_mean(self, capsys, monkeypatch):
+        def with_mean(n, grid):
+            w = annulus_analog(n, grid)
+            coeffs = w.coeffs.copy()
+            coeffs[2, 0, 0, 0] = 0.5
+            return SpectralVectorField(grid, coeffs, mean_zero=False)
+
+        monkeypatch.setattr(families, "annulus_analog", with_mean)
+        assert main(["sweep", "annulus-analog", "--n", "3", "--n-grid", "16"]) == 1
+        assert "requires a mean-zero field" in _one_error_line(capsys)
 
     def test_overflowing_criterion_quantity_is_inf(self, capsys):
         assert main(["wholespace", "lambda-n", "--n", "3", "--nu", "0.01"]) == 0

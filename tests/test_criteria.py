@@ -83,6 +83,32 @@ class TestSmallData:
                     helper(0.5, 1.0, 1.0, nu)
 
 
+class TestNonFiniteNorms:
+    """A NaN or infinite norm is a domain error, never a verdict; an
+    exponential that overflows from finite norms stays allowed."""
+
+    @staticmethod
+    def _rejects_each_slot(helper):
+        for slot in range(3):
+            for bad in (math.nan, math.inf):
+                args = [0.5, 1.0, 1.0]
+                args[slot] = bad
+                with pytest.raises(ValueError, match="must be finite"):
+                    helper(*args, 1.0)
+
+    def test_gamma2d_from_norms(self):
+        self._rejects_each_slot(gamma2d_from_norms)
+        assert not gamma2d_from_norms(1.0, 1e3, 1e3, 0.01).satisfied
+
+    def test_gamma2d_lp_from_norms(self):
+        self._rejects_each_slot(gamma2d_lp_from_norms)
+        assert not gamma2d_lp_from_norms(1.0, 1e3, 1e3, 0.01).satisfied
+
+    def test_criterion_quantity(self):
+        self._rejects_each_slot(criterion_quantity)
+        assert criterion_quantity(1.0, 1e3, 1e3, 0.01) == math.inf
+
+
 class TestGamma2d:
     def test_two_dimensional_flow_passes(self, grid32):
         rep = gamma2d_check(taylor_green_2d(grid32, 5.0), 0.25)
@@ -248,6 +274,13 @@ class TestIftimieCheck:
 
         with pytest.raises(ValueError, match="positive"):
             iftimie_check(taylor_green_2d(grid32), 1.0, 0.0)
+
+    def test_no_transform(self, grid16, transform_counts):
+        """Both norms of the criterion are Plancherel sums."""
+        (u,) = seeded_fields(grid16, 1, base_seed=240)
+        rep = iftimie_check(u, 0.1, 2.0)
+        assert rep.inputs["two_d_l2"] > 0 and rep.inputs["perp_hhalf"] > 0
+        assert transform_counts == {"3d": 0, "other": 0}
 
 
 def test_checks_and_splits_leave_inputs_untouched(grid16):

@@ -22,13 +22,14 @@ from almost2d import (
 )
 from almost2d.field import divergence, divergence_defect
 from almost2d.grid import full_spectrum
-from almost2d.norms import sobolev_norm, strain_sobolev_norm
+from almost2d.norms import sobolev_norm
 from conftest import (
     half_spectrum,
     hermitian_defect,
     random_physical,
     scalar_to_physical,
     seeded_fields,
+    strain_sobolev_norm,
 )
 
 

@@ -26,13 +26,12 @@ from almost2d import (
 from almost2d.field import gradient_of_component, partial3
 from almost2d.norms import (
     BesovSearchConfig,
-    _heat_l2_objective,
+    ShellSpectrum,
     field_summary,
     horizontal,
-    v3_omega_h_ratio,
 )
 from almost2d.families import set_mode_pair
-from conftest import seeded_fields
+from conftest import seeded_fields, v3_omega_h_ratio
 
 
 def single_mode_field(grid, k, value):
@@ -185,10 +184,58 @@ class TestBesovPlancherel:
     @pytest.mark.parametrize("make", P2_FIELDS)
     def test_objective_pointwise(self, make):
         w = make()
-        objective = _heat_l2_objective(w, 0.5)
+        spectrum = ShellSpectrum(w.grid, w.coeffs)
         for t in np.geomspace(1e-6, 1e2, 8):
             want = t**0.25 * lebesgue_norm(heat_semigroup(w, t), 2.0)
-            assert objective(t) == pytest.approx(want, rel=1e-12)
+            assert t**0.25 * spectrum.heat_l2(t) == pytest.approx(want, rel=1e-12)
+
+
+def full_lattice_sobolev(u, s):
+    """sqrt(sum_k (2 pi |k|)^{2s} |uhat(k)|^2) over every lattice point, the
+    k = 0 term kept only at s = 0."""
+    n = u.grid.n
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    kabs = np.sqrt(k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2)
+    weight = (2 * np.pi * np.where(kabs == 0, 1.0, kabs)) ** (2 * s)
+    if s != 0:
+        weight[0, 0, 0] = 0.0
+    return math.sqrt(float(np.sum(weight * np.abs(u.coeffs) ** 2)))
+
+
+class TestShellSpectrum:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_sobolev_norm_matches_full_lattice_sum(self, n):
+        for u in seeded_fields(GridSpec(n), 3, base_seed=410 + n):
+            for s in (-1.0, -0.5, 0.0, 0.5, 1.0):
+                assert sobolev_norm(u, s) == pytest.approx(
+                    full_lattice_sobolev(u, s), rel=1e-12
+                )
+
+    def test_components_and_shells(self, grid16):
+        """Per-component sums; the top shell 3 (n/2)^2 holds the corner mode."""
+        (u,) = seeded_fields(grid16, 1, base_seed=420)
+        spectrum = ShellSpectrum(grid16, u.coeffs)
+        assert spectrum.power.shape == (3, 3 * 8**2 + 1)
+        for c in range(3):
+            assert spectrum.sobolev_sq(0)[c] == pytest.approx(
+                float(np.sum(np.abs(u.coeffs[c]) ** 2)), rel=1e-13
+            )
+        corner = np.zeros((1, 16, 16, 16), dtype=complex)
+        corner[0, 8, 8, 8] = 2.0
+        assert np.flatnonzero(ShellSpectrum(grid16, corner).power[0]).tolist() == [192]
+
+    def test_negative_order_rejects_a_nonzero_mean(self, grid16):
+        (u,) = seeded_fields(grid16, 1, base_seed=430)
+        coeffs = u.coeffs.copy()
+        coeffs[0, 0, 0, 0] = 0.25
+        shifted = SpectralVectorField(grid16, coeffs, mean_zero=False)
+        for s in (-1.0, -0.5):
+            with pytest.raises(ValueError, match="requires a mean-zero field"):
+                sobolev_norm(shifted, s)
+        assert sobolev_norm(shifted, 0.0) == pytest.approx(
+            full_lattice_sobolev(shifted, 0.0), rel=1e-12
+        )
+        assert sobolev_norm(shifted, 0.5) == pytest.approx(sobolev_norm(u, 0.5), rel=1e-12)
 
 
 class TestHorizontalParts:

@@ -13,10 +13,10 @@ from almost2d.wholespace import (
     besov_equivalence_constants,
     cone_embedding_constant,
     heat_kernel_constants,
-    lambda_n_closed_forms,
     lambda_n_report,
 )
 from almost2d.wholespace import _gauss_legendre
+from conftest import lambda_n_closed_forms
 
 
 class TestLambdaN:
