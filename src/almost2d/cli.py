@@ -247,16 +247,14 @@ def _cmd_sweep(args) -> int:
         base = families.helical_base_vorticity(grid)
         for m in args.m:
             r = families.rescaled_vorticity(base, m, args.a)
+            omega_h_l32 = r.component_lebesgue_norm("horizontal", 1.5)
             report = criteria.gamma2d_lp_from_norms(
-                r.component_lebesgue_norm("horizontal", 1.5),
-                r.lebesgue_norm(1.2),
-                r.lebesgue_norm(2.0),
-                args.nu,
+                omega_h_l32, r.lebesgue_norm(1.2), r.lebesgue_norm(2.0), args.nu
             )
             rows.append(
                 {
                     "m": m,
-                    "omega_h_l32": r.component_lebesgue_norm("horizontal", 1.5),
+                    "omega_h_l32": omega_h_l32,
                     "omega3_l32": r.component_lebesgue_norm("vertical", 1.5),
                     "criterion_log_lhs": report.inputs["log_lhs"],
                 }

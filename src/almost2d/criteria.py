@@ -12,8 +12,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import SpectralVectorField, biot_savart
-from .norms import field_summary, horizontal, lebesgue_norm, p2d_split, sobolev_norm
+from .field import SpectralVectorField, biot_savart, to_physical
+from .norms import field_summary, p2d_split, samples_lebesgue_norm, sobolev_norm
 
 CONSTANTS_VERSION = "whole-space-sharp-v1"
 
@@ -74,6 +74,15 @@ def _require_valid_inputs(nu: float, *norms: float) -> None:
         raise ValueError(f"criterion norms must be finite, got {norms}")
 
 
+def _log_verdict(factor: float, exponent: float, rhs: float) -> tuple[float, float, bool]:
+    """(log lhs, lhs, lhs < rhs) for lhs = factor exp(exponent), factor >= 0,
+    the verdict from logs so extreme exponents cannot over/underflow it."""
+    log_lhs = math.log(factor) + exponent if factor > 0 else -math.inf
+    with np.errstate(over="ignore"):
+        lhs = float(factor * np.exp(exponent)) if factor > 0 else 0.0
+    return log_lhs, lhs, log_lhs < math.log(rhs)
+
+
 def small_data_check(K0: float, E0: float, nu: float) -> CriterionReport:
     """Energy-enstrophy product against 6912 pi^4 nu^4."""
     _require_valid_inputs(nu)
@@ -95,15 +104,12 @@ def gamma2d_from_norms(
     consts = constants()
     exponent = (K0 * E0 - SMALL_DATA_COEFF * nu**4) / (consts.r2 * nu**3)
     rhs = consts.r1 * nu
-    # Verdict from logs so extreme exponents cannot over/underflow it.
-    log_lhs = math.log(omega_h_norm) + exponent if omega_h_norm > 0 else -math.inf
-    with np.errstate(over="ignore"):
-        lhs = float(omega_h_norm * np.exp(exponent)) if omega_h_norm > 0 else 0.0
+    log_lhs, lhs, satisfied = _log_verdict(omega_h_norm, exponent, rhs)
     return CriterionReport(
         "gamma2d",
         lhs,
         rhs,
-        log_lhs < math.log(rhs),
+        satisfied,
         {
             "K0": K0,
             "E0": E0,
@@ -141,15 +147,12 @@ def gamma2d_lp_from_norms(
     product = 0.25 * consts.c2**2 * omega_l65**2 * omega_l2**2
     exponent = (product - SMALL_DATA_COEFF * nu**4) / (consts.r2 * nu**3)
     rhs = consts.r1 * nu
-    scaled = consts.c1 * omega_h_l32
-    log_lhs = math.log(scaled) + exponent if scaled > 0 else -math.inf
-    with np.errstate(over="ignore"):
-        lhs = float(scaled * np.exp(exponent)) if scaled > 0 else 0.0
+    log_lhs, lhs, satisfied = _log_verdict(consts.c1 * omega_h_l32, exponent, rhs)
     return CriterionReport(
         "gamma2d-lp",
         lhs,
         rhs,
-        log_lhs < math.log(rhs),
+        satisfied,
         {
             "omega_h_l32": omega_h_l32,
             "omega_l65": omega_l65,
@@ -169,12 +172,8 @@ def gamma2d_lp_check(omega: SpectralVectorField, nu: float) -> CriterionReport:
     Also certifies the derivation direction: the Hilbert-norm criterion's
     left side on u = biot_savart(omega) never exceeds this one.
     """
-    report = gamma2d_lp_from_norms(
-        lebesgue_norm(horizontal(omega), 1.5),
-        lebesgue_norm(omega, 1.2),
-        sobolev_norm(omega, 0),
-        nu,
-    )
+    omega_h_l32, omega_l65 = _vorticity_lp_norms(omega)
+    report = gamma2d_lp_from_norms(omega_h_l32, omega_l65, sobolev_norm(omega, 0), nu)
     hilbert = gamma2d_check(biot_savart(omega), nu)
     if hilbert.inputs["log_lhs"] > report.inputs["log_lhs"] + 1e-9:
         raise AssertionError(
@@ -183,6 +182,13 @@ def gamma2d_lp_check(omega: SpectralVectorField, nu: float) -> CriterionReport:
         )
     report.inputs["log_lhs_hilbert"] = hilbert.inputs["log_lhs"]
     return report
+
+
+def _vorticity_lp_norms(omega: SpectralVectorField) -> tuple[float, float]:
+    """||omega_h||_{L^3/2} and ||omega||_{L^6/5} from one transform, whose
+    samples are freed on return."""
+    samples = to_physical(omega).samples
+    return samples_lebesgue_norm(samples[:2], 1.5), samples_lebesgue_norm(samples, 1.2)
 
 
 @dataclass
@@ -252,16 +258,13 @@ def iftimie_check(u: SpectralVectorField, nu: float, c: float) -> CriterionRepor
     two_d, perp = p2d_split(u)
     perp_half = sobolev_norm(perp, 0.5)
     two_d_l2 = sobolev_norm(two_d, 0)
-    exponent = two_d_l2**2 / (c * nu**2)
-    log_lhs = math.log(perp_half) + exponent if perp_half > 0 else -math.inf
-    with np.errstate(over="ignore"):
-        lhs = float(perp_half * np.exp(exponent)) if perp_half > 0 else 0.0
     rhs = c * nu
+    log_lhs, lhs, satisfied = _log_verdict(perp_half, two_d_l2**2 / (c * nu**2), rhs)
     return CriterionReport(
         "iftimie-perturbation",
         lhs,
         rhs,
-        log_lhs < math.log(rhs),
+        satisfied,
         {
             "perp_hhalf": perp_half,
             "two_d_l2": two_d_l2,

@@ -177,9 +177,7 @@ def helical_base_vorticity(
     return SpectralVectorField(grid, coeffs, mean_zero=True)
 
 
-def annulus_analog(
-    n: int, grid: GridSpec, base_radius: float | None = None
-) -> SpectralVectorField:
+def annulus_analog(n: int, grid: GridSpec) -> SpectralVectorField:
     """Lattice shell field mirroring the thin-annulus family.
 
     Modes with rho <= sqrt(k1^2+k2^2) <= 2*rho on the planes |k3| <= 1 (the
@@ -195,7 +193,7 @@ def annulus_analog(
     if n < 3:
         raise ValueError(f"family index must be >= 3 (loglog undefined below), got {n}")
     loglog = math.log(math.log(n))
-    rho = 7.5 * math.sqrt(loglog) if base_radius is None else float(base_radius)
+    rho = 7.5 * math.sqrt(loglog)
     if 2 * rho > grid.n // 2 - 1:
         raise ValueError(
             f"shell radius 2*rho={2 * rho:.2f} not resolved by grid n={grid.n}"

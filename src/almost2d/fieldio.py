@@ -15,12 +15,17 @@ little-endian float64 samples, component-major with x3 fastest:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .field import PhysicalVectorField, SpectralVectorField, to_physical, to_spectral
 from .grid import GridSpec
 
 FORMAT_VERSION = 1
+#: Bounds on the header lines ``read_field`` reads; a header needs 7 short ones.
+_HEADER_LINES = 64
+_HEADER_LINE_BYTES = 256
 _REQUIRED = {
     "components": "3",
     "storage": "physical",
@@ -32,15 +37,8 @@ _REQUIRED = {
 def write_field(path: str, u: SpectralVectorField | PhysicalVectorField) -> None:
     if isinstance(u, SpectralVectorField):
         u = to_physical(u)
-    header = (
-        f"version={FORMAT_VERSION}\n"
-        f"n={u.grid.n}\n"
-        "components=3\n"
-        "storage=physical\n"
-        "precision=f64\n"
-        "order=x3-fastest\n"
-        "\n"
-    )
+    fixed = "".join(f"{key}={value}\n" for key, value in _REQUIRED.items())
+    header = f"version={FORMAT_VERSION}\nn={u.grid.n}\n{fixed}\n"
     data = np.ascontiguousarray(u.samples, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
@@ -48,39 +46,44 @@ def write_field(path: str, u: SpectralVectorField | PhysicalVectorField) -> None
 
 
 def read_field(path: str) -> SpectralVectorField:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    sep = raw.find(b"\n\n")
-    if sep < 0:
-        raise ValueError(f"{path}: missing blank line terminating the header")
+    """The field of a file; the header is read in bounded lines and the
+    payload size is checked against its n before any sample is read."""
     pairs = {}
-    for line in raw[:sep].decode("ascii").splitlines():
-        if "=" not in line:
-            raise ValueError(f"{path}: malformed header line {line!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key in pairs:
-            raise ValueError(f"{path}: header key {key!r} appears more than once")
-        pairs[key] = value.strip()
-    if pairs.get("version") != str(FORMAT_VERSION):
-        raise ValueError(
-            f"{path}: unsupported field file version {pairs.get('version')!r}"
-        )
-    for key, expected in _REQUIRED.items():
-        if pairs.get(key) != expected:
-            raise ValueError(f"{path}: header {key}={pairs.get(key)!r}, expected {expected!r}")
-    if "n" not in pairs:
-        raise ValueError(f"{path}: header has no n= line")
-    try:
-        n = int(pairs["n"])
-    except ValueError:
-        raise ValueError(f"{path}: header n={pairs['n']!r} is not an integer") from None
-    grid = GridSpec(n)
-    body = raw[sep + 2:]
-    expected_bytes = 3 * n**3 * 8
-    if len(body) != expected_bytes:
-        raise ValueError(
-            f"{path}: payload holds {len(body)} bytes, expected {expected_bytes}"
-        )
-    samples = np.frombuffer(body, dtype="<f8").reshape(3, n, n, n).astype(np.float64)
-    return to_spectral(PhysicalVectorField(grid, samples))
+    with open(path, "rb") as fh:
+        for _ in range(_HEADER_LINES):
+            line = fh.readline(_HEADER_LINE_BYTES).decode("ascii")
+            if line == "\n" or not line.endswith("\n"):
+                break
+            if "=" not in line:
+                raise ValueError(f"{path}: malformed header line {line[:-1]!r}")
+            key, value = line.split("=", 1)
+            key = key.strip()
+            if key in pairs:
+                raise ValueError(f"{path}: header key {key!r} appears more than once")
+            pairs[key] = value.strip()
+        if line != "\n":
+            raise ValueError(f"{path}: missing blank line terminating the header")
+        if pairs.get("version") != str(FORMAT_VERSION):
+            raise ValueError(
+                f"{path}: unsupported field file version {pairs.get('version')!r}"
+            )
+        for key, expected in _REQUIRED.items():
+            if pairs.get(key) != expected:
+                raise ValueError(f"{path}: header {key}={pairs.get(key)!r}, expected {expected!r}")
+        if "n" not in pairs:
+            raise ValueError(f"{path}: header has no n= line")
+        try:
+            n = int(pairs["n"])
+        except ValueError:
+            raise ValueError(f"{path}: header n={pairs['n']!r} is not an integer") from None
+        grid = GridSpec(n)
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected_bytes = 3 * n**3 * 8
+        if payload != expected_bytes:
+            raise ValueError(
+                f"{path}: payload holds {payload} bytes, expected {expected_bytes}"
+            )
+        samples = np.empty((3, n, n, n), dtype="<f8")
+        if fh.readinto(samples.data) != expected_bytes:
+            raise ValueError(f"{path}: payload shorter than {expected_bytes} bytes")
+    return to_spectral(PhysicalVectorField(grid, samples.astype(np.float64, copy=False)))

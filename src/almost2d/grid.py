@@ -78,6 +78,20 @@ def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (coeffs + mirror_conjugate(coeffs))
 
 
+def hermitian_defect(coeffs: np.ndarray) -> float:
+    """max_k |c(k) - conj c(-k)| over the last three axes, zero for the
+    coefficients of a real field.  k and -k have the same defect, so only
+    k3 >= 0 is read.  On each axis -k maps index 0 to 0 and j to n - j, so the
+    blocks {0} and {1, ...} pair as strided views, with no copy."""
+    n = coeffs.shape[-1]
+    axis = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    last = ((slice(0, 1), slice(0, 1)), (slice(1, n // 2 + 1), slice(n - 1, n // 2 - 1, -1)))
+    return float(np.max([
+        np.max(np.abs(coeffs[..., a1, a2, a3] - np.conj(coeffs[..., b1, b2, b3])))
+        for a1, b1 in axis for a2, b2 in axis for a3, b3 in last
+    ]))
+
+
 def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
     """The full coefficient array, exactly Hermitian, from its k3 >= 0 half
     ``half = coeffs[..., :n//2 + 1]`` (``numpy.fft.rfftn`` layout, where index

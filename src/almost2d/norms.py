@@ -8,7 +8,8 @@ Lebesgue norms are equal-weight grid quadratures of the pointwise
 Euclidean magnitude |u(x)|.  The heat-kernel Besov norm B^{-s}_{p,inf}
 is sup_{t>0} t^{s/2} ||e^{t lap} u||_{Lp}, discretized by a log-spaced
 coarse scan plus bounded refinement around the interior maximum; p = 2
-evaluates the spectrum at each t, p != 2 transforms e^{t lap} u.
+evaluates the spectrum at each t with no transform, p != 2 transforms
+e^{t lap} u.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .field import (
     gradient_of_component,
     heat_semigroup,
     partial3,
+    require_hermitian,
     strain,
     to_physical,
 )
@@ -86,9 +88,13 @@ def sobolev_norm(u: SpectralVectorField, s: float) -> float:
 
 def lebesgue_norm(u: SpectralVectorField, p: float) -> float:
     """Grid Lp norm of the pointwise magnitude |u(x)|; p = inf is the max."""
+    return samples_lebesgue_norm(to_physical(u).samples, p)
+
+
+def samples_lebesgue_norm(samples: np.ndarray, p: float) -> float:
+    """``lebesgue_norm`` of grid samples indexed (component, x1, x2, x3)."""
     if p != np.inf and p < 1:
         raise ValueError(f"Lebesgue norm requires p >= 1, got {p}")
-    samples = to_physical(u).samples
     mag = np.sqrt(np.sum(samples**2, axis=0))
     if p == np.inf:
         return float(np.max(mag))
@@ -132,7 +138,7 @@ def besov_norm(
         return BesovResult(0.0, cfg.t_min)
 
     if p == 2:
-        to_physical(u)  # the Hermitian check that the transform path makes
+        require_hermitian(u.coeffs)  # as the transform path checks
         spectrum = ShellSpectrum(u.grid, u.coeffs)
 
         def objective(t: float) -> float:

@@ -17,12 +17,12 @@ coefficients the dealias rule keeps: under the 2/3 rule the k3 >= 0 half of
 the cube |k_i| <= n // 3 (30% of the ``numpy.fft.rfftn`` half spectrum at
 n=64), with "none" the whole half spectrum.  Each stage makes 6 inverse real
 transforms of the band, zero-padded to the half spectrum, and 3 forward ones
-cropped back to it; grids with n >= ``THREADED_MIN_N`` run them on every
-available core.  ``run`` converts from and to the full-spectrum
-``SpectralVectorField`` only at entry and exit.  (u.grad)u and omega x u
-differ by the gradient grad(|u|^2/2), which the Leray projection P removes.
-Under the 2/3 rule every product is alias-free, so the rotational form
-equals the convective form ``field.advection`` to roundoff.  With
+cropped back to it, all through the package's transform pair
+``field.irfft3`` / ``field.rfft3``.  ``run`` converts from and to the
+full-spectrum ``SpectralVectorField`` only at entry and exit.  (u.grad)u and
+omega x u differ by the gradient grad(|u|^2/2), which the Leray projection P
+removes.  Under the 2/3 rule every product is alias-free, so the rotational
+form equals the convective form ``field.advection`` to roundoff.  With
 ``dealias="none"`` the two forms alias differently and their tendencies
 differ by O(1) at the resolved scales; "none" means the aliased rotational
 form.
@@ -32,19 +32,15 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from .criteria import constants
-from .field import SpectralVectorField, StrainField
+from .field import SpectralVectorField, StrainField, divergence_defect, irfft3, rfft3
 from .grid import GridSpec, full_spectrum
-
-ALL_MONITORS = frozenset({"strain_identity", "enstrophy_inequality", "horizontal"})
 
 CSV_COLUMNS = [
     "t",
@@ -67,7 +63,6 @@ class SolverConfig:
     dt: float
     t_end: float
     dealias: str = "two_thirds"  # or "none"
-    monitors: frozenset = ALL_MONITORS
     blowup_threshold: float = 1e8
     record_stride: int = 1
 
@@ -89,9 +84,6 @@ class SolverConfig:
             raise ValueError(f"unknown dealias rule {self.dealias!r}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-        unknown = set(self.monitors) - ALL_MONITORS
-        if unknown:
-            raise ValueError(f"unknown monitors {sorted(unknown)}")
 
     @property
     def n_steps(self) -> int:
@@ -132,14 +124,6 @@ class DiagnosticsSeries:
                     else:
                         cells.append(f"{value:.12e}")
                 fh.write(",".join(cells) + "\n")
-
-
-#: Grids with at least this many points per axis run each 3-D transform on
-#: every core the process may use.  Two threads against one on a 2-vCPU VM
-#: (pocketfft), one ``simulate`` end to end, median of 8 alternating pairs:
-#: 1.75x slower at n=16, 1.33x slower at n=32, 1.14x faster at n=48 and 1.17x
-#: faster at n=64.  Threaded output is bit-identical.
-THREADED_MIN_N = 48
 
 
 class _Lattice(NamedTuple):
@@ -213,30 +197,6 @@ def _lattice(grid: GridSpec, dealias_rule: str) -> _Lattice:
     )
 
 
-def _workers(n: int) -> int:
-    if n < THREADED_MIN_N:
-        return 1
-    if hasattr(os, "sched_getaffinity"):  # the cores this process may use
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _irfft3(block: np.ndarray, lat: _Lattice) -> np.ndarray:
-    """Grid samples from band coefficients (1/n^3 forward convention)."""
-    n = lat.n
-    return scipy.fft.irfftn(
-        lat.pad(block), s=(n, n, n), axes=(-3, -2, -1), norm="forward",
-        overwrite_x=True, workers=_workers(n),
-    )
-
-
-def _rfft3(samples: np.ndarray, lat: _Lattice) -> np.ndarray:
-    """Band coefficients of real grid samples."""
-    return lat.crop(scipy.fft.rfftn(
-        samples, axes=(-3, -2, -1), norm="forward", workers=_workers(lat.n)
-    ))
-
-
 def rhs(u: SpectralVectorField, nu: float, dealias_rule: str = "two_thirds") -> SpectralVectorField:
     """Leray-projected tendency nu lap(u) - P_df((u.grad)u) of the solver's
     dynamics: under the 2/3 rule u is first truncated to the band, as ``run``
@@ -265,14 +225,14 @@ def nonlinear_term(
     fields[3] = 2j * np.pi * (k2 * c2 - k3 * c1)
     fields[4] = 2j * np.pi * (k3 * c0 - k1 * c2)
     fields[5] = 2j * np.pi * (k1 * c1 - k2 * c0)
-    u1, u2, u3, w1, w2, w3 = _irfft3(fields, lat)
+    u1, u2, u3, w1, w2, w3 = irfft3(lat.pad(fields), lat.n)
     product = np.empty((3,) + u1.shape)
     scratch = np.empty(u1.shape)
     for p, (a, b, x, y) in zip(product, ((u2, w3, u3, w2), (u3, w1, u1, w3), (u1, w2, u2, w1))):
         np.multiply(a, b, out=p)
         np.multiply(x, y, out=scratch)
         p -= scratch
-    out = _rfft3(product, lat)
+    out = lat.crop(rfft3(product))
     dot = (k1 * out[0] + k2 * out[1] + k3 * out[2]) * lat.inv_kderiv_sq
     out[0] -= dot * k1
     out[1] -= dot * k2
@@ -317,7 +277,7 @@ def _spectral_diagnostics(c: np.ndarray, lat: _Lattice) -> dict:
     s_hat = np.empty((6,) + c.shape[1:], dtype=complex)
     for (i, j), slot in StrainField.INDEX.items():
         s_hat[slot] = 1j * np.pi * (ks[i - 1] * c[j - 1] + ks[j - 1] * c[i - 1])
-    s_phys = _irfft3(s_hat, lat)
+    s_phys = irfft3(lat.pad(s_hat), lat.n)
     return {
         "K": K,
         "E": E,
@@ -330,8 +290,6 @@ def _spectral_diagnostics(c: np.ndarray, lat: _Lattice) -> dict:
 
 def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
     """Integrate to t_end, recording diagnostics every record_stride steps."""
-    from .field import divergence_defect
-
     if u0.grid.n != cfg.grid.n:
         raise ValueError("initial data grid does not match the solver grid")
     if float(np.max(np.abs(u0.coeffs[:, 0, 0, 0]))) > 1e-12 * u0.amplitude():
@@ -392,7 +350,7 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
 
 
 def _advective_cfl_warning(u_hat: np.ndarray, lat: _Lattice, cfg: SolverConfig) -> dict:
-    samples = _irfft3(u_hat, lat)
+    samples = irfft3(lat.pad(u_hat), lat.n)
     umax = float(np.max(np.sqrt(np.sum(samples**2, axis=0))))
     cfl = cfg.dt * umax * cfg.grid.n
     if cfl > 0.5:
@@ -429,30 +387,24 @@ def _assemble_series(rows: list[dict], cfg: SolverConfig) -> DiagnosticsSeries:
     strain_res = np.full(m, np.nan)
     slack = np.full(m, np.nan)
     flag = np.full(m, np.nan)
-    want_strain = "strain_identity" in cfg.monitors
-    want_enstrophy = "enstrophy_inequality" in cfg.monitors
-    want_horizontal = "horizontal" in cfg.monitors
 
     for i in range(1, m - 1):
-        if want_strain:
-            inst = -2 * cfg.nu * cols["strain_h1_sq"][i] - 4 * cols["det_S_integral"][i]
-            scale = max(abs(inst), abs(dEdt[i]), 1e-30)
-            strain_res[i] = abs(dEdt[i] - inst) / scale
-        if want_enstrophy:
-            cubic = E[i] ** 3 / (3456 * math.pi**4 * cfg.nu**3)
-            cor22 = (
-                -2 * cfg.nu * cols["strain_h1_sq"][i]
-                + (2.0 / 9.0) * math.sqrt(6.0) * cols["strain_l3"][i] ** 3
-            )
-            slack[i] = min(cubic - dEdt[i], cor22 - dEdt[i])
-        if want_horizontal:
-            small = cols["omega_h_hminushalf"][i] < consts.r1 * cfg.nu
-            decay_ok = dEdt[i] <= 1e-6 * max(abs(dEdt[i]), E[i], 1.0)
-            flag[i] = float((not small) or decay_ok)
+        inst = -2 * cfg.nu * cols["strain_h1_sq"][i] - 4 * cols["det_S_integral"][i]
+        scale = max(abs(inst), abs(dEdt[i]), 1e-30)
+        strain_res[i] = abs(dEdt[i] - inst) / scale
+        cubic = E[i] ** 3 / (3456 * math.pi**4 * cfg.nu**3)
+        cor22 = (
+            -2 * cfg.nu * cols["strain_h1_sq"][i]
+            + (2.0 / 9.0) * math.sqrt(6.0) * cols["strain_l3"][i] ** 3
+        )
+        slack[i] = min(cubic - dEdt[i], cor22 - dEdt[i])
+        small = cols["omega_h_hminushalf"][i] < consts.r1 * cfg.nu
+        decay_ok = dEdt[i] <= 1e-6 * max(abs(dEdt[i]), E[i], 1.0)
+        flag[i] = float((not small) or decay_ok)
 
     gronwall_ok = True
     gronwall_max_log_ratio = -math.inf
-    if want_horizontal and m >= 2:
+    if m >= 2:
         omega_h = cols["omega_h_hminushalf"]
         e0_scale = math.sqrt(max(E[0], 1.0))
         if omega_h[0] <= 1e-13 * e0_scale:

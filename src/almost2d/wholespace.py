@@ -31,7 +31,6 @@ class QuadratureSpec:
     radial_nodes: int = 128
     vertical_nodes: int = 128
     scheme: QuadScheme = QuadScheme.GAUSS_LEGENDRE
-    truncation_radius: float | None = None  # None: per-integrand default
 
     def __post_init__(self):
         if self.radial_nodes < 16 or self.vertical_nodes < 16:
@@ -147,9 +146,7 @@ def _holder_exponent(p: float) -> float:
     return 1.0 / (0.5 - 1.0 / p)
 
 
-def _radial_truncation(s: float, quad: QuadratureSpec) -> float:
-    if quad.truncation_radius is not None:
-        return quad.truncation_radius
+def _radial_truncation(s: float) -> float:
     # exp(-4 pi^2 s r^2) below 1e-18 of the peak; s >= 2 here keeps R small.
     return math.sqrt(42.0 / (4 * math.pi**2 * s)) + 1.0
 
@@ -163,7 +160,7 @@ def besov_embedding_constant(p: float, quad: QuadratureSpec = QuadratureSpec()) 
         rstar = 1.0 / (4 * math.pi)
         return math.sqrt(2 * math.pi * rstar) * math.exp(-4 * math.pi**2 * rstar**2)
     s = _holder_exponent(p)
-    R = _radial_truncation(s, quad)
+    R = _radial_truncation(s)
     r, w = quad.nodes(0.0, R, quad.radial_nodes)
     integrand = 4 * math.pi * r**2 * (2 * math.pi * r) ** (s / 2) * np.exp(
         -4 * math.pi**2 * s * r**2
@@ -192,7 +189,7 @@ def cone_embedding_constant(
     if not 0 < eps < 1:
         raise ValueError(f"cone parameter must satisfy 0 < eps < 1, got {eps}")
     s = _holder_exponent(p)
-    R = _radial_truncation(s, quad)
+    R = _radial_truncation(s)
     r, wr = quad.nodes(0.0, R, quad.radial_nodes)
 
     # Vertical rule on [-eps r_i, eps r_i] for every radial node at once:
@@ -234,8 +231,7 @@ def heat_kernel_constants(
     the closed form 2/sqrt(pi), plus the curl-smoothing bound
     ||curl e^{t lap} v||_p <= t^(-1/2) ||grad g||_1 ||v||_p on random torus
     fields."""
-    R = quad.truncation_radius if quad.truncation_radius is not None else 16.0
-    r, w = quad.nodes(0.0, R, quad.radial_nodes)
+    r, w = quad.nodes(0.0, 16.0, quad.radial_nodes)
     g = (4 * math.pi) ** (-1.5) * np.exp(-(r**2) / 4.0)
     integrand = 4 * math.pi * r**2 * g * (r / 2.0)
     grad_g_l1 = float(np.sum(w * integrand))

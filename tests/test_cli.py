@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,54 @@ class TestCliDefects:
         assert main(["norms", path]) == 1
         assert "appears more than once" in _one_error_line(capsys)
 
+    def test_header_fuzz_is_a_domain_error(self, tmp_path, grid16, capsys):
+        """Seeded malformed headers and bodies: each exits 1 or 2 with one
+        message line, and a huge n is refused before any body is read."""
+        path = str(tmp_path / "u.field")
+        write_field(path, random_divergence_free(grid16, 6, kmax=4))
+        raw = open(path, "rb").read()
+        header, body = raw.split(b"\n\n", 1)
+        rng = np.random.default_rng(20240)
+
+        def with_n(value):
+            return header.replace(b"n=16", b"n=" + value.encode()) + b"\n\n" + body
+
+        cases = []
+        for _ in range(4):
+            cases += [
+                with_n(str(rng.choice(["16.5", "sixteen", "1e3", "0x10", "", "16 16", "+-4"]))),
+                with_n(str(-2 * int(rng.integers(2, 64)))),
+                with_n(str(2 * int(rng.integers(2, 64)) + 1)),
+                with_n(str(2 * int(rng.integers(10**5, 10**9)))),
+                with_n(str(2 * int(rng.integers(3, 64)))),  # even n, wrong payload
+                header + b"\nprecision=f64\n\n" + body,  # duplicate key
+                header + b"\n" + body,  # no blank line
+                raw[: len(header) + 2 + int(rng.integers(0, len(body)))],  # truncated
+                raw[: int(rng.integers(0, len(header)))],  # truncated header
+                b"k=" + b"v" * int(rng.integers(300, 3000)) + b"\n\n" + body,  # long line
+                b"".join(b"k%d=v\n" % i for i in range(int(rng.integers(70, 200)))) + b"\n",
+            ]
+        for case in cases:
+            open(path, "wb").write(case)
+            assert main(["norms", path]) in (1, 2), case[:80]
+            _one_error_line(capsys)
+
+    def test_oversized_body_is_refused_unread(self, tmp_path, grid16):
+        """The payload size is compared with the header's n before the body
+        is read: a 64 MB (sparse) body behind an n=16 header costs no memory."""
+        path = str(tmp_path / "u.field")
+        write_field(path, random_divergence_free(grid16, 6, kmax=4))
+        with open(path, "r+b") as fh:
+            fh.truncate(64 * 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="payload"):
+                read_field(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_annulus_sweep_rejects_a_nonzero_mean(self, capsys, monkeypatch):
         def with_mean(n, grid):
             w = annulus_analog(n, grid)
@@ -265,11 +314,25 @@ class TestCliDefects:
 
 class TestAnalysisTransformBudget:
     def test_sweep_annulus_transform_count(self, tmp_path, transform_counts):
-        """sweep annulus-analog makes 3 3-D transforms per besov_norm call (the
-        Hermitian check of the vorticity) and no other: annulus_analog builds
-        coefficients directly, the Sobolev norms and the p = 2 Besov objective
-        are coefficient sums.  Three n values give 9."""
+        """sweep annulus-analog makes no transform: annulus_analog builds
+        coefficients directly, and the Sobolev norms, the p = 2 Besov
+        objective and its Hermitian check are coefficient sums."""
         out = str(tmp_path / "sweep.json")
         assert main(["sweep", "annulus-analog", "--n", "3,6,12", "--n-grid", "32",
                      "--output", out]) == 0
-        assert transform_counts == {"3d": 9, "other": 0}
+        assert transform_counts == {"3d": 0, "other": 0}
+
+    @pytest.mark.parametrize(
+        "verb, count",
+        [(["norms"], 3), (["check", "--nu", "0.1"], 6), (["check", "--nu", "0.1", "--iftimie-c", "2"], 6)],
+        ids=["norms", "check", "check-iftimie"],
+    )
+    def test_read_verb_transform_count(self, tmp_path, transform_counts, verb, count):
+        """The field read is one 3-component rfftn; norms adds nothing, and
+        check adds the one 3-component transform of the vorticity that both
+        of its Lp norms share."""
+        field = str(tmp_path / "u.field")
+        assert main(["construct", "random", "--n", "16", "--seed", "2", "--output", field]) == 0
+        transform_counts.update({"3d": 0, "other": 0})
+        assert main([verb[0], field, *verb[1:], "--output", str(tmp_path / "out.json")]) == 0
+        assert transform_counts == {"3d": count, "other": 0}

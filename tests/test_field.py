@@ -20,8 +20,9 @@ from almost2d import (
     to_physical,
     to_spectral,
 )
-from almost2d.field import divergence, divergence_defect
-from almost2d.grid import full_spectrum
+from almost2d import field as field_module, grid as grid_module
+from almost2d.field import HERMITIAN_TOL, divergence, divergence_defect, require_hermitian
+from almost2d.grid import full_spectrum, hermitian_symmetrize
 from almost2d.norms import sobolev_norm
 from conftest import (
     half_spectrum,
@@ -89,6 +90,63 @@ class TestTransforms:
         coeffs[0, 1, 0, 0] = 1.0  # no conjugate partner
         with pytest.raises(ValueError, match="Hermitian"):
             to_physical(SpectralVectorField(grid16, coeffs))
+
+    def test_read_path_does_not_symmetrize(self, grid16, monkeypatch):
+        """to_spectral mirrors the rfftn half; the roll-based symmetrizer is
+        not called, and the result is exactly Hermitian."""
+
+        def forbidden(coeffs):
+            raise AssertionError("hermitian_symmetrize called on the read path")
+
+        monkeypatch.setattr(field_module, "hermitian_symmetrize", forbidden)
+        monkeypatch.setattr(grid_module, "hermitian_symmetrize", forbidden)
+        u = to_spectral(PhysicalVectorField(grid16, random_physical(grid16, 12)))
+        assert hermitian_defect(u.coeffs) == 0.0
+
+
+class TestHermitianCheck:
+    """require_hermitian tests max_k |c(k) - conj c(-k)| = 2 max |a| for the
+    anti-Hermitian part a(k) = (c(k) - conj c(-k)) / 2, against
+    HERMITIAN_TOL * max(rms, 1).  The imaginary residue of a complex inverse
+    transform, the earlier test, is max_x |sum_k a(k) e(k.x)|: at least
+    ||a||_2 and at most ||a||_1."""
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_defect_matches_the_roll_oracle_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for shape in [(3, n, n, n), (n, n, n), (6, n, n, n)]:
+            noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for coeffs in (noise, hermitian_symmetrize(noise), noise.real):
+                assert grid_module.hermitian_defect(coeffs) == hermitian_defect(coeffs)
+
+    def test_spread_anti_hermitian_part_is_accepted(self, grid16):
+        """a = i eps on every mode: a defect of 2 eps, far below the tolerance,
+        but an imaginary residue of eps n^3 at x = 0, which the residue test
+        rejected.  The verdict of the coefficient test is pinned here."""
+        (u,) = seeded_fields(grid16, 1, base_seed=17)
+        eps = 1e-11
+        coeffs = u.coeffs + 1j * eps
+        residue = np.max(np.abs(np.fft.ifftn(coeffs, axes=(1, 2, 3)).imag)) * 16**3
+        assert residue == pytest.approx(eps * 16**3, rel=1e-6)
+        assert residue > HERMITIAN_TOL * max(np.max(np.abs(to_physical(u).samples)), 1.0)
+        assert grid_module.hermitian_defect(coeffs) == pytest.approx(2 * eps, rel=1e-3)
+        samples = to_physical(SpectralVectorField(grid16, coeffs)).samples
+        assert np.max(np.abs(samples - to_physical(u).samples)) <= 2 * eps * 16**3
+
+    def test_threshold_scales_with_the_rms(self, grid16):
+        """One unpartnered mode of size d: rejected above HERMITIAN_TOL when
+        the rms is below 1, and above HERMITIAN_TOL * rms when it is larger."""
+        coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
+        coeffs[0, 1, 2, 3] = 0.9 * HERMITIAN_TOL
+        require_hermitian(coeffs)
+        coeffs[0, 1, 2, 3] = 1.1 * HERMITIAN_TOL
+        with pytest.raises(ValueError, match="Hermitian"):
+            require_hermitian(coeffs)
+        coeffs[1, 0, 0, 0] = 100.0  # rms 100
+        require_hermitian(coeffs)
+        coeffs[0, 1, 2, 3] = 101 * HERMITIAN_TOL
+        with pytest.raises(ValueError, match="Hermitian"):
+            require_hermitian(coeffs)
 
 
 class TestLerayProjection:

@@ -141,6 +141,12 @@ class TestBesovNorm:
         with pytest.raises(ValueError, match="s > 0"):
             besov_norm(u, 0.0, 2.0)
 
+    def test_p2_makes_no_transform(self, grid16, transform_counts):
+        """The p = 2 objective and its Hermitian check are coefficient sums."""
+        (w,) = seeded_fields(grid16, 1, base_seed=231)
+        assert besov_norm(w, 0.5, 2.0).value > 0
+        assert transform_counts == {"3d": 0, "other": 0}
+
     def test_non_hermitian_input_rejected_at_p2(self, grid16):
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[0, 1, 2, 3] = 1.0  # no conjugate partner at -k

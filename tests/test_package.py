@@ -1,4 +1,4 @@
-"""Package layout: src/ carries no test-only API."""
+"""Package layout: src/ carries no test-only API and one transform path."""
 
 import ast
 from pathlib import Path
@@ -28,3 +28,41 @@ def test_every_module_level_definition_is_exported_or_used():
         and node.name not in referenced
     ]
     assert orphans == []
+
+
+_ND_TRANSFORMS = {"fftn", "ifftn", "rfftn", "irfftn"}
+
+
+def _nd_transform_sites(node, module, owner=None):
+    """(module, innermost enclosing function or None) of each n-d FFT call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            fn = child.func
+            if (fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)) in _ND_TRANSFORMS:
+                yield module, owner
+        name = child.name if isinstance(child, ast.FunctionDef) else owner
+        yield from _nd_transform_sites(child, module, name)
+
+
+def test_nd_transforms_only_in_the_transform_pair_and_advection():
+    """Every n-d FFT call in src/ sits in field.rfft3, field.irfft3 or the
+    convective-form reference field.advection."""
+    sites = {
+        site
+        for path in sorted(SRC.glob("*.py"))
+        for site in _nd_transform_sites(ast.parse(path.read_text()), path.name)
+    }
+    assert sites == {
+        ("field.py", "rfft3"), ("field.py", "irfft3"), ("field.py", "advection"),
+    }
+
+
+def test_thread_threshold_defined_once():
+    definitions = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "THREADED_MIN_N" for t in node.targets)
+    ]
+    assert definitions == ["field.py"]

@@ -16,7 +16,7 @@ from almost2d import (
     run,
     taylor_green_2d,
 )
-from almost2d import solver
+from almost2d import field as field_module
 from almost2d.cli import main
 from almost2d.families import random_divergence_free, set_mode_pair
 from almost2d.field import advection, curl, divergence_defect, leray_project
@@ -167,7 +167,7 @@ class TestThreads:
             return irfftn(*args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, "irfftn", spy)
-        monkeypatch.setattr(solver, "THREADED_MIN_N", 4)
+        monkeypatch.setattr(field_module, "THREADED_MIN_N", 4)
         threaded = simulate("threaded.csv")
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         assert set(workers) == {cores}
@@ -388,8 +388,3 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="dealias"):
             SolverConfig(grid=grid16, nu=1.0, dt=1e-3, t_end=1.0, dealias="half")
 
-    def test_unknown_monitor(self, grid16):
-        with pytest.raises(ValueError, match="unknown monitors"):
-            SolverConfig(
-                grid=grid16, nu=1.0, dt=1e-3, t_end=1.0, monitors=frozenset({"bogus"})
-            )
