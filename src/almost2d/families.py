@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import SpectralVectorField, divergence_defect, leray_project
+from .field import (
+    CONSTRUCTION_DIVFREE_TOL, SpectralVectorField, divergence_defect, leray_project, to_physical,
+)
 from .grid import GridSpec, hermitian_symmetrize
-from .norms import horizontal, lebesgue_norm
+from .norms import samples_lebesgue_norm
 
 
 def _empty(grid: GridSpec) -> np.ndarray:
@@ -51,7 +53,7 @@ def taylor_green_2d(grid: GridSpec, amplitude: float = 1.0) -> SpectralVectorFie
     # sin(a)cos(b) = (1/4i)(e^{i(a+b)} + e^{i(a-b)} - e^{-i(a-b)} - e^{-i(a+b)})
     set_mode_pair(coeffs, grid, (1, 1, 0), np.array([-1j * a, 1j * a, 0.0]))
     set_mode_pair(coeffs, grid, (1, -1, 0), np.array([-1j * a, -1j * a, 0.0]))
-    return SpectralVectorField(grid, coeffs, mean_zero=True)
+    return SpectralVectorField(grid, coeffs)
 
 
 def un_family(n: int, grid: GridSpec) -> SpectralVectorField:
@@ -68,7 +70,7 @@ def un_family(n: int, grid: GridSpec) -> SpectralVectorField:
     a_n = math.sqrt(math.sqrt(n**2 + 2) / (4 * math.pi * (n**2 + 1)))
     coeffs = _empty(grid)
     set_mode_pair(coeffs, grid, (1, n, 1), a_n * np.array([n, -1.0, 0.0]))
-    return SpectralVectorField(grid, coeffs, mean_zero=True)
+    return SpectralVectorField(grid, coeffs)
 
 
 def large_almost_2d(n: int, grid: GridSpec) -> SpectralVectorField:
@@ -83,7 +85,7 @@ def large_almost_2d(n: int, grid: GridSpec) -> SpectralVectorField:
     set_mode_pair(coeffs, grid, (1, 1, 0), (n / 2.0) * np.array([1.0, -1.0, 0.0]))
     eps = math.exp(-float(n) ** 5)
     set_mode_pair(coeffs, grid, (1, 1, 1), (eps / 2.0) * np.array([1.0, -2.0, 1.0]))
-    return SpectralVectorField(grid, coeffs, mean_zero=True)
+    return SpectralVectorField(grid, coeffs)
 
 
 def two_d_plus_perturbation(
@@ -103,26 +105,28 @@ class RescaledVorticity:
     unit torus through the measure-preserving index map k3 -> m*k3 (i.e. the
     stored field at height y3 is the tall-torus field at m*y3).  Lebesgue
     norms of the tall-torus object are the stored-field grid norms times
-    m^(1/q); the sup norm is unchanged.
+    m^(1/q); the sup norm is unchanged.  All norms share one transform.
     """
 
     field: SpectralVectorField
     stretch: int
 
+    def __post_init__(self):
+        self._samples = to_physical(self.field).samples
+
     def lebesgue_norm(self, q: float) -> float:
-        base = lebesgue_norm(self.field, q)
-        return base if q == np.inf else self.stretch ** (1.0 / q) * base
+        return self._tall_torus_norm(self._samples, q)
 
     def component_lebesgue_norm(self, part: str, q: float) -> float:
         if part == "horizontal":
-            sub = horizontal(self.field)
-        elif part == "vertical":
-            sub = self.field.copy()
-            sub.coeffs[0] = 0.0
-            sub.coeffs[1] = 0.0
-        else:
-            raise ValueError(f"unknown part {part!r}")
-        return RescaledVorticity(sub, self.stretch).lebesgue_norm(q)
+            return self._tall_torus_norm(self._samples[:2], q)
+        if part == "vertical":
+            return self._tall_torus_norm(self._samples[2:], q)
+        raise ValueError(f"unknown part {part!r}")
+
+    def _tall_torus_norm(self, samples: np.ndarray, q: float) -> float:
+        base = samples_lebesgue_norm(samples, q)
+        return base if q == np.inf else self.stretch ** (1.0 / q) * base
 
 
 def rescaled_vorticity(
@@ -154,11 +158,10 @@ def rescaled_vorticity(
             raise ValueError(
                 f"stretched mode k3={k3_new} not resolved by grid n={n}"
             )
-        out[0, :, :, k3_new % n] += eps * src[0, :, :, idx3]
-        out[1, :, :, k3_new % n] += eps * src[1, :, :, idx3]
+        out[:2, :, :, k3_new % n] += eps * src[:2, :, :, idx3]
         out[2, :, :, k3_new % n] += src[2, :, :, idx3]
     out *= prefactor
-    field = SpectralVectorField(grid, out, mean_zero=True)
+    field = SpectralVectorField(grid, out)
     return RescaledVorticity(field, m)
 
 
@@ -174,7 +177,7 @@ def helical_base_vorticity(
     coeffs = _empty(grid)
     set_mode_pair(coeffs, grid, (0, 0, 1), np.array([a / 2.0, a / 2j, 0.0]))
     set_mode_pair(coeffs, grid, (1, 1, 0), np.array([0.0, 0.0, b / 2j]))
-    return SpectralVectorField(grid, coeffs, mean_zero=True)
+    return SpectralVectorField(grid, coeffs)
 
 
 def annulus_analog(n: int, grid: GridSpec) -> SpectralVectorField:
@@ -220,9 +223,9 @@ def annulus_analog(n: int, grid: GridSpec) -> SpectralVectorField:
         vec = amp * (np.array([0.0, 0.0, 1.0]) - (k3 / r) * e_r)
         coeffs[:, i1, i2, i3] = vec
     coeffs = hermitian_symmetrize(coeffs)
-    field = SpectralVectorField(grid, coeffs, mean_zero=True)
+    field = SpectralVectorField(grid, coeffs)
     # The shell stays inside |k_i| < n/2, where k_deriv is the plain lattice.
-    if divergence_defect(field) > 1e-12:
+    if divergence_defect(field) > CONSTRUCTION_DIVFREE_TOL:
         raise AssertionError("annulus construction produced a non-solenoidal mode")
     return field
 
@@ -248,7 +251,7 @@ def random_divergence_free(
     coeffs = raw * mask
     coeffs = hermitian_symmetrize(coeffs)
     coeffs[:, 0, 0, 0] = 0.0
-    u, _ = leray_project(SpectralVectorField(grid, coeffs, mean_zero=True))
+    u, _ = leray_project(SpectralVectorField(grid, coeffs))
     scale = float(np.max(np.abs(u.coeffs)))
     if scale > 0:
         u = u * (amplitude / scale)

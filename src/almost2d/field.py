@@ -8,7 +8,8 @@ literally.  Physical sample arrays are indexed [component, x1, x2, x3]
 
 Every field transform goes through one real-data pair on the k3 >= 0 half
 spectrum, ``rfft3`` / ``irfft3``; only ``advection``, the convective-form
-reference, keeps complex transforms.
+reference, keeps complex transforms.  A field is its grid and coefficients;
+mean zero is read from k = 0 by each operation that needs it (``is_mean_zero``).
 """
 
 from __future__ import annotations
@@ -22,8 +23,14 @@ import scipy.fft
 
 from .grid import GridSpec, full_spectrum, hermitian_defect, hermitian_symmetrize
 
-HERMITIAN_TOL = 1e-10
-DIVFREE_TOL = 1e-10
+# Every tolerance: *_DIVFREE_TOL bounds max|k.uhat|/max|uhat|, *_MEAN_TOL |uhat(0)|/max|uhat|.
+HERMITIAN_TOL = 1e-10  # over the sample rms: transforms leave ~1e-16, a complex field O(1)
+DIVFREE_TOL = 1e-10  # Biot-Savart and solver inputs: the isometries they feed hold to 1e-10
+NORM_DIVFREE_TOL = 1e-8  # norm battery input: the defect enters ||curl u||^2 only squared
+CONSTRUCTION_DIVFREE_TOL = 1e-12  # modes solenoidal by construction: above roundoff is a bug
+MEAN_TOL = 1e-13  # s < 0 Sobolev and Besov norms diverge on a mean; transforms leave ~1e-16
+INITIAL_MEAN_TOL = 1e-12  # the solver drops the initial mean, so this only rejects a real one
+VORTICITY_MEAN_TOL = 1e-10  # Biot-Savart sets its k = 0 output to zero; as loose as DIVFREE_TOL
 
 #: Grids with at least this many points per axis run each 3-D transform on
 #: every core the process may use.  Two threads against one on a 2-vCPU VM
@@ -56,6 +63,12 @@ def irfft3(half: np.ndarray, n: int) -> np.ndarray:
     )
 
 
+def is_mean_zero(magnitude: np.ndarray, tol: float) -> bool:
+    """The k = 0 test on |coeffs| (c, n, n, n), relative to the largest magnitude."""
+    amplitude = float(np.max(magnitude)) or 1.0
+    return float(np.max(magnitude[:, 0, 0, 0])) <= tol * amplitude
+
+
 def require_hermitian(coeffs: np.ndarray) -> None:
     """Reject coefficients of a non-real field: max_k |c(k) - conj c(-k)|
     against HERMITIAN_TOL times max(rms, 1), where the sample rms is
@@ -72,7 +85,6 @@ class SpectralVectorField:
 
     grid: GridSpec
     coeffs: np.ndarray  # complex, shape (3, n, n, n)
-    mean_zero: bool = False
 
     def __post_init__(self):
         n = self.grid.n
@@ -80,8 +92,6 @@ class SpectralVectorField:
             raise ValueError(
                 f"coefficient array shape {self.coeffs.shape} does not match grid n={n}"
             )
-        if self.mean_zero and np.max(np.abs(self.coeffs[:, 0, 0, 0])) > 1e-13 * self.amplitude():
-            raise ValueError("mean_zero flag set but k=0 coefficient is nonzero")
 
     def amplitude(self) -> float:
         m = float(np.max(np.abs(self.coeffs)))
@@ -92,18 +102,14 @@ class SpectralVectorField:
 
     def __add__(self, other: "SpectralVectorField") -> "SpectralVectorField":
         _check_same_grid(self, other)
-        return SpectralVectorField(
-            self.grid, self.coeffs + other.coeffs, self.mean_zero and other.mean_zero
-        )
+        return SpectralVectorField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralVectorField") -> "SpectralVectorField":
         _check_same_grid(self, other)
-        return SpectralVectorField(
-            self.grid, self.coeffs - other.coeffs, self.mean_zero and other.mean_zero
-        )
+        return SpectralVectorField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar: float) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, self.coeffs * scalar, self.mean_zero)
+        return SpectralVectorField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
@@ -144,12 +150,10 @@ def _check_same_grid(a, b) -> None:
 
 
 def to_spectral(f: PhysicalVectorField) -> SpectralVectorField:
-    """Forward DFT with the 1/n^3 normalization, Hermitian by construction."""
+    """Forward DFT (1/n^3 normalization), Hermitian by construction; k = 0 as computed."""
     if not np.all(np.isfinite(f.samples)):
         raise ValueError("physical samples contain non-finite values")
-    coeffs = full_spectrum(rfft3(f.samples), f.grid.n)
-    mean_zero = bool(np.max(np.abs(coeffs[:, 0, 0, 0])) <= 1e-14 * max(1.0, np.max(np.abs(coeffs))))
-    return SpectralVectorField(f.grid, coeffs, mean_zero)
+    return SpectralVectorField(f.grid, full_spectrum(rfft3(f.samples), f.grid.n))
 
 
 def to_physical(u: SpectralVectorField) -> PhysicalVectorField:
@@ -190,10 +194,7 @@ def leray_project(v: SpectralVectorField) -> tuple[SpectralVectorField, Spectral
     grad = np.stack([dot * k1, dot * k2, dot * k3])
     grad[:, 0, 0, 0] = 0.0
     u_df = c - grad
-    return (
-        SpectralVectorField(v.grid, u_df, v.mean_zero),
-        SpectralVectorField(v.grid, grad, True),
-    )
+    return SpectralVectorField(v.grid, u_df), SpectralVectorField(v.grid, grad)
 
 
 def curl(u: SpectralVectorField) -> SpectralVectorField:
@@ -207,22 +208,20 @@ def curl(u: SpectralVectorField) -> SpectralVectorField:
             k1 * c[1] - k2 * c[0],
         ]
     )
-    return SpectralVectorField(u.grid, 2j * np.pi * w, True)
+    return SpectralVectorField(u.grid, 2j * np.pi * w)
 
 
 def gradient_of_component(u: SpectralVectorField, i: int) -> SpectralVectorField:
     """grad(u_i) as a spectral vector field."""
     k1, k2, k3 = u.grid.k_deriv
     c = u.coeffs[i]
-    return SpectralVectorField(
-        u.grid, 2j * np.pi * np.stack([k1 * c, k2 * c, k3 * c]), True
-    )
+    return SpectralVectorField(u.grid, 2j * np.pi * np.stack([k1 * c, k2 * c, k3 * c]))
 
 
 def partial3(u: SpectralVectorField) -> SpectralVectorField:
     """d/dx3 applied componentwise."""
     _, _, k3 = u.grid.k_deriv
-    return SpectralVectorField(u.grid, 2j * np.pi * k3 * u.coeffs, True)
+    return SpectralVectorField(u.grid, 2j * np.pi * k3 * u.coeffs)
 
 
 def strain(u: SpectralVectorField) -> StrainField:
@@ -241,7 +240,7 @@ def biot_savart(w: SpectralVectorField) -> SpectralVectorField:
     Requires w mean-zero and divergence-free; the k=0 mode of the output
     is zero.
     """
-    if float(np.max(np.abs(w.coeffs[:, 0, 0, 0]))) > DIVFREE_TOL * w.amplitude():
+    if not is_mean_zero(np.abs(w.coeffs), VORTICITY_MEAN_TOL):
         raise ValueError("Biot-Savart requires a mean-zero vorticity")
     if divergence_defect(w) > DIVFREE_TOL:
         raise ValueError("Biot-Savart requires a divergence-free vorticity")
@@ -251,7 +250,7 @@ def biot_savart(w: SpectralVectorField) -> SpectralVectorField:
     u = curl(w).coeffs
     u /= 4 * np.pi**2 * ksq_safe
     u[:, 0, 0, 0] = 0.0
-    return SpectralVectorField(w.grid, u, True)
+    return SpectralVectorField(w.grid, u)
 
 
 def heat_semigroup(u: SpectralVectorField, t: float) -> SpectralVectorField:
@@ -259,14 +258,12 @@ def heat_semigroup(u: SpectralVectorField, t: float) -> SpectralVectorField:
     if t < 0:
         raise ValueError(f"heat semigroup requires t >= 0, got {t}")
     factor = np.exp(-4 * np.pi**2 * u.grid.k_sq * t)
-    return SpectralVectorField(u.grid, u.coeffs * factor, u.mean_zero)
+    return SpectralVectorField(u.grid, u.coeffs * factor)
 
 
 def dealias(u: SpectralVectorField) -> SpectralVectorField:
     """2/3-rule truncation: zero every coefficient with any |k_i| > n/3."""
-    return SpectralVectorField(
-        u.grid, u.coeffs * u.grid.dealias_mask, u.mean_zero
-    )
+    return SpectralVectorField(u.grid, u.coeffs * u.grid.dealias_mask)
 
 
 def pressure(u: SpectralVectorField) -> np.ndarray:
@@ -311,4 +308,4 @@ def advection(u: SpectralVectorField, apply_dealias: bool = True) -> SpectralVec
         out *= u.grid.dealias_mask
     out = hermitian_symmetrize(out)
     out[:, 0, 0, 0] = 0.0
-    return SpectralVectorField(u.grid, out, True)
+    return SpectralVectorField(u.grid, out)

@@ -22,12 +22,15 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .field import (
+    MEAN_TOL,
+    NORM_DIVFREE_TOL,
     SpectralVectorField,
     StrainField,
     curl,
     divergence_defect,
     gradient_of_component,
     heat_semigroup,
+    is_mean_zero,
     partial3,
     require_hermitian,
     strain,
@@ -35,17 +38,9 @@ from .field import (
 )
 from .grid import GridSpec
 
-MEAN_TOL = 1e-13
-
-
-def _is_mean_zero(magnitude: np.ndarray) -> bool:
-    """The k = 0 test on |coeffs|, relative to the largest magnitude."""
-    amplitude = float(np.max(magnitude)) or 1.0
-    return float(np.max(magnitude[:, 0, 0, 0])) <= MEAN_TOL * amplitude
-
 
 def _require_divergence_free(u: SpectralVectorField, context: str) -> None:
-    if divergence_defect(u) > 1e-8:
+    if divergence_defect(u) > NORM_DIVFREE_TOL:
         raise ValueError(f"{context} requires a divergence-free field")
 
 
@@ -56,7 +51,7 @@ class ShellSpectrum:
 
     def __init__(self, grid: GridSpec, coeffs: np.ndarray):
         power = np.abs(coeffs)
-        self.mean_zero = _is_mean_zero(power)
+        self.mean_zero = is_mean_zero(power, MEAN_TOL)
         np.square(power, out=power)
         size = 3 * (grid.n // 2) ** 2 + 1
         shells = grid.k_sq.astype(np.int64).ravel()
@@ -132,7 +127,7 @@ def besov_norm(
     """Heat-kernel Besov norm B^{-s}_{p,inf} with the maximizing time."""
     if s <= 0:
         raise ValueError(f"besov norm is defined for smoothness s > 0, got {s}")
-    if not _is_mean_zero(np.abs(u.coeffs)):
+    if not is_mean_zero(np.abs(u.coeffs), MEAN_TOL):
         raise ValueError("besov norm requires a mean-zero field")
     if float(np.max(np.abs(u.coeffs))) == 0.0:
         return BesovResult(0.0, cfg.t_min)
@@ -194,13 +189,9 @@ def field_summary(u: SpectralVectorField) -> FieldSummary:
 
 
 def horizontal(v: SpectralVectorField) -> SpectralVectorField:
-    """(v1, v2, 0) as a new field.  As in p2d_split, a mean-zero input's
-    roundoff k = 0 coefficient is dropped, so the part keeps the flag."""
-    coeffs = v.coeffs.copy()
-    coeffs[2] = 0.0
-    if v.mean_zero:
-        coeffs[:, 0, 0, 0] = 0.0
-    return SpectralVectorField(v.grid, coeffs, v.mean_zero)
+    """(v1, v2, 0) as a new field; the first two components are v's exactly."""
+    c = v.coeffs
+    return SpectralVectorField(v.grid, np.concatenate((c[:2], np.zeros_like(c[2:]))))
 
 
 @dataclass
@@ -212,11 +203,10 @@ class HorizontalParts:
     v3: SpectralVectorField
     s13: np.ndarray
     s23: np.ndarray
-    grid: object
 
     def sh_sobolev_norm(self, s: float) -> float:
         """Frobenius Sobolev norm of [[0,0,S13],[0,0,S23],[-S13,-S23,0]]."""
-        spectrum = ShellSpectrum(self.grid, np.stack((self.s13, self.s23)))
+        spectrum = ShellSpectrum(self.omega_h.grid, np.stack((self.s13, self.s23)))
         return math.sqrt(2.0 * spectrum.sobolev_sq(s).sum())
 
 
@@ -229,26 +219,13 @@ def horizontal_parts(u: SpectralVectorField) -> HorizontalParts:
         v3=v3,
         s13=s_field.comps[StrainField.INDEX[(1, 3)]],
         s23=s_field.comps[StrainField.INDEX[(2, 3)]],
-        grid=u.grid,
     )
 
 
 def p2d_split(u: SpectralVectorField) -> tuple[SpectralVectorField, SpectralVectorField]:
-    """Vertical-average projection: (k3 = 0 plane restriction, remainder).
-
-    For a mean-zero field the roundoff k = 0 coefficient is dropped, so both
-    parts carry the mean-zero flag exactly.
-    """
-    coeffs = u.coeffs.copy()
-    if u.mean_zero:
-        coeffs[:, 0, 0, 0] = 0.0
-    two_d = np.zeros_like(coeffs)
-    two_d[:, :, :, 0] = coeffs[:, :, :, 0]
-    perp = coeffs - two_d
-    return (
-        SpectralVectorField(u.grid, two_d, u.mean_zero),
-        SpectralVectorField(u.grid, perp, True),
-    )
+    """Vertical-average projection (k3 = 0 plane, remainder); they sum to u exactly."""
+    plane = u.grid.k[2] == 0
+    return tuple(SpectralVectorField(u.grid, u.coeffs * part) for part in (plane, ~plane))
 
 
 @dataclass(frozen=True)
@@ -295,6 +272,4 @@ def cone_filter(
     inside = np.abs(k3) < eps * r
     inside = inside | ((r == 0) & (k3 == 0))
     mask = inside if part is ConePart.INSIDE else ~inside
-    return SpectralVectorField(
-        u.grid, u.coeffs * mask, u.mean_zero or part is ConePart.OUTSIDE
-    )
+    return SpectralVectorField(u.grid, u.coeffs * mask)

@@ -300,7 +300,7 @@ class TestCliDefects:
             w = annulus_analog(n, grid)
             coeffs = w.coeffs.copy()
             coeffs[2, 0, 0, 0] = 0.5
-            return SpectralVectorField(grid, coeffs, mean_zero=False)
+            return SpectralVectorField(grid, coeffs)
 
         monkeypatch.setattr(families, "annulus_analog", with_mean)
         assert main(["sweep", "annulus-analog", "--n", "3", "--n-grid", "16"]) == 1
@@ -321,6 +321,14 @@ class TestAnalysisTransformBudget:
         assert main(["sweep", "annulus-analog", "--n", "3,6,12", "--n-grid", "32",
                      "--output", out]) == 0
         assert transform_counts == {"3d": 0, "other": 0}
+
+    def test_sweep_rescaled_transform_count(self, tmp_path, transform_counts):
+        """sweep rescaled transforms each rescaled field once (3 components
+        per row); its four Lebesgue norms reduce slices of those samples."""
+        out = str(tmp_path / "sweep.json")
+        assert main(["sweep", "rescaled", "--m", "2,4,8", "--n-grid", "32",
+                     "--output", out]) == 0
+        assert transform_counts == {"3d": 3 * 3, "other": 0}
 
     @pytest.mark.parametrize(
         "verb, count",

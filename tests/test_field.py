@@ -169,7 +169,6 @@ class TestLerayProjection:
     def test_pythagoras_in_sobolev_norms(self, grid16):
         v = to_spectral(PhysicalVectorField(grid16, random_physical(grid16, 8)))
         v.coeffs[:, 0, 0, 0] = 0.0
-        v.mean_zero = True
         u_df, grad = leray_project(v)
         for s in (-0.5, 0.0, 0.5, 1.0):
             total = sobolev_norm(v, s) ** 2
@@ -258,7 +257,7 @@ class TestDifferentialOperators:
 
 class TestBiotSavart:
     def test_zero_maps_to_zero(self, grid16):
-        w = SpectralVectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex), True)
+        w = SpectralVectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
         assert np.max(np.abs(biot_savart(w).coeffs)) == 0.0
 
     def test_inverts_curl(self, grid16):

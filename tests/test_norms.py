@@ -20,6 +20,7 @@ from almost2d import (
     p2d_split,
     p2dperp_bound_check,
     sobolev_norm,
+    to_physical,
     to_spectral,
     un_family,
 )
@@ -37,12 +38,12 @@ from conftest import seeded_fields, v3_omega_h_ratio
 def single_mode_field(grid, k, value):
     coeffs = np.zeros((3, grid.n, grid.n, grid.n), dtype=complex)
     set_mode_pair(coeffs, grid, k, np.asarray(value, dtype=complex))
-    return SpectralVectorField(grid, coeffs, mean_zero=True)
+    return SpectralVectorField(grid, coeffs)
 
 
 class TestSobolevNorm:
     def test_zero_field(self, grid16):
-        u = SpectralVectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex), True)
+        u = SpectralVectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
         for s in (-0.5, 0.0, 0.5, 1.0):
             assert sobolev_norm(u, s) == 0.0
 
@@ -104,7 +105,7 @@ class TestLebesgueNorm:
 
 class TestBesovNorm:
     def test_zero_field(self, grid16):
-        u = SpectralVectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex), True)
+        u = SpectralVectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
         assert besov_norm(u, 0.5, 2.0).value == 0.0
 
     @pytest.mark.parametrize("p", [2.0, 3.0, np.inf])
@@ -151,7 +152,7 @@ class TestBesovNorm:
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[0, 1, 2, 3] = 1.0  # no conjugate partner at -k
         with pytest.raises(ValueError, match="Hermitian"):
-            besov_norm(SpectralVectorField(grid16, coeffs, True), 0.5, 2.0)
+            besov_norm(SpectralVectorField(grid16, coeffs), 0.5, 2.0)
 
 
 def transform_route_besov(u, s, p, cfg=BesovSearchConfig()):
@@ -234,7 +235,7 @@ class TestShellSpectrum:
         (u,) = seeded_fields(grid16, 1, base_seed=430)
         coeffs = u.coeffs.copy()
         coeffs[0, 0, 0, 0] = 0.25
-        shifted = SpectralVectorField(grid16, coeffs, mean_zero=False)
+        shifted = SpectralVectorField(grid16, coeffs)
         for s in (-1.0, -0.5):
             with pytest.raises(ValueError, match="requires a mean-zero field"):
                 sobolev_norm(shifted, s)
@@ -249,7 +250,7 @@ class TestHorizontalParts:
         # x3-independent divergence-free flow with u3 = 0
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         set_mode_pair(coeffs, grid16, (1, 2, 0), np.array([2.0, -1.0, 0.0]))
-        u = SpectralVectorField(grid16, coeffs, mean_zero=True)
+        u = SpectralVectorField(grid16, coeffs)
         parts = horizontal_parts(u)
         assert np.max(np.abs(parts.omega_h.coeffs)) < 1e-14
         assert np.max(np.abs(parts.v3.coeffs)) < 1e-14
@@ -316,14 +317,38 @@ class TestHorizontal:
         h = horizontal(u)
         assert np.array_equal(h.coeffs[:2], u.coeffs[:2])
         assert not np.any(h.coeffs[2])
-        assert h.coeffs is not u.coeffs and h.mean_zero
+        assert h.coeffs is not u.coeffs
+
+
+def read_back_un_field(grid24):
+    """un_family(5) through a transform round trip, as a field file gives it:
+    the k = 0 coefficient is roundoff (~1e-19), not an exact zero."""
+    u = to_spectral(to_physical(un_family(5, grid24)))
+    assert np.any(u.coeffs[:, 0, 0, 0] != 0)
+    return u
+
+
+class TestExactLinearParts:
+    """horizontal and p2d_split copy coefficients and never edit them."""
+
+    def test_horizontal_keeps_a_roundoff_mean(self, grid24):
+        u = read_back_un_field(grid24)
+        h = horizontal(u)
+        assert np.array_equal(h.coeffs[:2], u.coeffs[:2])
+        assert not np.any(h.coeffs[2])
+
+    def test_p2d_parts_sum_to_a_read_back_field(self, grid24):
+        u = read_back_un_field(grid24)
+        two_d, perp = p2d_split(u)
+        assert np.array_equal(two_d.coeffs + perp.coeffs, u.coeffs)
+        assert not np.any(two_d.coeffs[..., 1:]) and not np.any(perp.coeffs[..., 0])
 
 
 class TestVerticalAverage:
     def test_x3_independent_field_is_its_own_average(self, grid16):
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         set_mode_pair(coeffs, grid16, (1, 2, 0), np.array([2.0, -1.0, 0.0]))
-        u = SpectralVectorField(grid16, coeffs, mean_zero=True)
+        u = SpectralVectorField(grid16, coeffs)
         two_d, perp = p2d_split(u)
         assert np.max(np.abs(two_d.coeffs - u.coeffs)) == 0.0
         assert np.max(np.abs(perp.coeffs)) == 0.0
@@ -347,7 +372,7 @@ class TestVerticalAverage:
     def test_perp_bound_zero_for_2d(self, grid16):
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         set_mode_pair(coeffs, grid16, (1, 2, 0), np.array([2.0, -1.0, 0.0]))
-        check = p2dperp_bound_check(SpectralVectorField(grid16, coeffs, True))
+        check = p2dperp_bound_check(SpectralVectorField(grid16, coeffs))
         assert check.lhs == 0.0
 
     def test_perp_bound_saturates_on_un(self, grid24):
@@ -380,13 +405,13 @@ class TestConeFilter:
     def test_membership_examples(self, grid16):
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         set_mode_pair(coeffs, grid16, (1, 1, 0), np.array([1.0, -1.0, 0.0]))
-        u = SpectralVectorField(grid16, coeffs, True)
+        u = SpectralVectorField(grid16, coeffs)
         inside = cone_filter(u, 0.5, "inside")
         assert np.array_equal(inside.coeffs, u.coeffs)  # z = 0 is inside
         # axis mode r=0, k3 != 0 belongs outside
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         set_mode_pair(coeffs, grid16, (0, 0, 1), np.array([1.0, 1j, 0.0]))
-        v = SpectralVectorField(grid16, coeffs, True)
+        v = SpectralVectorField(grid16, coeffs)
         assert np.max(np.abs(cone_filter(v, 0.9, "inside").coeffs)) == 0.0
 
     def test_orthogonal_in_every_sobolev_norm(self, grid16):

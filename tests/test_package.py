@@ -57,12 +57,36 @@ def test_nd_transforms_only_in_the_transform_pair_and_advection():
     }
 
 
-def test_thread_threshold_defined_once():
+def test_thread_threshold_and_tolerances_defined_once():
+    """THREADED_MIN_N and every *_TOL tolerance are each assigned exactly
+    once in src/, all in field.py."""
     definitions = [
-        path.name
+        (target.id, path.name)
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assign)
-        and any(getattr(t, "id", None) == "THREADED_MIN_N" for t in node.targets)
+        for target in node.targets
+        if getattr(target, "id", "") == "THREADED_MIN_N"
+        or getattr(target, "id", "").endswith("_TOL")
     ]
-    assert definitions == ["field.py"]
+    names = [name for name, _ in definitions]
+    assert len(names) == len(set(names))
+    assert {module for _, module in definitions} == {"field.py"}
+    assert {"THREADED_MIN_N", "HERMITIAN_TOL", "DIVFREE_TOL", "NORM_DIVFREE_TOL",
+            "CONSTRUCTION_DIVFREE_TOL", "MEAN_TOL", "INITIAL_MEAN_TOL",
+            "VORTICITY_MEAN_TOL"} <= set(names)
+
+
+def test_spectral_field_is_grid_and_coeffs():
+    """SpectralVectorField declares exactly two fields: no cached property
+    of the coefficients (such as a mean-zero flag) rides along."""
+    tree = ast.parse((SRC / "field.py").read_text())
+    (cls,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "SpectralVectorField"
+    ]
+    declared = [
+        node.target.id for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+    assert declared == ["grid", "coeffs"]

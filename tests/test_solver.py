@@ -28,12 +28,12 @@ from conftest import half_spectrum, hermitian_defect
 def single_mode(grid, k, value):
     coeffs = np.zeros((3, grid.n, grid.n, grid.n), dtype=complex)
     set_mode_pair(coeffs, grid, k, np.asarray(value, dtype=complex))
-    return SpectralVectorField(grid, coeffs, mean_zero=True)
+    return SpectralVectorField(grid, coeffs)
 
 
 class TestRhs:
     def test_zero_field(self, grid16):
-        u = SpectralVectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex), True)
+        u = SpectralVectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
         assert np.max(np.abs(rhs(u, 1.0).coeffs)) == 0.0
 
     def test_taylor_green_nonlinearity_is_gradient(self, grid32):
@@ -110,7 +110,7 @@ class TestRotationalForm:
 def swap_x1_x2(u):
     """The reflection across x1 = x2: (u2, u1, u3) at (x2, x1, x3)."""
     coeffs = u.coeffs[[1, 0, 2]].transpose(0, 2, 1, 3).copy()
-    return SpectralVectorField(u.grid, coeffs, u.mean_zero)
+    return SpectralVectorField(u.grid, coeffs)
 
 
 class TestSymmetries:
@@ -196,7 +196,7 @@ class TestTransformBudget:
 
 class TestRun:
     def test_zero_data_stays_zero(self, grid16):
-        u0 = SpectralVectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex), True)
+        u0 = SpectralVectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
         series = run(u0, SolverConfig(grid=grid16, nu=1.0, dt=1e-3, t_end=0.01))
         assert np.max(series.K) == 0.0
         assert series.status == "completed"
