@@ -8,11 +8,11 @@ carry a constants_version label recording that choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .field import SpectralVectorField, biot_savart, to_physical
+from .field import LP_MAJORANT_TOL, SpectralVectorField, biot_savart, to_physical
 from .norms import field_summary, p2d_split, samples_lebesgue_norm, sobolev_norm
 
 CONSTANTS_VERSION = "whole-space-sharp-v1"
@@ -56,14 +56,7 @@ class CriterionReport:
     constants_version: str = CONSTANTS_VERSION
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "satisfied": self.satisfied,
-            "inputs": dict(self.inputs),
-            "constants_version": self.constants_version,
-        }
+        return asdict(self)
 
 
 def _require_valid_inputs(nu: float, *norms: float) -> None:
@@ -175,7 +168,7 @@ def gamma2d_lp_check(omega: SpectralVectorField, nu: float) -> CriterionReport:
     omega_h_l32, omega_l65 = _vorticity_lp_norms(omega)
     report = gamma2d_lp_from_norms(omega_h_l32, omega_l65, sobolev_norm(omega, 0), nu)
     hilbert = gamma2d_check(biot_savart(omega), nu)
-    if hilbert.inputs["log_lhs"] > report.inputs["log_lhs"] + 1e-9:
+    if hilbert.inputs["log_lhs"] > report.inputs["log_lhs"] + LP_MAJORANT_TOL:
         raise AssertionError(
             "Hilbert-norm criterion left side exceeds its Lp majorant: "
             f"{hilbert.inputs['log_lhs']} > {report.inputs['log_lhs']}"

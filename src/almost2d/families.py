@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import (
-    CONSTRUCTION_DIVFREE_TOL, SpectralVectorField, divergence_defect, leray_project, to_physical,
+    CONSTRUCTION_DIVFREE_TOL, TWO_D_TOL, SpectralVectorField, divergence_defect, leray_project,
+    to_physical,
 )
 from .grid import GridSpec, hermitian_symmetrize
 from .norms import samples_lebesgue_norm
@@ -92,7 +93,7 @@ def two_d_plus_perturbation(
     v2d: SpectralVectorField, w: SpectralVectorField, delta: float
 ) -> SpectralVectorField:
     """u = v2d + delta * w for an x3-independent base v2d."""
-    if float(np.max(np.abs(v2d.coeffs[:, :, :, 1:]))) > 1e-13 * v2d.amplitude():
+    if float(np.max(np.abs(v2d.coeffs[:, :, :, 1:]))) > TWO_D_TOL * v2d.amplitude():
         raise ValueError("base field must be independent of x3 (support on k3=0)")
     return v2d + delta * w
 
@@ -165,18 +166,16 @@ def rescaled_vorticity(
     return RescaledVorticity(field, m)
 
 
-def helical_base_vorticity(
-    grid: GridSpec, a: float = 1.0, b: float = 1.0
-) -> SpectralVectorField:
-    """omega = (a cos(2pi x3), a sin(2pi x3), b sin(2pi(x1+x2))).
+def helical_base_vorticity(grid: GridSpec) -> SpectralVectorField:
+    """omega = (cos(2pi x3), sin(2pi x3), sin(2pi(x1+x2))).
 
     Divergence-free with |omega(x)| independent of x3, so vertical
     subsampling integrates its fractional Lq powers exactly; the reference
     base for rescaling sweeps.
     """
     coeffs = _empty(grid)
-    set_mode_pair(coeffs, grid, (0, 0, 1), np.array([a / 2.0, a / 2j, 0.0]))
-    set_mode_pair(coeffs, grid, (1, 1, 0), np.array([0.0, 0.0, b / 2j]))
+    set_mode_pair(coeffs, grid, (0, 0, 1), np.array([0.5, 1.0 / 2j, 0.0]))
+    set_mode_pair(coeffs, grid, (1, 1, 0), np.array([0.0, 0.0, 1.0 / 2j]))
     return SpectralVectorField(grid, coeffs)
 
 

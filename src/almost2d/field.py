@@ -10,6 +10,9 @@ Every field transform goes through one real-data pair on the k3 >= 0 half
 spectrum, ``rfft3`` / ``irfft3``; only ``advection``, the convective-form
 reference, keeps complex transforms.  A field is its grid and coefficients;
 mean zero is read from k = 0 by each operation that needs it (``is_mean_zero``).
+Multipliers k.c, 2 pi i k x c and pi i (k_i c_j + k_j c_i) are written once, as
+kernels on coefficients and a ``k_deriv`` triple (``k_dot``, ``curl_coeffs``,
+``strain_coeffs``), applied here to the full lattice and by the solver to its band.
 """
 
 from __future__ import annotations
@@ -31,6 +34,16 @@ CONSTRUCTION_DIVFREE_TOL = 1e-12  # modes solenoidal by construction: above roun
 MEAN_TOL = 1e-13  # s < 0 Sobolev and Besov norms diverge on a mean; transforms leave ~1e-16
 INITIAL_MEAN_TOL = 1e-12  # the solver drops the initial mean, so this only rejects a real one
 VORTICITY_MEAN_TOL = 1e-10  # Biot-Savart sets its k = 0 output to zero; as loose as DIVFREE_TOL
+TWO_D_TOL = 1e-13  # max|uhat(k3 != 0)|/max|uhat| of a 2-D base field: transforms leave ~1e-16
+T_END_LATTICE_TOL = 1e-9  # |t_end/dt - steps|/steps: a decimal dt such as 0.01 leaves ~1e-16
+DECAY_SLACK_TOL = 1e-6  # dE/dt <= 0 relative to max(|dE/dt|, E, 1): differences err O(dt^2)
+GRONWALL_2D_TOL = 1e-13  # ||omega_h(0)|| / sqrt(max(E0, 1)) at or below which data are 2-D
+GRONWALL_2D_GROWTH_TOL = 1e-12  # the same ratio after t = 0: 2-D data stay 2-D to roundoff
+GRONWALL_LOG_TOL = 1e-6  # Gronwall log-ratio slack: the envelope's trapezoid quadrature error
+LP_MAJORANT_TOL = 1e-9  # Hilbert left side over its Lp majorant (log scale): derivation margin
+NODE_DIVFREE_TOL = 1e-14  # xi . what at quadrature nodes vanishes identically up to one rounding
+QUADRATURE_TOL = 1e-8  # quadrature against closed forms: the acceptance oracle's tolerance
+MAJORANT_TOL = 1e-10  # relative slack of a quadrature value or torus norm under its majorant
 
 #: Grids with at least this many points per axis run each 3-D transform on
 #: every core the process may use.  Two threads against one on a 2-vCPU VM
@@ -164,19 +177,39 @@ def to_physical(u: SpectralVectorField) -> PhysicalVectorField:
     return PhysicalVectorField(u.grid, irfft3(u.coeffs[..., : n // 2 + 1], n))
 
 
+def k_dot(c: np.ndarray, k_deriv: tuple) -> np.ndarray:
+    """k . c(k) of coefficients (3, ...) on the lattice of ``k_deriv``."""
+    k1, k2, k3 = k_deriv
+    return k1 * c[0] + k2 * c[1] + k3 * c[2]
+
+
+def curl_coeffs(c: np.ndarray, k_deriv: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """Curl multiplier 2*pi*i k x c(k), written into ``out`` (3, ...) if given."""
+    k1, k2, k3 = k_deriv
+    out = np.empty(c.shape, dtype=complex) if out is None else out
+    out[0] = 2j * np.pi * (k2 * c[2] - k3 * c[1])
+    out[1] = 2j * np.pi * (k3 * c[0] - k1 * c[2])
+    out[2] = 2j * np.pi * (k1 * c[1] - k2 * c[0])
+    return out
+
+
+def strain_coeffs(c: np.ndarray, k_deriv: tuple) -> np.ndarray:
+    """Strain multiplier pi*i (k_i c_j + k_j c_i), components (6, ...) in
+    ``StrainField`` order."""
+    comps = np.empty((6,) + c.shape[1:], dtype=complex)
+    for (i, j), slot in StrainField.INDEX.items():
+        comps[slot] = 1j * np.pi * (k_deriv[i - 1] * c[j - 1] + k_deriv[j - 1] * c[i - 1])
+    return comps
+
+
 def divergence(u: SpectralVectorField) -> np.ndarray:
     """Spectral divergence as a scalar coefficient array."""
-    k1, k2, k3 = u.grid.k_deriv
-    c = u.coeffs
-    return 2j * np.pi * (k1 * c[0] + k2 * c[1] + k3 * c[2])
+    return 2j * np.pi * k_dot(u.coeffs, u.grid.k_deriv)
 
 
 def divergence_defect(u: SpectralVectorField) -> float:
     """max_k |k . uhat(k)| / max_k |uhat(k)|, zero for divergence-free fields."""
-    k1, k2, k3 = u.grid.k_deriv
-    c = u.coeffs
-    dot = np.abs(k1 * c[0] + k2 * c[1] + k3 * c[2])
-    return float(np.max(dot)) / u.amplitude()
+    return float(np.max(np.abs(k_dot(u.coeffs, u.grid.k_deriv)))) / u.amplitude()
 
 
 def leray_project(v: SpectralVectorField) -> tuple[SpectralVectorField, SpectralVectorField]:
@@ -189,26 +222,16 @@ def leray_project(v: SpectralVectorField) -> tuple[SpectralVectorField, Spectral
     k1, k2, k3 = v.grid.k_deriv
     ksq = k1**2 + k2**2 + k3**2
     ksq_safe = np.where(ksq == 0, 1.0, ksq)
-    c = v.coeffs
-    dot = (k1 * c[0] + k2 * c[1] + k3 * c[2]) / ksq_safe
+    dot = k_dot(v.coeffs, v.grid.k_deriv) / ksq_safe
     grad = np.stack([dot * k1, dot * k2, dot * k3])
     grad[:, 0, 0, 0] = 0.0
-    u_df = c - grad
+    u_df = v.coeffs - grad
     return SpectralVectorField(v.grid, u_df), SpectralVectorField(v.grid, grad)
 
 
 def curl(u: SpectralVectorField) -> SpectralVectorField:
     """Spectral curl, multiplier 2*pi*i k x uhat(k)."""
-    k1, k2, k3 = u.grid.k_deriv
-    c = u.coeffs
-    w = np.stack(
-        [
-            k2 * c[2] - k3 * c[1],
-            k3 * c[0] - k1 * c[2],
-            k1 * c[1] - k2 * c[0],
-        ]
-    )
-    return SpectralVectorField(u.grid, 2j * np.pi * w)
+    return SpectralVectorField(u.grid, curl_coeffs(u.coeffs, u.grid.k_deriv))
 
 
 def gradient_of_component(u: SpectralVectorField, i: int) -> SpectralVectorField:
@@ -226,12 +249,7 @@ def partial3(u: SpectralVectorField) -> SpectralVectorField:
 
 def strain(u: SpectralVectorField) -> StrainField:
     """Symmetric velocity gradient, Shat_ij = pi*i (k_i uhat_j + k_j uhat_i)."""
-    ks = u.grid.k_deriv
-    c = u.coeffs
-    comps = np.empty((6,) + c.shape[1:], dtype=complex)
-    for (i, j), slot in StrainField.INDEX.items():
-        comps[slot] = 1j * np.pi * (ks[i - 1] * c[j - 1] + ks[j - 1] * c[i - 1])
-    return StrainField(u.grid, comps)
+    return StrainField(u.grid, strain_coeffs(u.coeffs, u.grid.k_deriv))
 
 
 def biot_savart(w: SpectralVectorField) -> SpectralVectorField:

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .field import (
+    MAJORANT_TOL,
     MEAN_TOL,
     NORM_DIVFREE_TOL,
     SpectralVectorField,
@@ -243,7 +244,7 @@ def p2dperp_bound_check(u: SpectralVectorField) -> BoundCheck:
     _, perp = p2d_split(u)
     lhs = sobolev_norm(perp, 0.5)
     rhs = sobolev_norm(partial3(u), 0.5) / (2 * np.pi)
-    if lhs > rhs * (1 + 1e-10) + 1e-300:
+    if lhs > rhs * (1 + MAJORANT_TOL) + 1e-300:
         raise AssertionError(
             f"vertical-average remainder bound violated: {lhs:.15e} > {rhs:.15e}"
         )

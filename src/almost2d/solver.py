@@ -18,14 +18,15 @@ the cube |k_i| <= n // 3 (30% of the ``numpy.fft.rfftn`` half spectrum at
 n=64), with "none" the whole half spectrum.  Each stage makes 6 inverse real
 transforms of the band, zero-padded to the half spectrum, and 3 forward ones
 cropped back to it, all through the package's transform pair
-``field.irfft3`` / ``field.rfft3``.  ``run`` converts from and to the
-full-spectrum ``SpectralVectorField`` only at entry and exit.  (u.grad)u and
-omega x u differ by the gradient grad(|u|^2/2), which the Leray projection P
-removes.  Under the 2/3 rule every product is alias-free, so the rotational
-form equals the convective form ``field.advection`` to roundoff.  With
-``dealias="none"`` the two forms alias differently and their tendencies
-differ by O(1) at the resolved scales; "none" means the aliased rotational
-form.
+``field.irfft3`` / ``field.rfft3``; the curl, each row's strain and the
+projection's k.c are ``field``'s multiplier kernels applied to the band.
+``run`` converts from and to the full-spectrum ``SpectralVectorField`` only
+at entry and exit.  (u.grad)u and omega x u differ by the gradient
+grad(|u|^2/2), which the Leray projection P removes.  Under the 2/3 rule
+every product is alias-free, so the rotational form equals the convective
+form ``field.advection`` to roundoff.  With ``dealias="none"`` the two forms
+alias differently and their tendencies differ by O(1) at the resolved
+scales; "none" means the aliased rotational form.
 """
 
 from __future__ import annotations
@@ -40,10 +41,12 @@ import numpy as np
 
 from .criteria import constants
 from .field import (
-    DIVFREE_TOL, INITIAL_MEAN_TOL, SpectralVectorField, StrainField, divergence_defect, irfft3,
-    is_mean_zero, rfft3,
+    DECAY_SLACK_TOL, DIVFREE_TOL, GRONWALL_2D_GROWTH_TOL, GRONWALL_2D_TOL, GRONWALL_LOG_TOL,
+    INITIAL_MEAN_TOL, T_END_LATTICE_TOL, SpectralVectorField, StrainField, curl_coeffs,
+    divergence_defect, irfft3, is_mean_zero, k_dot, rfft3, strain_coeffs,
 )
 from .grid import GridSpec, full_spectrum
+from .norms import samples_lebesgue_norm
 
 CSV_COLUMNS = [
     "t",
@@ -79,7 +82,7 @@ class SolverConfig:
         if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
             raise ValueError("dt and t_end must be positive and finite")
         ratio = self.t_end / self.dt
-        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+        if abs(ratio - round(ratio)) > T_END_LATTICE_TOL * ratio:
             raise ValueError(
                 f"t_end={self.t_end!r} is not an integer multiple of dt={self.dt!r}"
             )
@@ -221,13 +224,9 @@ def nonlinear_term(
     of the result is zero.
     """
     lat = _lattice(grid, dealias_rule)
-    k1, k2, k3 = lat.k_deriv
-    c0, c1, c2 = u_hat
     fields = np.empty((6,) + u_hat.shape[1:], dtype=complex)
     fields[:3] = u_hat
-    fields[3] = 2j * np.pi * (k2 * c2 - k3 * c1)
-    fields[4] = 2j * np.pi * (k3 * c0 - k1 * c2)
-    fields[5] = 2j * np.pi * (k1 * c1 - k2 * c0)
+    curl_coeffs(u_hat, lat.k_deriv, out=fields[3:])
     u1, u2, u3, w1, w2, w3 = irfft3(lat.pad(fields), lat.n)
     product = np.empty((3,) + u1.shape)
     scratch = np.empty(u1.shape)
@@ -236,10 +235,9 @@ def nonlinear_term(
         np.multiply(x, y, out=scratch)
         p -= scratch
     out = lat.crop(rfft3(product))
-    dot = (k1 * out[0] + k2 * out[1] + k3 * out[2]) * lat.inv_kderiv_sq
-    out[0] -= dot * k1
-    out[1] -= dot * k2
-    out[2] -= dot * k3
+    dot = k_dot(out, lat.k_deriv) * lat.inv_kderiv_sq
+    for component, k in zip(out, lat.k_deriv):
+        component -= dot * k
     out[:, 0, 0, 0] = 0.0
     return out
 
@@ -268,19 +266,11 @@ def _spectral_diagnostics(c: np.ndarray, lat: _Lattice) -> dict:
     E = 0.5 * float(np.sum(four_pi_sq_ksq * abs_sq))
     strain_h1 = 0.5 * float(np.sum(four_pi_sq_ksq**2 * abs_sq))
 
-    ks = lat.k_deriv
-    k1, k2, k3 = ks
-    w1 = 2j * np.pi * (k2 * c[2] - k3 * c[1])
-    w2 = 2j * np.pi * (k3 * c[0] - k1 * c[2])
+    w = curl_coeffs(c, lat.k_deriv)
     omega_h_sq = float(
-        np.sum(lat.multiplicity * lat.omega_h_weight * (np.abs(w1) ** 2 + np.abs(w2) ** 2))
+        np.sum(lat.multiplicity * lat.omega_h_weight * (np.abs(w[0]) ** 2 + np.abs(w[1]) ** 2))
     )
-
-    # Shat_ij = pi i (k_i uhat_j + k_j uhat_i)
-    s_hat = np.empty((6,) + c.shape[1:], dtype=complex)
-    for (i, j), slot in StrainField.INDEX.items():
-        s_hat[slot] = 1j * np.pi * (ks[i - 1] * c[j - 1] + ks[j - 1] * c[i - 1])
-    s_phys = irfft3(lat.pad(s_hat), lat.n)
+    s_phys = irfft3(lat.pad(strain_coeffs(c, lat.k_deriv)), lat.n)
     return {
         "K": K,
         "E": E,
@@ -313,21 +303,19 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
     stability = _advective_cfl_warning(u, lat, cfg)
 
     rows = []
-    status = "completed"
 
-    def record(step: int, state: np.ndarray) -> bool:
+    def record(step: int, state: np.ndarray) -> str:
         diag = _spectral_diagnostics(state, lat)
         diag["t"] = step * h
         rows.append(diag)
         if not math.isfinite(diag["E"]):
-            return False
-        return diag["E"] <= cfg.blowup_threshold
+            return "nan_abort"
+        return "blowup_suspected" if diag["E"] > cfg.blowup_threshold else "completed"
 
-    ok = record(0, u)
-    if not ok:
-        status = "blowup_suspected" if math.isfinite(rows[-1]["E"]) else "nan_abort"
-        n_steps = 0
-    for step in range(1, n_steps + 1):
+    status = record(0, u)
+    step = 0
+    while status == "completed" and step < n_steps:
+        step += 1
         k1 = nonlinear_term(u, grid, cfg.dealias)
         k2 = nonlinear_term(half_decay * (u + 0.5 * h * k1), grid, cfg.dealias)
         k3 = nonlinear_term(half_decay * u + 0.5 * h * k2, grid, cfg.dealias)
@@ -336,14 +324,7 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
             full_decay * k1 + 2 * half_decay * (k2 + k3) + k4
         )
         if step % cfg.record_stride == 0 or step == n_steps:
-            ok = record(step, u)
-            if not ok:
-                status = (
-                    "nan_abort"
-                    if not math.isfinite(rows[-1]["E"])
-                    else "blowup_suspected"
-                )
-                break
+            status = record(step, u)
 
     series = _assemble_series(rows, cfg)
     series.status = status
@@ -353,12 +334,11 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
 
 
 def _advective_cfl_warning(u_hat: np.ndarray, lat: _Lattice, cfg: SolverConfig) -> dict:
-    samples = irfft3(lat.pad(u_hat), lat.n)
-    umax = float(np.max(np.sqrt(np.sum(samples**2, axis=0))))
+    umax = samples_lebesgue_norm(irfft3(lat.pad(u_hat), lat.n), np.inf)
     cfl = cfg.dt * umax * cfg.grid.n
-    if cfl > 0.5:
+    if cfl > 0.5:  # stacklevel 3 names the caller of ``run``
         warnings.warn(
-            f"advective CFL dt*max|u|*n = {cfl:.3g} exceeds 0.5", stacklevel=2
+            f"advective CFL dt*max|u|*n = {cfl:.3g} exceeds 0.5", stacklevel=3
         )
     return {
         "advective_cfl": cfl,
@@ -390,42 +370,41 @@ def _assemble_series(rows: list[dict], cfg: SolverConfig) -> DiagnosticsSeries:
     strain_res = np.full(m, np.nan)
     slack = np.full(m, np.nan)
     flag = np.full(m, np.nan)
-
-    for i in range(1, m - 1):
-        inst = -2 * cfg.nu * cols["strain_h1_sq"][i] - 4 * cols["det_S_integral"][i]
-        scale = max(abs(inst), abs(dEdt[i]), 1e-30)
-        strain_res[i] = abs(dEdt[i] - inst) / scale
-        cubic = E[i] ** 3 / (3456 * math.pi**4 * cfg.nu**3)
-        cor22 = (
-            -2 * cfg.nu * cols["strain_h1_sq"][i]
-            + (2.0 / 9.0) * math.sqrt(6.0) * cols["strain_l3"][i] ** 3
-        )
-        slack[i] = min(cubic - dEdt[i], cor22 - dEdt[i])
-        small = cols["omega_h_hminushalf"][i] < consts.r1 * cfg.nu
-        decay_ok = dEdt[i] <= 1e-6 * max(abs(dEdt[i]), E[i], 1.0)
-        flag[i] = float((not small) or decay_ok)
+    # Interior rows, where E is finite.  float_power is libm pow per element, as a
+    # scalar ** is; the SIMD loop behind an array ** can differ in the last bit.
+    d, h1, E_i = dEdt[1:-1], cols["strain_h1_sq"][1:-1], E[1:-1]
+    inst = -2 * cfg.nu * h1 - 4 * cols["det_S_integral"][1:-1]
+    scale = np.maximum(np.maximum(np.abs(inst), np.abs(d)), 1e-30)
+    strain_res[1:-1] = np.abs(d - inst) / scale
+    cubic = np.float_power(E_i, 3) / (3456 * math.pi**4 * cfg.nu**3) - d
+    l3_cubed = np.float_power(cols["strain_l3"][1:-1], 3)
+    cor22 = -2 * cfg.nu * h1 + (2.0 / 9.0) * math.sqrt(6.0) * l3_cubed - d
+    slack[1:-1] = np.where(cor22 < cubic, cor22, cubic)  # min(cubic, cor22), NaN as min() keeps it
+    small = cols["omega_h_hminushalf"][1:-1] < consts.r1 * cfg.nu
+    decay_ok = d <= DECAY_SLACK_TOL * np.maximum(np.maximum(np.abs(d), E_i), 1.0)
+    flag[1:-1] = ~small | decay_ok
 
     gronwall_ok = True
     gronwall_max_log_ratio = -math.inf
     if m >= 2:
         omega_h = cols["omega_h_hminushalf"]
         e0_scale = math.sqrt(max(E[0], 1.0))
-        if omega_h[0] <= 1e-13 * e0_scale:
+        if omega_h[0] <= GRONWALL_2D_TOL * e0_scale:
             # 2D data: the envelope degenerates to zero
-            gronwall_ok = not bool(np.any(omega_h[1:] > 1e-12 * e0_scale))
+            gronwall_ok = not bool(np.any(omega_h[1:] > GRONWALL_2D_GROWTH_TOL * e0_scale))
         else:
             exponent = cumulative_trapezoid((2 * E) ** 2, t) / (consts.r2 * cfg.nu**3)
             log_ratio = 2 * np.log(np.maximum(omega_h[1:], 1e-300) / omega_h[0]) - exponent
             log_ratio = log_ratio[~np.isnan(log_ratio)]
             if log_ratio.size:
                 gronwall_max_log_ratio = float(np.max(log_ratio))
-            gronwall_ok = not bool(np.any(log_ratio > 1e-6))
+            gronwall_ok = not bool(np.any(log_ratio > GRONWALL_LOG_TOL))
 
     per_step_increase = float(np.max(np.diff(K))) if m >= 2 else 0.0
     summary = {
         "max_energy_eq_residual": float(np.max(energy_residual)),
-        "max_strain_identity_residual": _nanmax(strain_res),
-        "min_enstrophy_ineq_slack": _nanmin(slack),
+        "max_strain_identity_residual": _non_nan(np.max, strain_res),
+        "min_enstrophy_ineq_slack": _non_nan(np.min, slack),
         "horizontal_flag_all_true": bool(np.all(flag[1:-1] > 0.5)) if m > 2 else True,
         "gronwall_envelope_ok": gronwall_ok,
         "gronwall_max_log_ratio": gronwall_max_log_ratio,
@@ -446,12 +425,8 @@ def _assemble_series(rows: list[dict], cfg: SolverConfig) -> DiagnosticsSeries:
     )
 
 
-def _nanmax(a: np.ndarray) -> float:
+def _non_nan(reduce, a: np.ndarray) -> float:
+    """``reduce`` over the non-NaN entries of a, 0.0 if there are none."""
     vals = a[~np.isnan(a)]
-    return float(np.max(vals)) if len(vals) else 0.0
-
-
-def _nanmin(a: np.ndarray) -> float:
-    vals = a[~np.isnan(a)]
-    return float(np.min(vals)) if len(vals) else 0.0
+    return float(reduce(vals)) if len(vals) else 0.0
 

@@ -1,4 +1,5 @@
-"""Package layout: src/ carries no test-only API and one transform path."""
+"""Package layout: src/ carries no test-only API, one transform path and one
+place for each tolerance and spectral multiplier."""
 
 import ast
 from pathlib import Path
@@ -90,3 +91,31 @@ def test_spectral_field_is_grid_and_coeffs():
         if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
     ]
     assert declared == ["grid", "coeffs"]
+
+
+def test_tolerance_literals_only_in_field():
+    """No float literal in [1e-15, 1e-5] is compared against outside field.py:
+    each such tolerance is named once, in field.py's block.  Underflow floors
+    such as 1e-30 and 1e-300 lie outside the range."""
+    literals = [
+        f"{path.name}:{node.lineno}={node.value!r}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "field.py"
+        for compare in ast.walk(ast.parse(path.read_text()))
+        if isinstance(compare, ast.Compare)
+        for node in ast.walk(compare)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        and 1e-15 <= node.value <= 1e-5
+    ]
+    assert literals == []
+
+
+def test_solver_has_no_complex_literal():
+    """Every spectral multiplier the solver applies (curl, strain, k.c) comes
+    from field.py's kernels, so solver.py writes no 1j or 2j."""
+    tree = ast.parse((SRC / "solver.py").read_text())
+    complex_literals = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, complex)
+    ]
+    assert complex_literals == []

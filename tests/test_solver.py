@@ -19,7 +19,11 @@ from almost2d import (
 from almost2d import field as field_module
 from almost2d.cli import main
 from almost2d.families import random_divergence_free, set_mode_pair
-from almost2d.field import advection, curl, divergence_defect, leray_project
+from almost2d.field import (
+    DECAY_SLACK_TOL, advection, curl, curl_coeffs, divergence, divergence_defect, k_dot,
+    leray_project, strain, strain_coeffs,
+)
+from almost2d.grid import full_spectrum
 from almost2d.norms import field_summary
 from almost2d.solver import _assemble_series, _lattice, nonlinear_term
 from conftest import half_spectrum, hermitian_defect
@@ -111,6 +115,28 @@ def swap_x1_x2(u):
     """The reflection across x1 = x2: (u2, u1, u3) at (x2, x1, x3)."""
     coeffs = u.coeffs[[1, 0, 2]].transpose(0, 2, 1, 3).copy()
     return SpectralVectorField(u.grid, coeffs)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestBandKernels:
+    @pytest.mark.parametrize("n", [16, 24])
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    def test_band_kernels_are_the_cropped_field_operators(self, n, rule):
+        """field's k.c, curl and strain kernels on the solver's band equal the
+        full-lattice operators of the band-truncated field, cropped, bit for bit.
+        Every band mode is set, the Nyquist planes of rule "none" included."""
+        grid = GridSpec(n)
+        lat = _lattice(grid, rule)
+        rng = np.random.default_rng(60 + n)
+        noise = rng.standard_normal((2, 3) + lat.shape)
+        full = SpectralVectorField(grid, full_spectrum(lat.pad(noise[0] + 1j * noise[1]), n))
+        band = lat.crop(full.coeffs)
+        assert same_bits(2j * np.pi * k_dot(band, lat.k_deriv), lat.crop(divergence(full)))
+        assert same_bits(curl_coeffs(band, lat.k_deriv), lat.crop(curl(full).coeffs))
+        assert same_bits(strain_coeffs(band, lat.k_deriv), lat.crop(strain(full).comps))
 
 
 class TestSymmetries:
@@ -258,6 +284,12 @@ class TestRun:
         assert series.status in ("nan_abort", "blowup_suspected")
         assert len(series.t) < 21  # stopped early
 
+    def test_cfl_warning_names_the_caller_of_run(self, grid16):
+        u0 = random_divergence_free(grid16, 14, kmax=5, amplitude=100.0)
+        with pytest.warns(UserWarning, match="CFL") as record:
+            run(u0, SolverConfig(grid=grid16, nu=0.1, dt=0.01, t_end=0.01))
+        assert [w.filename for w in record] == [__file__]
+
     @pytest.mark.parametrize("n", [16, 32])
     def test_first_row_is_the_field_summary(self, n):
         """The solver's half-spectrum sums agree with the full-spectrum
@@ -370,6 +402,59 @@ def test_assemble_series_closed_forms_on_many_rows():
     assert rate < 0  # the largest log ratio is on the first step
     assert series.summary["gronwall_max_log_ratio"] == pytest.approx(rate * t[1], rel=1e-9)
     assert series.summary["gronwall_envelope_ok"]
+
+
+def monitor_columns_by_row(rows, cfg):
+    """Strain residual, enstrophy slack and horizontal flag computed one row
+    at a time with Python scalars: the reference for ``_assemble_series``."""
+    m = len(rows)
+    col = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+    t, E = col["t"], col["E"]
+    dEdt = np.full(m, np.nan)
+    if m >= 3:
+        dEdt[1:-1] = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
+    strain_res, slack, flag = np.full(m, np.nan), np.full(m, np.nan), np.full(m, np.nan)
+    for i in range(1, m - 1):
+        inst = -2 * cfg.nu * col["strain_h1_sq"][i] - 4 * col["det_S_integral"][i]
+        scale = max(abs(inst), abs(dEdt[i]), 1e-30)
+        strain_res[i] = abs(dEdt[i] - inst) / scale
+        cubic = E[i] ** 3 / (3456 * math.pi**4 * cfg.nu**3)
+        cor22 = (
+            -2 * cfg.nu * col["strain_h1_sq"][i]
+            + (2.0 / 9.0) * math.sqrt(6.0) * col["strain_l3"][i] ** 3
+        )
+        slack[i] = min(cubic - dEdt[i], cor22 - dEdt[i])
+        small = col["omega_h_hminushalf"][i] < constants().r1 * cfg.nu
+        decay_ok = dEdt[i] <= DECAY_SLACK_TOL * max(abs(dEdt[i]), E[i], 1.0)
+        flag[i] = float((not small) or decay_ok)
+    return strain_res, slack, flag
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 500])
+def test_assemble_series_columns_match_the_row_loop(m):
+    """Seeded rows, half of them with omega_h below R1 nu and E rising and
+    falling, so both flag branches and both slack terms are taken."""
+    rng = np.random.default_rng(m)
+    nu = 0.01  # E^3 / (3456 pi^4 nu^3) and the strain terms are all O(dE/dt)
+    t = np.cumsum(rng.uniform(0.5, 1.5, m))
+    E = rng.lognormal(0.0, 1.0, m)
+    omega_h = constants().r1 * nu * rng.uniform(0.5, 1.5, m)
+    rows = [
+        {"t": t[i], "K": 1.0 / (1 + t[i]), "E": E[i], "strain_h1_sq": rng.lognormal(),
+         "det_S_integral": rng.normal(), "omega_h_hminushalf": omega_h[i],
+         "strain_l3": rng.lognormal(0.0, 2.0)}
+        for i in range(m)
+    ]
+    cfg = SolverConfig(grid=GridSpec(4), nu=nu, dt=1.0, t_end=1.0)
+    series = _assemble_series(rows, cfg)
+    expected = monitor_columns_by_row(rows, cfg)
+    got = (series.strain_identity_residual, series.enstrophy_ineq_slack,
+           series.horizontal_decay_flag)
+    for column, reference in zip(got, expected):
+        assert same_bits(column, reference)
+    if m == 500:
+        assert 0 < np.nansum(series.horizontal_decay_flag) < m - 2
+        assert np.any(omega_h[1:-1] < constants().r1 * nu)
 
 
 class TestConfigValidation:
