@@ -193,13 +193,13 @@ def curl_coeffs(c: np.ndarray, k_deriv: tuple, out: np.ndarray | None = None) ->
     return out
 
 
-def strain_coeffs(c: np.ndarray, k_deriv: tuple) -> np.ndarray:
+def strain_coeffs(c: np.ndarray, k_deriv: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """Strain multiplier pi*i (k_i c_j + k_j c_i), components (6, ...) in
-    ``StrainField`` order."""
-    comps = np.empty((6,) + c.shape[1:], dtype=complex)
+    ``StrainField`` order, written into ``out`` if given."""
+    out = np.empty((6,) + c.shape[1:], dtype=complex) if out is None else out
     for (i, j), slot in StrainField.INDEX.items():
-        comps[slot] = 1j * np.pi * (k_deriv[i - 1] * c[j - 1] + k_deriv[j - 1] * c[i - 1])
-    return comps
+        out[slot] = 1j * np.pi * (k_deriv[i - 1] * c[j - 1] + k_deriv[j - 1] * c[i - 1])
+    return out
 
 
 def divergence(u: SpectralVectorField) -> np.ndarray:

@@ -6,8 +6,9 @@ import scipy.fft
 
 from almost2d import GridSpec, horizontal_parts, lebesgue_norm
 from almost2d.families import random_divergence_free
-from almost2d.field import HERMITIAN_TOL, StrainField
+from almost2d.field import HERMITIAN_TOL, StrainField, curl_coeffs, irfft3, k_dot, rfft3
 from almost2d.grid import mirror_conjugate
+from almost2d.solver import _lattice
 from almost2d.wholespace import QuadratureSpec
 
 
@@ -48,6 +49,29 @@ def half_spectrum(coeffs):
     """The k3 >= 0 half (``numpy.fft.rfftn`` layout) of a coefficient array."""
     n = coeffs.shape[-1]
     return coeffs[..., : n // 2 + 1].copy()
+
+
+def nonlinear_term_oracle(u_hat, grid, dealias_rule="two_thirds"):
+    """``solver.nonlinear_term`` as it was before a run owned stage buffers:
+    fresh arrays on every call and u x omega in a separate product array.
+    The bit-for-bit reference for buffer reuse."""
+    lat = _lattice(grid, dealias_rule)
+    fields = np.empty((6,) + u_hat.shape[1:], dtype=complex)
+    fields[:3] = u_hat
+    curl_coeffs(u_hat, lat.k_deriv, out=fields[3:])
+    u1, u2, u3, w1, w2, w3 = irfft3(lat.pad(fields), lat.n)
+    product = np.empty((3,) + u1.shape)
+    scratch = np.empty(u1.shape)
+    for p, (a, b, x, y) in zip(product, ((u2, w3, u3, w2), (u3, w1, u1, w3), (u1, w2, u2, w1))):
+        np.multiply(a, b, out=p)
+        np.multiply(x, y, out=scratch)
+        p -= scratch
+    out = lat.crop(rfft3(product))
+    dot = k_dot(out, lat.k_deriv) * lat.inv_kderiv_sq
+    for component, k in zip(out, lat.k_deriv):
+        component -= dot * k
+    out[:, 0, 0, 0] = 0.0
+    return out
 
 
 def scalar_to_physical(grid, coeffs):

@@ -2,6 +2,9 @@
 
 import math
 import os
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,16 +20,19 @@ from almost2d import (
     taylor_green_2d,
 )
 from almost2d import field as field_module
+from almost2d import solver as solver_module
 from almost2d.cli import main
 from almost2d.families import random_divergence_free, set_mode_pair
 from almost2d.field import (
-    DECAY_SLACK_TOL, advection, curl, curl_coeffs, divergence, divergence_defect, k_dot,
-    leray_project, strain, strain_coeffs,
+    DECAY_SLACK_TOL, advection, curl, curl_coeffs, divergence, divergence_defect, irfft3,
+    k_dot, leray_project, strain, strain_coeffs,
 )
 from almost2d.grid import full_spectrum
-from almost2d.norms import field_summary
-from almost2d.solver import _assemble_series, _lattice, nonlinear_term
-from conftest import half_spectrum, hermitian_defect
+from almost2d.norms import field_summary, samples_lebesgue_norm
+from almost2d.solver import (
+    CSV_COLUMNS, _assemble_series, _det_integral, _lattice, _strain_l3, nonlinear_term,
+)
+from conftest import half_spectrum, hermitian_defect, nonlinear_term_oracle
 
 
 def single_mode(grid, k, value):
@@ -198,6 +204,173 @@ class TestThreads:
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         assert set(workers) == {cores}
         assert threaded == one_thread
+
+
+def band_inputs(lat, count, seed):
+    """Band coefficients of real fields with every band mode set, Nyquist
+    planes of rule "none" included, each call's input distinct."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((count, 2, 3) + lat.shape)
+    return [lat.crop(full_spectrum(lat.pad(a + 1j * b), lat.n)) for a, b in noise]
+
+
+def diagnostics_row_oracle(c, lat):
+    """One diagnostics row with fresh arrays, as before stage buffers."""
+    abs_sq = lat.multiplicity * (np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2 + np.abs(c[2]) ** 2)
+    four_pi_sq_ksq = 4 * np.pi**2 * lat.k_sq
+    w = curl_coeffs(c, lat.k_deriv)
+    omega_h_sq = float(
+        np.sum(lat.multiplicity * lat.omega_h_weight * (np.abs(w[0]) ** 2 + np.abs(w[1]) ** 2))
+    )
+    s_phys = irfft3(lat.pad(strain_coeffs(c, lat.k_deriv)), lat.n)
+    return {
+        "K": 0.5 * float(np.sum(abs_sq)),
+        "E": 0.5 * float(np.sum(four_pi_sq_ksq * abs_sq)),
+        "strain_h1_sq": 0.5 * float(np.sum(four_pi_sq_ksq**2 * abs_sq)),
+        "det_S_integral": _det_integral(s_phys),
+        "omega_h_hminushalf": math.sqrt(max(omega_h_sq, 0.0)),
+        "strain_l3": _strain_l3(s_phys),
+    }
+
+
+def run_by_oracle(u0, cfg):
+    """``run``'s integration and rows on fresh arrays throughout (the oracle
+    nonlinear term, the row above, a fresh CFL sample and final field):
+    (series, final field) for comparison with ``run`` as bits."""
+    grid, h = cfg.grid, cfg.dt
+    lat = _lattice(grid, cfg.dealias)
+    u = lat.crop(u0.coeffs)
+    u[:, 0, 0, 0] = 0.0
+    half_decay = np.exp(-4 * np.pi**2 * lat.k_sq * cfg.nu * h / 2.0)
+    full_decay = half_decay**2
+    umax = samples_lebesgue_norm(irfft3(lat.pad(u), lat.n), np.inf)
+    rows = []
+
+    def record(step, state):
+        rows.append({**diagnostics_row_oracle(state, lat), "t": step * h})
+        if not math.isfinite(rows[-1]["E"]):
+            return "nan_abort"
+        return "blowup_suspected" if rows[-1]["E"] > cfg.blowup_threshold else "completed"
+
+    status, step = record(0, u), 0
+    while status == "completed" and step < cfg.n_steps:
+        step += 1
+        k1 = nonlinear_term_oracle(u, grid, cfg.dealias)
+        k2 = nonlinear_term_oracle(half_decay * (u + 0.5 * h * k1), grid, cfg.dealias)
+        k3 = nonlinear_term_oracle(half_decay * u + 0.5 * h * k2, grid, cfg.dealias)
+        k4 = nonlinear_term_oracle(full_decay * u + h * half_decay * k3, grid, cfg.dealias)
+        u = full_decay * u + (h / 6.0) * (full_decay * k1 + 2 * half_decay * (k2 + k3) + k4)
+        if step % cfg.record_stride == 0 or step == cfg.n_steps:
+            status = record(step, u)
+    series = _assemble_series(rows, cfg)
+    series.status = status
+    series.summary.update({
+        "advective_cfl": cfg.dt * umax * grid.n,
+        "stiff_heuristic": cfg.dt * cfg.nu * (2 * np.pi * grid.n / 2) ** 2,
+    })
+    return series, SpectralVectorField(grid, full_spectrum(lat.pad(u), grid.n))
+
+
+class TestStageBuffers:
+    """One ``run`` reuses one set of stage buffers for every nonlinear stage
+    and diagnostics row; the results equal fresh arrays' as bits."""
+
+    @pytest.mark.parametrize("n, rule", [(16, "two_thirds"), (16, "none"), (24, "two_thirds"),
+                                         (24, "none"), (48, "two_thirds")])
+    def test_reused_buffers_give_the_oracle_bits(self, n, rule):
+        """Distinct inputs through one buffer set, each result kept: every one
+        equals the fresh-array oracle, so no call leaves state in the buffers
+        or writes into an earlier result or its input.  n=48 is threaded."""
+        grid = GridSpec(n)
+        lat = _lattice(grid, rule)
+        buffers = lat.stage_buffers()
+        inputs = band_inputs(lat, 3, seed=70 + n)
+        copies = [c.copy() for c in inputs]
+        results = [nonlinear_term(c, grid, rule, buffers=buffers) for c in inputs]
+        for c, copy, got in zip(inputs, copies, results):
+            assert same_bits(c, copy)
+            assert same_bits(got, nonlinear_term_oracle(copy, grid, rule))
+        assert same_bits(nonlinear_term(inputs[0], grid, rule), results[0])
+
+    @pytest.mark.parametrize("n, rule, steps, stride, threshold", [
+        (16, "two_thirds", 6, 1, 1e8),
+        (24, "none", 7, 3, 1e8),
+        (16, "two_thirds", 6, 1, 1e-12),  # stopped at row 0: "blowup_suspected"
+    ])
+    def test_run_matches_the_oracle_loop(self, n, rule, steps, stride, threshold):
+        grid = GridSpec(n)
+        u0 = random_divergence_free(grid, 80 + n, kmax=n // 2 - 1, amplitude=0.1)
+        before = u0.coeffs.copy()
+        cfg = SolverConfig(grid=grid, nu=0.03, dt=1e-3, t_end=steps * 1e-3, dealias=rule,
+                           record_stride=stride, blowup_threshold=threshold)
+        series = run(u0, cfg)
+        expected, final = run_by_oracle(u0, cfg)
+        assert same_bits(u0.coeffs, before)
+        assert len(series.t) == (1 if threshold < 1 else len(range(0, steps, stride)) + 1)
+        for col in CSV_COLUMNS:
+            assert same_bits(getattr(series, col), getattr(expected, col)), col
+        assert (series.status, repr(series.summary)) == (expected.status, repr(expected.summary))
+        assert same_bits(series.final_field.coeffs, final.coeffs)
+
+    def test_final_field_is_built_on_first_access(self, grid16, monkeypatch):
+        calls = []
+        monkeypatch.setattr(solver_module, "full_spectrum",
+                            lambda *args: calls.append(1) or full_spectrum(*args))
+        u0 = random_divergence_free(grid16, 90, kmax=5, amplitude=0.3)
+        series = run(u0, SolverConfig(grid=grid16, nu=0.03, dt=1e-3, t_end=3e-3))
+        assert calls == []
+        assert series.final_field is series.final_field
+        assert calls == [1]
+
+    def test_concurrent_runs_equal_serial_runs(self):
+        """Four runs at once, in more threads than cores and with a short switch
+        interval, each equal to its serial run as bits: no run writes into
+        another's buffers."""
+        grid = GridSpec(16)
+        cfg = SolverConfig(grid=grid, nu=0.03, dt=1e-3, t_end=8e-3)
+        fields = [random_divergence_free(grid, 95 + i, kmax=5, amplitude=0.3) for i in range(4)]
+        serial = [run(u0, cfg) for u0 in fields]
+        results = [None] * len(fields)
+
+        def work(i):
+            results[i] = run(fields[i], cfg)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fields))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, serial):
+            for col in CSV_COLUMNS:
+                assert same_bits(getattr(got, col), getattr(want, col)), col
+            assert same_bits(got.final_field.coeffs, want.final_field.coeffs)
+
+    def test_a_stage_allocates_no_padded_half_spectrum(self, grid32):
+        """tracemalloc sees numpy's data allocations: with the run's buffers a
+        stage at n=32 peaks at least one padded (6, 32, 32, 17) half spectrum
+        below the fresh-array stage."""
+        lat = _lattice(grid32, "two_thirds")
+        buffers = lat.stage_buffers()
+        (u,) = band_inputs(lat, 1, seed=99)
+
+        def peak(call):
+            call()  # warm: lattice and transform plans
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fresh = peak(lambda: nonlinear_term_oracle(u, grid32))
+        reused = peak(lambda: nonlinear_term(u, grid32, buffers=buffers))
+        assert fresh - reused >= buffers.half.nbytes == 6 * 32 * 32 * 17 * 16
 
 
 class TestTransformBudget:
