@@ -15,6 +15,7 @@ from .field import (
     curl,
     dealias,
     divergence,
+    from_full_coeffs,
     heat_semigroup,
     leray_project,
     pressure,

@@ -221,11 +221,11 @@ def _cmd_sweep(args) -> int:
     if args.family == "annulus-analog":
         for n in args.n:
             w = families.annulus_analog(n, grid)  # the family is a vorticity
-            spectrum = norms.ShellSpectrum(grid, w.coeffs)
+            spectrum = norms.ShellSpectrum(grid, w.half)
             K0 = 0.5 * float(spectrum.sobolev_sq(-1.0).sum())
             E0 = 0.5 * float(spectrum.sobolev_sq(0.0).sum())
             omh = math.sqrt(spectrum.sobolev_sq(-0.5)[:2].sum())
-            besov = norms.besov_norm(w, 0.5, 2.0).value
+            besov = norms.besov_norm(w, 0.5, 2.0, spectrum=spectrum).value
             rows.append(
                 {
                     "n": n,

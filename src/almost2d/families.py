@@ -1,8 +1,8 @@
 """Explicit divergence-free fields with closed-form norms.
 
-Every generator returns a mean-zero, divergence-free, Hermitian-symmetric
-spectral field, so generated data doubles as a test oracle for the norm
-machinery.
+Every generator returns a mean-zero, divergence-free spectral field, written
+on the k3 >= 0 half spectrum, so generated data doubles as a test oracle for
+the norm machinery.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from .field import (
     CONSTRUCTION_DIVFREE_TOL, TWO_D_TOL, SpectralVectorField, divergence_defect, leray_project,
     to_physical,
 )
-from .grid import GridSpec, hermitian_symmetrize
+from .grid import GridSpec
 from .norms import samples_lebesgue_norm
 
 
 def _empty(grid: GridSpec) -> np.ndarray:
-    return np.zeros((3, grid.n, grid.n, grid.n), dtype=complex)
+    return np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
 
 
 def _mode_index(grid: GridSpec, k: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -33,13 +33,14 @@ def _mode_index(grid: GridSpec, k: tuple[int, int, int]) -> tuple[int, int, int]
 
 
 def set_mode_pair(
-    coeffs: np.ndarray, grid: GridSpec, k: tuple[int, int, int], value: np.ndarray
+    half: np.ndarray, grid: GridSpec, k: tuple[int, int, int], value: np.ndarray
 ) -> None:
-    """Write uhat(k) = value and uhat(-k) = conj(value)."""
+    """Write uhat(k) = value and uhat(-k) = conj(value) where each falls in the half spectrum."""
     kpos = _mode_index(grid, k)
     kneg = _mode_index(grid, tuple(-ki for ki in k))
-    coeffs[(slice(None),) + kpos] = value
-    coeffs[(slice(None),) + kneg] = np.conj(value)
+    for index, v in ((kpos, value), (kneg, np.conj(value))):
+        if index[2] <= grid.n // 2:
+            half[(slice(None),) + index] = v
 
 
 def taylor_green_2d(grid: GridSpec, amplitude: float = 1.0) -> SpectralVectorField:
@@ -93,7 +94,7 @@ def two_d_plus_perturbation(
     v2d: SpectralVectorField, w: SpectralVectorField, delta: float
 ) -> SpectralVectorField:
     """u = v2d + delta * w for an x3-independent base v2d."""
-    if float(np.max(np.abs(v2d.coeffs[:, :, :, 1:]))) > TWO_D_TOL * v2d.amplitude():
+    if float(np.max(np.abs(v2d.half[..., 1:]))) > TWO_D_TOL * v2d.amplitude():
         raise ValueError("base field must be independent of x3 (support on k3=0)")
     return v2d + delta * w
 
@@ -148,19 +149,18 @@ def rescaled_vorticity(
     eps = 1.0 / m
     prefactor = eps ** (2.0 / 3.0) * math.log(m**a) ** 0.25
 
-    src = base_omega.coeffs
+    src = base_omega.half
     out = _empty(grid)
-    kline = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    for idx3, k3 in enumerate(kline):
-        if np.max(np.abs(src[:, :, :, idx3])) == 0.0:
+    for k3 in range(n // 2 + 1):  # k3 >= 0 maps to m*k3 >= 0, and -k3 to its mirror
+        if np.max(np.abs(src[..., k3])) == 0.0:
             continue
         k3_new = m * k3
-        if not -n // 2 <= k3_new <= n // 2 - 1:
+        if k3_new > n // 2 - 1:
             raise ValueError(
                 f"stretched mode k3={k3_new} not resolved by grid n={n}"
             )
-        out[:2, :, :, k3_new % n] += eps * src[:2, :, :, idx3]
-        out[2, :, :, k3_new % n] += src[2, :, :, idx3]
+        out[:2, :, :, k3_new] += eps * src[:2, :, :, k3]
+        out[2, :, :, k3_new] += src[2, :, :, k3]
     out *= prefactor
     field = SpectralVectorField(grid, out)
     return RescaledVorticity(field, m)
@@ -216,12 +216,13 @@ def annulus_analog(n: int, grid: GridSpec) -> SpectralVectorField:
     mass = sum(1.0 + (k3 / r) ** 2 for *_ignored, k3, r in modes)
     amp = math.sqrt(4.0 * loglog / mass)
 
+    # what(-k) = what(k) is real, so each mode is its own conjugate partner
+    # and the modes with k3 >= 0 are the half spectrum.
     coeffs = _empty(grid)
     for i1, i2, i3, k1, k2, k3, r in modes:
-        e_r = np.array([k1 / r, k2 / r, 0.0])
-        vec = amp * (np.array([0.0, 0.0, 1.0]) - (k3 / r) * e_r)
-        coeffs[:, i1, i2, i3] = vec
-    coeffs = hermitian_symmetrize(coeffs)
+        if k3 >= 0:
+            e_r = np.array([k1 / r, k2 / r, 0.0])
+            coeffs[:, i1, i2, i3] = amp * (np.array([0.0, 0.0, 1.0]) - (k3 / r) * e_r)
     field = SpectralVectorField(grid, coeffs)
     # The shell stays inside |k_i| < n/2, where k_deriv is the plain lattice.
     if divergence_defect(field) > CONSTRUCTION_DIVFREE_TOL:
@@ -233,7 +234,7 @@ def random_divergence_free(
     grid: GridSpec, seed: int, kmax: int | None = None, amplitude: float = 1.0
 ) -> SpectralVectorField:
     """Seeded band-limited random field: Gaussian coefficients on the modes
-    with every |k_i| <= kmax, mirrored for Hermitian symmetry, then Leray
+    with every |k_i| <= kmax, made Hermitian (real), then Leray
     projected and recentered to mean zero."""
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
@@ -243,15 +244,19 @@ def random_divergence_free(
     if kmax > n // 2 - 1:
         raise ValueError(f"kmax={kmax} not resolved by grid n={n}")
     rng = np.random.default_rng(seed)
+    real, imag = rng.standard_normal((3, n, n, n)), rng.standard_normal((3, n, n, n))
+    # The Hermitian part 0.5 (c(k) + conj c(-k)) of c = real + i imag on the band's half.
     kline = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    band = np.abs(kline) <= kmax
-    mask = band.reshape(-1, 1, 1) & band.reshape(1, -1, 1) & band.reshape(1, 1, -1)
-    raw = rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))
-    coeffs = raw * mask
-    coeffs = hermitian_symmetrize(coeffs)
+    rows = np.flatnonzero(np.abs(kline) <= kmax)
+    planes = np.arange(kmax + 1)
+    block = (slice(None),) + np.ix_(rows, rows, planes)
+    mirror = (slice(None),) + np.ix_(-rows % n, -rows % n, -planes % n)
+    coeffs = _empty(grid)
+    coeffs[block] = 0.5 * (real[block] + 1j * imag[block]
+                           + np.conj(real[mirror] + 1j * imag[mirror]))
     coeffs[:, 0, 0, 0] = 0.0
     u, _ = leray_project(SpectralVectorField(grid, coeffs))
-    scale = float(np.max(np.abs(u.coeffs)))
+    scale = float(np.max(np.abs(u.half)))
     if scale > 0:
         u = u * (amplitude / scale)
     return u

@@ -6,25 +6,27 @@ so hand-computed series coefficients can be compared to stored arrays
 literally.  Physical sample arrays are indexed [component, x1, x2, x3]
 (x3 fastest in memory).
 
-Every field transform goes through one real-data pair on the k3 >= 0 half
-spectrum, ``rfft3`` / ``irfft3``; only ``advection``, the convective-form
-reference, keeps complex transforms.  A field is its grid and coefficients;
-mean zero is read from k = 0 by each operation that needs it (``is_mean_zero``).
-Multipliers k.c, 2 pi i k x c and pi i (k_i c_j + k_j c_i) are written once, as
-kernels on coefficients and a ``k_deriv`` triple (``k_dot``, ``curl_coeffs``,
-``strain_coeffs``), applied here to the full lattice and by the solver to its band.
+A field is its grid and the read-only k3 >= 0 half spectrum of a real field,
+Hermitian by construction; a full array enters only through ``from_full_coeffs``,
+the one Hermitian check.  Every field transform goes through one real-data pair,
+``rfft3`` / ``irfft3``; only ``advection``, the convective-form reference, calls
+``numpy.fft``.  Mean zero is read from k = 0 by each operation that needs it
+(``is_mean_zero``).  Multipliers k.c, 2 pi i k x c and pi i (k_i c_j + k_j c_i)
+are written once, as kernels on coefficients and a ``k_deriv`` triple (``k_dot``,
+``curl_coeffs``, ``strain_coeffs``), applied here to the half lattice and by the
+solver to its band.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from .grid import GridSpec, full_spectrum, hermitian_defect, hermitian_symmetrize
+from .grid import GridSpec, conjugate_planes, hermitian_defect
 
 # Every tolerance: *_DIVFREE_TOL bounds max|k.uhat|/max|uhat|, *_MEAN_TOL |uhat(0)|/max|uhat|.
 HERMITIAN_TOL = 1e-10  # over the sample rms: transforms leave ~1e-16, a complex field O(1)
@@ -77,54 +79,59 @@ def irfft3(half: np.ndarray, n: int) -> np.ndarray:
 
 
 def is_mean_zero(magnitude: np.ndarray, tol: float) -> bool:
-    """The k = 0 test on |coeffs| (c, n, n, n), relative to the largest magnitude."""
+    """The k = 0 test on |half| (c, n, n, n/2 + 1), relative to the largest magnitude."""
     amplitude = float(np.max(magnitude)) or 1.0
     return float(np.max(magnitude[:, 0, 0, 0])) <= tol * amplitude
 
 
-def require_hermitian(coeffs: np.ndarray) -> None:
-    """Reject coefficients of a non-real field: max_k |c(k) - conj c(-k)|
-    against HERMITIAN_TOL times max(rms, 1), where the sample rms is
-    sqrt(sum |c|^2) by Plancherel."""
+@dataclass(frozen=True)
+class SpectralVectorField:
+    """Fourier coefficients of a real three-component field: the k3 >= 0 half
+    spectrum of ``rfftn``, the other half being its conjugate.  The array is
+    marked read-only when the field is made, so a field never changes."""
+
+    grid: GridSpec
+    half: np.ndarray  # complex, shape (3, n, n, n/2 + 1), read-only
+
+    def __post_init__(self):
+        n = self.grid.n
+        if self.half.shape != (3, n, n, n // 2 + 1):
+            raise ValueError(
+                f"half-spectrum array shape {self.half.shape} does not match grid n={n}"
+            )
+        self.half.setflags(write=False)
+
+    def amplitude(self) -> float:
+        m = float(np.max(np.abs(self.half)))
+        return m if m > 0 else 1.0
+
+    def __add__(self, other: "SpectralVectorField") -> "SpectralVectorField":
+        _check_same_grid(self, other)
+        return SpectralVectorField(self.grid, self.half + other.half)
+
+    def __sub__(self, other: "SpectralVectorField") -> "SpectralVectorField":
+        _check_same_grid(self, other)
+        return SpectralVectorField(self.grid, self.half - other.half)
+
+    def __mul__(self, scalar: float) -> "SpectralVectorField":
+        return SpectralVectorField(self.grid, self.half * scalar)
+
+    __rmul__ = __mul__
+
+
+def from_full_coeffs(grid: GridSpec, coeffs: np.ndarray) -> SpectralVectorField:
+    """The field of full-lattice coefficients (3, n, n, n), such as mode pairs
+    written out by hand.  Rejects coefficients of a non-real field:
+    max_k |c(k) - conj c(-k)| against HERMITIAN_TOL times max(rms, 1), where
+    the sample rms is sqrt(sum |c|^2) by Plancherel."""
+    n = grid.n
+    if coeffs.shape != (3, n, n, n):
+        raise ValueError(f"coefficient array shape {coeffs.shape} does not match grid n={n}")
     defect = hermitian_defect(coeffs)
     rms = math.sqrt(float(np.vdot(coeffs, coeffs).real))
     if defect > HERMITIAN_TOL * max(rms, 1.0):
         raise ValueError(f"Hermitian symmetry violated: coefficient defect {defect:.3e}")
-
-
-@dataclass
-class SpectralVectorField:
-    """Three-component Fourier coefficients on the cubic lattice."""
-
-    grid: GridSpec
-    coeffs: np.ndarray  # complex, shape (3, n, n, n)
-
-    def __post_init__(self):
-        n = self.grid.n
-        if self.coeffs.shape != (3, n, n, n):
-            raise ValueError(
-                f"coefficient array shape {self.coeffs.shape} does not match grid n={n}"
-            )
-
-    def amplitude(self) -> float:
-        m = float(np.max(np.abs(self.coeffs)))
-        return m if m > 0 else 1.0
-
-    def copy(self) -> "SpectralVectorField":
-        return replace(self, coeffs=self.coeffs.copy())
-
-    def __add__(self, other: "SpectralVectorField") -> "SpectralVectorField":
-        _check_same_grid(self, other)
-        return SpectralVectorField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralVectorField") -> "SpectralVectorField":
-        _check_same_grid(self, other)
-        return SpectralVectorField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
+    return SpectralVectorField(grid, conjugate_planes(coeffs[..., : n // 2 + 1].copy()))
 
 
 @dataclass
@@ -144,14 +151,14 @@ class PhysicalVectorField:
 
 @dataclass
 class StrainField:
-    """Six independent strain components as spectral scalar fields.
+    """Six independent strain components as half-spectrum scalar fields.
 
     Component order: S11, S12, S13, S22, S23, S33.  Frobenius weights
     (1, 2, 2, 1, 2, 1) restore the full symmetric-matrix sums.
     """
 
     grid: GridSpec
-    comps: np.ndarray  # complex, shape (6, n, n, n)
+    comps: np.ndarray  # complex, shape (6, n, n, n/2 + 1)
 
     FROBENIUS_WEIGHTS = (1.0, 2.0, 2.0, 1.0, 2.0, 1.0)
     INDEX = {(1, 1): 0, (1, 2): 1, (1, 3): 2, (2, 2): 3, (2, 3): 4, (3, 3): 5}
@@ -163,18 +170,16 @@ def _check_same_grid(a, b) -> None:
 
 
 def to_spectral(f: PhysicalVectorField) -> SpectralVectorField:
-    """Forward DFT (1/n^3 normalization), Hermitian by construction; k = 0 as computed."""
+    """Forward DFT (1/n^3 normalization) onto the half spectrum, its
+    self-conjugate planes made exactly Hermitian; k = 0 as computed."""
     if not np.all(np.isfinite(f.samples)):
         raise ValueError("physical samples contain non-finite values")
-    return SpectralVectorField(f.grid, full_spectrum(rfft3(f.samples), f.grid.n))
+    return SpectralVectorField(f.grid, conjugate_planes(rfft3(f.samples)))
 
 
 def to_physical(u: SpectralVectorField) -> PhysicalVectorField:
-    """Inverse transform of the k3 >= 0 half; rejects coefficients that
-    are not Hermitian (``require_hermitian``)."""
-    require_hermitian(u.coeffs)
-    n = u.grid.n
-    return PhysicalVectorField(u.grid, irfft3(u.coeffs[..., : n // 2 + 1], n))
+    """Inverse transform of the half spectrum."""
+    return PhysicalVectorField(u.grid, irfft3(u.half, u.grid.n))
 
 
 def k_dot(c: np.ndarray, k_deriv: tuple) -> np.ndarray:
@@ -203,13 +208,13 @@ def strain_coeffs(c: np.ndarray, k_deriv: tuple, out: np.ndarray | None = None) 
 
 
 def divergence(u: SpectralVectorField) -> np.ndarray:
-    """Spectral divergence as a scalar coefficient array."""
-    return 2j * np.pi * k_dot(u.coeffs, u.grid.k_deriv)
+    """Spectral divergence as a half-spectrum scalar coefficient array."""
+    return 2j * np.pi * k_dot(u.half, u.grid.k_deriv)
 
 
 def divergence_defect(u: SpectralVectorField) -> float:
     """max_k |k . uhat(k)| / max_k |uhat(k)|, zero for divergence-free fields."""
-    return float(np.max(np.abs(k_dot(u.coeffs, u.grid.k_deriv)))) / u.amplitude()
+    return float(np.max(np.abs(k_dot(u.half, u.grid.k_deriv)))) / u.amplitude()
 
 
 def leray_project(v: SpectralVectorField) -> tuple[SpectralVectorField, SpectralVectorField]:
@@ -222,34 +227,34 @@ def leray_project(v: SpectralVectorField) -> tuple[SpectralVectorField, Spectral
     k1, k2, k3 = v.grid.k_deriv
     ksq = k1**2 + k2**2 + k3**2
     ksq_safe = np.where(ksq == 0, 1.0, ksq)
-    dot = k_dot(v.coeffs, v.grid.k_deriv) / ksq_safe
+    dot = k_dot(v.half, v.grid.k_deriv) / ksq_safe
     grad = np.stack([dot * k1, dot * k2, dot * k3])
     grad[:, 0, 0, 0] = 0.0
-    u_df = v.coeffs - grad
+    u_df = v.half - grad
     return SpectralVectorField(v.grid, u_df), SpectralVectorField(v.grid, grad)
 
 
 def curl(u: SpectralVectorField) -> SpectralVectorField:
     """Spectral curl, multiplier 2*pi*i k x uhat(k)."""
-    return SpectralVectorField(u.grid, curl_coeffs(u.coeffs, u.grid.k_deriv))
+    return SpectralVectorField(u.grid, curl_coeffs(u.half, u.grid.k_deriv))
 
 
 def gradient_of_component(u: SpectralVectorField, i: int) -> SpectralVectorField:
     """grad(u_i) as a spectral vector field."""
     k1, k2, k3 = u.grid.k_deriv
-    c = u.coeffs[i]
+    c = u.half[i]
     return SpectralVectorField(u.grid, 2j * np.pi * np.stack([k1 * c, k2 * c, k3 * c]))
 
 
 def partial3(u: SpectralVectorField) -> SpectralVectorField:
     """d/dx3 applied componentwise."""
     _, _, k3 = u.grid.k_deriv
-    return SpectralVectorField(u.grid, 2j * np.pi * k3 * u.coeffs)
+    return SpectralVectorField(u.grid, 2j * np.pi * k3 * u.half)
 
 
 def strain(u: SpectralVectorField) -> StrainField:
     """Symmetric velocity gradient, Shat_ij = pi*i (k_i uhat_j + k_j uhat_i)."""
-    return StrainField(u.grid, strain_coeffs(u.coeffs, u.grid.k_deriv))
+    return StrainField(u.grid, strain_coeffs(u.half, u.grid.k_deriv))
 
 
 def biot_savart(w: SpectralVectorField) -> SpectralVectorField:
@@ -258,14 +263,14 @@ def biot_savart(w: SpectralVectorField) -> SpectralVectorField:
     Requires w mean-zero and divergence-free; the k=0 mode of the output
     is zero.
     """
-    if not is_mean_zero(np.abs(w.coeffs), VORTICITY_MEAN_TOL):
+    if not is_mean_zero(np.abs(w.half), VORTICITY_MEAN_TOL):
         raise ValueError("Biot-Savart requires a mean-zero vorticity")
     if divergence_defect(w) > DIVFREE_TOL:
         raise ValueError("Biot-Savart requires a divergence-free vorticity")
     k1, k2, k3 = w.grid.k_deriv
     ksq = k1**2 + k2**2 + k3**2
     ksq_safe = np.where(ksq == 0, 1.0, ksq)
-    u = curl(w).coeffs
+    u = curl_coeffs(w.half, w.grid.k_deriv)
     u /= 4 * np.pi**2 * ksq_safe
     u[:, 0, 0, 0] = 0.0
     return SpectralVectorField(w.grid, u)
@@ -276,16 +281,16 @@ def heat_semigroup(u: SpectralVectorField, t: float) -> SpectralVectorField:
     if t < 0:
         raise ValueError(f"heat semigroup requires t >= 0, got {t}")
     factor = np.exp(-4 * np.pi**2 * u.grid.k_sq * t)
-    return SpectralVectorField(u.grid, u.coeffs * factor)
+    return SpectralVectorField(u.grid, u.half * factor)
 
 
 def dealias(u: SpectralVectorField) -> SpectralVectorField:
     """2/3-rule truncation: zero every coefficient with any |k_i| > n/3."""
-    return SpectralVectorField(u.grid, u.coeffs * u.grid.dealias_mask)
+    return SpectralVectorField(u.grid, u.half * u.grid.dealias_mask)
 
 
 def pressure(u: SpectralVectorField) -> np.ndarray:
-    """Pressure coefficients solving -lap(p) = sum_ij d_i u_j d_j u_i.
+    """Half-spectrum pressure coefficients solving -lap(p) = sum_ij d_i u_j d_j u_i.
 
     The quadratic source is formed in physical space and dealiased;
     phat(0) = 0.
@@ -296,7 +301,7 @@ def pressure(u: SpectralVectorField) -> np.ndarray:
         for j in range(3):
             # grads[j][i] holds d_i u_j
             source += grads[j][i] * grads[i][j]
-    shat = full_spectrum(rfft3(source), u.grid.n)
+    shat = conjugate_planes(rfft3(source))
     shat *= u.grid.dealias_mask
     ksq = u.grid.k_sq
     ksq_safe = np.where(ksq == 0, 1.0, ksq)
@@ -308,22 +313,16 @@ def pressure(u: SpectralVectorField) -> np.ndarray:
 def advection(u: SpectralVectorField, apply_dealias: bool = True) -> SpectralVectorField:
     """(u . grad) u formed in physical space, then truncated.
 
-    The convective form, with complex FFTs; the solver uses the rotational
-    form and tests compare the two.
+    The convective form, with ``numpy.fft`` transforms, not the package's
+    pair; the solver uses the rotational form and tests compare the two.
     """
     n = u.grid.n
-    u_phys = np.fft.ifftn(u.coeffs, axes=(1, 2, 3)).real * n**3
-    k1, k2, k3 = u.grid.k_deriv
-    grad_hat = np.empty((3, 3, n, n, n), dtype=complex)
-    for j in range(3):
-        grad_hat[j, 0] = k1 * u.coeffs[j]
-        grad_hat[j, 1] = k2 * u.coeffs[j]
-        grad_hat[j, 2] = k3 * u.coeffs[j]
-    grads = np.fft.ifftn(2j * np.pi * grad_hat, axes=(2, 3, 4)).real * n**3
+    u_phys = np.fft.irfftn(u.half, s=(n, n, n), axes=(1, 2, 3)) * n**3
+    grad_hat = np.stack([gradient_of_component(u, j).half for j in range(3)])
+    grads = np.fft.irfftn(grad_hat, s=(n, n, n), axes=(2, 3, 4)) * n**3
     adv = np.einsum("ixyz,jixyz->jxyz", u_phys, grads)
-    out = np.fft.fftn(adv, axes=(1, 2, 3)) / n**3
+    out = conjugate_planes(np.fft.rfftn(adv, axes=(1, 2, 3)) / n**3)
     if apply_dealias:
         out *= u.grid.dealias_mask
-    out = hermitian_symmetrize(out)
     out[:, 0, 0, 0] = 0.0
     return SpectralVectorField(u.grid, out)

@@ -1,7 +1,8 @@
 """Function-space norms and anisotropic decompositions.
 
 Every Hilbert-space quantity is a dot product with one shell spectrum
-P(m) = sum_{|k|^2 = m} |fhat(k)|^2, m = 0 ... 3 (n/2)^2 (``ShellSpectrum``):
+P(m) = sum_{|k|^2 = m} |fhat(k)|^2, m = 0 ... 3 (n/2)^2 (``ShellSpectrum``),
+summed over the half lattice with each plane's Plancherel multiplicity:
     ||f||_{Hs}^2 = sum_{m > 0} (2 pi sqrt(m))^{2s} P(m)  (m = 0 too at s = 0),
     ||e^{t lap} f||_{L2}^2 = sum_m exp(-8 pi^2 m t) P(m).
 Lebesgue norms are equal-weight grid quadratures of the pointwise
@@ -9,7 +10,7 @@ Euclidean magnitude |u(x)|.  The heat-kernel Besov norm B^{-s}_{p,inf}
 is sup_{t>0} t^{s/2} ||e^{t lap} u||_{Lp}, discretized by a log-spaced
 coarse scan plus bounded refinement around the interior maximum; p = 2
 evaluates the spectrum at each t with no transform, p != 2 transforms
-e^{t lap} u.
+e^{t lap} u, its multiplier gathered from one exp per shell.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from .field import (
     curl,
     divergence_defect,
     gradient_of_component,
-    heat_semigroup,
+    irfft3,
     is_mean_zero,
     partial3,
-    require_hermitian,
     strain,
     to_physical,
 )
@@ -47,17 +47,19 @@ def _require_divergence_free(u: SpectralVectorField, context: str) -> None:
 
 class ShellSpectrum:
     """Shell-summed spectrum P_c(m) = sum_{|k|^2 = m} |c_c(k)|^2 of each
-    component c of a coefficient array (c, n, n, n), Nyquist modes
-    included, with the k = 0 mean-zero test of the array recorded."""
+    component c of a half-spectrum array (c, n, n, n/2 + 1), planes weighted
+    by multiplicity, with the largest |c| and the k = 0 mean-zero test."""
 
-    def __init__(self, grid: GridSpec, coeffs: np.ndarray):
-        power = np.abs(coeffs)
+    def __init__(self, grid: GridSpec, half: np.ndarray):
+        power = np.abs(half)
+        self.peak = float(np.max(power))
         self.mean_zero = is_mean_zero(power, MEAN_TOL)
         np.square(power, out=power)
+        power *= grid.multiplicity
         size = 3 * (grid.n // 2) ** 2 + 1
-        shells = grid.k_sq.astype(np.int64).ravel()
+        self._shells = grid.k_sq.astype(np.int64)
         self.power = np.stack(
-            [np.bincount(shells, weights=p.ravel(), minlength=size) for p in power]
+            [np.bincount(self._shells.ravel(), weights=p.ravel(), minlength=size) for p in power]
         )
         self._m = np.arange(size, dtype=float)
 
@@ -76,10 +78,14 @@ class ShellSpectrum:
         decay = np.exp(-8 * np.pi**2 * self._m * t)
         return math.sqrt(float(np.dot(decay, self.power.sum(axis=0))))
 
+    def heat_multiplier(self, t: float) -> np.ndarray:
+        """exp(-4 pi^2 |k|^2 t) on the half lattice, one exp per shell."""
+        return np.exp(-4 * np.pi**2 * self._m * t)[self._shells]
+
 
 def sobolev_norm(u: SpectralVectorField, s: float) -> float:
     """Homogeneous Sobolev norm of order s on the torus."""
-    return math.sqrt(ShellSpectrum(u.grid, u.coeffs).sobolev_sq(s).sum())
+    return math.sqrt(ShellSpectrum(u.grid, u.half).sobolev_sq(s).sum())
 
 
 def lebesgue_norm(u: SpectralVectorField, p: float) -> float:
@@ -124,18 +130,19 @@ def besov_norm(
     s: float,
     p: float,
     cfg: BesovSearchConfig = BesovSearchConfig(),
+    spectrum: ShellSpectrum | None = None,
 ) -> BesovResult:
-    """Heat-kernel Besov norm B^{-s}_{p,inf} with the maximizing time."""
+    """Heat-kernel Besov norm B^{-s}_{p,inf} with the maximizing time.
+    ``spectrum`` is u's ``ShellSpectrum``, when the caller has already made it."""
     if s <= 0:
         raise ValueError(f"besov norm is defined for smoothness s > 0, got {s}")
-    if not is_mean_zero(np.abs(u.coeffs), MEAN_TOL):
+    spectrum = ShellSpectrum(u.grid, u.half) if spectrum is None else spectrum
+    if not spectrum.mean_zero:
         raise ValueError("besov norm requires a mean-zero field")
-    if float(np.max(np.abs(u.coeffs))) == 0.0:
+    if spectrum.peak == 0.0:
         return BesovResult(0.0, cfg.t_min)
 
     if p == 2:
-        require_hermitian(u.coeffs)  # as the transform path checks
-        spectrum = ShellSpectrum(u.grid, u.coeffs)
 
         def objective(t: float) -> float:
             return t ** (s / 2.0) * spectrum.heat_l2(t)
@@ -143,7 +150,8 @@ def besov_norm(
     else:
 
         def objective(t: float) -> float:
-            return t ** (s / 2.0) * lebesgue_norm(heat_semigroup(u, t), p)
+            flowed = irfft3(u.half * spectrum.heat_multiplier(t), u.grid.n)
+            return t ** (s / 2.0) * samples_lebesgue_norm(flowed, p)
 
     ts = np.geomspace(cfg.t_min, cfg.t_max, cfg.coarse_points)
     values = np.array([objective(t) for t in ts])
@@ -178,8 +186,8 @@ class FieldSummary:
 def field_summary(u: SpectralVectorField) -> FieldSummary:
     """FieldSummary of a divergence-free velocity field, with no transform."""
     _require_divergence_free(u, "field summary")
-    velocity = ShellSpectrum(u.grid, u.coeffs)
-    vorticity = ShellSpectrum(u.grid, curl(u).coeffs)
+    velocity = ShellSpectrum(u.grid, u.half)
+    vorticity = ShellSpectrum(u.grid, curl(u).half)
     return FieldSummary(
         K=0.5 * float(velocity.sobolev_sq(0).sum()),
         E=0.5 * float(vorticity.sobolev_sq(0).sum()),
@@ -191,7 +199,7 @@ def field_summary(u: SpectralVectorField) -> FieldSummary:
 
 def horizontal(v: SpectralVectorField) -> SpectralVectorField:
     """(v1, v2, 0) as a new field; the first two components are v's exactly."""
-    c = v.coeffs
+    c = v.half
     return SpectralVectorField(v.grid, np.concatenate((c[:2], np.zeros_like(c[2:]))))
 
 
@@ -226,7 +234,7 @@ def horizontal_parts(u: SpectralVectorField) -> HorizontalParts:
 def p2d_split(u: SpectralVectorField) -> tuple[SpectralVectorField, SpectralVectorField]:
     """Vertical-average projection (k3 = 0 plane, remainder); they sum to u exactly."""
     plane = u.grid.k[2] == 0
-    return tuple(SpectralVectorField(u.grid, u.coeffs * part) for part in (plane, ~plane))
+    return tuple(SpectralVectorField(u.grid, u.half * part) for part in (plane, ~plane))
 
 
 @dataclass(frozen=True)
@@ -273,4 +281,4 @@ def cone_filter(
     inside = np.abs(k3) < eps * r
     inside = inside | ((r == 0) & (k3 == 0))
     mask = inside if part is ConePart.INSIDE else ~inside
-    return SpectralVectorField(u.grid, u.coeffs * mask)
+    return SpectralVectorField(u.grid, u.half * mask)

@@ -20,8 +20,8 @@ transforms of the band, zero-padded to the half spectrum, and 3 forward ones
 cropped back to it, all through the package's transform pair
 ``field.irfft3`` / ``field.rfft3``; the curl, each row's strain and the
 projection's k.c are ``field``'s multiplier kernels applied to the band.
-``run`` converts from and to the full-spectrum ``SpectralVectorField`` only
-at entry and exit.  (u.grad)u and omega x u differ by the gradient
+``run`` crops the band from a ``SpectralVectorField``'s half spectrum at entry
+and pads it back at exit.  (u.grad)u and omega x u differ by the gradient
 grad(|u|^2/2), which the Leray projection P removes.  Under the 2/3 rule
 every product is alias-free, so the rotational form equals the convective
 form ``field.advection`` to roundoff.  With ``dealias="none"`` the two forms
@@ -56,7 +56,7 @@ from .field import (
     INITIAL_MEAN_TOL, T_END_LATTICE_TOL, SpectralVectorField, StrainField, curl_coeffs,
     divergence_defect, irfft3, is_mean_zero, k_dot, rfft3, strain_coeffs,
 )
-from .grid import GridSpec, full_spectrum
+from .grid import GridSpec, conjugate_planes
 from .norms import samples_lebesgue_norm
 
 CSV_COLUMNS = [
@@ -132,13 +132,12 @@ class DiagnosticsSeries:
 
     @functools.cached_property
     def final_field(self) -> SpectralVectorField | None:
-        """The last state on the full lattice, built on first access: ``simulate``
-        never reads it, and at n=64 padding and mirroring it takes 16 ms and a
-        31 MB peak of arrays."""
+        """The last state padded to the half spectrum, built on first access:
+        ``simulate`` never reads it."""
         if self._final_state is None:
             return None
         grid, lat, band = self._final_state
-        return SpectralVectorField(grid, full_spectrum(lat.pad(band), grid.n))
+        return SpectralVectorField(grid, conjugate_planes(lat.pad(band)))
 
     def to_csv(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -181,7 +180,7 @@ class _Lattice(NamedTuple):
     k_deriv: tuple[np.ndarray, np.ndarray, np.ndarray]  # Nyquist zeroed
     k_sq: np.ndarray
     inv_kderiv_sq: np.ndarray  # 1/|k_deriv|^2, 0 where k_deriv = 0
-    multiplicity: np.ndarray  # Plancherel weight: 1 on k3 = 0, n/2, else 2
+    multiplicity: np.ndarray  # Plancherel weight: 1 on k3 = 0, n/2, else 2 (the grid's)
     omega_h_weight: np.ndarray  # 1/(2 pi |k|), 0 at k = 0
 
     def pad(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -195,7 +194,7 @@ class _Lattice(NamedTuple):
         return out
 
     def crop(self, coeffs: np.ndarray) -> np.ndarray:
-        """The band of full- or half-spectrum coefficients (k3 = 0 first)."""
+        """The band of half-spectrum coefficients (k3 = 0 first)."""
         out = np.empty(coeffs.shape[:-3] + self.shape, dtype=complex)
         for b, s in self.pieces:
             out[b] = coeffs[s]
@@ -227,17 +226,15 @@ def _lattice(grid: GridSpec, dealias_rule: str) -> _Lattice:
         for b1, s1 in halves
         for b2, s2 in halves
     )
-    kline = np.concatenate([np.arange(lo), np.arange(-hi, 0)]).astype(float)
-    k3line = np.arange(m, dtype=float)
-    k = (kline.reshape(-1, 1, 1), kline.reshape(1, -1, 1), k3line.reshape(1, 1, -1))
-    k_deriv = tuple(np.where(np.abs(ki) == n // 2, 0.0, ki) for ki in k)
-    k_sq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    rows = np.r_[0:lo, n - hi : n]  # the band's k1 and k2 rows of the grid's lattice
+    k_deriv = (grid.k_deriv[0][rows], grid.k_deriv[1][:, rows], grid.k_deriv[2][..., :m])
+    k_sq = grid.k_sq[np.ix_(rows, rows, np.arange(m))]
     kd_sq = k_deriv[0] ** 2 + k_deriv[1] ** 2 + k_deriv[2] ** 2
-    multiplicity = np.where((k3line == 0) | (k3line == n // 2), 1.0, 2.0).reshape(1, 1, m)
+    multiplicity = grid.multiplicity[..., :m]
     with np.errstate(divide="ignore"):
         inv_kderiv_sq = np.where(kd_sq == 0, 0.0, 1.0 / kd_sq)
         omega_h_weight = np.where(k_sq == 0, 0.0, 1.0 / (2 * np.pi * np.sqrt(k_sq)))
-    for a in (*k_deriv, k_sq, inv_kderiv_sq, multiplicity, omega_h_weight):
+    for a in (*k_deriv, k_sq, inv_kderiv_sq, omega_h_weight):
         a.setflags(write=False)
     return _Lattice(
         n, (lo + hi, lo + hi, m), pieces, k_deriv, k_sq, inv_kderiv_sq,
@@ -251,10 +248,10 @@ def rhs(u: SpectralVectorField, nu: float, dealias_rule: str = "two_thirds") -> 
     truncates its initial data."""
     grid = u.grid
     lat = _lattice(grid, dealias_rule)
-    c = lat.crop(u.coeffs)
+    c = lat.crop(u.half)
     tendency = nonlinear_term(c, grid, dealias_rule)
     tendency -= nu * 4 * np.pi**2 * lat.k_sq * c
-    return SpectralVectorField(grid, full_spectrum(lat.pad(tendency), grid.n))
+    return SpectralVectorField(grid, conjugate_planes(lat.pad(tendency)))
 
 
 def nonlinear_term(
@@ -346,14 +343,14 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
     """Integrate to t_end, recording diagnostics every record_stride steps."""
     if u0.grid.n != cfg.grid.n:
         raise ValueError("initial data grid does not match the solver grid")
-    if not is_mean_zero(np.abs(u0.coeffs), INITIAL_MEAN_TOL):
+    if not is_mean_zero(np.abs(u0.half), INITIAL_MEAN_TOL):
         raise ValueError("initial data must be mean-zero")
     if divergence_defect(u0) > DIVFREE_TOL:
         raise ValueError("initial data must be divergence-free")
 
     grid = cfg.grid
     lat = _lattice(grid, cfg.dealias)
-    u = lat.crop(u0.coeffs)
+    u = lat.crop(u0.half)
     u[:, 0, 0, 0] = 0.0
 
     n_steps = cfg.n_steps

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from almost2d import GridSpec, horizontal_parts, lebesgue_norm
+from almost2d import GridSpec, SpectralVectorField, horizontal_parts, lebesgue_norm
 from almost2d.families import random_divergence_free
 from almost2d.field import HERMITIAN_TOL, StrainField, curl_coeffs, irfft3, k_dot, rfft3
-from almost2d.grid import mirror_conjugate
 from almost2d.solver import _lattice
 from almost2d.wholespace import QuadratureSpec
 
@@ -40,15 +39,60 @@ def random_physical(grid, seed):
     return rng.standard_normal((3, grid.n, grid.n, grid.n))
 
 
+def full_coeffs(x):
+    """Full-lattice coefficients (..., n, n, n) of a field (or of a half-spectrum
+    array), rebuilt by a ``numpy.fft`` round trip, irfftn then fftn: an oracle
+    independent of the package's transform pair and of its mirroring.  Fresh
+    and writable; exact zeros of the half come back as roundoff."""
+    half = x.half if isinstance(x, SpectralVectorField) else x
+    n = half.shape[-2]
+    axes = (-3, -2, -1)
+    return np.fft.fftn(np.fft.irfftn(half, s=(n, n, n), axes=axes), axes=axes)
+
+
+def full_wavenumbers(n):
+    """Integer wavenumbers of the full (n, n, n) lattice, numpy FFT order."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    return k[:, None, None], k[None, :, None], k[None, None, :]
+
+
+def _reflect(a):
+    """a(-k) over the last three axes of a full coefficient array."""
+    for axis in (-3, -2, -1):
+        a = np.roll(np.flip(a, axis=axis), 1, axis=axis)
+    return a
+
+
 def hermitian_defect(coeffs):
-    """Max |c(k) - conj(c(-k))|, zero for coefficients of a real field."""
-    return float(np.max(np.abs(coeffs - mirror_conjugate(coeffs))))
+    """Max |c(k) - conj(c(-k))| of a full array, zero for a real field."""
+    return float(np.max(np.abs(coeffs - np.conj(_reflect(coeffs)))))
+
+
+def hermitian_part(coeffs):
+    """0.5 (c(k) + conj c(-k)) of a full array."""
+    return 0.5 * (coeffs + np.conj(_reflect(coeffs)))
+
+
+def plane_defect(half):
+    """Max |c(k) - conj c(-k)| over the self-conjugate planes k3 = 0 and n/2
+    of a half-spectrum array: zero when the field it stores is real."""
+    n = half.shape[-2]
+    neg = -np.arange(n) % n
+    planes = (half[..., 0], half[..., n // 2])
+    return max(float(np.max(np.abs(p - np.conj(p[..., neg, :][..., neg])))) for p in planes)
 
 
 def half_spectrum(coeffs):
     """The k3 >= 0 half (``numpy.fft.rfftn`` layout) of a coefficient array."""
     n = coeffs.shape[-1]
     return coeffs[..., : n // 2 + 1].copy()
+
+
+def zeroed(u, index):
+    """A copy of field u with ``u.half[index]`` set to zero."""
+    half = u.half.copy()
+    half[index] = 0.0
+    return SpectralVectorField(u.grid, half)
 
 
 def nonlinear_term_oracle(u_hat, grid, dealias_rule="two_thirds"):
@@ -75,9 +119,10 @@ def nonlinear_term_oracle(u_hat, grid, dealias_rule="two_thirds"):
 
 
 def scalar_to_physical(grid, coeffs):
-    """Inverse transform of a scalar coefficient array, real part returned."""
+    """Inverse transform of a half-spectrum scalar coefficient array, through
+    the full array of ``full_coeffs``; real part returned."""
     n = grid.n
-    samples = np.fft.ifftn(coeffs) * n**3
+    samples = np.fft.ifftn(full_coeffs(coeffs)) * n**3
     scale = max(float(np.max(np.abs(samples.real))), 1e-300)
     if np.max(np.abs(samples.imag)) > HERMITIAN_TOL * max(scale, 1.0):
         raise ValueError("scalar field has a non-real inverse transform")
@@ -87,13 +132,15 @@ def scalar_to_physical(grid, coeffs):
 def strain_sobolev_norm(s_field, s):
     """Frobenius Sobolev norm of the strain, off-diagonals counted twice,
     summed over the full lattice with its own weight (2 pi |k|)^{2s}."""
-    kabs = np.sqrt(s_field.grid.k_sq)
+    k1, k2, k3 = full_wavenumbers(s_field.grid.n)
+    kabs = np.sqrt(k1**2 + k2**2 + k3**2)
     weight = (2 * np.pi * np.where(kabs == 0, 1.0, kabs)) ** (2 * s)
     if s != 0:
         weight[0, 0, 0] = 0.0
+    comps = full_coeffs(s_field.comps)
     total = 0.0
     for slot, w in enumerate(StrainField.FROBENIUS_WEIGHTS):
-        total += w * float(np.sum(weight * np.abs(s_field.comps[slot]) ** 2))
+        total += w * float(np.sum(weight * np.abs(comps[slot]) ** 2))
     return math.sqrt(total)
 
 

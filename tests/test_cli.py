@@ -298,7 +298,7 @@ class TestCliDefects:
     def test_annulus_sweep_rejects_a_nonzero_mean(self, capsys, monkeypatch):
         def with_mean(n, grid):
             w = annulus_analog(n, grid)
-            coeffs = w.coeffs.copy()
+            coeffs = w.half.copy()
             coeffs[2, 0, 0, 0] = 0.5
             return SpectralVectorField(grid, coeffs)
 

@@ -26,7 +26,7 @@ from almost2d.criteria import (
     iftimie_check,
 )
 from almost2d.norms import field_summary, horizontal, horizontal_parts, p2d_split
-from conftest import seeded_fields
+from conftest import seeded_fields, zeroed
 
 
 class TestConstants:
@@ -181,8 +181,7 @@ class TestGamma2dLp:
 def _gamma2d_lp_scalars_of(w, nu):
     from almost2d.norms import lebesgue_norm
 
-    wh = w.copy()
-    wh.coeffs[2] = 0.0
+    wh = zeroed(w, 2)
     rep = gamma2d_lp_from_norms(
         lebesgue_norm(wh, 1.5), lebesgue_norm(w, 1.2), lebesgue_norm(w, 2.0), nu
     )
@@ -297,6 +296,6 @@ def test_checks_and_splits_leave_inputs_untouched(grid16):
         (horizontal, w),
     ]
     for fn, field in calls:
-        saved = field.coeffs.copy()
+        saved = field.half.copy()
         fn(field)
-        assert np.array_equal(field.coeffs, saved)
+        assert np.array_equal(field.half, saved)

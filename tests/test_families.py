@@ -24,7 +24,7 @@ from almost2d import (
 from almost2d.families import helical_base_vorticity, random_divergence_free
 from almost2d.field import divergence_defect
 from almost2d.norms import lebesgue_norm as LN
-from conftest import hermitian_defect
+from conftest import full_coeffs, full_wavenumbers, plane_defect, zeroed
 
 
 ALL_GENERATORS = [
@@ -42,8 +42,8 @@ class TestCommonInvariants:
     def test_divergence_free_and_hermitian(self, grid32, make):
         u = make(grid32)
         assert divergence_defect(u) <= 1e-12
-        assert hermitian_defect(u.coeffs) <= 1e-13 * np.max(np.abs(u.coeffs))
-        assert np.max(np.abs(u.coeffs[:, 0, 0, 0])) == 0.0
+        assert plane_defect(u.half) <= 1e-13 * np.max(np.abs(u.half))
+        assert np.max(np.abs(u.half[:, 0, 0, 0])) == 0.0
 
 
 class TestTaylorGreen:
@@ -59,7 +59,7 @@ class TestTaylorGreen:
 
     def test_no_horizontal_vorticity(self, grid32):
         parts = horizontal_parts(taylor_green_2d(grid32))
-        assert np.max(np.abs(parts.omega_h.coeffs)) == 0.0
+        assert np.max(np.abs(full_coeffs(parts.omega_h))) == 0.0
 
     def test_criterion_passes_for_any_viscosity(self, grid32):
         for nu in (1e-3, 0.1, 10.0):
@@ -75,7 +75,7 @@ class TestUnFamily:
         )
         assert sobolev_norm(u, 0.5) ** 2 == pytest.approx(n**2 + 2, rel=1e-10)
         two_d, _ = p2d_split(u)
-        assert np.max(np.abs(two_d.coeffs)) == 0.0
+        assert np.max(np.abs(full_coeffs(two_d))) == 0.0
 
     def test_unresolved_mode_rejected(self, grid16):
         with pytest.raises(ValueError, match="not resolved"):
@@ -101,7 +101,7 @@ class TestLargeAlmost2d:
 
     def test_underflow_makes_exactly_2d(self, grid32):
         u = large_almost_2d(4, grid32)
-        assert np.max(np.abs(horizontal_parts(u).omega_h.coeffs)) == 0.0
+        assert np.max(np.abs(full_coeffs(horizontal_parts(u).omega_h))) == 0.0
         assert gamma2d_check(u, 1.0).lhs == 0.0
 
     def test_endpoint_besov_grows(self, grid32):
@@ -117,7 +117,7 @@ class TestTwoDPlusPerturbation:
         v2d = taylor_green_2d(grid32)
         w = random_divergence_free(grid32, 5, kmax=4)
         u = two_d_plus_perturbation(v2d, w, 0.0)
-        assert np.max(np.abs(u.coeffs - v2d.coeffs)) == 0.0
+        assert np.max(np.abs(full_coeffs(u) - full_coeffs(v2d))) == 0.0
 
     def test_projection_linearity(self, grid32):
         v2d = taylor_green_2d(grid32)
@@ -126,8 +126,9 @@ class TestTwoDPlusPerturbation:
         u = two_d_plus_perturbation(v2d, w, delta)
         two_d_u, perp_u = p2d_split(u)
         two_d_w, perp_w = p2d_split(w)
-        assert np.max(np.abs(two_d_u.coeffs - v2d.coeffs - delta * two_d_w.coeffs)) < 1e-14
-        assert np.max(np.abs(perp_u.coeffs - delta * perp_w.coeffs)) < 1e-14
+        full = full_coeffs
+        assert np.max(np.abs(full(two_d_u) - full(v2d) - delta * full(two_d_w))) < 1e-14
+        assert np.max(np.abs(full(perp_u) - delta * full(perp_w))) < 1e-14
 
     def test_criterion_lhs_linear_in_delta(self, grid32):
         """Halving delta halves omega_h when the perturbation carries all of
@@ -163,10 +164,8 @@ class TestRescaledVorticity:
         r = rescaled_vorticity(base, m, 1.0)
         eps = 1.0 / m
         prefactor = eps ** (2 / 3) * math.log(m) ** 0.25
-        base_h = base.copy()
-        base_h.coeffs[2] = 0.0
-        base_3 = base.copy()
-        base_3.coeffs[:2] = 0.0
+        base_h = zeroed(base, 2)
+        base_3 = zeroed(base, slice(0, 2))
         expected_h = prefactor * eps * eps ** (-1 / q) * LN(base_h, q)
         expected_3 = prefactor * eps ** (-1 / q) * LN(base_3, q)
         assert r.component_lebesgue_norm("horizontal", q) == pytest.approx(
@@ -180,8 +179,7 @@ class TestRescaledVorticity:
         base = helical_base_vorticity(grid32)
         m, a = 4, 1.0
         r = rescaled_vorticity(base, m, a)
-        base_h = base.copy()
-        base_h.coeffs[2] = 0.0
+        base_h = zeroed(base, 2)
         eps = 1.0 / m
         expected = eps * math.log(m**a) ** 0.25 * LN(base_h, 1.5)
         assert r.component_lebesgue_norm("horizontal", 1.5) == pytest.approx(
@@ -196,8 +194,7 @@ class TestRescaledVorticity:
         ]
         assert values[0] < values[1] < values[2]
         # closed form: log(m)^(1/4) ||omega3||_{3/2}
-        base_3 = base.copy()
-        base_3.coeffs[:2] = 0.0
+        base_3 = zeroed(base, slice(0, 2))
         for m, value in zip((2, 4, 8), values):
             assert value == pytest.approx(
                 math.log(m) ** 0.25 * LN(base_3, 1.5), rel=1e-8
@@ -211,9 +208,10 @@ class TestRescaledVorticity:
 class TestAnnulusAnalog:
     def test_solenoidal_mode_by_mode(self, grid32):
         w = annulus_analog(6, grid32)
-        k1, k2, k3 = grid32.k
-        dot = k1 * w.coeffs[0] + k2 * w.coeffs[1] + k3 * w.coeffs[2]
-        assert np.max(np.abs(dot)) <= 1e-12 * np.max(np.abs(w.coeffs))
+        k1, k2, k3 = full_wavenumbers(32)
+        c = full_coeffs(w)
+        dot = k1 * c[0] + k2 * c[1] + k3 * c[2]
+        assert np.max(np.abs(dot)) <= 1e-12 * np.max(np.abs(c))
 
     def test_small_index_rejected(self, grid32):
         with pytest.raises(ValueError, match=">= 3"):
@@ -230,8 +228,7 @@ class TestAnnulusAnalog:
             w = annulus_analog(n, grid32)
             K0 = 0.5 * sobolev_norm(w, -1.0) ** 2
             E0 = 0.5 * sobolev_norm(w, 0.0) ** 2
-            w_h = w.copy()
-            w_h.coeffs[2] = 0.0
+            w_h = zeroed(w, 2)
             values.append(
                 sobolev_norm(w_h, -0.5) * math.exp(K0 * E0 / r2)
             )

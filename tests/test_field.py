@@ -20,17 +20,24 @@ from almost2d import (
     to_physical,
     to_spectral,
 )
+from almost2d import families, rhs, run, SolverConfig
 from almost2d import field as field_module, grid as grid_module
-from almost2d.field import HERMITIAN_TOL, divergence, divergence_defect, require_hermitian
-from almost2d.grid import full_spectrum, hermitian_symmetrize
+from almost2d.field import HERMITIAN_TOL, divergence, divergence_defect, from_full_coeffs
+from almost2d.fieldio import read_field, write_field
+from almost2d.norms import field_summary
+from almost2d.grid import conjugate_planes
 from almost2d.norms import sobolev_norm
 from conftest import (
-    half_spectrum,
+    full_coeffs,
+    full_wavenumbers,
     hermitian_defect,
+    hermitian_part,
+    plane_defect,
     random_physical,
     scalar_to_physical,
     seeded_fields,
     strain_sobolev_norm,
+    zeroed,
 )
 
 
@@ -39,8 +46,8 @@ class TestTransforms:
         samples = np.zeros((3, 16, 16, 16))
         samples[0] = 2.5
         u = to_spectral(PhysicalVectorField(grid16, samples))
-        assert u.coeffs[0, 0, 0, 0] == pytest.approx(2.5, abs=1e-14)
-        other = u.coeffs.copy()
+        assert u.half[0, 0, 0, 0] == pytest.approx(2.5, abs=1e-14)
+        other = full_coeffs(u)
         other[0, 0, 0, 0] = 0.0
         assert np.max(np.abs(other)) < 1e-14
 
@@ -50,9 +57,10 @@ class TestTransforms:
         samples = np.zeros((3, 8, 8, 8))
         samples[0] = np.cos(2 * np.pi * x1)
         u = to_spectral(PhysicalVectorField(grid, samples))
-        assert u.coeffs[0, 1, 0, 0] == pytest.approx(0.5, abs=1e-14)
-        assert u.coeffs[0, -1, 0, 0] == pytest.approx(0.5, abs=1e-14)
-        assert abs(u.coeffs[1]).max() < 1e-14
+        full = full_coeffs(u)
+        assert full[0, 1, 0, 0] == pytest.approx(0.5, abs=1e-14)
+        assert full[0, -1, 0, 0] == pytest.approx(0.5, abs=1e-14)
+        assert abs(full[1]).max() < 1e-14
 
     def test_roundtrip_random(self, grid16):
         f = PhysicalVectorField(grid16, random_physical(grid16, 3))
@@ -63,7 +71,7 @@ class TestTransforms:
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[2, 0, 1, 0] = 0.5
         coeffs[2, 0, -1, 0] = 0.5
-        u = SpectralVectorField(grid16, coeffs)
+        u = from_full_coeffs(grid16, coeffs)
         _, x2, _ = grid16.coordinates()
         expected = np.cos(2 * np.pi * x2) * np.ones((16, 16, 16))
         assert np.max(np.abs(to_physical(u).samples[2] - expected)) < 1e-13
@@ -71,12 +79,12 @@ class TestTransforms:
     def test_dc_only_gives_constant_samples(self, grid16):
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[:, 0, 0, 0] = [1.0, 2.0, 3.0]
-        samples = to_physical(SpectralVectorField(grid16, coeffs)).samples
+        samples = to_physical(from_full_coeffs(grid16, coeffs)).samples
         for c, value in enumerate((1.0, 2.0, 3.0)):
             assert np.max(np.abs(samples[c] - value)) < 1e-13
 
     def test_zero_coefficients_zero_samples(self, grid16):
-        u = SpectralVectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
+        u = from_full_coeffs(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
         assert np.max(np.abs(to_physical(u).samples)) == 0.0
 
     def test_nonfinite_samples_rejected(self, grid16):
@@ -89,23 +97,23 @@ class TestTransforms:
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[0, 1, 0, 0] = 1.0  # no conjugate partner
         with pytest.raises(ValueError, match="Hermitian"):
-            to_physical(SpectralVectorField(grid16, coeffs))
+            from_full_coeffs(grid16, coeffs)
 
     def test_read_path_does_not_symmetrize(self, grid16, monkeypatch):
-        """to_spectral mirrors the rfftn half; the roll-based symmetrizer is
-        not called, and the result is exactly Hermitian."""
+        """to_spectral keeps the rfftn half: no full array is checked, and its
+        self-conjugate planes are exactly Hermitian."""
 
-        def forbidden(coeffs):
-            raise AssertionError("hermitian_symmetrize called on the read path")
+        def forbidden(*args):
+            raise AssertionError("full-spectrum check on the read path")
 
-        monkeypatch.setattr(field_module, "hermitian_symmetrize", forbidden)
-        monkeypatch.setattr(grid_module, "hermitian_symmetrize", forbidden)
+        monkeypatch.setattr(field_module, "hermitian_defect", forbidden)
+        monkeypatch.setattr(grid_module, "hermitian_defect", forbidden)
         u = to_spectral(PhysicalVectorField(grid16, random_physical(grid16, 12)))
-        assert hermitian_defect(u.coeffs) == 0.0
+        assert plane_defect(u.half) == 0.0
 
 
 class TestHermitianCheck:
-    """require_hermitian tests max_k |c(k) - conj c(-k)| = 2 max |a| for the
+    """from_full_coeffs tests max_k |c(k) - conj c(-k)| = 2 max |a| for the
     anti-Hermitian part a(k) = (c(k) - conj c(-k)) / 2, against
     HERMITIAN_TOL * max(rms, 1).  The imaginary residue of a complex inverse
     transform, the earlier test, is max_x |sum_k a(k) e(k.x)|: at least
@@ -116,7 +124,7 @@ class TestHermitianCheck:
         rng = np.random.default_rng(n)
         for shape in [(3, n, n, n), (n, n, n), (6, n, n, n)]:
             noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            for coeffs in (noise, hermitian_symmetrize(noise), noise.real):
+            for coeffs in (noise, hermitian_part(noise), noise.real):
                 assert grid_module.hermitian_defect(coeffs) == hermitian_defect(coeffs)
 
     def test_spread_anti_hermitian_part_is_accepted(self, grid16):
@@ -125,12 +133,12 @@ class TestHermitianCheck:
         rejected.  The verdict of the coefficient test is pinned here."""
         (u,) = seeded_fields(grid16, 1, base_seed=17)
         eps = 1e-11
-        coeffs = u.coeffs + 1j * eps
+        coeffs = full_coeffs(u) + 1j * eps
         residue = np.max(np.abs(np.fft.ifftn(coeffs, axes=(1, 2, 3)).imag)) * 16**3
         assert residue == pytest.approx(eps * 16**3, rel=1e-6)
         assert residue > HERMITIAN_TOL * max(np.max(np.abs(to_physical(u).samples)), 1.0)
         assert grid_module.hermitian_defect(coeffs) == pytest.approx(2 * eps, rel=1e-3)
-        samples = to_physical(SpectralVectorField(grid16, coeffs)).samples
+        samples = to_physical(from_full_coeffs(grid16, coeffs)).samples
         assert np.max(np.abs(samples - to_physical(u).samples)) <= 2 * eps * 16**3
 
     def test_threshold_scales_with_the_rms(self, grid16):
@@ -138,37 +146,37 @@ class TestHermitianCheck:
         the rms is below 1, and above HERMITIAN_TOL * rms when it is larger."""
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[0, 1, 2, 3] = 0.9 * HERMITIAN_TOL
-        require_hermitian(coeffs)
+        from_full_coeffs(grid16, coeffs)
         coeffs[0, 1, 2, 3] = 1.1 * HERMITIAN_TOL
         with pytest.raises(ValueError, match="Hermitian"):
-            require_hermitian(coeffs)
+            from_full_coeffs(grid16, coeffs)
         coeffs[1, 0, 0, 0] = 100.0  # rms 100
-        require_hermitian(coeffs)
+        from_full_coeffs(grid16, coeffs)
         coeffs[0, 1, 2, 3] = 101 * HERMITIAN_TOL
         with pytest.raises(ValueError, match="Hermitian"):
-            require_hermitian(coeffs)
+            from_full_coeffs(grid16, coeffs)
 
 
 class TestLerayProjection:
     def test_divergence_free_field_is_fixed(self, grid16):
         (u,) = seeded_fields(grid16, 1, base_seed=41)
         u_df, grad = leray_project(u)
-        assert np.max(np.abs(u_df.coeffs - u.coeffs)) < 1e-13
-        assert np.max(np.abs(grad.coeffs)) < 1e-13
+        assert np.max(np.abs(full_coeffs(u_df) - full_coeffs(u))) < 1e-13
+        assert np.max(np.abs(full_coeffs(grad))) < 1e-13
 
     def test_pure_gradient_is_removed(self, grid16):
         # gradient of cos(2 pi x1): coefficients parallel to (1,0,0)
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[0, 1, 0, 0] = 1j
         coeffs[0, -1, 0, 0] = -1j
-        v = SpectralVectorField(grid16, coeffs)
+        v = from_full_coeffs(grid16, coeffs)
         u_df, grad = leray_project(v)
-        assert np.max(np.abs(u_df.coeffs)) < 1e-14
-        assert np.max(np.abs(grad.coeffs - v.coeffs)) < 1e-14
+        assert np.max(np.abs(full_coeffs(u_df))) < 1e-14
+        assert np.max(np.abs(full_coeffs(grad) - full_coeffs(v))) < 1e-14
 
     def test_pythagoras_in_sobolev_norms(self, grid16):
         v = to_spectral(PhysicalVectorField(grid16, random_physical(grid16, 8)))
-        v.coeffs[:, 0, 0, 0] = 0.0
+        v = zeroed(v, (slice(None), 0, 0, 0))
         u_df, grad = leray_project(v)
         for s in (-0.5, 0.0, 0.5, 1.0):
             total = sobolev_norm(v, s) ** 2
@@ -179,15 +187,15 @@ class TestLerayProjection:
         v = to_spectral(PhysicalVectorField(grid16, random_physical(grid16, 9)))
         u_df, _ = leray_project(v)
         again, grad_again = leray_project(u_df)
-        assert np.max(np.abs(again.coeffs - u_df.coeffs)) < 1e-13
-        assert np.max(np.abs(grad_again.coeffs)) < 1e-13
+        assert np.max(np.abs(full_coeffs(again) - full_coeffs(u_df))) < 1e-13
+        assert np.max(np.abs(full_coeffs(grad_again))) < 1e-13
 
     def test_dc_mode_passes_to_divergence_free_part(self, grid16):
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[:, 0, 0, 0] = [1.0, 0.5, -2.0]
-        u_df, grad = leray_project(SpectralVectorField(grid16, coeffs))
-        assert np.allclose(u_df.coeffs[:, 0, 0, 0], [1.0, 0.5, -2.0])
-        assert np.max(np.abs(grad.coeffs)) == 0.0
+        u_df, grad = leray_project(from_full_coeffs(grid16, coeffs))
+        assert np.allclose(full_coeffs(u_df)[:, 0, 0, 0], [1.0, 0.5, -2.0])
+        assert np.max(np.abs(full_coeffs(grad))) == 0.0
 
 
 class TestDifferentialOperators:
@@ -196,12 +204,12 @@ class TestDifferentialOperators:
         rng = np.random.default_rng(5)
         phi = rng.standard_normal((16, 16, 16))
         phat = np.fft.fftn(phi) / 16**3
-        k1, k2, k3 = grid16.k_deriv
+        k1, k2, k3 = full_wavenumbers(16)
         for c, k in enumerate((k1, k2, k3)):
-            coeffs[c] = 2j * np.pi * k * phat
-        gradient = SpectralVectorField(grid16, coeffs)
+            coeffs[c] = 2j * np.pi * np.where(np.abs(k) == 8, 0.0, k) * phat
+        gradient = from_full_coeffs(grid16, coeffs)
         w = curl(gradient)
-        assert np.max(np.abs(w.coeffs)) < 1e-12 * np.max(np.abs(coeffs))
+        assert np.max(np.abs(full_coeffs(w))) < 1e-12 * np.max(np.abs(coeffs))
 
     def test_curl_taylor_green(self, grid32):
         w = curl(taylor_green_2d(grid32))
@@ -215,12 +223,12 @@ class TestDifferentialOperators:
         u = to_spectral(PhysicalVectorField(grid16, random_physical(grid16, 11)))
         w = curl(u)
         div = divergence(w)
-        assert np.max(np.abs(div)) < 1e-12 * np.max(np.abs(w.coeffs))
+        assert np.max(np.abs(div)) < 1e-12 * np.max(np.abs(full_coeffs(w)))
 
     def test_strain_of_constant_vanishes(self, grid16):
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[:, 0, 0, 0] = [1.0, 2.0, 3.0]
-        s = strain(SpectralVectorField(grid16, coeffs))
+        s = strain(from_full_coeffs(grid16, coeffs))
         assert np.max(np.abs(s.comps)) == 0.0
 
     def test_strain_single_shear_mode(self, grid16):
@@ -257,19 +265,19 @@ class TestDifferentialOperators:
 
 class TestBiotSavart:
     def test_zero_maps_to_zero(self, grid16):
-        w = SpectralVectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
-        assert np.max(np.abs(biot_savart(w).coeffs)) == 0.0
+        w = from_full_coeffs(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
+        assert np.max(np.abs(full_coeffs(biot_savart(w)))) == 0.0
 
     def test_inverts_curl(self, grid16):
         for u in seeded_fields(grid16, 3, base_seed=73):
             recovered = biot_savart(curl(u))
-            err = np.max(np.abs(recovered.coeffs - u.coeffs))
-            assert err < 1e-10 * np.max(np.abs(u.coeffs))
+            err = np.max(np.abs(full_coeffs(recovered) - full_coeffs(u)))
+            assert err < 1e-10 * np.max(np.abs(full_coeffs(u)))
 
     def test_taylor_green_vorticity_inverts(self, grid32):
         tg = taylor_green_2d(grid32)
         u = biot_savart(curl(tg))
-        assert np.max(np.abs(u.coeffs - tg.coeffs)) < 1e-12
+        assert np.max(np.abs(full_coeffs(u) - full_coeffs(tg))) < 1e-12
 
     def test_output_divergence_free(self, grid16):
         (u,) = seeded_fields(grid16, 1, base_seed=80)
@@ -280,35 +288,35 @@ class TestBiotSavart:
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="mean-zero"):
-            biot_savart(SpectralVectorField(grid16, coeffs))
+            biot_savart(from_full_coeffs(grid16, coeffs))
 
     def test_rejects_non_divergence_free(self, grid16):
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[0, 1, 0, 0] = 1.0
         coeffs[0, -1, 0, 0] = 1.0
         with pytest.raises(ValueError, match="divergence-free"):
-            biot_savart(SpectralVectorField(grid16, coeffs))
+            biot_savart(from_full_coeffs(grid16, coeffs))
 
 
 class TestHeatSemigroup:
     def test_t_zero_is_identity(self, grid16):
         (u,) = seeded_fields(grid16, 1, base_seed=90)
-        assert np.array_equal(heat_semigroup(u, 0.0).coeffs, u.coeffs)
+        assert np.array_equal(full_coeffs(heat_semigroup(u, 0.0)), full_coeffs(u))
 
     def test_single_mode_decay_factor(self, grid16):
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[1, 1, 0, 0] = 1.0
         coeffs[1, -1, 0, 0] = 1.0
-        u = SpectralVectorField(grid16, coeffs)
+        u = from_full_coeffs(grid16, coeffs)
         out = heat_semigroup(u, 1.0)
-        assert out.coeffs[1, 1, 0, 0] == pytest.approx(math.exp(-4 * math.pi**2))
+        assert full_coeffs(out)[1, 1, 0, 0] == pytest.approx(math.exp(-4 * math.pi**2))
 
     def test_semigroup_property(self, grid16):
         (u,) = seeded_fields(grid16, 1, base_seed=91)
         two_step = heat_semigroup(heat_semigroup(u, 0.3), 0.45)
         one_step = heat_semigroup(u, 0.75)
-        assert np.max(np.abs(two_step.coeffs - one_step.coeffs)) < 1e-12 * np.max(
-            np.abs(u.coeffs)
+        assert np.max(np.abs(full_coeffs(two_step) - full_coeffs(one_step))) < 1e-12 * np.max(
+            np.abs(full_coeffs(u))
         )
 
     def test_negative_time_rejected(self, grid16):
@@ -321,7 +329,7 @@ class TestPressure:
     def test_constant_velocity_zero_pressure(self, grid16):
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[:, 0, 0, 0] = [1.0, -1.0, 0.5]
-        assert np.max(np.abs(pressure(SpectralVectorField(grid16, coeffs)))) < 1e-14
+        assert np.max(np.abs(pressure(from_full_coeffs(grid16, coeffs)))) < 1e-14
 
     def test_taylor_green_closed_form(self, grid32):
         # For u = (sin cos, -cos sin, 0) the Poisson solve gives
@@ -348,50 +356,167 @@ class TestDealias:
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[0, 7, 0, 0] = 1.0
         coeffs[0, -7, 0, 0] = 1.0
-        out = dealias(SpectralVectorField(grid16, coeffs))
-        assert np.max(np.abs(out.coeffs)) == 0.0
+        out = dealias(from_full_coeffs(grid16, coeffs))
+        assert np.max(np.abs(full_coeffs(out))) == 0.0
 
     def test_idempotent(self, grid16):
         u = to_spectral(PhysicalVectorField(grid16, random_physical(grid16, 21)))
         once = dealias(u)
         twice = dealias(once)
-        assert np.array_equal(once.coeffs, twice.coeffs)
+        assert np.array_equal(full_coeffs(once), full_coeffs(twice))
 
 
 class TestHermitianPreservation:
     def test_every_operation_preserves_symmetry(self, grid16):
+        """The half spectrum is Hermitian wherever it holds a mode and its
+        mirror: on the planes k3 = 0 and k3 = n/2."""
         from almost2d.field import advection
 
         (u,) = seeded_fields(grid16, 1, base_seed=99)
         outputs = [
-            curl(u).coeffs,
-            leray_project(u)[0].coeffs,
-            heat_semigroup(u, 0.2).coeffs,
-            dealias(u).coeffs,
-            biot_savart(curl(u)).coeffs,
-            advection(u).coeffs,
+            curl(u).half,
+            leray_project(u)[0].half,
+            heat_semigroup(u, 0.2).half,
+            dealias(u).half,
+            biot_savart(curl(u)).half,
+            advection(u).half,
             pressure(u)[None],
         ]
         outputs.extend(strain(u).comps[None, slot] for slot in range(6))
         for coeffs in outputs:
             scale = max(np.max(np.abs(coeffs)), 1e-300)
-            assert hermitian_defect(coeffs) < 1e-13 * scale
+            assert plane_defect(coeffs) < 1e-13 * scale
 
     def test_parseval(self, grid16):
         f = PhysicalVectorField(grid16, random_physical(grid16, 33))
         u = to_spectral(f)
         physical = float(np.mean(np.sum(f.samples**2, axis=0)))
-        spectral = float(np.sum(np.abs(u.coeffs) ** 2))
+        spectral = float(np.sum(np.abs(full_coeffs(u)) ** 2))
         assert physical == pytest.approx(spectral, rel=1e-10)
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_half_spectrum_round_trip(self, n):
         grid = GridSpec(n)
         (u,) = seeded_fields(grid, 1, kmax=n // 2 - 1, base_seed=5)
-        half = half_spectrum(u.coeffs)
+        half = u.half
         assert half.shape == (3, n, n, n // 2 + 1)
-        assert np.array_equal(full_spectrum(half, n), u.coeffs)
-        # any half array maps to an exactly Hermitian full array
+        full = full_coeffs(u)
+        assert np.max(np.abs(full[..., : n // 2 + 1] - half)) < 1e-15 * np.max(np.abs(half))
+        assert hermitian_defect(full) < 1e-15 * np.max(np.abs(half))
+        # any half array with its planes made Hermitian is, exactly, the half
+        # spectrum of a real field: rfftn gives it back from its samples
         rng = np.random.default_rng(n)
         noise = rng.standard_normal(half.shape) + 1j * rng.standard_normal(half.shape)
-        assert hermitian_defect(full_spectrum(noise, n)) == 0.0
+        planes = conjugate_planes(noise.copy())
+        assert plane_defect(planes) == 0.0
+        axes = (-3, -2, -1)
+        back = np.fft.rfftn(np.fft.irfftn(planes, s=(n, n, n), axes=axes), axes=axes)
+        assert np.max(np.abs(back - planes)) < 1e-14 * np.max(np.abs(planes))
+
+
+FAMILIES = {
+    "taylor_green_2d": lambda g: families.taylor_green_2d(g, 0.5),
+    "un_family": lambda g: families.un_family(2, g),
+    "large_almost_2d": lambda g: families.large_almost_2d(1, g),
+    "annulus_analog": lambda g: families.annulus_analog(3, g),
+    "helical_base_vorticity": families.helical_base_vorticity,
+    "random_divergence_free": lambda g: families.random_divergence_free(g, 3, kmax=4),
+    "rescaled_vorticity": lambda g: families.rescaled_vorticity(
+        families.helical_base_vorticity(g), 2, 1.0).field,
+    "two_d_plus_perturbation": lambda g: families.two_d_plus_perturbation(
+        families.taylor_green_2d(g), families.random_divergence_free(g, 4, kmax=3), 0.1),
+}
+
+
+class TestImmutability:
+    """Fields are pure values: the array of every field the package returns
+    is read-only, so no caller can change a field another caller holds."""
+
+    def test_writing_into_a_returned_field_raises(self, grid16, tmp_path):
+        (u,) = seeded_fields(grid16, 1, kmax=4, amplitude=0.2, base_seed=500)
+        path = str(tmp_path / "u.field")
+        write_field(path, u)
+        w = curl(u)
+        series = run(u, SolverConfig(grid=grid16, nu=0.1, dt=1e-3, t_end=2e-3))
+        fields = {
+            "to_spectral": to_spectral(to_physical(u)),
+            "read_field": read_field(path),
+            "curl": w,
+            "biot_savart": biot_savart(w),
+            "leray_project": leray_project(u)[0],
+            "leray_project gradient part": leray_project(u)[1],
+            "heat_semigroup": heat_semigroup(u, 0.1),
+            "rhs": rhs(u, 0.1),
+            "final_field": series.final_field,
+            **{name: make(grid16) for name, make in FAMILIES.items()},
+        }
+        for field in fields.values():
+            with pytest.raises(ValueError, match="read-only"):
+                field.half[0, 1, 0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                field.half *= 2.0
+            with pytest.raises(AttributeError):
+                field.half = np.zeros_like(field.half)
+
+    def test_a_field_takes_its_array_read_only(self, grid16):
+        half = np.zeros((3, 16, 16, 9), dtype=complex)
+        SpectralVectorField(grid16, half)
+        with pytest.raises(ValueError, match="read-only"):
+            half[0, 1, 0, 0] = 1.0
+
+
+def full_lattice_summary(u):
+    """field_summary and sobolev_norm as sums over every point of the full
+    lattice, from numpy's full coefficients and a full-lattice curl."""
+    n = u.grid.n
+    k = full_wavenumbers(n)
+    ksq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    kd = [np.where(np.abs(ki) == n // 2, 0.0, ki) for ki in k]
+    c = full_coeffs(u)
+    w = 2j * np.pi * np.stack([kd[1] * c[2] - kd[2] * c[1], kd[2] * c[0] - kd[0] * c[2],
+                               kd[0] * c[1] - kd[1] * c[0]])
+    angular = 2 * np.pi * np.sqrt(np.where(ksq == 0, 1.0, ksq))
+    nonzero = ksq > 0
+
+    def weighted(coeffs, s):
+        weight = np.where(nonzero, angular ** (2 * s), 1.0 if s == 0 else 0.0)
+        return float(np.sum(weight * np.sum(np.abs(coeffs) ** 2, axis=0)))
+
+    summary = {
+        "K": 0.5 * weighted(c, 0),
+        "E": 0.5 * weighted(w, 0),
+        "hhalf": math.sqrt(weighted(c, 0.5)),
+        "h1": math.sqrt(weighted(c, 1.0)),
+        "omega_h_hminushalf": math.sqrt(weighted(w[:2], -0.5)),
+    }
+    return summary, {s: math.sqrt(weighted(c, s)) for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)}
+
+
+class TestLayoutOracle:
+    """The half-spectrum layout against full-lattice numpy sums.  The second
+    field of each grid carries the Nyquist planes, where the multiplicity
+    of k3 = n/2 is 1."""
+
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_summary_and_sobolev_norms_match_full_lattice_sums(self, n):
+        grid = GridSpec(n)
+        (seeded,) = seeded_fields(grid, 1, kmax=n // 2 - 1, base_seed=600 + n)
+        projected, _ = leray_project(to_spectral(PhysicalVectorField(grid, random_physical(grid, n))))
+        nyquist = zeroed(projected, (slice(None), 0, 0, 0))
+        assert np.max(np.abs(nyquist.half[..., n // 2])) > 0
+        for u in (seeded, nyquist):
+            want_summary, want_sobolev = full_lattice_summary(u)
+            got = field_summary(u)
+            for key, want in want_summary.items():
+                assert getattr(got, key) == pytest.approx(want, rel=1e-12), key
+            for s, want in want_sobolev.items():
+                assert sobolev_norm(u, s) == pytest.approx(want, rel=1e-12), s
+
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_to_spectral_planes_are_exactly_hermitian(self, n):
+        grid = GridSpec(n)
+        f = PhysicalVectorField(grid, random_physical(grid, 700 + n))
+        u = to_spectral(f)
+        assert plane_defect(u.half) == 0.0
+        back = to_physical(u).samples
+        assert np.max(np.abs(back - f.samples)) <= 1e-10 * np.max(np.abs(f.samples))

@@ -31,19 +31,24 @@ from almost2d.norms import (
     field_summary,
     horizontal,
 )
-from almost2d.families import set_mode_pair
-from conftest import seeded_fields, v3_omega_h_ratio
+from almost2d.families import large_almost_2d, set_mode_pair
+from almost2d.field import from_full_coeffs
+from conftest import full_coeffs, full_wavenumbers, seeded_fields, v3_omega_h_ratio, zeroed
+
+
+def half_zeros(grid):
+    return np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
 
 
 def single_mode_field(grid, k, value):
-    coeffs = np.zeros((3, grid.n, grid.n, grid.n), dtype=complex)
-    set_mode_pair(coeffs, grid, k, np.asarray(value, dtype=complex))
-    return SpectralVectorField(grid, coeffs)
+    half = half_zeros(grid)
+    set_mode_pair(half, grid, k, np.asarray(value, dtype=complex))
+    return SpectralVectorField(grid, half)
 
 
 class TestSobolevNorm:
     def test_zero_field(self, grid16):
-        u = SpectralVectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
+        u = from_full_coeffs(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
         for s in (-0.5, 0.0, 0.5, 1.0):
             assert sobolev_norm(u, s) == 0.0
 
@@ -66,7 +71,7 @@ class TestSobolevNorm:
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="mean-zero"):
-            sobolev_norm(SpectralVectorField(grid16, coeffs), -0.5)
+            sobolev_norm(from_full_coeffs(grid16, coeffs), -0.5)
 
     def test_matches_l2_at_order_zero(self, grid16):
         for u in seeded_fields(grid16, 3, base_seed=200):
@@ -86,7 +91,7 @@ class TestLebesgueNorm:
     def test_constant_field_every_p(self, grid16):
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[0, 0, 0, 0] = -1.5
-        u = SpectralVectorField(grid16, coeffs)
+        u = from_full_coeffs(grid16, coeffs)
         for p in (1.0, 1.5, 2.0, 4.0, np.inf):
             assert lebesgue_norm(u, p) == pytest.approx(1.5, rel=1e-12)
 
@@ -105,7 +110,7 @@ class TestLebesgueNorm:
 
 class TestBesovNorm:
     def test_zero_field(self, grid16):
-        u = SpectralVectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
+        u = from_full_coeffs(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
         assert besov_norm(u, 0.5, 2.0).value == 0.0
 
     @pytest.mark.parametrize("p", [2.0, 3.0, np.inf])
@@ -135,7 +140,7 @@ class TestBesovNorm:
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="mean-zero"):
-            besov_norm(SpectralVectorField(grid16, coeffs), 0.5, 2.0)
+            besov_norm(from_full_coeffs(grid16, coeffs), 0.5, 2.0)
 
     def test_nonpositive_smoothness_rejected(self, grid16):
         (u,) = seeded_fields(grid16, 1, base_seed=230)
@@ -143,20 +148,36 @@ class TestBesovNorm:
             besov_norm(u, 0.0, 2.0)
 
     def test_p2_makes_no_transform(self, grid16, transform_counts):
-        """The p = 2 objective and its Hermitian check are coefficient sums."""
+        """The p = 2 objective is a coefficient sum."""
         (w,) = seeded_fields(grid16, 1, base_seed=231)
         assert besov_norm(w, 0.5, 2.0).value > 0
         assert transform_counts == {"3d": 0, "other": 0}
 
     def test_non_hermitian_input_rejected_at_p2(self, grid16):
+        """A non-real field cannot reach the norm: the full array is rejected
+        where it enters."""
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[0, 1, 2, 3] = 1.0  # no conjugate partner at -k
         with pytest.raises(ValueError, match="Hermitian"):
-            besov_norm(SpectralVectorField(grid16, coeffs), 0.5, 2.0)
+            besov_norm(from_full_coeffs(grid16, coeffs), 0.5, 2.0)
+
+    def test_endpoint_norm_transform_count(self, grid32, monkeypatch):
+        """p = inf makes one irfft3 per objective evaluation, 64 coarse points
+        and 10 refinement steps here, and no transform for a Hermitian check.
+        The full-spectrum layout made the same 74 through ``to_physical``."""
+        from almost2d import norms as norms_module
+
+        calls = []
+        inverse = norms_module.irfft3
+        monkeypatch.setattr(norms_module, "irfft3",
+                            lambda *args: calls.append(1) or inverse(*args))
+        besov_norm(large_almost_2d(1, grid32), 1.0, np.inf)
+        assert len(calls) == 74
 
 
 def transform_route_besov(u, s, p, cfg=BesovSearchConfig()):
-    """besov_norm's scan and refinement over the transform-per-t objective."""
+    """besov_norm's scan and refinement over the transform-per-t objective:
+    (value, t_star)."""
 
     def objective(t):
         return t ** (s / 2.0) * lebesgue_norm(heat_semigroup(u, t), p)
@@ -170,7 +191,7 @@ def transform_route_besov(u, s, p, cfg=BesovSearchConfig()):
         method="bounded",
         options={"maxiter": cfg.refine_iters, "xatol": 1e-14},
     )
-    return max(float(-res.fun), float(values[imax]))
+    return max(float(-res.fun), float(values[imax])), float(res.x)
 
 
 P2_FIELDS = [
@@ -186,27 +207,39 @@ class TestBesovPlancherel:
     def test_matches_transform_route(self, make):
         w = make()
         got = besov_norm(w, 0.5, 2.0).value
-        assert got == pytest.approx(transform_route_besov(w, 0.5, 2.0), rel=1e-12)
+        assert got == pytest.approx(transform_route_besov(w, 0.5, 2.0)[0], rel=1e-12)
 
     @pytest.mark.parametrize("make", P2_FIELDS)
     def test_objective_pointwise(self, make):
         w = make()
-        spectrum = ShellSpectrum(w.grid, w.coeffs)
+        spectrum = ShellSpectrum(w.grid, w.half)
         for t in np.geomspace(1e-6, 1e2, 8):
             want = t**0.25 * lebesgue_norm(heat_semigroup(w, t), 2.0)
             assert t**0.25 * spectrum.heat_l2(t) == pytest.approx(want, rel=1e-12)
 
 
+class TestEndpointBesov:
+    """p != 2: the heat multiplier gathered from one exp per shell gives the
+    norm of the per-t ``heat_semigroup`` route."""
+
+    @pytest.mark.parametrize("p", [3.0, np.inf])
+    def test_matches_heat_semigroup_route(self, p):
+        for w in (annulus_analog(6, GridSpec(32)), curl(un_family(3, GridSpec(24)))):
+            got = besov_norm(w, 0.5, p)
+            value, t_star = transform_route_besov(w, 0.5, p)
+            assert got.value == pytest.approx(value, rel=1e-12)
+            assert got.t_star == pytest.approx(t_star, rel=1e-12)
+
+
 def full_lattice_sobolev(u, s):
     """sqrt(sum_k (2 pi |k|)^{2s} |uhat(k)|^2) over every lattice point, the
     k = 0 term kept only at s = 0."""
-    n = u.grid.n
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    kabs = np.sqrt(k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2)
+    k1, k2, k3 = full_wavenumbers(u.grid.n)
+    kabs = np.sqrt(k1**2 + k2**2 + k3**2)
     weight = (2 * np.pi * np.where(kabs == 0, 1.0, kabs)) ** (2 * s)
     if s != 0:
         weight[0, 0, 0] = 0.0
-    return math.sqrt(float(np.sum(weight * np.abs(u.coeffs) ** 2)))
+    return math.sqrt(float(np.sum(weight * np.abs(full_coeffs(u)) ** 2)))
 
 
 class TestShellSpectrum:
@@ -221,19 +254,19 @@ class TestShellSpectrum:
     def test_components_and_shells(self, grid16):
         """Per-component sums; the top shell 3 (n/2)^2 holds the corner mode."""
         (u,) = seeded_fields(grid16, 1, base_seed=420)
-        spectrum = ShellSpectrum(grid16, u.coeffs)
+        spectrum = ShellSpectrum(grid16, u.half)
         assert spectrum.power.shape == (3, 3 * 8**2 + 1)
         for c in range(3):
             assert spectrum.sobolev_sq(0)[c] == pytest.approx(
-                float(np.sum(np.abs(u.coeffs[c]) ** 2)), rel=1e-13
+                float(np.sum(np.abs(full_coeffs(u)[c]) ** 2)), rel=1e-13
             )
-        corner = np.zeros((1, 16, 16, 16), dtype=complex)
+        corner = np.zeros((1, 16, 16, 9), dtype=complex)
         corner[0, 8, 8, 8] = 2.0
         assert np.flatnonzero(ShellSpectrum(grid16, corner).power[0]).tolist() == [192]
 
     def test_negative_order_rejects_a_nonzero_mean(self, grid16):
         (u,) = seeded_fields(grid16, 1, base_seed=430)
-        coeffs = u.coeffs.copy()
+        coeffs = u.half.copy()
         coeffs[0, 0, 0, 0] = 0.25
         shifted = SpectralVectorField(grid16, coeffs)
         for s in (-1.0, -0.5):
@@ -248,12 +281,12 @@ class TestShellSpectrum:
 class TestHorizontalParts:
     def test_two_dimensional_flow_vanishes(self, grid16):
         # x3-independent divergence-free flow with u3 = 0
-        coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
+        coeffs = half_zeros(grid16)
         set_mode_pair(coeffs, grid16, (1, 2, 0), np.array([2.0, -1.0, 0.0]))
         u = SpectralVectorField(grid16, coeffs)
         parts = horizontal_parts(u)
-        assert np.max(np.abs(parts.omega_h.coeffs)) < 1e-14
-        assert np.max(np.abs(parts.v3.coeffs)) < 1e-14
+        assert np.max(np.abs(full_coeffs(parts.omega_h))) < 1e-14
+        assert np.max(np.abs(full_coeffs(parts.v3))) < 1e-14
 
     def test_isometries_on_random_fields(self, grid16):
         for u in seeded_fields(grid16, 5, base_seed=300):
@@ -296,7 +329,8 @@ class TestFieldSummary:
         the horizontal decomposition."""
         for u in seeded_fields(grid16, 3, base_seed=395):
             s = field_summary(u)
-            lattice = float(np.sum(grid16.k_sq * np.abs(u.coeffs) ** 2))
+            k1, k2, k3 = full_wavenumbers(16)
+            lattice = float(np.sum((k1**2 + k2**2 + k3**2) * np.abs(full_coeffs(u)) ** 2))
             assert s.K == pytest.approx(0.5 * lebesgue_norm(u, 2) ** 2, rel=1e-12)
             assert s.E == pytest.approx(2 * math.pi**2 * lattice, rel=1e-12)
             assert s.hhalf == pytest.approx(sobolev_norm(u, 0.5), rel=1e-12)
@@ -315,16 +349,16 @@ class TestHorizontal:
     def test_keeps_horizontal_components(self, grid16):
         (u,) = seeded_fields(grid16, 1, base_seed=397)
         h = horizontal(u)
-        assert np.array_equal(h.coeffs[:2], u.coeffs[:2])
-        assert not np.any(h.coeffs[2])
-        assert h.coeffs is not u.coeffs
+        assert np.array_equal(h.half[:2], u.half[:2])
+        assert not np.any(h.half[2])
+        assert h.half is not u.half
 
 
 def read_back_un_field(grid24):
     """un_family(5) through a transform round trip, as a field file gives it:
     the k = 0 coefficient is roundoff (~1e-19), not an exact zero."""
     u = to_spectral(to_physical(un_family(5, grid24)))
-    assert np.any(u.coeffs[:, 0, 0, 0] != 0)
+    assert np.any(u.half[:, 0, 0, 0] != 0)
     return u
 
 
@@ -334,28 +368,28 @@ class TestExactLinearParts:
     def test_horizontal_keeps_a_roundoff_mean(self, grid24):
         u = read_back_un_field(grid24)
         h = horizontal(u)
-        assert np.array_equal(h.coeffs[:2], u.coeffs[:2])
-        assert not np.any(h.coeffs[2])
+        assert np.array_equal(h.half[:2], u.half[:2])
+        assert not np.any(h.half[2])
 
     def test_p2d_parts_sum_to_a_read_back_field(self, grid24):
         u = read_back_un_field(grid24)
         two_d, perp = p2d_split(u)
-        assert np.array_equal(two_d.coeffs + perp.coeffs, u.coeffs)
-        assert not np.any(two_d.coeffs[..., 1:]) and not np.any(perp.coeffs[..., 0])
+        assert np.array_equal(two_d.half + perp.half, u.half)
+        assert not np.any(two_d.half[..., 1:]) and not np.any(perp.half[..., 0])
 
 
 class TestVerticalAverage:
     def test_x3_independent_field_is_its_own_average(self, grid16):
-        coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
+        coeffs = half_zeros(grid16)
         set_mode_pair(coeffs, grid16, (1, 2, 0), np.array([2.0, -1.0, 0.0]))
         u = SpectralVectorField(grid16, coeffs)
         two_d, perp = p2d_split(u)
-        assert np.max(np.abs(two_d.coeffs - u.coeffs)) == 0.0
-        assert np.max(np.abs(perp.coeffs)) == 0.0
+        assert np.max(np.abs(full_coeffs(two_d) - full_coeffs(u))) == 0.0
+        assert np.max(np.abs(full_coeffs(perp))) == 0.0
 
     def test_un_family_has_no_average(self, grid24):
         two_d, perp = p2d_split(un_family(4, grid24))
-        assert np.max(np.abs(two_d.coeffs)) == 0.0
+        assert np.max(np.abs(full_coeffs(two_d))) == 0.0
 
     def test_average_contracts_l2(self, grid16):
         for u in seeded_fields(grid16, 5, base_seed=320):
@@ -365,12 +399,12 @@ class TestVerticalAverage:
     def test_split_is_idempotent_partition(self, grid16):
         (u,) = seeded_fields(grid16, 1, base_seed=330)
         two_d, perp = p2d_split(u)
-        assert np.max(np.abs(two_d.coeffs + perp.coeffs - u.coeffs)) == 0.0
+        assert np.max(np.abs(two_d.half + perp.half - u.half)) == 0.0
         again, _ = p2d_split(two_d)
-        assert np.array_equal(again.coeffs, two_d.coeffs)
+        assert np.array_equal(again.half, two_d.half)
 
     def test_perp_bound_zero_for_2d(self, grid16):
-        coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
+        coeffs = half_zeros(grid16)
         set_mode_pair(coeffs, grid16, (1, 2, 0), np.array([2.0, -1.0, 0.0]))
         check = p2dperp_bound_check(SpectralVectorField(grid16, coeffs))
         assert check.lhs == 0.0
@@ -400,19 +434,19 @@ class TestConeFilter:
         (u,) = seeded_fields(grid16, 1, base_seed=350)
         inside = cone_filter(u, 0.5, "inside")
         outside = cone_filter(u, 0.5, "outside")
-        assert np.max(np.abs(inside.coeffs + outside.coeffs - u.coeffs)) == 0.0
+        assert np.max(np.abs(inside.half + outside.half - u.half)) == 0.0
 
     def test_membership_examples(self, grid16):
-        coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
+        coeffs = half_zeros(grid16)
         set_mode_pair(coeffs, grid16, (1, 1, 0), np.array([1.0, -1.0, 0.0]))
         u = SpectralVectorField(grid16, coeffs)
         inside = cone_filter(u, 0.5, "inside")
-        assert np.array_equal(inside.coeffs, u.coeffs)  # z = 0 is inside
+        assert np.array_equal(inside.half, u.half)  # z = 0 is inside
         # axis mode r=0, k3 != 0 belongs outside
-        coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
+        coeffs = half_zeros(grid16)
         set_mode_pair(coeffs, grid16, (0, 0, 1), np.array([1.0, 1j, 0.0]))
         v = SpectralVectorField(grid16, coeffs)
-        assert np.max(np.abs(cone_filter(v, 0.9, "inside").coeffs)) == 0.0
+        assert np.max(np.abs(cone_filter(v, 0.9, "inside").half)) == 0.0
 
     def test_orthogonal_in_every_sobolev_norm(self, grid16):
         (u,) = seeded_fields(grid16, 1, base_seed=360)
@@ -427,8 +461,7 @@ class TestConeFilter:
         for eps in (0.3, 0.5, 0.8):
             for u in seeded_fields(grid16, 3, base_seed=370):
                 outside = cone_filter(u, eps, "outside")
-                out_h = outside.copy()
-                out_h.coeffs[2] = 0.0
+                out_h = zeroed(outside, 2)
                 lhs = sobolev_norm(outside, -0.5)
                 rhs = (math.sqrt(2) / eps) * sobolev_norm(out_h, -0.5)
                 assert lhs <= rhs * (1 + 1e-10)

@@ -2,6 +2,7 @@
 place for each tolerance and spectral multiplier."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import almost2d
@@ -79,8 +80,9 @@ def test_thread_threshold_and_tolerances_defined_once():
 
 
 def test_spectral_field_is_grid_and_coeffs():
-    """SpectralVectorField declares exactly two fields: no cached property
-    of the coefficients (such as a mean-zero flag) rides along."""
+    """SpectralVectorField is a frozen dataclass of exactly two fields, its
+    grid and its half-spectrum coefficients: no cached property of the
+    coefficients (such as a mean-zero flag) rides along."""
     tree = ast.parse((SRC / "field.py").read_text())
     (cls,) = [
         node for node in tree.body
@@ -90,7 +92,40 @@ def test_spectral_field_is_grid_and_coeffs():
         node.target.id for node in cls.body
         if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
     ]
-    assert declared == ["grid", "coeffs"]
+    assert declared == ["grid", "half"]
+    assert [f.name for f in dataclasses.fields(almost2d.SpectralVectorField)] == ["grid", "half"]
+    assert almost2d.SpectralVectorField.__dataclass_params__.frozen
+
+
+def test_hermitian_machinery_of_the_full_layout_is_gone():
+    """The half-spectrum layout is Hermitian by construction: no mirror,
+    symmetrizer or per-operation check is left, and the coefficient check
+    runs only where a full array enters, in from_full_coeffs."""
+    names = {
+        node.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    gone = {"mirror_conjugate", "hermitian_symmetrize", "_reflect", "require_hermitian"}
+    assert names & gone == set()
+    callers = {
+        (path.name, owner)
+        for path in sorted(SRC.glob("*.py"))
+        for owner, name in _calls(ast.parse(path.read_text()))
+        if name == "hermitian_defect"
+    }
+    assert callers == {("field.py", "from_full_coeffs")}
+
+
+def _calls(node, owner=None):
+    """(innermost enclosing function, called name) of each call under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            fn = child.func
+            yield owner, fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+        name = child.name if isinstance(child, ast.FunctionDef) else owner
+        yield from _calls(child, name)
 
 
 def test_tolerance_literals_only_in_field():

@@ -27,59 +27,67 @@ from almost2d.field import (
     DECAY_SLACK_TOL, advection, curl, curl_coeffs, divergence, divergence_defect, irfft3,
     k_dot, leray_project, strain, strain_coeffs,
 )
-from almost2d.grid import full_spectrum
+from almost2d.field import from_full_coeffs
+from almost2d.grid import conjugate_planes
 from almost2d.norms import field_summary, samples_lebesgue_norm
 from almost2d.solver import (
     CSV_COLUMNS, _assemble_series, _det_integral, _lattice, _strain_l3, nonlinear_term,
 )
-from conftest import half_spectrum, hermitian_defect, nonlinear_term_oracle
+from conftest import (
+    full_coeffs, full_wavenumbers, half_spectrum, nonlinear_term_oracle, plane_defect, zeroed,
+)
 
 
 def single_mode(grid, k, value):
-    coeffs = np.zeros((3, grid.n, grid.n, grid.n), dtype=complex)
-    set_mode_pair(coeffs, grid, k, np.asarray(value, dtype=complex))
-    return SpectralVectorField(grid, coeffs)
+    half = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
+    set_mode_pair(half, grid, k, np.asarray(value, dtype=complex))
+    return SpectralVectorField(grid, half)
+
+
+def full_k_sq(n):
+    k1, k2, k3 = full_wavenumbers(n)
+    return k1**2 + k2**2 + k3**2
 
 
 class TestRhs:
     def test_zero_field(self, grid16):
-        u = SpectralVectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
-        assert np.max(np.abs(rhs(u, 1.0).coeffs)) == 0.0
+        u = from_full_coeffs(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
+        assert np.max(np.abs(full_coeffs(rhs(u, 1.0)))) == 0.0
 
     def test_taylor_green_nonlinearity_is_gradient(self, grid32):
         tg = taylor_green_2d(grid32)
         tendency = rhs(tg, 0.01)
-        viscous = -0.01 * 4 * np.pi**2 * grid32.k_sq * tg.coeffs
-        err = np.max(np.abs(tendency.coeffs - viscous))
+        viscous = -0.01 * 4 * np.pi**2 * full_k_sq(32) * full_coeffs(tg)
+        err = np.max(np.abs(full_coeffs(tendency) - viscous))
         assert err < 1e-12 * np.max(np.abs(viscous))
 
     def test_advection_skew_symmetry(self, grid16):
         for seed in (1, 2, 3):
             u = random_divergence_free(grid16, seed, kmax=5)
-            u.coeffs *= grid16.dealias_mask
+            u = SpectralVectorField(grid16, u.half * grid16.dealias_mask)
             adv = advection(u)
-            pairing = float(np.sum(np.real(adv.coeffs * np.conj(u.coeffs))))
-            assert abs(pairing) < 1e-10 * float(np.sum(np.abs(u.coeffs) ** 2))
+            c = full_coeffs(u)
+            pairing = float(np.sum(np.real(full_coeffs(adv) * np.conj(c))))
+            assert abs(pairing) < 1e-10 * float(np.sum(np.abs(c) ** 2))
 
     def test_tendency_divergence_free_and_mean_zero(self, grid16):
         u = random_divergence_free(grid16, 4, kmax=4)
         tendency = rhs(u, 0.3)
         assert divergence_defect(tendency) < 1e-12
-        assert np.max(np.abs(tendency.coeffs[:, 0, 0, 0])) == 0.0
+        assert np.max(np.abs(tendency.half[:, 0, 0, 0])) == 0.0
 
 
 def projected(coeffs, grid):
     """P(v) with the k = 0 mode zeroed, on full-spectrum coefficients."""
-    out, _ = leray_project(SpectralVectorField(grid, coeffs))
-    out.coeffs[:, 0, 0, 0] = 0.0
-    return out.coeffs
+    out, _ = leray_project(from_full_coeffs(grid, coeffs))
+    return full_coeffs(zeroed(out, (slice(None), 0, 0, 0)))
 
 
 def rotational_reference(u):
     """-P(omega x u) with full-spectrum complex FFTs and no truncation."""
     n = u.grid.n
-    u_phys = np.fft.ifftn(u.coeffs, axes=(1, 2, 3)).real * n**3
-    w_phys = np.fft.ifftn(curl(u).coeffs, axes=(1, 2, 3)).real * n**3
+    u_phys = np.fft.ifftn(full_coeffs(u), axes=(1, 2, 3)).real * n**3
+    w_phys = np.fft.ifftn(full_coeffs(curl(u)), axes=(1, 2, 3)).real * n**3
     product = np.cross(u_phys, w_phys, axis=0)  # u x omega = -(omega x u)
     return projected(np.fft.fftn(product, axes=(1, 2, 3)) / n**3, u.grid)
 
@@ -94,32 +102,32 @@ class TestRotationalForm:
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_equals_convective_form_under_two_thirds_rule(self, grid32, seed):
         u = random_divergence_free(grid32, seed)
-        convective = -projected(advection(u).coeffs, grid32)
+        convective = -projected(full_coeffs(advection(u)), grid32)
         lat = _lattice(grid32, "two_thirds")
-        got = lat.pad(nonlinear_term(lat.crop(u.coeffs), grid32))
+        got = lat.pad(nonlinear_term(lat.crop(u.half), grid32))
         assert rel_err(got, half_spectrum(convective)) <= 1e-12
 
     def test_undealiased_rhs_is_the_aliased_rotational_form(self, grid16):
         u = random_divergence_free(grid16, 31, kmax=7)
         nu = 0.05
-        viscous = -nu * 4 * np.pi**2 * grid16.k_sq * u.coeffs
-        got = rhs(u, nu, "none").coeffs
+        viscous = -nu * 4 * np.pi**2 * full_k_sq(16) * full_coeffs(u)
+        got = full_coeffs(rhs(u, nu, "none"))
         assert rel_err(got, rotational_reference(u) + viscous) <= 1e-12
         # the convective form aliases differently: O(1), not roundoff
-        convective = -projected(advection(u, apply_dealias=False).coeffs, grid16)
+        convective = -projected(full_coeffs(advection(u, apply_dealias=False)), grid16)
         assert rel_err(got, convective + viscous) > 1e-2
 
     def test_final_field_hermitian_and_divergence_free(self, grid32):
         u0 = random_divergence_free(grid32, 41, kmax=6, amplitude=0.2)
         dt = 1e-3
         final = run(u0, SolverConfig(grid=grid32, nu=0.05, dt=dt, t_end=20 * dt)).final_field
-        assert hermitian_defect(final.coeffs) <= 1e-14
+        assert plane_defect(final.half) <= 1e-14
         assert divergence_defect(final) <= 1e-12
 
 
 def swap_x1_x2(u):
     """The reflection across x1 = x2: (u2, u1, u3) at (x2, x1, x3)."""
-    coeffs = u.coeffs[[1, 0, 2]].transpose(0, 2, 1, 3).copy()
+    coeffs = u.half[[1, 0, 2]].transpose(0, 2, 1, 3).copy()
     return SpectralVectorField(u.grid, coeffs)
 
 
@@ -138,10 +146,10 @@ class TestBandKernels:
         lat = _lattice(grid, rule)
         rng = np.random.default_rng(60 + n)
         noise = rng.standard_normal((2, 3) + lat.shape)
-        full = SpectralVectorField(grid, full_spectrum(lat.pad(noise[0] + 1j * noise[1]), n))
-        band = lat.crop(full.coeffs)
+        full = SpectralVectorField(grid, conjugate_planes(lat.pad(noise[0] + 1j * noise[1])))
+        band = lat.crop(full.half)
         assert same_bits(2j * np.pi * k_dot(band, lat.k_deriv), lat.crop(divergence(full)))
-        assert same_bits(curl_coeffs(band, lat.k_deriv), lat.crop(curl(full).coeffs))
+        assert same_bits(curl_coeffs(band, lat.k_deriv), lat.crop(curl(full).half))
         assert same_bits(strain_coeffs(band, lat.k_deriv), lat.crop(strain(full).comps))
 
 
@@ -158,7 +166,8 @@ class TestSymmetries:
         for col in ("K", "E", "strain_h1_sq", "det_S_integral", "omega_h_hminushalf"):
             np.testing.assert_allclose(getattr(swapped, col), getattr(direct, col),
                                        rtol=1e-12, atol=0, err_msg=col)
-        assert rel_err(swapped.final_field.coeffs, swap_x1_x2(direct.final_field).coeffs) <= 1e-12
+        assert rel_err(full_coeffs(swapped.final_field),
+                       full_coeffs(swap_x1_x2(direct.final_field))) <= 1e-12
 
     def test_two_dimensional_data_stays_two_dimensional(self, grid16):
         series = run(
@@ -171,8 +180,8 @@ class TestSymmetries:
         u0 = random_divergence_free(grid16, 61, kmax=7, amplitude=0.2)
         final = run(u0, SolverConfig(grid=grid16, nu=0.05, dt=1e-3, t_end=5e-3)).final_field
         inside = grid16.dealias_mask
-        assert np.all(final.coeffs[:, ~inside] == 0.0)
-        assert np.count_nonzero(final.coeffs[:, inside]) > 0.9 * 3 * np.count_nonzero(inside)
+        assert np.all(final.half[:, ~inside] == 0.0)
+        assert np.count_nonzero(final.half[:, inside]) > 0.9 * 3 * np.count_nonzero(inside)
 
 
 class TestThreads:
@@ -211,7 +220,7 @@ def band_inputs(lat, count, seed):
     planes of rule "none" included, each call's input distinct."""
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((count, 2, 3) + lat.shape)
-    return [lat.crop(full_spectrum(lat.pad(a + 1j * b), lat.n)) for a, b in noise]
+    return [lat.crop(conjugate_planes(lat.pad(a + 1j * b))) for a, b in noise]
 
 
 def diagnostics_row_oracle(c, lat):
@@ -239,7 +248,7 @@ def run_by_oracle(u0, cfg):
     (series, final field) for comparison with ``run`` as bits."""
     grid, h = cfg.grid, cfg.dt
     lat = _lattice(grid, cfg.dealias)
-    u = lat.crop(u0.coeffs)
+    u = lat.crop(u0.half)
     u[:, 0, 0, 0] = 0.0
     half_decay = np.exp(-4 * np.pi**2 * lat.k_sq * cfg.nu * h / 2.0)
     full_decay = half_decay**2
@@ -268,7 +277,7 @@ def run_by_oracle(u0, cfg):
         "advective_cfl": cfg.dt * umax * grid.n,
         "stiff_heuristic": cfg.dt * cfg.nu * (2 * np.pi * grid.n / 2) ** 2,
     })
-    return series, SpectralVectorField(grid, full_spectrum(lat.pad(u), grid.n))
+    return series, SpectralVectorField(grid, conjugate_planes(lat.pad(u)))
 
 
 class TestStageBuffers:
@@ -300,22 +309,22 @@ class TestStageBuffers:
     def test_run_matches_the_oracle_loop(self, n, rule, steps, stride, threshold):
         grid = GridSpec(n)
         u0 = random_divergence_free(grid, 80 + n, kmax=n // 2 - 1, amplitude=0.1)
-        before = u0.coeffs.copy()
+        before = u0.half.copy()
         cfg = SolverConfig(grid=grid, nu=0.03, dt=1e-3, t_end=steps * 1e-3, dealias=rule,
                            record_stride=stride, blowup_threshold=threshold)
         series = run(u0, cfg)
         expected, final = run_by_oracle(u0, cfg)
-        assert same_bits(u0.coeffs, before)
+        assert same_bits(u0.half, before)
         assert len(series.t) == (1 if threshold < 1 else len(range(0, steps, stride)) + 1)
         for col in CSV_COLUMNS:
             assert same_bits(getattr(series, col), getattr(expected, col)), col
         assert (series.status, repr(series.summary)) == (expected.status, repr(expected.summary))
-        assert same_bits(series.final_field.coeffs, final.coeffs)
+        assert same_bits(series.final_field.half, final.half)
 
     def test_final_field_is_built_on_first_access(self, grid16, monkeypatch):
         calls = []
-        monkeypatch.setattr(solver_module, "full_spectrum",
-                            lambda *args: calls.append(1) or full_spectrum(*args))
+        monkeypatch.setattr(solver_module, "conjugate_planes",
+                            lambda *args: calls.append(1) or conjugate_planes(*args))
         u0 = random_divergence_free(grid16, 90, kmax=5, amplitude=0.3)
         series = run(u0, SolverConfig(grid=grid16, nu=0.03, dt=1e-3, t_end=3e-3))
         assert calls == []
@@ -349,7 +358,7 @@ class TestStageBuffers:
         for got, want in zip(results, serial):
             for col in CSV_COLUMNS:
                 assert same_bits(getattr(got, col), getattr(want, col)), col
-            assert same_bits(got.final_field.coeffs, want.final_field.coeffs)
+            assert same_bits(got.final_field.half, want.final_field.half)
 
     def test_a_stage_allocates_no_padded_half_spectrum(self, grid32):
         """tracemalloc sees numpy's data allocations: with the run's buffers a
@@ -395,7 +404,7 @@ class TestTransformBudget:
 
 class TestRun:
     def test_zero_data_stays_zero(self, grid16):
-        u0 = SpectralVectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
+        u0 = from_full_coeffs(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
         series = run(u0, SolverConfig(grid=grid16, nu=1.0, dt=1e-3, t_end=0.01))
         assert np.max(series.K) == 0.0
         assert series.status == "completed"
@@ -404,8 +413,8 @@ class TestRun:
         tg = taylor_green_2d(grid32)
         cfg = SolverConfig(grid=grid32, nu=0.01, dt=1e-3, t_end=0.05)
         series = run(tg, cfg)
-        exact = tg.coeffs * math.exp(-8 * math.pi**2 * 0.01 * 0.05)
-        err = np.sqrt(np.sum(np.abs(series.final_field.coeffs - exact) ** 2))
+        exact = full_coeffs(tg) * math.exp(-8 * math.pi**2 * 0.01 * 0.05)
+        err = np.sqrt(np.sum(np.abs(full_coeffs(series.final_field) - exact) ** 2))
         ref = np.sqrt(np.sum(np.abs(exact) ** 2))
         assert err <= 1e-6 * ref
         assert series.summary["max_energy_eq_residual"] <= 1e-6 * series.K[0]
@@ -415,7 +424,7 @@ class TestRun:
         series = run(u0, SolverConfig(grid=grid16, nu=0.2, dt=1e-4, t_end=5e-3))
         final = series.final_field
         assert divergence_defect(final) <= 1e-10
-        assert np.max(np.abs(final.coeffs[:, 0, 0, 0])) <= 1e-14
+        assert np.max(np.abs(full_coeffs(final)[:, 0, 0, 0])) <= 1e-14
 
     def test_energy_nonincreasing(self, grid16):
         u0 = random_divergence_free(grid16, 12, kmax=4, amplitude=0.5)
@@ -480,7 +489,7 @@ class TestRun:
         coeffs[0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="mean-zero"):
             run(
-                SpectralVectorField(grid16, coeffs),
+                from_full_coeffs(grid16, coeffs),
                 SolverConfig(grid=grid16, nu=1.0, dt=1e-3, t_end=0.01),
             )
 
