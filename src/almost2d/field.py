@@ -9,12 +9,16 @@ literally.  Physical sample arrays are indexed [component, x1, x2, x3]
 A field is its grid and the read-only k3 >= 0 half spectrum of a real field,
 Hermitian by construction; a full array enters only through ``from_full_coeffs``,
 the one Hermitian check.  Every field transform goes through one real-data pair,
-``rfft3`` / ``irfft3``; only ``advection``, the convective-form reference, calls
-``numpy.fft``.  Mean zero is read from k = 0 by each operation that needs it
-(``is_mean_zero``).  Multipliers k.c, 2 pi i k x c and pi i (k_i c_j + k_j c_i)
-are written once, as kernels on coefficients and a ``k_deriv`` triple (``k_dot``,
-``curl_coeffs``, ``strain_coeffs``), applied here to the half lattice and by the
-solver to its band.
+``rfft3`` / ``irfft3``, and every solver transform through its band form,
+``rfft3_band`` / ``irfft3_band``: the same pocketfft 1-D passes, in the same
+order and with the same factor, run only over the lines that are not zero on
+the way in or cropped away on the way out, so the two forms agree as bits.
+Only ``advection``, the convective-form reference, calls ``numpy.fft``.  Mean
+zero is read from k = 0 by each operation that needs it (``is_mean_zero``).
+Multipliers k.c, 2 pi i k x c and pi i (k_i c_j + k_j c_i) are written once, as
+kernels on coefficients and a ``k_deriv`` triple (``k_dot``, ``curl_coeffs``,
+``strain_coeffs``), applied here to the half lattice and by the solver to its
+band.
 """
 
 from __future__ import annotations
@@ -47,9 +51,10 @@ NODE_DIVFREE_TOL = 1e-14  # xi . what at quadrature nodes vanishes identically u
 QUADRATURE_TOL = 1e-8  # quadrature against closed forms: the acceptance oracle's tolerance
 MAJORANT_TOL = 1e-10  # relative slack of a quadrature value or torus norm under its majorant
 
-#: Grids with at least this many points per axis run each 3-D transform on
-#: every core the process may use.  Two threads against one on a 2-vCPU VM
-#: (pocketfft), one ``simulate`` end to end, median of 8 alternating pairs:
+#: Grids with at least this many points per axis run each transform (3-D, or
+#: the 1-D passes of a band transform) on every core the process may use.  Two
+#: threads against one on a 2-vCPU VM (pocketfft, 3-D transforms), one
+#: ``simulate`` end to end, median of 8 alternating pairs:
 #: 1.75x slower at n=16, 1.33x slower at n=32, 1.14x faster at n=48 and 1.17x
 #: faster at n=64.  Threaded output is bit-identical.
 THREADED_MIN_N = 48
@@ -76,6 +81,87 @@ def irfft3(half: np.ndarray, n: int) -> np.ndarray:
     return scipy.fft.irfftn(
         half, s=(n, n, n), axes=(-3, -2, -1), norm="forward", workers=_workers(n)
     )
+
+
+def _quadrants(rows: tuple, m: int) -> list:
+    """(band index, half-spectrum index) of the four k1/k2 quadrants of a band
+    with k1/k2 row slices ``rows`` ((band, spectrum) for k >= 0, then k < 0)
+    and planes k3 < m."""
+    return [
+        ((..., b1, b2, slice(None)), (..., s1, s2, slice(0, m)))
+        for b1, s1 in rows
+        for b2, s2 in rows
+    ]
+
+
+def pad_band(block: np.ndarray, rows: tuple, out: np.ndarray) -> np.ndarray:
+    """Write band coefficients (..., b, b, m) into their rows and planes of the
+    half-spectrum array ``out`` (..., n, n, n/2 + 1); nothing else is written."""
+    for b, s in _quadrants(rows, block.shape[-1]):
+        out[s] = block[b]
+    return out
+
+
+def crop_band(coeffs: np.ndarray, rows: tuple, m: int) -> np.ndarray:
+    """The band (..., b, b, m) of half-spectrum coefficients, as a fresh array."""
+    size = sum(s.stop - s.start for _, s in rows)
+    out = np.empty(coeffs.shape[:-3] + (size, size, m), dtype=complex)
+    for b, s in _quadrants(rows, m):
+        out[b] = coeffs[s]
+    return out
+
+
+def irfft3_band(block: np.ndarray, rows: tuple, half: np.ndarray) -> np.ndarray:
+    """``irfft3`` of band coefficients (..., b, b, m) zero-padded to the half
+    spectrum, equal to it as bits, with the lines that are zero skipped.
+
+    ``half`` (..., n, n, n/2 + 1) is the work array: it must be zero at
+    k3 >= m, which is never written, and is overwritten at k3 < m.  The 1-D
+    passes are pocketfft's for ``irfftn``, in its order and with its unit
+    factor: k1 over the band's k2 rows and planes k3 < m, k2 over planes
+    k3 < m, then the real transform along k3.  The complex passes run in
+    place: scipy's pocketfft writes a complex input given ``overwrite_x``.
+    """
+    n = half.shape[-2]
+    m = block.shape[-1]
+    workers = _workers(n)
+    (_, low), (_, high) = rows
+    gap = slice(low.stop, high.start)  # the rows off the band, empty under "none"
+    planes = half[..., :m]
+    planes[..., gap, :, :] = 0.0  # clear what the passes of the last call left there
+    for s in (low, high):
+        planes[..., s, gap, :] = 0.0
+    pad_band(block, rows, half)
+    for s in (low, high):
+        scipy.fft.ifft(half[..., s, :m], axis=-3, norm="forward", overwrite_x=True,
+                       workers=workers)
+    scipy.fft.ifft(planes, axis=-2, norm="forward", overwrite_x=True, workers=workers)
+    return scipy.fft.irfft(half, n, axis=-1, norm="forward", workers=workers)
+
+
+def rfft3_band(samples: np.ndarray, rows: tuple, m: int) -> np.ndarray:
+    """The band (..., b, b, m) of ``rfft3(samples)``, equal to it as bits,
+    with the lines the crop discards skipped.
+
+    The real transform along x3 runs unnormalized and is scaled by 1/n^3
+    once, where pocketfft's ``rfftn`` applies its factor (per axis, 1/n
+    moves the last bit when n is not a power of two); then x1 over planes
+    k3 < m and x2 over the band's k1 rows, in place.  The samples are
+    released before the crop allocates, so a caller that passes its only
+    reference does not hold them through it.
+    """
+    n = samples.shape[-1]
+    workers = _workers(n)
+    half = scipy.fft.rfft(samples, axis=-1, workers=workers)
+    del samples
+    # Real and imaginary parts, each scaled as pocketfft scales them; the planes
+    # k3 >= m too, as one contiguous loop is faster than a strided one.
+    parts = half.view(np.float64)
+    parts *= 1.0 / n**3
+    scipy.fft.fft(half[..., :m], axis=-3, overwrite_x=True, workers=workers)
+    for _, s in rows:
+        scipy.fft.fft(half[..., s, :, :m], axis=-2, overwrite_x=True, workers=workers)
+    return crop_band(half, rows, m)
 
 
 def is_mean_zero(magnitude: np.ndarray, tol: float) -> bool:
@@ -225,9 +311,7 @@ def leray_project(v: SpectralVectorField) -> tuple[SpectralVectorField, Spectral
     through to u_df.
     """
     k1, k2, k3 = v.grid.k_deriv
-    ksq = k1**2 + k2**2 + k3**2
-    ksq_safe = np.where(ksq == 0, 1.0, ksq)
-    dot = k_dot(v.half, v.grid.k_deriv) / ksq_safe
+    dot = k_dot(v.half, v.grid.k_deriv) / v.grid.k_deriv_sq_safe
     grad = np.stack([dot * k1, dot * k2, dot * k3])
     grad[:, 0, 0, 0] = 0.0
     u_df = v.half - grad
@@ -267,11 +351,8 @@ def biot_savart(w: SpectralVectorField) -> SpectralVectorField:
         raise ValueError("Biot-Savart requires a mean-zero vorticity")
     if divergence_defect(w) > DIVFREE_TOL:
         raise ValueError("Biot-Savart requires a divergence-free vorticity")
-    k1, k2, k3 = w.grid.k_deriv
-    ksq = k1**2 + k2**2 + k3**2
-    ksq_safe = np.where(ksq == 0, 1.0, ksq)
     u = curl_coeffs(w.half, w.grid.k_deriv)
-    u /= 4 * np.pi**2 * ksq_safe
+    u /= 4 * np.pi**2 * w.grid.k_deriv_sq_safe
     u[:, 0, 0, 0] = 0.0
     return SpectralVectorField(w.grid, u)
 
@@ -302,10 +383,8 @@ def pressure(u: SpectralVectorField) -> np.ndarray:
             # grads[j][i] holds d_i u_j
             source += grads[j][i] * grads[i][j]
     shat = conjugate_planes(rfft3(source))
-    shat *= u.grid.dealias_mask
-    ksq = u.grid.k_sq
-    ksq_safe = np.where(ksq == 0, 1.0, ksq)
-    phat = shat / (4 * np.pi**2 * ksq_safe)
+    shat *= u.grid.dealias_mask  # zero on the Nyquist modes, where k_deriv and k differ
+    phat = shat / (4 * np.pi**2 * u.grid.k_deriv_sq_safe)
     phat[0, 0, 0] = 0.0
     return phat
 

@@ -47,6 +47,15 @@ class GridSpec:
         return tuple(_read_only(np.where(np.abs(ki) == self.n // 2, 0.0, ki)) for ki in self.k)
 
     @cached_property
+    def k_deriv_sq_safe(self) -> np.ndarray:
+        """|k_deriv|^2 with its zeros set to 1, shape (n, n, n/2 + 1): the
+        divisor of the Leray projection, Biot-Savart and the pressure, whose
+        numerators vanish wherever k_deriv does."""
+        k1, k2, k3 = self.k_deriv
+        ksq = k1**2 + k2**2 + k3**2
+        return _read_only(np.where(ksq == 0, 1.0, ksq))
+
+    @cached_property
     def k_sq(self) -> np.ndarray:
         """|k|^2 on the half lattice, shape (n, n, n/2 + 1)."""
         k1, k2, k3 = self.k

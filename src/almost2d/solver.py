@@ -17,8 +17,11 @@ coefficients the dealias rule keeps: under the 2/3 rule the k3 >= 0 half of
 the cube |k_i| <= n // 3 (30% of the ``numpy.fft.rfftn`` half spectrum at
 n=64), with "none" the whole half spectrum.  Each stage makes 6 inverse real
 transforms of the band, zero-padded to the half spectrum, and 3 forward ones
-cropped back to it, all through the package's transform pair
-``field.irfft3`` / ``field.rfft3``; the curl, each row's strain and the
+cropped back to it, through ``field``'s band pair ``irfft3_band`` /
+``rfft3_band``, as do each row's strain and the CFL sample: bit for bit the
+package's ``irfft3`` / ``rfft3`` of the padded band, with the 1-D lines that
+are zero on input or cropped on output skipped (under "none" the band is
+every line, and nothing is skipped).  The curl, each row's strain and the
 projection's k.c are ``field``'s multiplier kernels applied to the band.
 ``run`` crops the band from a ``SpectralVectorField``'s half spectrum at entry
 and pads it back at exit.  (u.grad)u and omega x u differ by the gradient
@@ -28,16 +31,17 @@ form ``field.advection`` to roundoff.  With ``dealias="none"`` the two forms
 alias differently and their tendencies differ by O(1) at the resolved
 scales; "none" means the aliased rotational form.
 
-Each ``run`` owns one set of stage buffers, made when it starts and written
-by every stage and diagnostics row: the padded (6, n, n, n/2 + 1) half
-spectrum, written only on the band, so its zeros off the band survive from
-stage to stage; the 6-field band array of (u, omega), or of a row's strain;
-and two n^3 slabs in which u x omega is formed over the inverse transform's
-samples.  Allocated per stage instead, these arrays went back to the C
-allocator and were page-faulted in again: three traced n=64 ``simulate``
-invocations of 4 steps took 198k minor faults and 0.84 s of system time
-that way, 25k and 0.13 s with the buffers.  They are locals of ``run``, not
-module state, so concurrent runs share only the read-only lattices.
+Each ``run`` owns one set of stage buffers, made when it starts and written by
+every stage and diagnostics row: the padded (6, n, n, n/2 + 1) half spectrum,
+the inverse band transform's work array (its planes k3 beyond the band stay
+zero, and each transform clears the rest of the off-band part, pads the band
+and transforms in place); the 6-field band array of (u, omega), or of a row's
+strain; and two n^3 slabs in which u x omega is formed over the inverse
+transform's samples.  Allocated per stage instead, these arrays went back to
+the C allocator and were page-faulted in again: three traced n=64 ``simulate``
+invocations of 4 steps took 198k minor faults and 0.84 s of system time that
+way, 25k and 0.13 s with the buffers.  They are locals of ``run``, not module
+state, so concurrent runs share only the read-only lattices.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ import numpy as np
 from .criteria import constants
 from .field import (
     DECAY_SLACK_TOL, DIVFREE_TOL, GRONWALL_2D_GROWTH_TOL, GRONWALL_2D_TOL, GRONWALL_LOG_TOL,
-    INITIAL_MEAN_TOL, T_END_LATTICE_TOL, SpectralVectorField, StrainField, curl_coeffs,
-    divergence_defect, irfft3, is_mean_zero, k_dot, rfft3, strain_coeffs,
+    INITIAL_MEAN_TOL, T_END_LATTICE_TOL, SpectralVectorField, StrainField, crop_band,
+    curl_coeffs, divergence_defect, irfft3_band, is_mean_zero, k_dot, pad_band, rfft3_band,
+    strain_coeffs,
 )
 from .grid import GridSpec, conjugate_planes
 from .norms import samples_lebesgue_norm
@@ -158,7 +163,7 @@ class _StageBuffers(NamedTuple):
     writes into, so that no stage allocates (and page-faults in) its own."""
 
     band: np.ndarray  # (6, *band shape) complex: (u, omega) of a stage, a row's strain
-    half: np.ndarray  # (6, n, n, n/2 + 1) complex, written only on the band
+    half: np.ndarray  # (6, n, n, n/2 + 1) complex, irfft3_band's work array: 0 at k3 >= m
     scratch: np.ndarray  # (2, n, n, n) real: partial products of u x omega
 
 
@@ -176,29 +181,22 @@ class _Lattice(NamedTuple):
 
     n: int
     shape: tuple[int, int, int]
-    pieces: tuple  # (band index, spectrum index) of the four k1/k2 quadrants
+    rows: tuple  # (band slice, spectrum slice) of the k >= 0, then k < 0, k1/k2 rows
     k_deriv: tuple[np.ndarray, np.ndarray, np.ndarray]  # Nyquist zeroed
     k_sq: np.ndarray
     inv_kderiv_sq: np.ndarray  # 1/|k_deriv|^2, 0 where k_deriv = 0
     multiplicity: np.ndarray  # Plancherel weight: 1 on k3 = 0, n/2, else 2 (the grid's)
     omega_h_weight: np.ndarray  # 1/(2 pi |k|), 0 at k = 0
 
-    def pad(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Half-spectrum coefficients (..., n, n, n/2 + 1), zero off the band.
-        Only band entries are written, so an ``out`` must be zero off the band."""
+    def pad(self, block: np.ndarray) -> np.ndarray:
+        """Half-spectrum coefficients (..., n, n, n/2 + 1), zero off the band."""
         n = self.n
-        if out is None:
-            out = np.zeros(block.shape[:-3] + (n, n, n // 2 + 1), dtype=complex)
-        for b, s in self.pieces:
-            out[s] = block[b]
-        return out
+        out = np.zeros(block.shape[:-3] + (n, n, n // 2 + 1), dtype=complex)
+        return pad_band(block, self.rows, out)
 
     def crop(self, coeffs: np.ndarray) -> np.ndarray:
         """The band of half-spectrum coefficients (k3 = 0 first)."""
-        out = np.empty(coeffs.shape[:-3] + self.shape, dtype=complex)
-        for b, s in self.pieces:
-            out[b] = coeffs[s]
-        return out
+        return crop_band(coeffs, self.rows, self.shape[2])
 
     def stage_buffers(self) -> _StageBuffers:
         """A fresh set of stage buffers on this band, its half spectrum zeroed."""
@@ -221,14 +219,9 @@ def _lattice(grid: GridSpec, dealias_rule: str) -> _Lattice:
         raise ValueError(f"unknown dealias rule {dealias_rule!r}")
     # (band, spectrum) slices of the k >= 0 and k < 0 halves of a k1 or k2 axis
     halves = ((slice(0, lo), slice(0, lo)), (slice(lo, None), slice(n - hi, n)))
-    pieces = tuple(
-        ((..., b1, b2, slice(None)), (..., s1, s2, slice(0, m)))
-        for b1, s1 in halves
-        for b2, s2 in halves
-    )
-    rows = np.r_[0:lo, n - hi : n]  # the band's k1 and k2 rows of the grid's lattice
-    k_deriv = (grid.k_deriv[0][rows], grid.k_deriv[1][:, rows], grid.k_deriv[2][..., :m])
-    k_sq = grid.k_sq[np.ix_(rows, rows, np.arange(m))]
+    index = np.r_[0:lo, n - hi : n]  # the band's k1 and k2 rows of the grid's lattice
+    k_deriv = (grid.k_deriv[0][index], grid.k_deriv[1][:, index], grid.k_deriv[2][..., :m])
+    k_sq = grid.k_sq[np.ix_(index, index, np.arange(m))]
     kd_sq = k_deriv[0] ** 2 + k_deriv[1] ** 2 + k_deriv[2] ** 2
     multiplicity = grid.multiplicity[..., :m]
     with np.errstate(divide="ignore"):
@@ -237,7 +230,7 @@ def _lattice(grid: GridSpec, dealias_rule: str) -> _Lattice:
     for a in (*k_deriv, k_sq, inv_kderiv_sq, omega_h_weight):
         a.setflags(write=False)
     return _Lattice(
-        n, (lo + hi, lo + hi, m), pieces, k_deriv, k_sq, inv_kderiv_sq,
+        n, (lo + hi, lo + hi, m), halves, k_deriv, k_sq, inv_kderiv_sq,
         multiplicity, omega_h_weight,
     )
 
@@ -268,8 +261,10 @@ def nonlinear_term(
     band, half, scratch = lat.stage_buffers() if buffers is None else buffers
     band[:3] = u_hat
     curl_coeffs(u_hat, lat.k_deriv, out=band[3:])
-    # No name holds the samples, so they are freed before the crop allocates.
-    out = lat.crop(rfft3(_cross_in_place(irfft3(lat.pad(band, out=half), lat.n), scratch)))
+    # No name here holds the samples, so rfft3_band frees them before its crop allocates.
+    out = rfft3_band(
+        _cross_in_place(irfft3_band(band, lat.rows, half), scratch), lat.rows, lat.shape[2]
+    )
     dot = k_dot(out, lat.k_deriv) * lat.inv_kderiv_sq
     for component, k in zip(out, lat.k_deriv):
         component -= dot * k
@@ -280,21 +275,20 @@ def nonlinear_term(
 def _cross_in_place(phys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """u x omega from samples (u1, u2, u3, w1, w2, w3), formed over (u2, u3, w1)
     and returned as that view.  Each component is a*b - x*y, two products and a
-    difference.  Every sample is live until the third component is formed, so
-    it waits in the (2, n, n, n) scratch; the others overwrite samples they
-    were the last to read."""
+    difference.  The two products of w1 wait in the (2, n, n, n) scratch, so
+    that w1 is free for the third component; every other product overwrites a
+    sample it was the last to read, and nothing is copied."""
     u1, u2, u3, w1, w2, w3 = phys
     s, t = scratch
-    np.multiply(u1, w2, out=s)
+    np.multiply(u3, w1, out=s)
     np.multiply(u2, w1, out=t)
-    s -= t
+    np.multiply(u1, w2, out=w1)
+    w1 -= t
     np.multiply(u2, w3, out=u2)
     np.multiply(u3, w2, out=w2)
     u2 -= w2
-    np.multiply(u3, w1, out=u3)
     np.multiply(u1, w3, out=w3)
-    u3 -= w3
-    w1[...] = s
+    np.subtract(s, w3, out=u3)
     return phys[1:4]
 
 
@@ -328,7 +322,7 @@ def _spectral_diagnostics(c: np.ndarray, lat: _Lattice, buffers: _StageBuffers) 
         np.sum(lat.multiplicity * lat.omega_h_weight * (np.abs(w[0]) ** 2 + np.abs(w[1]) ** 2))
     )
     strain_band = strain_coeffs(c, lat.k_deriv, out=buffers.band)
-    s_phys = irfft3(lat.pad(strain_band, out=buffers.half), lat.n)
+    s_phys = irfft3_band(strain_band, lat.rows, buffers.half)
     return {
         "K": K,
         "E": E,
@@ -396,7 +390,7 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
 def _advective_cfl_warning(
     u_hat: np.ndarray, lat: _Lattice, cfg: SolverConfig, buffers: _StageBuffers
 ) -> dict:
-    umax = samples_lebesgue_norm(irfft3(lat.pad(u_hat, out=buffers.half[:3]), lat.n), np.inf)
+    umax = samples_lebesgue_norm(irfft3_band(u_hat, lat.rows, buffers.half[:3]), np.inf)
     cfl = cfg.dt * umax * cfg.grid.n
     if cfl > 0.5:  # stacklevel 3 names the caller of ``run``
         warnings.warn(

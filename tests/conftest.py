@@ -186,13 +186,18 @@ _FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2"
 
 @pytest.fixture
 def transform_counts(monkeypatch):
-    """Counts of 3-D and other transforms made through numpy.fft and scipy.fft."""
+    """Counts of 3-D transforms and of the 1-D lines of other transforms made
+    through numpy.fft and scipy.fft, each call counted by its batch: the
+    number of transforms along its axes."""
     counts = {"3d": 0, "other": 0}
 
     def counting(fn, default_ndim):
         def wrapper(a, *args, **kwargs):
             arr = np.asarray(a)
-            axes = kwargs.get("axes", args[1] if len(args) > 1 else None)
+            if default_ndim == 1:  # (a, n, axis)
+                axes = kwargs.get("axis", args[1] if len(args) > 1 else -1)
+            else:  # (a, s, axes)
+                axes = kwargs.get("axes", args[1] if len(args) > 1 else None)
             if axes is None:
                 axes = range(-(default_ndim or arr.ndim), 0)
             axes = tuple(axes) if np.iterable(axes) else (axes,)

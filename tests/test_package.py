@@ -32,30 +32,37 @@ def test_every_module_level_definition_is_exported_or_used():
     assert orphans == []
 
 
-_ND_TRANSFORMS = {"fftn", "ifftn", "rfftn", "irfftn"}
+_TRANSFORMS = {
+    "fft", "ifft", "rfft", "irfft", "hfft", "ihfft",
+    "fft2", "ifft2", "rfft2", "irfft2", "hfft2", "ihfft2",
+    "fftn", "ifftn", "rfftn", "irfftn", "hfftn", "ihfftn",
+}
 
 
-def _nd_transform_sites(node, module, owner=None):
-    """(module, innermost enclosing function or None) of each n-d FFT call."""
+def _transform_sites(node, module, owner=None):
+    """(module, innermost enclosing function or None) of each FFT call, 1-D,
+    2-D or n-d."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Call):
             fn = child.func
-            if (fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)) in _ND_TRANSFORMS:
+            if (fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)) in _TRANSFORMS:
                 yield module, owner
         name = child.name if isinstance(child, ast.FunctionDef) else owner
-        yield from _nd_transform_sites(child, module, name)
+        yield from _transform_sites(child, module, name)
 
 
 def test_nd_transforms_only_in_the_transform_pair_and_advection():
-    """Every n-d FFT call in src/ sits in field.rfft3, field.irfft3 or the
-    convective-form reference field.advection."""
+    """Every FFT call in src/, 1-D included, sits in field.py's transform
+    functions (the pair rfft3 / irfft3 and its band form rfft3_band /
+    irfft3_band) or the convective-form reference field.advection."""
     sites = {
         site
         for path in sorted(SRC.glob("*.py"))
-        for site in _nd_transform_sites(ast.parse(path.read_text()), path.name)
+        for site in _transform_sites(ast.parse(path.read_text()), path.name)
     }
     assert sites == {
-        ("field.py", "rfft3"), ("field.py", "irfft3"), ("field.py", "advection"),
+        ("field.py", "rfft3"), ("field.py", "irfft3"), ("field.py", "rfft3_band"),
+        ("field.py", "irfft3_band"), ("field.py", "advection"),
     }
 
 

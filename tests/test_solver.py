@@ -34,7 +34,8 @@ from almost2d.solver import (
     CSV_COLUMNS, _assemble_series, _det_integral, _lattice, _strain_l3, nonlinear_term,
 )
 from conftest import (
-    full_coeffs, full_wavenumbers, half_spectrum, nonlinear_term_oracle, plane_defect, zeroed,
+    _FFT_NAMES, full_coeffs, full_wavenumbers, half_spectrum, nonlinear_term_oracle, plane_defect,
+    zeroed,
 )
 
 
@@ -201,13 +202,15 @@ class TestThreads:
 
         one_thread = simulate("one.csv")
         workers = []
-        irfftn = scipy.fft.irfftn
 
-        def spy(*args, **kwargs):
-            workers.append(kwargs["workers"])
-            return irfftn(*args, **kwargs)
+        def spy(transform):
+            def spied(*args, **kwargs):
+                workers.append(kwargs["workers"])
+                return transform(*args, **kwargs)
+            return spied
 
-        monkeypatch.setattr(scipy.fft, "irfftn", spy)
+        for name in _FFT_NAMES:  # every scipy.fft transform, 1-D and n-d
+            monkeypatch.setattr(scipy.fft, name, spy(getattr(scipy.fft, name)))
         monkeypatch.setattr(field_module, "THREADED_MIN_N", 4)
         threaded = simulate("threaded.csv")
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -382,24 +385,97 @@ class TestStageBuffers:
         assert fresh - reused >= buffers.half.nbytes == 6 * 32 * 32 * 17 * 16
 
 
-class TestTransformBudget:
-    """A simulate invocation makes 36 3-D transforms per step (4 stages of
-    6 inverse + 3 forward), 6 per recorded row (strain) and 6 once (field
-    read and CFL), and no transforms of other dimension."""
+class TestBandTransforms:
+    """The band pair equals the full pair on the zero-padded band as bits:
+    ``irfft3_band`` is ``irfft3`` of the padded band, ``rfft3_band`` the band
+    of ``rfft3``.  The band's rows are written out here, not taken from
+    ``_Lattice.pad`` or ``crop``."""
 
-    @pytest.mark.parametrize("steps, stride", [(3, 1), (4, 2), (5, 2)])
-    def test_simulate_transform_count(self, tmp_path, transform_counts, steps, stride):
+    @staticmethod
+    def band_rows(n, rule):
+        """The band's k1 and k2 rows of the half spectrum in FFT order (0..kc,
+        then -kc..-1, or every row under "none") and its plane count m."""
+        if rule == "two_thirds":
+            kc = n // 3
+            return np.r_[0 : kc + 1, n - kc : n], kc + 1
+        return np.arange(n), n // 2 + 1
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    @pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 48, 64])
+    def test_band_pair_is_the_full_pair_on_the_padded_band(self, n, rule, threaded,
+                                                            monkeypatch):
+        """Two inputs through one work array filled with NaN at k3 < m, so
+        that an off-band entry left unset shows; the inputs stay unchanged and
+        the work array's planes k3 >= m stay zero."""
+        monkeypatch.setattr(field_module, "THREADED_MIN_N", 4 if threaded else n + 2)
+        lat = _lattice(GridSpec(n), rule)
+        rows, m = self.band_rows(n, rule)
+        assert lat.shape == (len(rows), len(rows), m)
+        band = (slice(None),) + np.ix_(rows, rows, np.arange(m))
+        rng = np.random.default_rng(n + (rule == "none"))
+        work = np.zeros((6, n, n, n // 2 + 1), dtype=complex)
+        work[..., :m] = np.nan
+        for _ in range(2):
+            padded = np.zeros_like(work)
+            padded[band] = rng.standard_normal((6,) + lat.shape) + 1j * rng.standard_normal(
+                (6,) + lat.shape)
+            block = np.ascontiguousarray(conjugate_planes(padded)[band])
+            before = block.copy()
+            got = field_module.irfft3_band(block, lat.rows, work)
+            assert same_bits(block, before)
+            assert same_bits(got, irfft3(padded, n))
+            assert not np.any(work[..., m:])
+
+            samples = rng.standard_normal((3, n, n, n))
+            before = samples.copy()
+            got = field_module.rfft3_band(samples, lat.rows, m)
+            assert same_bits(samples, before)
+            assert same_bits(got, np.ascontiguousarray(field_module.rfft3(samples)[band]))
+
+
+class TestTransformBudget:
+    """A simulate invocation reads its field with one 3-D transform of 3
+    fields (``to_spectral``) and makes every other transform as 1-D lines
+    through the band pair.  With b band rows along k1 and k2 and m planes
+    k3 < m (b = 2kc + 1 and m = kc + 1, kc = n // 3, under the 2/3 rule;
+    b = n and m = n/2 + 1 under "none"), one field costs L = b m + n m + n^2
+    lines each way:
+
+    * inverse: k1 over the band's k2 rows and planes (b m), k2 over the
+      planes (n m), then the real transform along k3 (n^2);
+    * forward: x3 (n^2), x1 over the planes (n m), x2 over the band's k1
+      rows (b m).
+
+    A stage transforms 6 fields in and 3 out (9 L), a step makes 4 stages
+    (36 L), each recorded row the 6 strain components (6 L), and the CFL
+    sample before the first step 3 fields (3 L).  At n = 8, L = 15 + 24 + 64
+    = 103 under the 2/3 rule and 40 + 40 + 64 = 144 under "none", the
+    n^2 + 2 n (n/2 + 1) lines of a full 3-D transform: "none" prunes none."""
+
+    LINES = {"two_thirds": 103, "none": 144}
+
+    def count(self, tmp_path, transform_counts, steps, stride, rule):
         field = str(tmp_path / "u.field")
         assert main(["construct", "random", "--n", "8", "--seed", "3", "--output", field]) == 0
         cfgfile = tmp_path / "sim.cfg"
-        cfgfile.write_text(f"nu=0.1\ndt=1e-3\nt_end={steps * 1e-3!r}\nrecord_stride={stride}\n")
+        cfgfile.write_text(f"nu=0.1\ndt=1e-3\nt_end={steps * 1e-3!r}\nrecord_stride={stride}\n"
+                           f"dealias={rule}\n")
         out = str(tmp_path / "run.csv")
         transform_counts.update({"3d": 0, "other": 0})
         assert main(["simulate", "--config", str(cfgfile), "--initial", field,
                      "--output", out]) == 0
         rows = len(open(out).read().strip().splitlines()) - 1
         assert rows == steps // stride + 1 + (steps % stride > 0)
-        assert transform_counts == {"3d": 36 * steps + 6 * rows + 6, "other": 0}
+        lines = (36 * steps + 6 * rows + 3) * self.LINES[rule]
+        assert transform_counts == {"3d": 3, "other": lines}
+
+    @pytest.mark.parametrize("steps, stride", [(3, 1), (4, 2), (5, 2)])
+    def test_simulate_transform_count(self, tmp_path, transform_counts, steps, stride):
+        self.count(tmp_path, transform_counts, steps, stride, "two_thirds")
+
+    def test_undealiased_transform_count(self, tmp_path, transform_counts):
+        self.count(tmp_path, transform_counts, 3, 2, "none")
 
 
 class TestRun:
