@@ -13,6 +13,10 @@ the one Hermitian check.  Every field transform goes through one real-data pair,
 ``rfft3_band`` / ``irfft3_band``: the same pocketfft 1-D passes, in the same
 order and with the same factor, run only over the lines that are not zero on
 the way in or cropped away on the way out, so the two forms agree as bits.
+The band form is made of passes a solver part can run on its share
+(``band_parts``): the complex passes on band planes k3 < m
+(``band_inverse_planes``, ``band_forward_planes``) and the real ones along the
+last axis on x1 slabs (``irfft_k3``, ``rfft_x3``).
 Only ``advection``, the convective-form reference, calls ``numpy.fft``.  Mean
 zero is read from k = 0 by each operation that needs it (``is_mean_zero``).
 Multipliers k.c, 2 pi i k x c and pi i (k_i c_j + k_j c_i) are written once, as
@@ -51,13 +55,23 @@ NODE_DIVFREE_TOL = 1e-14  # xi . what at quadrature nodes vanishes identically u
 QUADRATURE_TOL = 1e-8  # quadrature against closed forms: the acceptance oracle's tolerance
 MAJORANT_TOL = 1e-10  # relative slack of a quadrature value or torus norm under its majorant
 
-#: Grids with at least this many points per axis run each transform (3-D, or
-#: the 1-D passes of a band transform) on every core the process may use.  Two
-#: threads against one on a 2-vCPU VM (pocketfft, 3-D transforms), one
-#: ``simulate`` end to end, median of 8 alternating pairs:
-#: 1.75x slower at n=16, 1.33x slower at n=32, 1.14x faster at n=48 and 1.17x
-#: faster at n=64.  Threaded output is bit-identical.
+#: Grids with at least this many points per axis run each transform on every
+#: core the process may use: a 3-D transform as one threaded pocketfft call, and
+#: a solver run as parts on a pool of that many threads (``band_parts``), each
+#: part's 1-D passes on one thread.  Below it a run makes no pool and one part,
+#: inline.  Two threads against one on a 2-vCPU VM (pocketfft, 3-D transforms),
+#: one ``simulate`` end to end, median of 8 alternating pairs: 1.75x slower at
+#: n=16, 1.33x slower at n=32, 1.14x faster at n=48 and 1.17x faster at n=64.
+#: Threaded output is bit-identical.
 THREADED_MIN_N = 48
+
+#: Height, in x1 planes, of the slabs a solver part transforms and multiplies
+#: at a time: its samples (6, 8, 64, 64) are 1.5 MB at n=64, so a slab's
+#: pointwise work reads what its transform just wrote while it is still in
+#: cache.  One n=64 RK stage in two parts on a 2-vCPU VM, median of 60 in each
+#: of two interleaved orders (ms): height 2: 22.2 / 20.3, 4: 21.4 / 19.1,
+#: 8: 20.8 / 18.9, 16: 21.5 / 19.0, 32 (one slab per part): 21.8 / 19.9.
+SLAB_PLANES = 8
 
 
 def _workers(n: int) -> int:
@@ -66,6 +80,25 @@ def _workers(n: int) -> int:
     if hasattr(os, "sched_getaffinity"):  # the cores this process may use
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def band_parts(n: int, m: int) -> tuple[tuple[slice, ...], tuple[tuple[slice, ...], ...]]:
+    """How a solver run splits a band transform of an n-point grid with m band
+    planes: (planes, slabs), each part's planes k3 < m and its x1 slabs.
+
+    There are ``_workers(n)`` parts, at most m (one plane each) and at most n
+    (one x1 plane each), so no part is empty.  The slabs are SLAB_PLANES high,
+    or lower so that each part gets one, dealt out in turn; a part's first
+    slab is its highest.  Each 1-D line of a band transform lies in one k3
+    plane or one x1 slab, so a split transform equals the whole one as bits.
+    """
+    count = min(_workers(n), m, n)
+    height = min(SLAB_PLANES, n // count)
+    slabs = [slice(x, min(x + height, n)) for x in range(0, n, height)]
+    return (
+        tuple(slice(m * i // count, m * (i + 1) // count) for i in range(count)),
+        tuple(tuple(slabs[i::count]) for i in range(count)),
+    )
 
 
 def rfft3(samples: np.ndarray) -> np.ndarray:
@@ -102,13 +135,45 @@ def pad_band(block: np.ndarray, rows: tuple, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def crop_band(coeffs: np.ndarray, rows: tuple, m: int) -> np.ndarray:
-    """The band (..., b, b, m) of half-spectrum coefficients, as a fresh array."""
-    size = sum(s.stop - s.start for _, s in rows)
-    out = np.empty(coeffs.shape[:-3] + (size, size, m), dtype=complex)
+def crop_band(coeffs: np.ndarray, rows: tuple, m: int,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """The band (..., b, b, m) of half-spectrum coefficients, written into
+    ``out`` if given, else into a fresh array."""
+    if out is None:
+        size = sum(s.stop - s.start for _, s in rows)
+        out = np.empty(coeffs.shape[:-3] + (size, size, m), dtype=complex)
     for b, s in _quadrants(rows, m):
         out[b] = coeffs[s]
     return out
+
+
+def band_inverse_planes(block: np.ndarray, rows: tuple, half: np.ndarray,
+                        workers: int = 1) -> np.ndarray:
+    """The complex passes of ``irfft3_band`` over the planes of ``block``
+    (..., b, b, m), k3 < m of ``half``: clear the off-band part that an
+    earlier call left there, pad the band, then k1 over the band's k2 rows
+    and k2 over every row, in place (scipy's pocketfft writes a complex input
+    given ``overwrite_x``).  Each line lies in one k3 plane, so a solver part
+    passes a block and ``half`` cut to its planes."""
+    m = block.shape[-1]
+    (_, low), (_, high) = rows
+    gap = slice(low.stop, high.start)  # the rows off the band, empty under "none"
+    planes = half[..., :m]
+    planes[..., gap, :, :] = 0.0
+    for s in (low, high):
+        planes[..., s, gap, :] = 0.0
+    pad_band(block, rows, half)
+    for s in (low, high):
+        scipy.fft.ifft(half[..., s, :m], axis=-3, norm="forward", overwrite_x=True,
+                       workers=workers)
+    scipy.fft.ifft(planes, axis=-2, norm="forward", overwrite_x=True, workers=workers)
+    return half
+
+
+def irfft_k3(half: np.ndarray, n: int, workers: int = 1) -> np.ndarray:
+    """Real samples (..., n) from the k3 axis of ``half``, the last pass of
+    ``irfft3_band``; a solver part passes one x1 slab of it."""
+    return scipy.fft.irfft(half, n, axis=-1, norm="forward", workers=workers)
 
 
 def irfft3_band(block: np.ndarray, rows: tuple, half: np.ndarray) -> np.ndarray:
@@ -118,25 +183,36 @@ def irfft3_band(block: np.ndarray, rows: tuple, half: np.ndarray) -> np.ndarray:
     ``half`` (..., n, n, n/2 + 1) is the work array: it must be zero at
     k3 >= m, which is never written, and is overwritten at k3 < m.  The 1-D
     passes are pocketfft's for ``irfftn``, in its order and with its unit
-    factor: k1 over the band's k2 rows and planes k3 < m, k2 over planes
-    k3 < m, then the real transform along k3.  The complex passes run in
-    place: scipy's pocketfft writes a complex input given ``overwrite_x``.
+    factor: ``band_inverse_planes``, then the real transform along k3.
     """
     n = half.shape[-2]
-    m = block.shape[-1]
     workers = _workers(n)
-    (_, low), (_, high) = rows
-    gap = slice(low.stop, high.start)  # the rows off the band, empty under "none"
-    planes = half[..., :m]
-    planes[..., gap, :, :] = 0.0  # clear what the passes of the last call left there
-    for s in (low, high):
-        planes[..., s, gap, :] = 0.0
-    pad_band(block, rows, half)
-    for s in (low, high):
-        scipy.fft.ifft(half[..., s, :m], axis=-3, norm="forward", overwrite_x=True,
-                       workers=workers)
-    scipy.fft.ifft(planes, axis=-2, norm="forward", overwrite_x=True, workers=workers)
-    return scipy.fft.irfft(half, n, axis=-1, norm="forward", workers=workers)
+    return irfft_k3(band_inverse_planes(block, rows, half, workers), n, workers)
+
+
+def rfft_x3(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The real transform of ``samples`` (..., n) along x3, on one thread, its
+    planes k3 < m scaled by 1/n^3 into ``out`` (..., m): the first pass of
+    ``rfft3_band`` on one x1 slab, written into a compact forward array."""
+    n = samples.shape[-1]
+    lines = scipy.fft.rfft(samples, axis=-1, workers=1)
+    # Real and imaginary parts, each scaled as rfft3_band scales them.
+    np.multiply(lines[..., : out.shape[-1]].view(np.float64), 1.0 / n**3,
+                out=out.view(np.float64))
+    return out
+
+
+def band_forward_planes(forward: np.ndarray, rows: tuple, out: np.ndarray | None = None,
+                        workers: int = 1) -> np.ndarray:
+    """The complex passes of ``rfft3_band`` over the planes of ``forward``
+    (..., n, n, m), transformed along x3 and scaled: x1 over every row, then
+    x2 over the band's k1 rows, in place, then the crop to the band, into
+    ``out`` (..., b, b, m) if given.  Each line lies in one k3 plane, so a
+    solver part passes ``forward`` and ``out`` cut to its planes."""
+    scipy.fft.fft(forward, axis=-3, overwrite_x=True, workers=workers)
+    for _, s in rows:
+        scipy.fft.fft(forward[..., s, :, :], axis=-2, overwrite_x=True, workers=workers)
+    return crop_band(forward, rows, forward.shape[-1], out)
 
 
 def rfft3_band(samples: np.ndarray, rows: tuple, m: int) -> np.ndarray:
@@ -145,10 +221,10 @@ def rfft3_band(samples: np.ndarray, rows: tuple, m: int) -> np.ndarray:
 
     The real transform along x3 runs unnormalized and is scaled by 1/n^3
     once, where pocketfft's ``rfftn`` applies its factor (per axis, 1/n
-    moves the last bit when n is not a power of two); then x1 over planes
-    k3 < m and x2 over the band's k1 rows, in place.  The samples are
-    released before the crop allocates, so a caller that passes its only
-    reference does not hold them through it.
+    moves the last bit when n is not a power of two); then
+    ``band_forward_planes`` over planes k3 < m.  The samples are released
+    before the crop allocates, so a caller that passes its only reference
+    does not hold them through it.
     """
     n = samples.shape[-1]
     workers = _workers(n)
@@ -158,10 +234,7 @@ def rfft3_band(samples: np.ndarray, rows: tuple, m: int) -> np.ndarray:
     # k3 >= m too, as one contiguous loop is faster than a strided one.
     parts = half.view(np.float64)
     parts *= 1.0 / n**3
-    scipy.fft.fft(half[..., :m], axis=-3, overwrite_x=True, workers=workers)
-    for _, s in rows:
-        scipy.fft.fft(half[..., s, :, :m], axis=-2, overwrite_x=True, workers=workers)
-    return crop_band(half, rows, m)
+    return band_forward_planes(half[..., :m], rows, workers=workers)
 
 
 def is_mean_zero(magnitude: np.ndarray, tol: float) -> bool:

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -188,8 +189,10 @@ _FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2"
 def transform_counts(monkeypatch):
     """Counts of 3-D transforms and of the 1-D lines of other transforms made
     through numpy.fft and scipy.fft, each call counted by its batch: the
-    number of transforms along its axes."""
+    number of transforms along its axes.  A lock guards each count, as a
+    run's parts call from several threads at once."""
     counts = {"3d": 0, "other": 0}
+    lock = threading.Lock()
 
     def counting(fn, default_ndim):
         def wrapper(a, *args, **kwargs):
@@ -202,7 +205,8 @@ def transform_counts(monkeypatch):
                 axes = range(-(default_ndim or arr.ndim), 0)
             axes = tuple(axes) if np.iterable(axes) else (axes,)
             batch = arr.size // math.prod(arr.shape[ax] for ax in axes)
-            counts["3d" if len(axes) == 3 else "other"] += batch
+            with lock:
+                counts["3d" if len(axes) == 3 else "other"] += batch
             return fn(a, *args, **kwargs)
 
         return wrapper

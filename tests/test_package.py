@@ -53,16 +53,19 @@ def _transform_sites(node, module, owner=None):
 
 def test_nd_transforms_only_in_the_transform_pair_and_advection():
     """Every FFT call in src/, 1-D included, sits in field.py's transform
-    functions (the pair rfft3 / irfft3 and its band form rfft3_band /
-    irfft3_band) or the convective-form reference field.advection."""
+    functions (the pair rfft3 / irfft3, and the passes of its band form that a
+    solver part runs: band_inverse_planes and irfft_k3, which make
+    irfft3_band, and rfft_x3, band_forward_planes and rfft3_band's own x3
+    pass) or the convective-form reference field.advection."""
     sites = {
         site
         for path in sorted(SRC.glob("*.py"))
         for site in _transform_sites(ast.parse(path.read_text()), path.name)
     }
     assert sites == {
-        ("field.py", "rfft3"), ("field.py", "irfft3"), ("field.py", "rfft3_band"),
-        ("field.py", "irfft3_band"), ("field.py", "advection"),
+        ("field.py", "rfft3"), ("field.py", "irfft3"), ("field.py", "band_inverse_planes"),
+        ("field.py", "irfft_k3"), ("field.py", "rfft_x3"), ("field.py", "band_forward_planes"),
+        ("field.py", "rfft3_band"), ("field.py", "advection"),
     }
 
 

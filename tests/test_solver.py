@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from almost2d.field import from_full_coeffs
 from almost2d.grid import conjugate_planes
 from almost2d.norms import field_summary, samples_lebesgue_norm
 from almost2d.solver import (
-    CSV_COLUMNS, _assemble_series, _det_integral, _lattice, _strain_l3, nonlinear_term,
+    CSV_COLUMNS, _assemble_series, _det, _lattice, _strain_cubed, nonlinear_term,
 )
 from conftest import (
     _FFT_NAMES, full_coeffs, full_wavenumbers, half_spectrum, nonlinear_term_oracle, plane_defect,
@@ -187,8 +188,11 @@ class TestSymmetries:
 
 class TestThreads:
     def test_threaded_transforms_leave_the_output_unchanged(self, tmp_path, monkeypatch):
-        """Lowering the threshold makes an n=16 simulate use every core; the
-        CSV and the summary are byte-identical to the run on one thread."""
+        """Lowering the threshold makes an n=16 simulate use every core: the
+        field read is one 3-D transform with ``workers`` = cores, and the run's
+        transforms are 1-D passes with ``workers`` = 1, made by as many
+        distinct threads, its parts.  The CSV and the summary are
+        byte-identical to the run on one thread."""
         field = str(tmp_path / "u.field")
         assert main(["construct", "random", "--n", "16", "--seed", "5", "--output", field]) == 0
         cfgfile = tmp_path / "sim.cfg"
@@ -201,20 +205,24 @@ class TestThreads:
             return open(out, "rb").read(), open(out + ".summary.json", "rb").read()
 
         one_thread = simulate("one.csv")
-        workers = []
+        calls = []  # (n-d transform, workers, thread)
 
-        def spy(transform):
+        def spy(name, transform):
             def spied(*args, **kwargs):
-                workers.append(kwargs["workers"])
+                calls.append((name.endswith("n"), kwargs["workers"], threading.get_ident()))
                 return transform(*args, **kwargs)
             return spied
 
         for name in _FFT_NAMES:  # every scipy.fft transform, 1-D and n-d
-            monkeypatch.setattr(scipy.fft, name, spy(getattr(scipy.fft, name)))
+            monkeypatch.setattr(scipy.fft, name, spy(name, getattr(scipy.fft, name)))
         monkeypatch.setattr(field_module, "THREADED_MIN_N", 4)
         threaded = simulate("threaded.csv")
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert set(workers) == {cores}
+        read = [(workers, thread) for nd, workers, thread in calls if nd]
+        passes = [(workers, thread) for nd, workers, thread in calls if not nd]
+        assert read == [(cores, threading.get_ident())]
+        assert {workers for workers, _ in passes} == {1}
+        assert len({thread for _, thread in passes}) == cores
         assert threaded == one_thread
 
 
@@ -239,9 +247,9 @@ def diagnostics_row_oracle(c, lat):
         "K": 0.5 * float(np.sum(abs_sq)),
         "E": 0.5 * float(np.sum(four_pi_sq_ksq * abs_sq)),
         "strain_h1_sq": 0.5 * float(np.sum(four_pi_sq_ksq**2 * abs_sq)),
-        "det_S_integral": _det_integral(s_phys),
+        "det_S_integral": float(np.mean(_det(s_phys))),
         "omega_h_hminushalf": math.sqrt(max(omega_h_sq, 0.0)),
-        "strain_l3": _strain_l3(s_phys),
+        "strain_l3": float(np.mean(_strain_cubed(s_phys)) ** (1.0 / 3.0)),
     }
 
 
@@ -334,13 +342,16 @@ class TestStageBuffers:
         assert series.final_field is series.final_field
         assert calls == [1]
 
-    def test_concurrent_runs_equal_serial_runs(self):
+    @pytest.mark.parametrize("n, steps", [(16, 8), (48, 1)])
+    def test_concurrent_runs_equal_serial_runs(self, n, steps, monkeypatch):
         """Four runs at once, in more threads than cores and with a short switch
         interval, each equal to its serial run as bits: no run writes into
-        another's buffers."""
-        grid = GridSpec(16)
-        cfg = SolverConfig(grid=grid, nu=0.03, dt=1e-3, t_end=8e-3)
-        fields = [random_divergence_free(grid, 95 + i, kmax=5, amplitude=0.3) for i in range(4)]
+        another's buffers.  At n=48 each run splits its work into two parts on
+        a pool of its own."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        grid = GridSpec(n)
+        cfg = SolverConfig(grid=grid, nu=0.03, dt=1e-3, t_end=steps * 1e-3)
+        fields = [random_divergence_free(grid, 95 + i, kmax=5, amplitude=4.8 / n) for i in range(4)]
         serial = [run(u0, cfg) for u0 in fields]
         results = [None] * len(fields)
 
@@ -383,6 +394,108 @@ class TestStageBuffers:
         fresh = peak(lambda: nonlinear_term_oracle(u, grid32))
         reused = peak(lambda: nonlinear_term(u, grid32, buffers=buffers))
         assert fresh - reused >= buffers.half.nbytes == 6 * 32 * 32 * 17 * 16
+
+
+class TestParts:
+    """From n = THREADED_MIN_N a run splits each stage, row and CFL sample into
+    parts, by band planes for the spectral passes and by x1 slabs for the
+    physical work, on a pool of its own.  Each part's result equals the
+    fresh-array oracle's as bits."""
+
+    @staticmethod
+    def check_against_oracles(grid, rule, buffers, seed):
+        """Two inputs through one buffer set: the stage, the row and max|u|
+        each equal their oracle as bits, and the inputs stay unchanged."""
+        lat = _lattice(grid, rule)
+        for c in band_inputs(lat, 2, seed):
+            before = c.copy()
+            assert same_bits(nonlinear_term(c, grid, rule, buffers=buffers),
+                             nonlinear_term_oracle(before, grid, rule))
+            assert repr(solver_module._spectral_diagnostics(c, lat, buffers)) == repr(
+                diagnostics_row_oracle(before, lat))
+            umax = samples_lebesgue_norm(irfft3(lat.pad(before), grid.n), np.inf)
+            assert solver_module._max_speed(c, lat, buffers) == umax
+            assert same_bits(c, before)
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    @pytest.mark.parametrize("n", [24, 48, 64])
+    def test_parts_give_the_oracle_bits(self, n, rule, threaded, monkeypatch):
+        """THREADED_MIN_N lowered, with three cores: three parts on a pool;
+        raised: one part, inline."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(field_module, "THREADED_MIN_N", 4 if threaded else n + 2)
+        grid = GridSpec(n)
+        lat = _lattice(grid, rule)
+        with ThreadPoolExecutor(3) as pool:
+            buffers = lat.stage_buffers(pool)
+            assert len(buffers.parts.planes) == (3 if threaded else 1)
+            self.check_against_oracles(grid, rule, buffers, seed=n)
+
+    @pytest.mark.parametrize("rule, planes, slabs", [("two_thirds", 3, 4), ("none", 5, 8)])
+    def test_parts_are_capped_and_never_empty(self, rule, planes, slabs, monkeypatch):
+        """Eight cores at n=8: the parts are capped at the band's m planes (3
+        under the 2/3 rule, 5 under "none"), the slabs are lowered so that
+        each part gets one, and no transform gets an empty array."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(field_module, "THREADED_MIN_N", 4)
+        grid = GridSpec(8)
+        lat = _lattice(grid, rule)
+        sizes = []
+
+        def spy(transform):
+            def spied(x, *args, **kwargs):
+                sizes.append(np.asarray(x).size)
+                return transform(x, *args, **kwargs)
+            return spied
+
+        for name in _FFT_NAMES:
+            monkeypatch.setattr(scipy.fft, name, spy(getattr(scipy.fft, name)))
+        with ThreadPoolExecutor(8) as pool:
+            buffers = lat.stage_buffers(pool)
+            parts = buffers.parts
+            assert (len(parts.planes), sum(map(len, parts.slabs))) == (planes, slabs)
+            assert [p.indices(lat.shape[2]) for p in parts.planes] == [
+                (i, i + 1, 1) for i in range(planes)]
+            assert all(x.stop > x.start for part in parts.slabs for x in part)
+            self.check_against_oracles(grid, rule, buffers, seed=8)
+        assert sizes and min(sizes) > 0
+
+    @pytest.mark.parametrize("threshold, status", [
+        (1e8, "completed"),
+        (1e-12, "blowup_suspected"),  # stopped at row 0
+        (None, "rejected"),  # a mean: run raises before it makes a pool
+    ])
+    def test_no_thread_outlives_a_run(self, threshold, status, monkeypatch):
+        """A threaded run (THREADED_MIN_N lowered, two cores) runs its parts on
+        two more threads and joins them before it returns or raises."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(field_module, "THREADED_MIN_N", 4)
+        grid = GridSpec(16)
+        u0 = random_divergence_free(grid, 31, kmax=5, amplitude=0.3)
+        if status == "rejected":
+            half = u0.half.copy()
+            half[0, 0, 0, 0] = 1.0
+            u0 = SpectralVectorField(grid, half)
+        cfg = SolverConfig(grid=grid, nu=0.03, dt=1e-3, t_end=3e-3,
+                           blowup_threshold=threshold or 1e8)
+        seen = []  # the thread count at each inverse slab transform
+        irfft = scipy.fft.irfft
+
+        def counting(*args, **kwargs):
+            seen.append(threading.active_count())
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "irfft", counting)
+        before = threading.active_count()
+        if status == "rejected":
+            with pytest.raises(ValueError, match="mean-zero"):
+                run(u0, cfg)
+            assert seen == []
+        else:
+            assert run(u0, cfg).status == status
+            assert max(seen) == before + 2
+        assert threading.active_count() == before
 
 
 class TestBandTransforms:
@@ -476,6 +589,14 @@ class TestTransformBudget:
 
     def test_undealiased_transform_count(self, tmp_path, transform_counts):
         self.count(tmp_path, transform_counts, 3, 2, "none")
+
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    def test_parts_make_the_same_lines(self, tmp_path, transform_counts, rule, monkeypatch):
+        """Split into three parts (THREADED_MIN_N lowered, three cores), a run
+        makes the lines of one part, counted under the fixture's lock."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(field_module, "THREADED_MIN_N", 4)
+        self.count(tmp_path, transform_counts, 3, 1, rule)
 
 
 class TestRun:
