@@ -57,9 +57,9 @@ MAJORANT_TOL = 1e-10  # relative slack of a quadrature value or torus norm under
 
 #: Grids with at least this many points per axis run each transform on every
 #: core the process may use: a 3-D transform as one threaded pocketfft call, and
-#: a solver run as parts on a pool of that many threads (``band_parts``), each
-#: part's 1-D passes on one thread.  Below it a run makes no pool and one part,
-#: inline.  Two threads against one on a 2-vCPU VM (pocketfft, 3-D transforms),
+#: a solver run as that many parts (``band_parts``), one in the calling thread
+#: and the others on the run's pool, each part's 1-D passes on one thread.
+#: Below it a run has one part, inline, and starts no thread.  Two threads against one on a 2-vCPU VM (pocketfft, 3-D transforms),
 #: one ``simulate`` end to end, median of 8 alternating pairs: 1.75x slower at
 #: n=16, 1.33x slower at n=32, 1.14x faster at n=48 and 1.17x faster at n=64.
 #: Threaded output is bit-identical.
@@ -82,20 +82,25 @@ def _workers(n: int) -> int:
     return os.cpu_count() or 1
 
 
-def band_parts(n: int, m: int) -> tuple[tuple[slice, ...], tuple[tuple[slice, ...], ...]]:
-    """How a solver run splits a band transform of an n-point grid with m band
-    planes: (planes, slabs), each part's planes k3 < m and its x1 slabs.
+def band_parts(n: int, b: int, m: int) -> tuple[tuple[slice, ...], tuple[slice, ...],
+                                                tuple[tuple[slice, ...], ...]]:
+    """How a solver run splits its work on an n-point grid whose band has b
+    k1 rows and m planes: (rows, planes, slabs), each part's k1 rows of the
+    band, its planes k3 < m and its x1 slabs.
 
     There are ``_workers(n)`` parts, at most m (one plane each) and at most n
-    (one x1 plane each), so no part is empty.  The slabs are SLAB_PLANES high,
-    or lower so that each part gets one, dealt out in turn; a part's first
-    slab is its highest.  Each 1-D line of a band transform lies in one k3
-    plane or one x1 slab, so a split transform equals the whole one as bits.
+    (one x1 plane each), so no part is empty (b > m).  The slabs are
+    SLAB_PLANES high, or lower so that each part gets one, dealt out in turn;
+    a part's first slab is its highest.  Each 1-D line of a band transform
+    lies in one k3 plane or one x1 slab, so a split transform equals the
+    whole one as bits; the elementwise band work is split by k1 rows, whose
+    inner loops stay contiguous.
     """
     count = min(_workers(n), m, n)
     height = min(SLAB_PLANES, n // count)
     slabs = [slice(x, min(x + height, n)) for x in range(0, n, height)]
     return (
+        tuple(slice(b * i // count, b * (i + 1) // count) for i in range(count)),
         tuple(slice(m * i // count, m * (i + 1) // count) for i in range(count)),
         tuple(tuple(slabs[i::count]) for i in range(count)),
     )

@@ -32,16 +32,18 @@ differently and their tendencies differ by O(1) at the resolved scales;
 "none" means the aliased rotational form.
 
 From n = ``field.THREADED_MIN_N`` a stage, a row and the CFL sample are cut
-into parts, one per core (``field.band_parts``), that a pool of the run's own
-threads runs at once.  The spectral work (the band's fill, the pad and the
-k1/k2 passes in, the x1/x2 passes, crop and projection out) is split by band
-planes k3 < m; the physical work by x1 slabs: each slab's real transform
-along k3, its pointwise work (u x omega, the row's det S and |S|^3, the CFL's
-|u|) and, in a stage, its real transform along x3, scaled by 1/n^3 into a
-compact (3, n, n, m) forward array.  Each 1-D line lies wholly in one plane
-or one slab and each transform runs on one thread, so the parts change no
-bit.  Below the threshold a run has one part, run inline through the band
-pair, and starts no thread.
+into parts, one per core (``field.band_parts``): the calling thread runs one
+and a pool of the run's own threads the others, at once.  The transform
+passes in spectral space (the pad and the k1/k2 passes in, the x1/x2 passes
+and the crop out) are split by band planes k3 < m, and the elementwise band
+work (the fill of (u, omega) or of a row's strain, the projection) by band
+k1 rows, whose inner loops stay contiguous; the physical work by x1 slabs:
+each slab's real transform along k3, its pointwise work (u x omega, the
+row's det S and |S|^3, the CFL's |u|) and, in a stage, its real transform
+along x3, scaled by 1/n^3 into a compact (3, n, n, m) forward array.  Each
+1-D line lies wholly in one plane or one slab and each transform runs on one
+thread, so the parts change no bit.  Below the threshold a run has one part,
+run inline through the band pair, and starts no thread.
 
 Each ``run`` owns one set of stage buffers, made when it starts and written by
 every stage and diagnostics row: the padded (6, n, n, n/2 + 1) half spectrum,
@@ -67,7 +69,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple
 
@@ -179,11 +181,13 @@ class DiagnosticsSeries:
 
 class _Parts(NamedTuple):
     """How one ``run`` splits each stage, row and CFL sample (``band_parts``):
-    each part's band planes and x1 slabs, and ``map(fn, items)``, which runs
-    the parts on the run's pool, or in turn for a caller without one, and
-    returns their results as a list."""
+    each part's band k1 rows, band planes and x1 slabs, and ``map(fn,
+    items)``, which runs fn on every item, one per part, and returns the
+    results as a list: the first in the calling thread and the others on the
+    run's pool, or all in turn for a caller without one."""
 
     map: Callable[[Callable, tuple], list]
+    rows: tuple[slice, ...]
     planes: tuple[slice, ...]
     slabs: tuple[tuple[slice, ...], ...]
 
@@ -230,27 +234,33 @@ class _Lattice(NamedTuple):
         """The band of half-spectrum coefficients (k3 = 0 first)."""
         return crop_band(coeffs, self.rows, self.shape[2])
 
-    def k_planes(self, planes: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``k_deriv`` on the band planes ``planes``."""
+    def k_rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``k_deriv`` on the band's k1 rows ``rows``."""
         k1, k2, k3 = self.k_deriv
-        return k1, k2, k3[..., planes]
+        return k1[rows], k2, k3
 
     def stage_buffers(self, pool: ThreadPoolExecutor | None = None) -> _StageBuffers:
         """A fresh set of stage buffers on this band, its half spectrum zeroed,
-        whose parts run on ``pool`` if given, else in turn."""
+        whose parts after the first run on ``pool`` if given, else in turn."""
         n, m = self.n, self.shape[2]
-        planes, slabs = band_parts(n, m)
-        apply = map if pool is None else pool.map
+        rows, planes, slabs = band_parts(n, self.shape[0], m)
 
         def run_parts(fn, items):
-            return list(apply(fn, items))
+            if pool is None:
+                return list(map(fn, items))
+            rest = [pool.submit(fn, item) for item in items[1:]]
+            try:
+                first = fn(items[0])
+            finally:
+                wait(rest)  # no part still writes into the buffers when this returns or raises
+            return [first] + [future.result() for future in rest]
 
         return _StageBuffers(
             np.empty((6,) + self.shape, dtype=complex),
             np.zeros((6, n, n, n // 2 + 1), dtype=complex),
             np.empty((2, n, n, n)),
             np.empty((3, n, n, m), dtype=complex) if len(planes) > 1 else None,
-            _Parts(run_parts, planes, slabs),
+            _Parts(run_parts, rows, planes, slabs),
         )
 
 
@@ -308,9 +318,9 @@ def nonlinear_term(
     buffers = lat.stage_buffers() if buffers is None else buffers
     band, forward, parts = buffers.band, buffers.forward, buffers.parts
 
-    def fill(planes):
-        band[:3, ..., planes] = u_hat[..., planes]
-        curl_coeffs(u_hat[..., planes], lat.k_planes(planes), out=band[3:, ..., planes])
+    def fill(rows):
+        band[:3, rows] = u_hat[:, rows]
+        curl_coeffs(u_hat[:, rows], lat.k_rows(rows), out=band[3:, rows])
 
     if len(parts.planes) == 1:  # inline, as forward is None
         fill(slice(None))
@@ -325,27 +335,27 @@ def nonlinear_term(
             rfft_x3(_cross_in_place(samples, scratch[:, : len(samples[0])]), forward[:, x1])
 
         def forward_planes(planes):
-            _project(band_forward_planes(forward[..., planes], lat.rows, out[..., planes]),
-                     lat, planes)
+            band_forward_planes(forward[..., planes], lat.rows, out[..., planes])
 
         _band_samples(band, fill, lat, buffers, slab_product)
         out = np.empty((3,) + lat.shape, dtype=complex)
         parts.map(forward_planes, parts.planes)
+        parts.map(lambda rows: _project(out[:, rows], lat, rows), parts.rows)
     out[:, 0, 0, 0] = 0.0
     return out
 
 
 def _band_samples(block: np.ndarray, fill: Callable, lat: _Lattice, buffers: _StageBuffers,
                   on_slab: Callable) -> list:
-    """The inverse band transform of ``block``, which ``fill(planes)`` writes
+    """The inverse band transform of ``block``, which ``fill(rows)`` writes
     first, handed to ``on_slab(samples, x1 slice, scratch)``: on_slab's
     results, part by part, each part's slabs in order.
 
     With one part the block is filled and transformed whole, inline, by
     ``irfft3_band``, and on_slab gets every sample and the run's real buffer.
-    Otherwise each part fills and passes its band planes, then transforms its
-    x1 slabs one at a time, on one thread, with a slice of the real buffer
-    as its scratch; the parts' maps are the only barriers.
+    Otherwise each part fills its band k1 rows, then passes its band planes,
+    then transforms its x1 slabs one at a time, on one thread, with a slice
+    of the real buffer as its scratch; the parts' maps are the only barriers.
     """
     half, parts = buffers.half[: len(block)], buffers.parts
     if len(parts.planes) == 1:
@@ -353,21 +363,21 @@ def _band_samples(block: np.ndarray, fill: Callable, lat: _Lattice, buffers: _St
         return [on_slab(irfft3_band(block, lat.rows, half), slice(None), buffers.real)]
 
     def planes_part(planes):
-        fill(planes)
         band_inverse_planes(block[..., planes], lat.rows, half[..., planes])
 
     def slabs_part(slabs):
         scratch = buffers.real[:, slabs[0]]  # the part's first slab is its highest
         return [on_slab(irfft_k3(half[:, x1], lat.n), x1, scratch) for x1 in slabs]
 
+    parts.map(fill, parts.rows)
     parts.map(planes_part, parts.planes)
     return [result for part in parts.map(slabs_part, parts.slabs) for result in part]
 
 
-def _project(coeffs: np.ndarray, lat: _Lattice, planes: slice) -> None:
-    """Leray-project band coefficients (3, b, b, planes) in place."""
-    k = lat.k_planes(planes)
-    dot = k_dot(coeffs, k) * lat.inv_kderiv_sq[..., planes]
+def _project(coeffs: np.ndarray, lat: _Lattice, rows: slice) -> None:
+    """Leray-project band coefficients (3, rows, b, m) in place."""
+    k = lat.k_rows(rows)
+    dot = k_dot(coeffs, k) * lat.inv_kderiv_sq[rows]
     for component, k_i in zip(coeffs, k):
         component -= dot * k_i
 
@@ -426,8 +436,8 @@ def _spectral_diagnostics(c: np.ndarray, lat: _Lattice, buffers: _StageBuffers) 
     )
     band, det, cubed = buffers.band, buffers.real[0], buffers.real[1]
 
-    def fill(planes):
-        strain_coeffs(c[..., planes], lat.k_planes(planes), out=band[..., planes])
+    def fill(rows):
+        strain_coeffs(c[:, rows], lat.k_rows(rows), out=band[:, rows])
 
     def slab_strain(s_phys, x1, scratch):
         _det(s_phys, out=det[x1])
@@ -464,10 +474,12 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
     full_decay = half_decay**2
 
     rows = []
-    planes, _ = band_parts(grid.n, lat.shape[2])
+    b, _, m = lat.shape
+    parts = len(band_parts(grid.n, b, m)[1])
     # This call's own pool and buffers: concurrent runs share neither, and no
-    # thread outlives the call.  One part submits nothing, so starts no thread.
-    with ThreadPoolExecutor(len(planes)) as pool:
+    # thread outlives the call.  The calling thread runs one part, the pool
+    # the others; one part submits nothing, so starts no thread.
+    with ThreadPoolExecutor(max(parts - 1, 1)) as pool:
         buffers = lat.stage_buffers(pool)
         stability = _advective_cfl_warning(u, lat, cfg, buffers)
 
@@ -520,7 +532,7 @@ def _advective_cfl_warning(
 
 def _max_speed(u_hat: np.ndarray, lat: _Lattice, buffers: _StageBuffers) -> float:
     """max|u| over the grid samples of band coefficients u_hat, slab by slab."""
-    slab_max = _band_samples(u_hat, lambda planes: None, lat, buffers,
+    slab_max = _band_samples(u_hat, lambda rows: None, lat, buffers,
                              lambda samples, x1, scratch: samples_lebesgue_norm(samples, np.inf))
     return float(np.max(slab_max))
 

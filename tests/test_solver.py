@@ -436,7 +436,8 @@ class TestParts:
     def test_parts_are_capped_and_never_empty(self, rule, planes, slabs, monkeypatch):
         """Eight cores at n=8: the parts are capped at the band's m planes (3
         under the 2/3 rule, 5 under "none"), the slabs are lowered so that
-        each part gets one, and no transform gets an empty array."""
+        each part gets one, no part's rows are empty, and no transform gets an
+        empty array."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setattr(field_module, "THREADED_MIN_N", 4)
         grid = GridSpec(8)
@@ -458,6 +459,8 @@ class TestParts:
             assert [p.indices(lat.shape[2]) for p in parts.planes] == [
                 (i, i + 1, 1) for i in range(planes)]
             assert all(x.stop > x.start for part in parts.slabs for x in part)
+            assert len(parts.rows) == planes
+            assert all(r.stop > r.start for r in parts.rows)
             self.check_against_oracles(grid, rule, buffers, seed=8)
         assert sizes and min(sizes) > 0
 
@@ -465,10 +468,12 @@ class TestParts:
         (1e8, "completed"),
         (1e-12, "blowup_suspected"),  # stopped at row 0
         (None, "rejected"),  # a mean: run raises before it makes a pool
+        (1e8, "failed in a part"),  # a pool thread's transform raises
     ])
     def test_no_thread_outlives_a_run(self, threshold, status, monkeypatch):
-        """A threaded run (THREADED_MIN_N lowered, two cores) runs its parts on
-        two more threads and joins them before it returns or raises."""
+        """A threaded run (THREADED_MIN_N lowered, two cores) runs one part in
+        the calling thread and the other on one more thread, which it joins
+        before it returns or raises."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(field_module, "THREADED_MIN_N", 4)
         grid = GridSpec(16)
@@ -481,9 +486,12 @@ class TestParts:
                            blowup_threshold=threshold or 1e8)
         seen = []  # the thread count at each inverse slab transform
         irfft = scipy.fft.irfft
+        caller = threading.get_ident()
 
         def counting(*args, **kwargs):
             seen.append(threading.active_count())
+            if status == "failed in a part" and threading.get_ident() != caller:
+                raise MemoryError("a part failed")
             return irfft(*args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, "irfft", counting)
@@ -492,9 +500,13 @@ class TestParts:
             with pytest.raises(ValueError, match="mean-zero"):
                 run(u0, cfg)
             assert seen == []
+        elif status == "failed in a part":
+            with pytest.raises(MemoryError, match="a part failed"):
+                run(u0, cfg)
+            assert max(seen) == before + 1
         else:
             assert run(u0, cfg).status == status
-            assert max(seen) == before + 2
+            assert max(seen) == before + 1
         assert threading.active_count() == before
 
 
