@@ -9,6 +9,7 @@ identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -295,7 +296,9 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; parsing only reads it."""
     parser = argparse.ArgumentParser(
         prog="almost2d",
         description="Periodic-box Navier-Stokes toolkit: norms, criteria, "
@@ -355,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="family sweeps with criterion columns")
     p.add_argument("family", choices=("annulus-analog", "un", "rescaled"))
-    p.add_argument("--n", type=_int_list, default=[3, 6, 12])
-    p.add_argument("--m", type=_int_list, default=[2, 4, 8])
+    p.add_argument("--n", type=_int_list, default=(3, 6, 12))
+    p.add_argument("--m", type=_int_list, default=(2, 4, 8))
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=1.0)
     p.add_argument("--n-grid", dest="n_grid", type=int, default=32)
@@ -366,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wholespace", help="quadrature constant tables")
     p.add_argument("table", choices=("lambda-n", "embedding", "heat-kernel"))
-    p.add_argument("--n", type=_int_list, default=[3, 10, 100])
-    p.add_argument("--p", type=lambda s: s.split(","), default=["4", "6", "inf"])
+    p.add_argument("--n", type=_int_list, default=(3, 10, 100))
+    p.add_argument("--p", type=lambda s: s.split(","), default=("4", "6", "inf"))
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--nu", type=float, default=1.0)
     p.add_argument("--nodes", type=int, default=128)
@@ -378,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, AssertionError) as exc:

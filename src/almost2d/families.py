@@ -202,27 +202,24 @@ def annulus_analog(n: int, grid: GridSpec) -> SpectralVectorField:
         )
 
     kline = np.fft.fftfreq(grid.n, d=1.0 / grid.n).astype(int)
-    modes = []
-    for i1, k1 in enumerate(kline):
-        for i2, k2 in enumerate(kline):
-            r = math.hypot(k1, k2)
-            if not rho <= r <= 2 * rho:
-                continue
-            for k3 in (-1, 0, 1):
-                modes.append((i1, i2, k3 % grid.n, k1, k2, k3, r))
-    if not modes:
+    # sqrt of the exact integer k1^2 + k2^2 is math.hypot(k1, k2) as bits.
+    r = np.sqrt((kline[:, None] ** 2 + kline[None, :] ** 2).astype(float))
+    i1, i2 = np.nonzero((rho <= r) & (r <= 2 * rho))  # C order: k1 rows, then k2
+    if not i1.size:
         raise ValueError(f"empty lattice shell for n={n}, rho={rho}")
+    r = r[i1, i2]
 
-    mass = sum(1.0 + (k3 / r) ** 2 for *_ignored, k3, r in modes)
+    # Each point carries the modes k3 = -1, 0, 1, summed in that order as floats.
+    mass = sum(1.0 + (k3 / x) ** 2 for x in r.tolist() for k3 in (-1, 0, 1))
     amp = math.sqrt(4.0 * loglog / mass)
 
     # what(-k) = what(k) is real, so each mode is its own conjugate partner
     # and the modes with k3 >= 0 are the half spectrum.
     coeffs = _empty(grid)
-    for i1, i2, i3, k1, k2, k3, r in modes:
-        if k3 >= 0:
-            e_r = np.array([k1 / r, k2 / r, 0.0])
-            coeffs[:, i1, i2, i3] = amp * (np.array([0.0, 0.0, 1.0]) - (k3 / r) * e_r)
+    e_r = np.stack([kline[i1] / r, kline[i2] / r, np.zeros_like(r)])
+    e_3 = np.array([[0.0], [0.0], [1.0]])
+    for k3 in (0, 1):
+        coeffs[:, i1, i2, k3] = amp * (e_3 - (k3 / r) * e_r)
     field = SpectralVectorField(grid, coeffs)
     # The shell stays inside |k_i| < n/2, where k_deriv is the plain lattice.
     if divergence_defect(field) > CONSTRUCTION_DIVFREE_TOL:
@@ -243,17 +240,27 @@ def random_divergence_free(
         kmax = max(1, n // 4)
     if kmax > n // 2 - 1:
         raise ValueError(f"kmax={kmax} not resolved by grid n={n}")
-    rng = np.random.default_rng(seed)
-    real, imag = rng.standard_normal((3, n, n, n)), rng.standard_normal((3, n, n, n))
-    # The Hermitian part 0.5 (c(k) + conj c(-k)) of c = real + i imag on the band's half.
+    # The Hermitian part 0.5 (c(k) + conj c(-k)) of c = real + i imag on the
+    # band's half, real and imag each a (3, n, n, n) standard normal draw.
     kline = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    rows = np.flatnonzero(np.abs(kline) <= kmax)
+    rows = np.flatnonzero(np.abs(kline) <= kmax)  # closed under k -> -k
     planes = np.arange(kmax + 1)
-    block = (slice(None),) + np.ix_(rows, rows, planes)
-    mirror = (slice(None),) + np.ix_(-rows % n, -rows % n, -planes % n)
+    # The draws are made an (n, n) x1 plane at a time, in the stream's order;
+    # only the planes in rows, which the block and its mirror read, are kept.
+    slot = np.full(n, -1)
+    slot[rows] = np.arange(len(rows))
+    kept = np.empty((2, 3, len(rows), n, n))
+    spare = np.empty((n, n))
+    rng = np.random.default_rng(seed)
+    for component in kept.reshape(6, len(rows), n, n):
+        for x1 in range(n):
+            rng.standard_normal(out=component[slot[x1]] if slot[x1] >= 0 else spare)
+    real, imag = kept
+    block = (slice(None),) + np.ix_(slot[rows], rows, planes)
+    mirror = (slice(None),) + np.ix_(slot[-rows % n], -rows % n, -planes % n)
     coeffs = _empty(grid)
-    coeffs[block] = 0.5 * (real[block] + 1j * imag[block]
-                           + np.conj(real[mirror] + 1j * imag[mirror]))
+    coeffs[(slice(None),) + np.ix_(rows, rows, planes)] = 0.5 * (
+        real[block] + 1j * imag[block] + np.conj(real[mirror] + 1j * imag[mirror]))
     coeffs[:, 0, 0, 0] = 0.0
     u, _ = leray_project(SpectralVectorField(grid, coeffs))
     scale = float(np.max(np.abs(u.half)))

@@ -22,7 +22,10 @@ zero is read from k = 0 by each operation that needs it (``is_mean_zero``).
 Multipliers k.c, 2 pi i k x c and pi i (k_i c_j + k_j c_i) are written once, as
 kernels on coefficients and a ``k_deriv`` triple (``k_dot``, ``curl_coeffs``,
 ``strain_coeffs``), applied here to the half lattice and by the solver to its
-band.
+band.  Each kernel forms its products in its result array or one scratch
+array and adds, subtracts and scales in place, in the plain expression's
+order, so it makes no temporary per product and moves no bit; so do
+``leray_project`` and ``biot_savart``.
 """
 
 from __future__ import annotations
@@ -347,38 +350,63 @@ def to_physical(u: SpectralVectorField) -> PhysicalVectorField:
 
 
 def k_dot(c: np.ndarray, k_deriv: tuple) -> np.ndarray:
-    """k . c(k) of coefficients (3, ...) on the lattice of ``k_deriv``."""
+    """k . c(k) of coefficients (3, ...) on the lattice of ``k_deriv``:
+    (k1 c[0] + k2 c[1]) + k3 c[2], the products formed in the result or one
+    scratch array and added in place."""
     k1, k2, k3 = k_deriv
-    return k1 * c[0] + k2 * c[1] + k3 * c[2]
+    out = np.multiply(k1, c[0])
+    term = np.multiply(k2, c[1])
+    out += term
+    out += np.multiply(k3, c[2], out=term)
+    return out
 
 
 def curl_coeffs(c: np.ndarray, k_deriv: tuple, out: np.ndarray | None = None) -> np.ndarray:
-    """Curl multiplier 2*pi*i k x c(k), written into ``out`` (3, ...) if given."""
+    """Curl multiplier 2*pi*i k x c(k), written into ``out`` (3, ...) if given.
+    Each component's first product is formed in ``out``, the second in one
+    scratch array and subtracted in place, then 2*pi*i is applied in place."""
     k1, k2, k3 = k_deriv
     out = np.empty(c.shape, dtype=complex) if out is None else out
-    out[0] = 2j * np.pi * (k2 * c[2] - k3 * c[1])
-    out[1] = 2j * np.pi * (k3 * c[0] - k1 * c[2])
-    out[2] = 2j * np.pi * (k1 * c[1] - k2 * c[0])
+    term = np.empty(c.shape[1:], dtype=complex)
+    for slot, (ka, a, kb, b) in enumerate(
+        ((k2, c[2], k3, c[1]), (k3, c[0], k1, c[2]), (k1, c[1], k2, c[0]))
+    ):
+        np.multiply(ka, a, out=out[slot])
+        out[slot] -= np.multiply(kb, b, out=term)
+    out *= 2j * np.pi
     return out
 
 
 def strain_coeffs(c: np.ndarray, k_deriv: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """Strain multiplier pi*i (k_i c_j + k_j c_i), components (6, ...) in
-    ``StrainField`` order, written into ``out`` if given."""
+    ``StrainField`` order, written into ``out`` if given.  The first product
+    is formed in ``out``; a diagonal adds it to itself, an off-diagonal adds
+    the second, formed in the S33 slot, which is written last.  Then pi*i is
+    applied in place."""
     out = np.empty((6,) + c.shape[1:], dtype=complex) if out is None else out
-    for (i, j), slot in StrainField.INDEX.items():
-        out[slot] = 1j * np.pi * (k_deriv[i - 1] * c[j - 1] + k_deriv[j - 1] * c[i - 1])
+    last = out[StrainField.INDEX[(3, 3)]]
+    for (i, j), slot in StrainField.INDEX.items():  # S33 last
+        np.multiply(k_deriv[i - 1], c[j - 1], out=out[slot])
+        if i == j:
+            out[slot] += out[slot]
+        else:
+            out[slot] += np.multiply(k_deriv[j - 1], c[i - 1], out=last)
+    out *= 1j * np.pi
     return out
 
 
 def divergence(u: SpectralVectorField) -> np.ndarray:
     """Spectral divergence as a half-spectrum scalar coefficient array."""
-    return 2j * np.pi * k_dot(u.half, u.grid.k_deriv)
+    out = k_dot(u.half, u.grid.k_deriv)
+    out *= 2j * np.pi
+    return out
 
 
-def divergence_defect(u: SpectralVectorField) -> float:
-    """max_k |k . uhat(k)| / max_k |uhat(k)|, zero for divergence-free fields."""
-    return float(np.max(np.abs(k_dot(u.half, u.grid.k_deriv)))) / u.amplitude()
+def divergence_defect(u: SpectralVectorField, peak: float | None = None) -> float:
+    """max_k |k . uhat(k)| / max_k |uhat(k)|, zero for divergence-free fields.
+    ``peak`` is max_k |uhat(k)|, when the caller has already taken it."""
+    peak = float(np.max(np.abs(u.half))) if peak is None else peak
+    return float(np.max(np.abs(k_dot(u.half, u.grid.k_deriv)))) / (peak if peak > 0 else 1.0)
 
 
 def leray_project(v: SpectralVectorField) -> tuple[SpectralVectorField, SpectralVectorField]:
@@ -386,13 +414,17 @@ def leray_project(v: SpectralVectorField) -> tuple[SpectralVectorField, Spectral
 
     u_df(k) = v(k) - (k.v(k)) k / |k|^2 is divergence-free, grad_part(k) is
     parallel to k.  The k=0 mode (a constant, hence divergence-free) passes
-    through to u_df.
+    through to u_df.  The quotient and each product are written into arrays
+    made once here.
     """
-    k1, k2, k3 = v.grid.k_deriv
-    dot = k_dot(v.half, v.grid.k_deriv) / v.grid.k_deriv_sq_safe
-    grad = np.stack([dot * k1, dot * k2, dot * k3])
+    k_deriv = v.grid.k_deriv
+    dot = k_dot(v.half, k_deriv)
+    dot /= v.grid.k_deriv_sq_safe
+    grad = np.empty_like(v.half)
+    for component, k_i in zip(grad, k_deriv):
+        np.multiply(dot, k_i, out=component)
     grad[:, 0, 0, 0] = 0.0
-    u_df = v.half - grad
+    u_df = np.subtract(v.half, grad)
     return SpectralVectorField(v.grid, u_df), SpectralVectorField(v.grid, grad)
 
 
@@ -423,14 +455,16 @@ def biot_savart(w: SpectralVectorField) -> SpectralVectorField:
     """Velocity with curl w: multiplier (2*pi*i k x what) / (4*pi^2 |k|^2).
 
     Requires w mean-zero and divergence-free; the k=0 mode of the output
-    is zero.
+    is zero.  |what| serves both checks, and its first component then holds
+    the divisor 4*pi^2 |k|^2.
     """
-    if not is_mean_zero(np.abs(w.half), VORTICITY_MEAN_TOL):
+    magnitude = np.abs(w.half)
+    if not is_mean_zero(magnitude, VORTICITY_MEAN_TOL):
         raise ValueError("Biot-Savart requires a mean-zero vorticity")
-    if divergence_defect(w) > DIVFREE_TOL:
+    if divergence_defect(w, float(np.max(magnitude))) > DIVFREE_TOL:
         raise ValueError("Biot-Savart requires a divergence-free vorticity")
     u = curl_coeffs(w.half, w.grid.k_deriv)
-    u /= 4 * np.pi**2 * w.grid.k_deriv_sq_safe
+    u /= np.multiply(4 * np.pi**2, w.grid.k_deriv_sq_safe, out=magnitude[0])
     u[:, 0, 0, 0] = 0.0
     return SpectralVectorField(w.grid, u)
 

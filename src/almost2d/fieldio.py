@@ -42,7 +42,7 @@ def write_field(path: str, u: SpectralVectorField | PhysicalVectorField) -> None
     data = np.ascontiguousarray(u.samples, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(data.tobytes())
+        fh.write(memoryview(data).cast("B"))  # the array's own bytes, not a copy
 
 
 def read_field(path: str) -> SpectralVectorField:

@@ -62,6 +62,12 @@ class GridSpec:
         return _read_only(k1**2 + k2**2 + k3**2)
 
     @cached_property
+    def shell_index(self) -> np.ndarray:
+        """|k|^2 as int64 on the half lattice, the shell each coefficient is
+        binned into."""
+        return _read_only(self.k_sq.astype(np.int64))
+
+    @cached_property
     def multiplicity(self) -> np.ndarray:
         """Plancherel weight of each k3 plane, shape (1, 1, n/2 + 1): 1 on the
         self-conjugate planes k3 = 0 and n/2, 2 on the others."""

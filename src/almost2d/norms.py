@@ -10,7 +10,11 @@ Euclidean magnitude |u(x)|.  The heat-kernel Besov norm B^{-s}_{p,inf}
 is sup_{t>0} t^{s/2} ||e^{t lap} u||_{Lp}, discretized by a log-spaced
 coarse scan plus bounded refinement around the interior maximum; p = 2
 evaluates the spectrum at each t with no transform, p != 2 transforms
-e^{t lap} u, its multiplier gathered from one exp per shell.
+e^{t lap} u, its multiplier gathered from one exp per shell.  Each spectrum
+bins through the grid's cached ``shell_index``, and ``samples_lebesgue_norm``
+forms |u|, then |u|^p, in one array.  scipy.optimize, which only the Besov
+refinement needs, is imported inside ``besov_norm``: at module level it would
+load 240 modules and about 20 MB into every process that imports the package.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .field import (
     MAJORANT_TOL,
@@ -40,8 +43,9 @@ from .field import (
 from .grid import GridSpec
 
 
-def _require_divergence_free(u: SpectralVectorField, context: str) -> None:
-    if divergence_defect(u) > NORM_DIVFREE_TOL:
+def _require_divergence_free(u: SpectralVectorField, context: str,
+                             peak: float | None = None) -> None:
+    if divergence_defect(u, peak) > NORM_DIVFREE_TOL:
         raise ValueError(f"{context} requires a divergence-free field")
 
 
@@ -57,7 +61,7 @@ class ShellSpectrum:
         np.square(power, out=power)
         power *= grid.multiplicity
         size = 3 * (grid.n // 2) ** 2 + 1
-        self._shells = grid.k_sq.astype(np.int64)
+        self._shells = grid.shell_index
         self.power = np.stack(
             [np.bincount(self._shells.ravel(), weights=p.ravel(), minlength=size) for p in power]
         )
@@ -97,10 +101,17 @@ def samples_lebesgue_norm(samples: np.ndarray, p: float) -> float:
     """``lebesgue_norm`` of grid samples indexed (component, x1, x2, x3)."""
     if p != np.inf and p < 1:
         raise ValueError(f"Lebesgue norm requires p >= 1, got {p}")
-    mag = np.sqrt(np.sum(samples**2, axis=0))
+    # |u|^2 summed component by component, then |u| and |u|^p, in place.
+    mag = np.square(samples[0])
+    if len(samples) > 1:
+        term = np.empty_like(mag)
+        for component in samples[1:]:
+            mag += np.square(component, out=term)
+    np.sqrt(mag, out=mag)
     if p == np.inf:
         return float(np.max(mag))
-    return float(np.mean(mag**p) ** (1.0 / p))
+    mag **= p
+    return float(np.mean(mag) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -167,6 +178,8 @@ def besov_norm(
         raise ValueError(
             "coarse Besov scan peaked at the window edge; widen [t_min, t_max]"
         )
+    from scipy.optimize import minimize_scalar  # on use: see the module docstring
+
     res = minimize_scalar(
         lambda t: -objective(t),
         bounds=(ts[imax - 1], ts[imax + 1]),
@@ -191,9 +204,10 @@ class FieldSummary:
 
 
 def field_summary(u: SpectralVectorField) -> FieldSummary:
-    """FieldSummary of a divergence-free velocity field, with no transform."""
-    _require_divergence_free(u, "field summary")
+    """FieldSummary of a divergence-free velocity field, with no transform.
+    The divergence check takes max |uhat| from the velocity's spectrum."""
     velocity = ShellSpectrum(u.grid, u.half)
+    _require_divergence_free(u, "field summary", velocity.peak)
     vorticity = ShellSpectrum(u.grid, curl(u).half)
     return FieldSummary(
         K=0.5 * float(velocity.sobolev_sq(0).sum()),

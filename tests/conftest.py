@@ -119,6 +119,100 @@ def nonlinear_term_oracle(u_hat, grid, dealias_rule="two_thirds"):
     return out
 
 
+# The field layer's full-lattice expressions as they were before its kernels
+# wrote into arrays made once: fresh temporaries for every product, sum and
+# factor.  The bit-for-bit references of tests/test_bitwise.py.
+
+
+def k_dot_oracle(c, k_deriv):
+    k1, k2, k3 = k_deriv
+    return k1 * c[0] + k2 * c[1] + k3 * c[2]
+
+
+def curl_coeffs_oracle(c, k_deriv):
+    k1, k2, k3 = k_deriv
+    out = np.empty(c.shape, dtype=complex)
+    out[0] = 2j * np.pi * (k2 * c[2] - k3 * c[1])
+    out[1] = 2j * np.pi * (k3 * c[0] - k1 * c[2])
+    out[2] = 2j * np.pi * (k1 * c[1] - k2 * c[0])
+    return out
+
+
+def strain_coeffs_oracle(c, k_deriv):
+    out = np.empty((6,) + c.shape[1:], dtype=complex)
+    for (i, j), slot in StrainField.INDEX.items():
+        out[slot] = 1j * np.pi * (k_deriv[i - 1] * c[j - 1] + k_deriv[j - 1] * c[i - 1])
+    return out
+
+
+def leray_project_oracle(half, grid):
+    """(divergence-free part, gradient part) of half-spectrum coefficients."""
+    k1, k2, k3 = grid.k_deriv
+    dot = k_dot_oracle(half, grid.k_deriv) / grid.k_deriv_sq_safe
+    grad = np.stack([dot * k1, dot * k2, dot * k3])
+    grad[:, 0, 0, 0] = 0.0
+    return half - grad, grad
+
+
+def biot_savart_oracle(half, grid):
+    """The Biot-Savart multiplier on a vorticity's coefficients, unchecked."""
+    u = curl_coeffs_oracle(half, grid.k_deriv)
+    u /= 4 * np.pi**2 * grid.k_deriv_sq_safe
+    u[:, 0, 0, 0] = 0.0
+    return u
+
+
+def samples_lebesgue_norm_oracle(samples, p):
+    mag = np.sqrt(np.sum(samples**2, axis=0))
+    if p == np.inf:
+        return float(np.max(mag))
+    return float(np.mean(mag**p) ** (1.0 / p))
+
+
+def random_divergence_free_oracle(grid, seed, kmax=None, amplitude=1.0):
+    """Half-spectrum coefficients of ``random_divergence_free`` from two whole
+    (3, n, n, n) draws."""
+    n = grid.n
+    kmax = max(1, n // 4) if kmax is None else kmax
+    rng = np.random.default_rng(seed)
+    real, imag = rng.standard_normal((3, n, n, n)), rng.standard_normal((3, n, n, n))
+    kline = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    rows = np.flatnonzero(np.abs(kline) <= kmax)
+    planes = np.arange(kmax + 1)
+    block = (slice(None),) + np.ix_(rows, rows, planes)
+    mirror = (slice(None),) + np.ix_(-rows % n, -rows % n, -planes % n)
+    coeffs = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
+    coeffs[block] = 0.5 * (real[block] + 1j * imag[block]
+                           + np.conj(real[mirror] + 1j * imag[mirror]))
+    coeffs[:, 0, 0, 0] = 0.0
+    u, _ = leray_project_oracle(coeffs, grid)
+    scale = float(np.max(np.abs(u)))
+    return u * (amplitude / scale) if scale > 0 else u
+
+
+def annulus_analog_oracle(index, grid):
+    """Half-spectrum coefficients of ``annulus_analog``, mode by mode."""
+    loglog = math.log(math.log(index))
+    rho = 7.5 * math.sqrt(loglog)
+    kline = np.fft.fftfreq(grid.n, d=1.0 / grid.n).astype(int)
+    modes = []
+    for i1, k1 in enumerate(kline):
+        for i2, k2 in enumerate(kline):
+            r = math.hypot(k1, k2)
+            if not rho <= r <= 2 * rho:
+                continue
+            for k3 in (-1, 0, 1):
+                modes.append((i1, i2, k3 % grid.n, k1, k2, k3, r))
+    mass = sum(1.0 + (k3 / r) ** 2 for *_ignored, k3, r in modes)
+    amp = math.sqrt(4.0 * loglog / mass)
+    coeffs = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
+    for i1, i2, i3, k1, k2, k3, r in modes:
+        if k3 >= 0:
+            e_r = np.array([k1 / r, k2 / r, 0.0])
+            coeffs[:, i1, i2, i3] = amp * (np.array([0.0, 0.0, 1.0]) - (k3 / r) * e_r)
+    return coeffs
+
+
 def scalar_to_physical(grid, coeffs):
     """Inverse transform of a half-spectrum scalar coefficient array, through
     the full array of ``full_coeffs``; real part returned."""

@@ -1,0 +1,144 @@
+"""The field layer's in-place kernels, chunked draws and vectorized families
+against the expressions they replaced (conftest's ``*_oracle``), and the
+solver's trapezoid sums against scipy's, as bits.
+
+Each kernel runs on the half lattice and, as the solver calls it, on band
+k1 row slices written into a slice of a larger array; every input is
+compared with a copy taken before the call."""
+
+import numpy as np
+import pytest
+
+from almost2d import GridSpec, PhysicalVectorField, SpectralVectorField, biot_savart, curl
+from almost2d import leray_project, to_spectral
+from almost2d.families import annulus_analog, random_divergence_free
+from almost2d.field import curl_coeffs, k_dot, strain_coeffs
+from almost2d.norms import samples_lebesgue_norm
+from almost2d.solver import _cumulative_trapezoid, _lattice
+from conftest import (
+    annulus_analog_oracle, biot_savart_oracle, curl_coeffs_oracle, k_dot_oracle,
+    leray_project_oracle, random_divergence_free_oracle, random_physical,
+    samples_lebesgue_norm_oracle, strain_coeffs_oracle,
+)
+
+SIZES = (8, 16, 24, 32, 64)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def generic_half(grid, seed):
+    """Half-spectrum coefficients of a real field that is neither mean-zero
+    nor divergence-free."""
+    return to_spectral(PhysicalVectorField(grid, random_physical(grid, seed))).half
+
+
+def fields(n):
+    """A generic half spectrum and a band-filling divergence-free one."""
+    grid = GridSpec(n)
+    return grid, (generic_half(grid, n), random_divergence_free(grid, n + 1, kmax=n // 2 - 1).half)
+
+
+#: (kernel, oracle, the slots of a 6-field band array its ``out`` takes)
+KERNELS = (
+    (k_dot, k_dot_oracle, None),
+    (curl_coeffs, curl_coeffs_oracle, slice(3, 6)),
+    (strain_coeffs, strain_coeffs_oracle, slice(0, 6)),
+)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("kernel, oracle, slots", KERNELS)
+def test_kernel_on_the_half_lattice(n, kernel, oracle, slots):
+    grid, halves = fields(n)
+    for half in halves:
+        want = oracle(half, grid.k_deriv)
+        assert same_bits(kernel(half, grid.k_deriv), want)
+        if slots is not None:
+            out = np.full(want.shape, np.nan + 0j)
+            assert kernel(half, grid.k_deriv, out=out) is out
+            assert same_bits(out, want)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("rule", ("two_thirds", "none"))
+@pytest.mark.parametrize("kernel, oracle, slots", KERNELS)
+def test_kernel_on_band_rows_into_a_slice(n, rule, kernel, oracle, slots):
+    """A band split into k1 row slices, each written into its rows of a
+    6-field array, as the solver's fill, row and projection call the kernels."""
+    grid, halves = fields(n)
+    lat = _lattice(grid, rule)
+    b = lat.shape[0]
+    for half in halves:
+        c = lat.crop(half)
+        before = c.copy()
+        band = np.full((6,) + lat.shape, np.nan + 0j)
+        for rows in (slice(0, b // 3), slice(b // 3, b)):
+            k = lat.k_rows(rows)
+            want = oracle(c[:, rows], k)
+            assert same_bits(kernel(c[:, rows], k), want)
+            if slots is not None:
+                kernel(c[:, rows], k, out=band[slots, rows])
+                assert same_bits(band[slots, rows], want)
+        assert same_bits(c, before)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_leray_projection(n):
+    grid, halves = fields(n)
+    for half in halves:
+        field = SpectralVectorField(grid, half.copy())
+        before = field.half.copy()
+        u_df, grad = leray_project(field)
+        want_df, want_grad = leray_project_oracle(before, grid)
+        assert same_bits(u_df.half, want_df) and same_bits(grad.half, want_grad)
+        assert same_bits(field.half, before)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_biot_savart(n):
+    grid, (_, half) = fields(n)
+    w = curl(SpectralVectorField(grid, half))
+    before = w.half.copy()
+    assert same_bits(biot_savart(w).half, biot_savart_oracle(before, grid))
+    assert same_bits(w.half, before)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("p", (1.0, 1.2, 1.5, 2.0, 3.0, 6.0, np.inf))
+def test_samples_lebesgue_norm(n, p):
+    samples = random_physical(GridSpec(n), n)
+    before = samples.copy()
+    for part in (samples, samples[:2], samples[2:]):
+        assert same_bits(samples_lebesgue_norm(part, p), samples_lebesgue_norm_oracle(part, p))
+    assert same_bits(samples, before)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_chunked_draws_are_the_whole_draws(n):
+    grid = GridSpec(n)
+    for seed, kmax, amplitude in ((0, None, 1.0), (n, 1, 2.5), (n + 3, n // 2 - 1, 0.5)):
+        u = random_divergence_free(grid, seed, kmax=kmax, amplitude=amplitude)
+        assert same_bits(u.half, random_divergence_free_oracle(grid, seed, kmax, amplitude))
+
+
+@pytest.mark.parametrize("index, n", ((3, 16), (5, 24), (12, 32), (12, 64), (100, 64)))
+def test_annulus_modes_are_the_looped_modes(index, n):
+    grid = GridSpec(n)
+    assert same_bits(annulus_analog(index, grid).half, annulus_analog_oracle(index, grid))
+
+
+@pytest.mark.parametrize("rows", (1, 2, 3, 17, 1000))
+def test_trapezoid_sums_are_scipys(rows):
+    """The solver's running trapezoid sums against the scipy function they
+    replaced, with and without the leading zero."""
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(rows)
+    t = np.cumsum(rng.uniform(0.001, 0.01, rows))
+    y = rng.standard_normal(rows) * 10.0 ** rng.integers(-3, 3, rows)
+    running = _cumulative_trapezoid(y, t)
+    assert same_bits(running, cumulative_trapezoid(y, t))
+    assert same_bits(np.concatenate(([0.0], running)), cumulative_trapezoid(y, t, initial=0.0))

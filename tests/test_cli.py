@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from almost2d import PhysicalVectorField, SpectralVectorField, families, to_physical
+from almost2d import GridSpec, PhysicalVectorField, SpectralVectorField, families, to_physical
+from almost2d import cli
 from almost2d.cli import main
 from almost2d.families import annulus_analog, random_divergence_free
 from almost2d.fieldio import read_field, write_field
@@ -23,6 +24,14 @@ class TestFieldFile:
         orig = to_physical(u).samples
         again = to_physical(back).samples
         assert np.max(np.abs(orig - again)) < 1e-12
+
+    def test_payload_is_the_samples_bytes(self, tmp_path, grid16):
+        u = random_divergence_free(grid16, 6, kmax=4)
+        path = str(tmp_path / "u.field")
+        write_field(path, u)
+        header, payload = open(path, "rb").read().split(b"\n\n", 1)
+        assert header.startswith(b"version=1\nn=16\n")
+        assert payload == to_physical(u).samples.astype("<f8").tobytes()
 
     def test_unknown_version_rejected(self, tmp_path, grid16):
         u = random_divergence_free(grid16, 4, kmax=4)
@@ -44,6 +53,22 @@ class TestFieldFile:
 
 
 class TestCli:
+    def test_successive_calls_share_one_parser_and_no_state(self, tmp_path, capsys):
+        """The parser is built once per process; one call's options do not
+        carry into the next."""
+        path = str(tmp_path / "u.field")
+        write_field(path, random_divergence_free(GridSpec(8), 2, kmax=2))
+        argv = ["check", path, "--nu", "0.1"]
+        assert main(argv + ["--iftimie-c", "2.0"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["reports"]) == 4
+        assert main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["reports"]) == 3
+        assert main(["norms", path, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("n,l2,")
+        assert main(["norms", path]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 8
+        assert cli.build_parser() is cli.build_parser()
+
     def test_constants_json(self, tmp_path, capsys):
         assert main(["constants"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -1,8 +1,12 @@
-"""Package layout: src/ carries no test-only API, one transform path and one
-place for each tolerance and spectral multiplier."""
+"""Package layout: src/ carries no test-only API, no import of scipy.optimize or
+scipy.integrate at module level, one transform path and one place for each
+tolerance and spectral multiplier."""
 
 import ast
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import almost2d
@@ -164,3 +168,52 @@ def test_solver_has_no_complex_literal():
         if isinstance(node, ast.Constant) and isinstance(node.value, complex)
     ]
     assert complex_literals == []
+
+
+#: Imported inside the one function that needs each, never at module level:
+#: scipy.optimize by besov_norm, and scipy.integrate by nothing.
+_ON_USE_ONLY = ("scipy.optimize", "scipy.integrate")
+
+
+def _module_level_imports(tree):
+    """Names of the modules that statements outside any function body import."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_optimize_or_integrate_at_module_level():
+    found = [
+        f"{path.name}:{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _module_level_imports(ast.parse(path.read_text()))
+        if name.startswith(_ON_USE_ONLY)
+    ]
+    assert found == []
+
+
+def test_a_simulate_loads_neither_optimize_nor_integrate(tmp_path):
+    """A fresh process that imports the CLI, constructs a field and simulates
+    it has imported neither module."""
+    script = f"""
+import sys
+from almost2d.cli import main
+field = {str(tmp_path / "tg.field")!r}
+assert main(["construct", "taylor-green", "--n", "8", "--output", field]) == 0
+assert main(["simulate", "--initial", field, "--output", {str(tmp_path / "run.csv")!r},
+             "--nu", "0.1", "--dt", "0.01", "--t-end", "0.03"]) == 0
+print(sorted(m for m in {_ON_USE_ONLY!r} if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
