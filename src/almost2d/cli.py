@@ -169,6 +169,10 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+#: The solver parameters a ``simulate --config`` file may set, each at most once.
+_CONFIG_KEYS = ("nu", "dt", "t_end", "dealias", "record_stride", "blowup_threshold")
+
+
 def _parse_config_file(path: str) -> dict:
     values = {}
     with open(path) as fh:
@@ -179,7 +183,13 @@ def _parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}: malformed config line {line!r}")
             key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}: unknown config key {key!r} "
+                                 f"(accepted: {', '.join(_CONFIG_KEYS)})")
+            if key in values:
+                raise ValueError(f"{path}: config key {key!r} appears more than once")
+            values[key] = val.strip()
     return values
 
 
@@ -363,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=1.0)
     p.add_argument("--n-grid", dest="n_grid", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_sweep)
 

@@ -9,12 +9,11 @@ literally.  Physical sample arrays are indexed [component, x1, x2, x3]
 A field is its grid and the read-only k3 >= 0 half spectrum of a real field,
 Hermitian by construction; a full array enters only through ``from_full_coeffs``,
 the one Hermitian check.  Every field transform goes through one real-data pair,
-``rfft3`` / ``irfft3``, and every solver transform through its band form,
-``rfft3_band`` / ``irfft3_band``: the same pocketfft 1-D passes, in the same
-order and with the same factor, run only over the lines that are not zero on
-the way in or cropped away on the way out, so the two forms agree as bits.
-The band form is made of passes a solver part can run on its share
-(``band_parts``): the complex passes on band planes k3 < m
+``rfft3`` / ``irfft3``, and every solver transform through the passes of its
+band form: the same pocketfft 1-D passes, in the same order and with the same
+factor, run only over the lines that are not zero on the way in or cropped
+away on the way out, so they agree with the pair as bits.  A solver part runs
+them on its share (``band_parts``): the complex passes on band planes k3 < m
 (``band_inverse_planes``, ``band_forward_planes``) and the real ones along the
 last axis on x1 slabs (``irfft_k3``, ``rfft_x3``).
 Only ``advection``, the convective-form reference, calls ``numpy.fft``.  Mean
@@ -62,19 +61,23 @@ MAJORANT_TOL = 1e-10  # relative slack of a quadrature value or torus norm under
 #: core the process may use: a 3-D transform as one threaded pocketfft call, and
 #: a solver run as that many parts (``band_parts``), one in the calling thread
 #: and the others on the run's pool, each part's 1-D passes on one thread.
-#: Below it a run has one part, inline, and starts no thread.  Two threads against one on a 2-vCPU VM (pocketfft, 3-D transforms),
-#: one ``simulate`` end to end, median of 8 alternating pairs: 1.75x slower at
-#: n=16, 1.33x slower at n=32, 1.14x faster at n=48 and 1.17x faster at n=64.
+#: Below it a run has one part, which the calling thread runs through the same
+#: passes, and starts no thread.  Two threads against one on a 2-vCPU VM
+#: (pocketfft, 3-D transforms), one ``simulate`` end to end, median of 8
+#: alternating pairs: 1.75x slower at n=16, 1.33x slower at n=32, 1.14x faster
+#: at n=48 and 1.17x faster at n=64.
 #: Threaded output is bit-identical.
 THREADED_MIN_N = 48
 
-#: Height, in x1 planes, of the slabs a solver part transforms and multiplies
-#: at a time: its samples (6, 8, 64, 64) are 1.5 MB at n=64, so a slab's
-#: pointwise work reads what its transform just wrote while it is still in
-#: cache.  One n=64 RK stage in two parts on a 2-vCPU VM, median of 60 in each
-#: of two interleaved orders (ms): height 2: 22.2 / 20.3, 4: 21.4 / 19.1,
-#: 8: 20.8 / 18.9, 16: 21.5 / 19.0, 32 (one slab per part): 21.8 / 19.9.
-SLAB_PLANES = 8
+#: x1-plane points in the slabs a solver part transforms and multiplies at a
+#: time: a slab is SLAB_POINTS // n^2 planes high, 8 at n=64, whose samples
+#: (6, 8, 64, 64) are 1.5 MB, so a slab's pointwise work reads what its
+#: transform just wrote while it is still in cache.  One n=64 RK stage in two
+#: parts on a 2-vCPU VM, median of 60 in each of two interleaved orders (ms):
+#: height 2: 22.2 / 20.3, 4: 21.4 / 19.1, 8: 20.8 / 18.9, 16: 21.5 / 19.0,
+#: 32 (one slab per part): 21.8 / 19.9.  Smaller grids fit a part in one slab,
+#: and so pay the per-call cost of the slab passes once.
+SLAB_POINTS = 8 * 64 * 64
 
 
 def _workers(n: int) -> int:
@@ -93,14 +96,15 @@ def band_parts(n: int, b: int, m: int) -> tuple[tuple[slice, ...], tuple[slice, 
 
     There are ``_workers(n)`` parts, at most m (one plane each) and at most n
     (one x1 plane each), so no part is empty (b > m).  The slabs are
-    SLAB_PLANES high, or lower so that each part gets one, dealt out in turn;
-    a part's first slab is its highest.  Each 1-D line of a band transform
-    lies in one k3 plane or one x1 slab, so a split transform equals the
-    whole one as bits; the elementwise band work is split by k1 rows, whose
-    inner loops stay contiguous.
+    SLAB_POINTS // n^2 planes high, at least 1 and at most n // parts, so
+    that each part gets one, dealt out in turn; a part's first slab is its
+    highest.  Each 1-D line of a band transform lies in one k3 plane or one
+    x1 slab, so a split transform equals the whole one as bits; the
+    elementwise band work is split by k1 rows, whose inner loops stay
+    contiguous.
     """
     count = min(_workers(n), m, n)
-    height = min(SLAB_PLANES, n // count)
+    height = max(min(SLAB_POINTS // n**2, n // count), 1)
     slabs = [slice(x, min(x + height, n)) for x in range(0, n, height)]
     return (
         tuple(slice(b * i // count, b * (i + 1) // count) for i in range(count)),
@@ -155,13 +159,16 @@ def crop_band(coeffs: np.ndarray, rows: tuple, m: int,
     return out
 
 
-def band_inverse_planes(block: np.ndarray, rows: tuple, half: np.ndarray,
-                        workers: int = 1) -> np.ndarray:
-    """The complex passes of ``irfft3_band`` over the planes of ``block``
-    (..., b, b, m), k3 < m of ``half``: clear the off-band part that an
-    earlier call left there, pad the band, then k1 over the band's k2 rows
+def band_inverse_planes(block: np.ndarray, rows: tuple, half: np.ndarray) -> np.ndarray:
+    """The complex passes of ``irfft3`` of band coefficients (..., b, b, m)
+    zero-padded to the half spectrum, over the planes of ``block``, k3 < m of
+    the work array ``half`` (..., n, n, n/2 + 1): clear the off-band part that
+    an earlier call left there, pad the band, then k1 over the band's k2 rows
     and k2 over every row, in place (scipy's pocketfft writes a complex input
-    given ``overwrite_x``).  Each line lies in one k3 plane, so a solver part
+    given ``overwrite_x``).  These are pocketfft's passes for ``irfftn``, in
+    its order and with its unit factor, with the lines that are zero skipped;
+    ``irfft_k3`` makes the last.  Planes k3 >= m of ``half`` are never written
+    and must be zero.  Each line lies in one k3 plane, so a solver part
     passes a block and ``half`` cut to its planes."""
     m = block.shape[-1]
     (_, low), (_, high) = rows
@@ -172,77 +179,44 @@ def band_inverse_planes(block: np.ndarray, rows: tuple, half: np.ndarray,
         planes[..., s, gap, :] = 0.0
     pad_band(block, rows, half)
     for s in (low, high):
-        scipy.fft.ifft(half[..., s, :m], axis=-3, norm="forward", overwrite_x=True,
-                       workers=workers)
-    scipy.fft.ifft(planes, axis=-2, norm="forward", overwrite_x=True, workers=workers)
+        scipy.fft.ifft(half[..., s, :m], axis=-3, norm="forward", overwrite_x=True, workers=1)
+    scipy.fft.ifft(planes, axis=-2, norm="forward", overwrite_x=True, workers=1)
     return half
 
 
-def irfft_k3(half: np.ndarray, n: int, workers: int = 1) -> np.ndarray:
-    """Real samples (..., n) from the k3 axis of ``half``, the last pass of
-    ``irfft3_band``; a solver part passes one x1 slab of it."""
-    return scipy.fft.irfft(half, n, axis=-1, norm="forward", workers=workers)
-
-
-def irfft3_band(block: np.ndarray, rows: tuple, half: np.ndarray) -> np.ndarray:
-    """``irfft3`` of band coefficients (..., b, b, m) zero-padded to the half
-    spectrum, equal to it as bits, with the lines that are zero skipped.
-
-    ``half`` (..., n, n, n/2 + 1) is the work array: it must be zero at
-    k3 >= m, which is never written, and is overwritten at k3 < m.  The 1-D
-    passes are pocketfft's for ``irfftn``, in its order and with its unit
-    factor: ``band_inverse_planes``, then the real transform along k3.
-    """
-    n = half.shape[-2]
-    workers = _workers(n)
-    return irfft_k3(band_inverse_planes(block, rows, half, workers), n, workers)
+def irfft_k3(half: np.ndarray, n: int) -> np.ndarray:
+    """Real samples (..., n) from the k3 axis of ``half``, on one thread: the
+    last inverse pass after ``band_inverse_planes``; a solver part passes one
+    x1 slab of it."""
+    return scipy.fft.irfft(half, n, axis=-1, norm="forward", workers=1)
 
 
 def rfft_x3(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The real transform of ``samples`` (..., n) along x3, on one thread, its
-    planes k3 < m scaled by 1/n^3 into ``out`` (..., m): the first pass of
-    ``rfft3_band`` on one x1 slab, written into a compact forward array."""
+    planes k3 < m scaled by 1/n^3 into ``out`` (..., m): the first forward
+    pass on one x1 slab, written into a compact forward array.  It runs
+    unnormalized and the scale is applied once, here, where pocketfft's
+    ``rfftn`` applies its factor (per axis, 1/n moves the last bit when n is
+    not a power of two)."""
     n = samples.shape[-1]
     lines = scipy.fft.rfft(samples, axis=-1, workers=1)
-    # Real and imaginary parts, each scaled as rfft3_band scales them.
+    # Real and imaginary parts, each scaled as rfftn scales them.
     np.multiply(lines[..., : out.shape[-1]].view(np.float64), 1.0 / n**3,
                 out=out.view(np.float64))
     return out
 
 
-def band_forward_planes(forward: np.ndarray, rows: tuple, out: np.ndarray | None = None,
-                        workers: int = 1) -> np.ndarray:
-    """The complex passes of ``rfft3_band`` over the planes of ``forward``
-    (..., n, n, m), transformed along x3 and scaled: x1 over every row, then
-    x2 over the band's k1 rows, in place, then the crop to the band, into
-    ``out`` (..., b, b, m) if given.  Each line lies in one k3 plane, so a
-    solver part passes ``forward`` and ``out`` cut to its planes."""
-    scipy.fft.fft(forward, axis=-3, overwrite_x=True, workers=workers)
+def band_forward_planes(forward: np.ndarray, rows: tuple, out: np.ndarray) -> np.ndarray:
+    """The complex passes of ``rfft3``, cropped to the band, over the planes of
+    ``forward`` (..., n, n, m), which ``rfft_x3`` transformed along x3 and
+    scaled: x1 over every row, then x2 over the band's k1 rows, in place, then
+    the crop to the band into ``out`` (..., b, b, m).  Each line lies in one
+    k3 plane, so a solver part passes ``forward`` and ``out`` cut to its
+    planes."""
+    scipy.fft.fft(forward, axis=-3, overwrite_x=True, workers=1)
     for _, s in rows:
-        scipy.fft.fft(forward[..., s, :, :], axis=-2, overwrite_x=True, workers=workers)
+        scipy.fft.fft(forward[..., s, :, :], axis=-2, overwrite_x=True, workers=1)
     return crop_band(forward, rows, forward.shape[-1], out)
-
-
-def rfft3_band(samples: np.ndarray, rows: tuple, m: int) -> np.ndarray:
-    """The band (..., b, b, m) of ``rfft3(samples)``, equal to it as bits,
-    with the lines the crop discards skipped.
-
-    The real transform along x3 runs unnormalized and is scaled by 1/n^3
-    once, where pocketfft's ``rfftn`` applies its factor (per axis, 1/n
-    moves the last bit when n is not a power of two); then
-    ``band_forward_planes`` over planes k3 < m.  The samples are released
-    before the crop allocates, so a caller that passes its only reference
-    does not hold them through it.
-    """
-    n = samples.shape[-1]
-    workers = _workers(n)
-    half = scipy.fft.rfft(samples, axis=-1, workers=workers)
-    del samples
-    # Real and imaginary parts, each scaled as pocketfft scales them; the planes
-    # k3 >= m too, as one contiguous loop is faster than a strided one.
-    parts = half.view(np.float64)
-    parts *= 1.0 / n**3
-    return band_forward_planes(half[..., :m], rows, workers=workers)
 
 
 def is_mean_zero(magnitude: np.ndarray, tol: float) -> bool:

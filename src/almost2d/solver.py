@@ -19,49 +19,49 @@ n=64), with "none" the whole half spectrum.  Each stage makes 6 inverse real
 transforms of the band, zero-padded to the half spectrum, and 3 forward ones
 cropped back to it, as do each row's strain and the CFL sample: bit for bit
 the package's ``irfft3`` / ``rfft3`` of the padded band, through ``field``'s
-band pair ``irfft3_band`` / ``rfft3_band``, which skips the 1-D lines that
-are zero on input or cropped on output (under "none" the band is every line,
-and nothing is skipped).  The curl, each row's strain and the projection's
-k.c are ``field``'s multiplier kernels applied to the band.  ``run`` crops the
-band from a ``SpectralVectorField``'s half spectrum at entry and pads it back
-at exit.  (u.grad)u and omega x u differ by the gradient grad(|u|^2/2), which
-the Leray projection P removes.  Under the 2/3 rule every product is
+band passes, which skip the 1-D lines that are zero on input or cropped on
+output (under "none" the band is every line, and nothing is skipped).  The
+curl, each row's strain and the projection's k.c are ``field``'s multiplier
+kernels applied to the band.  ``run`` crops the band from a
+``SpectralVectorField``'s half spectrum at entry and pads it back at exit.
+(u.grad)u and omega x u differ by the gradient grad(|u|^2/2), which the
+Leray projection P removes.  Under the 2/3 rule every product is
 alias-free, so the rotational form equals the convective form
 ``field.advection`` to roundoff.  With ``dealias="none"`` the two forms alias
 differently and their tendencies differ by O(1) at the resolved scales;
 "none" means the aliased rotational form.
 
-From n = ``field.THREADED_MIN_N`` a stage, a row and the CFL sample are cut
-into parts, one per core (``field.band_parts``): the calling thread runs one
-and a pool of the run's own threads the others, at once.  The transform
-passes in spectral space (the pad and the k1/k2 passes in, the x1/x2 passes
-and the crop out) are split by band planes k3 < m, and the elementwise band
-work (the fill of (u, omega) or of a row's strain, the projection) by band
-k1 rows, whose inner loops stay contiguous; the physical work by x1 slabs:
-each slab's real transform along k3, its pointwise work (u x omega, the
-row's det S and |S|^3, the CFL's |u|) and, in a stage, its real transform
-along x3, scaled by 1/n^3 into a compact (3, n, n, m) forward array.  Each
-1-D line lies wholly in one plane or one slab and each transform runs on one
-thread, so the parts change no bit.  Below the threshold a run has one part,
-run inline through the band pair, and starts no thread.
+A stage, a row and the CFL sample are cut into parts (``field.band_parts``):
+one below n = ``field.THREADED_MIN_N``, which the calling thread runs, and
+from it one per core, the calling thread running one and a pool of the run's
+own threads the others, at once.  The transform passes in spectral space
+(the pad and the k1/k2 passes in, the x1/x2 passes and the crop out) are
+split by band planes k3 < m, and the elementwise band work (the fill of
+(u, omega) or of a row's strain, the projection) by band k1 rows, whose
+inner loops stay contiguous; the physical work by x1 slabs: each slab's real
+transform along k3, its pointwise work (u x omega, the row's det S and
+|S|^3, the CFL's |u|) and, in a stage, its real transform along x3, scaled
+by 1/n^3 into a compact (3, n, n, m) forward array.  Each 1-D line lies
+wholly in one plane or one slab and each transform runs on one thread, so
+the parts change no bit.  Every run takes this one path; with one part it
+starts no thread.
 
 Each ``run`` owns one set of stage buffers, made when it starts and written by
 every stage and diagnostics row: the padded (6, n, n, n/2 + 1) half spectrum,
 the band inverse's work array (its planes k3 beyond the band stay zero, and
 each transform clears the rest of the off-band part, pads the band and
 transforms in place); the 6-field band array of (u, omega), or of a row's
-strain; the compact forward array of a split stage; and a (2, n, n, n) real
-array, into which a row writes det S and |S|^3 before it averages them, and
-of which each part takes the x1 planes of its first slab as the scratch in
-which u x omega is formed over its samples (one part takes all of it).  So
-no stage, row or CFL sample of a split run holds more samples than one slab
-per part.  Allocated per stage instead, these arrays went back to the C
-allocator and were page-faulted in again: three traced n=64 ``simulate``
-invocations of 4 steps took 198k minor faults and 0.84 s of system time that
-way, 25k and 0.13 s with the buffers.  They and the pool are locals of
-``run``, not module state, so concurrent runs share only the read-only
-lattices, and no thread outlives the call.  ``rhs``, and any call without
-buffers, runs its parts in turn.
+strain; a stage's compact (3, n, n, m) forward array; and a (2, n, n, n)
+real array, into which a row writes det S and |S|^3 before it averages them,
+and of which each part takes the x1 planes of its first slab as the scratch
+in which u x omega is formed over its samples.  So no stage, row or CFL
+sample holds more samples than one slab per part.  Allocated per stage
+instead, these arrays went back to the C allocator and were page-faulted in
+again: three traced n=64 ``simulate`` invocations of 4 steps took 198k minor
+faults and 0.84 s of system time that way, 25k and 0.13 s with the buffers.
+They and the pool are locals of ``run``, not module state, so concurrent runs
+share only the read-only lattices, and no thread outlives the call.  ``rhs``,
+and any call without buffers, runs its parts in turn.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple
 
@@ -79,8 +79,8 @@ from .criteria import constants
 from .field import (
     DECAY_SLACK_TOL, DIVFREE_TOL, GRONWALL_2D_GROWTH_TOL, GRONWALL_2D_TOL, GRONWALL_LOG_TOL,
     INITIAL_MEAN_TOL, T_END_LATTICE_TOL, SpectralVectorField, StrainField, band_forward_planes,
-    band_inverse_planes, band_parts, crop_band, curl_coeffs, divergence_defect, irfft3_band,
-    irfft_k3, is_mean_zero, k_dot, pad_band, rfft3_band, rfft_x3, strain_coeffs,
+    band_inverse_planes, band_parts, crop_band, curl_coeffs, divergence_defect, irfft_k3,
+    is_mean_zero, k_dot, pad_band, rfft_x3, strain_coeffs,
 )
 from .grid import GridSpec, conjugate_planes
 from .norms import samples_lebesgue_norm
@@ -199,7 +199,7 @@ class _StageBuffers(NamedTuple):
     band: np.ndarray  # (6, *band shape) complex: (u, omega) of a stage, a row's strain
     half: np.ndarray  # (6, n, n, n/2 + 1) complex, the band inverse's work array: 0 at k3 >= m
     real: np.ndarray  # (2, n, n, n): a row's det S and |S|^3; u x omega's scratch, by slabs
-    forward: np.ndarray | None  # (3, n, n, m) complex: a split stage's scaled x3 transform
+    forward: np.ndarray  # (3, n, n, m) complex: a stage's scaled x3 transform
     parts: _Parts
 
 
@@ -252,14 +252,18 @@ class _Lattice(NamedTuple):
             try:
                 first = fn(items[0])
             finally:
-                wait(rest)  # no part still writes into the buffers when this returns or raises
+                # No part still writes into the buffers when this returns or
+                # raises.  exception() waits without raising; wait(rest) took
+                # 3 of the 4.3 us of a one-part map, of which a stage makes 5.
+                for future in rest:
+                    future.exception()
             return [first] + [future.result() for future in rest]
 
         return _StageBuffers(
             np.empty((6,) + self.shape, dtype=complex),
             np.zeros((6, n, n, n // 2 + 1), dtype=complex),
             np.empty((2, n, n, n)),
-            np.empty((3, n, n, m), dtype=complex) if len(planes) > 1 else None,
+            np.empty((3, n, n, m), dtype=complex),
             _Parts(run_parts, rows, planes, slabs),
         )
 
@@ -322,25 +326,16 @@ def nonlinear_term(
         band[:3, rows] = u_hat[:, rows]
         curl_coeffs(u_hat[:, rows], lat.k_rows(rows), out=band[3:, rows])
 
-    if len(parts.planes) == 1:  # inline, as forward is None
-        fill(slice(None))
-        # No name here holds the samples, so rfft3_band frees them before its crop allocates.
-        out = rfft3_band(
-            _cross_in_place(irfft3_band(band, lat.rows, buffers.half), buffers.real),
-            lat.rows, lat.shape[2],
-        )
-        _project(out, lat, slice(None))
-    else:
-        def slab_product(samples, x1, scratch):
-            rfft_x3(_cross_in_place(samples, scratch[:, : len(samples[0])]), forward[:, x1])
+    def slab_product(samples, x1, scratch):
+        rfft_x3(_cross_in_place(samples, scratch[:, : len(samples[0])]), forward[:, x1])
 
-        def forward_planes(planes):
-            band_forward_planes(forward[..., planes], lat.rows, out[..., planes])
+    def forward_planes(planes):
+        band_forward_planes(forward[..., planes], lat.rows, out[..., planes])
 
-        _band_samples(band, fill, lat, buffers, slab_product)
-        out = np.empty((3,) + lat.shape, dtype=complex)
-        parts.map(forward_planes, parts.planes)
-        parts.map(lambda rows: _project(out[:, rows], lat, rows), parts.rows)
+    _band_samples(band, fill, lat, buffers, slab_product)
+    out = np.empty((3,) + lat.shape, dtype=complex)
+    parts.map(forward_planes, parts.planes)
+    parts.map(lambda rows: _project(out[:, rows], lat, rows), parts.rows)
     out[:, 0, 0, 0] = 0.0
     return out
 
@@ -351,16 +346,11 @@ def _band_samples(block: np.ndarray, fill: Callable, lat: _Lattice, buffers: _St
     first, handed to ``on_slab(samples, x1 slice, scratch)``: on_slab's
     results, part by part, each part's slabs in order.
 
-    With one part the block is filled and transformed whole, inline, by
-    ``irfft3_band``, and on_slab gets every sample and the run's real buffer.
-    Otherwise each part fills its band k1 rows, then passes its band planes,
-    then transforms its x1 slabs one at a time, on one thread, with a slice
-    of the real buffer as its scratch; the parts' maps are the only barriers.
+    Each part fills its band k1 rows, then passes its band planes, then
+    transforms its x1 slabs one at a time, on one thread, with a slice of the
+    real buffer as its scratch; the parts' maps are the only barriers.
     """
     half, parts = buffers.half[: len(block)], buffers.parts
-    if len(parts.planes) == 1:
-        fill(slice(None))
-        return [on_slab(irfft3_band(block, lat.rows, half), slice(None), buffers.real)]
 
     def planes_part(planes):
         band_inverse_planes(block[..., planes], lat.rows, half[..., planes])

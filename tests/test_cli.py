@@ -236,6 +236,30 @@ class TestCliDefects:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "config, message",
+        [
+            ("nu=0.1\nrecord_strid=2\n", "unknown config key 'record_strid'"),
+            ("nu=0.1\nblowup_treshold=5\n", "unknown config key 'blowup_treshold'"),
+            ("nu=0.1\nnu=0.2\n", "config key 'nu' appears more than once"),
+        ],
+        ids=["misspelled-stride", "misspelled-threshold", "repeated-nu"],
+    )
+    def test_simulate_rejects_unknown_and_repeated_config_keys(
+        self, tmp_path, capsys, config, message
+    ):
+        """A misspelled key would otherwise leave its parameter at the default,
+        and a repeated one let the last value win, both silently."""
+        field = str(tmp_path / "tg.field")
+        assert main(["construct", "taylor-green", "--n", "8", "--output", field]) == 0
+        cfgfile = tmp_path / "sim.cfg"
+        cfgfile.write_text("dt=1e-3\nt_end=2e-3\n" + config)
+        out = tmp_path / "run.csv"
+        argv = ["simulate", "--config", str(cfgfile), "--initial", field, "--output", str(out)]
+        assert main(argv) == 1
+        assert message in _one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["sweep", "rescaled", "--m", "2", "--nu", "0"],

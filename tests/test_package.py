@@ -1,7 +1,10 @@
-"""Package layout: src/ carries no test-only API, no import of scipy.optimize or
-scipy.integrate at module level, one transform path and one place for each
-tolerance and spectral multiplier."""
+"""Package layout: src/ carries no test-only API and no CLI option that its
+handler ignores, no import of scipy.optimize or scipy.integrate at module
+level, one transform path (the pair and the solver's band passes, with no
+second band form beside them) and one place for each tolerance and spectral
+multiplier."""
 
+import argparse
 import ast
 import dataclasses
 import os
@@ -10,6 +13,7 @@ import sys
 from pathlib import Path
 
 import almost2d
+import almost2d.cli
 
 SRC = Path(almost2d.__file__).parent
 
@@ -36,6 +40,50 @@ def test_every_module_level_definition_is_exported_or_used():
     assert orphans == []
 
 
+def _args_reads(function):
+    """(attributes read from ``args``, names of functions called with ``args``
+    as an argument) in one function definition."""
+    reads, callees = set(), set()
+    for node in ast.walk(function):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and any(
+                isinstance(arg, ast.Name) and arg.id == "args" for arg in node.args):
+            callees.add(node.func.id)
+    return reads, callees
+
+
+def test_every_cli_option_is_read_by_its_handler():
+    """Each option of each subcommand (its ``dest``) is read as ``args.<dest>``
+    by the subcommand's handler or by a cli function it passes ``args`` to, so
+    no option is accepted and then ignored."""
+    functions = {
+        node.name: node for node in ast.parse((SRC / "cli.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    (subcommands,) = [
+        action for action in almost2d.cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    unread = []
+    for verb, parser in subcommands.choices.items():
+        read, todo, seen = set(), [parser.get_default("func").__name__], set()
+        while todo:
+            name = todo.pop()
+            if name in seen or name not in functions:
+                continue
+            seen.add(name)
+            reads, callees = _args_reads(functions[name])
+            read |= reads
+            todo.extend(callees)
+        unread += [
+            f"{verb} {action.dest}" for action in parser._actions
+            if not isinstance(action, argparse._HelpAction) and action.dest not in read
+        ]
+    assert unread == []
+
+
 _TRANSFORMS = {
     "fft", "ifft", "rfft", "irfft", "hfft", "ihfft",
     "fft2", "ifft2", "rfft2", "irfft2", "hfft2", "ihfft2",
@@ -58,9 +106,9 @@ def _transform_sites(node, module, owner=None):
 def test_nd_transforms_only_in_the_transform_pair_and_advection():
     """Every FFT call in src/, 1-D included, sits in field.py's transform
     functions (the pair rfft3 / irfft3, and the passes of its band form that a
-    solver part runs: band_inverse_planes and irfft_k3, which make
-    irfft3_band, and rfft_x3, band_forward_planes and rfft3_band's own x3
-    pass) or the convective-form reference field.advection."""
+    solver part runs: band_inverse_planes and irfft_k3 inverse, rfft_x3 and
+    band_forward_planes forward) or the convective-form reference
+    field.advection."""
     sites = {
         site
         for path in sorted(SRC.glob("*.py"))
@@ -69,7 +117,7 @@ def test_nd_transforms_only_in_the_transform_pair_and_advection():
     assert sites == {
         ("field.py", "rfft3"), ("field.py", "irfft3"), ("field.py", "band_inverse_planes"),
         ("field.py", "irfft_k3"), ("field.py", "rfft_x3"), ("field.py", "band_forward_planes"),
-        ("field.py", "rfft3_band"), ("field.py", "advection"),
+        ("field.py", "advection"),
     }
 
 

@@ -419,10 +419,11 @@ class TestParts:
 
     @pytest.mark.parametrize("threaded", [False, True])
     @pytest.mark.parametrize("rule", ["two_thirds", "none"])
-    @pytest.mark.parametrize("n", [24, 48, 64])
+    @pytest.mark.parametrize("n", [16, 24, 48, 64])
     def test_parts_give_the_oracle_bits(self, n, rule, threaded, monkeypatch):
         """THREADED_MIN_N lowered, with three cores: three parts on a pool;
-        raised: one part, inline."""
+        raised: one part, in the calling thread.  n=16 is the size of the
+        benchmark's small run, whose one part takes the same passes."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(field_module, "THREADED_MIN_N", 4 if threaded else n + 2)
         grid = GridSpec(n)
@@ -431,6 +432,22 @@ class TestParts:
             buffers = lat.stage_buffers(pool)
             assert len(buffers.parts.planes) == (3 if threaded else 1)
             self.check_against_oracles(grid, rule, buffers, seed=n)
+
+    @pytest.mark.parametrize("n, cores, slabs", [
+        (16, {0}, [[(0, 16)]]),
+        (32, {0}, [[(0, 32)]]),
+        (48, {0, 1}, [[(0, 14), (28, 42)], [(14, 28), (42, 48)]]),
+        (64, {0, 1}, [[(0, 8), (16, 24), (32, 40), (48, 56)],
+                      [(8, 16), (24, 32), (40, 48), (56, 64)]]),
+    ])
+    def test_slabs_hold_a_fixed_number_of_points(self, n, cores, slabs, monkeypatch):
+        """A slab is SLAB_POINTS // n^2 x1 planes high (8 at n=64), at most
+        n // parts: n <= 32 runs one slab on one core, n=48 slabs of 14 planes
+        and n=64 slabs of 8, dealt out in turn to two parts."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        b, _, m = _lattice(GridSpec(n), "two_thirds").shape
+        _, _, parts = field_module.band_parts(n, b, m)
+        assert [[(x.start, x.stop) for x in part] for part in parts] == slabs
 
     @pytest.mark.parametrize("rule, planes, slabs", [("two_thirds", 3, 4), ("none", 5, 8)])
     def test_parts_are_capped_and_never_empty(self, rule, planes, slabs, monkeypatch):
@@ -469,13 +486,15 @@ class TestParts:
         (1e-12, "blowup_suspected"),  # stopped at row 0
         (None, "rejected"),  # a mean: run raises before it makes a pool
         (1e8, "failed in a part"),  # a pool thread's transform raises
+        (1e8, "one part"),  # THREADED_MIN_N left as it is: n=16 runs one part
     ])
     def test_no_thread_outlives_a_run(self, threshold, status, monkeypatch):
         """A threaded run (THREADED_MIN_N lowered, two cores) runs one part in
         the calling thread and the other on one more thread, which it joins
-        before it returns or raises."""
+        before it returns or raises.  A run of one part starts no thread."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(field_module, "THREADED_MIN_N", 4)
+        if status != "one part":
+            monkeypatch.setattr(field_module, "THREADED_MIN_N", 4)
         grid = GridSpec(16)
         u0 = random_divergence_free(grid, 31, kmax=5, amplitude=0.3)
         if status == "rejected":
@@ -504,6 +523,9 @@ class TestParts:
             with pytest.raises(MemoryError, match="a part failed"):
                 run(u0, cfg)
             assert max(seen) == before + 1
+        elif status == "one part":
+            assert run(u0, cfg).status == "completed"
+            assert max(seen) == before
         else:
             assert run(u0, cfg).status == status
             assert max(seen) == before + 1
@@ -511,9 +533,13 @@ class TestParts:
 
 
 class TestBandTransforms:
-    """The band pair equals the full pair on the zero-padded band as bits:
-    ``irfft3_band`` is ``irfft3`` of the padded band, ``rfft3_band`` the band
-    of ``rfft3``.  The band's rows are written out here, not taken from
+    """The band passes, composed as the solver composes them, make a pair that
+    equals the full pair on the zero-padded band as bits: inverse,
+    ``band_inverse_planes`` per plane part, then ``irfft_k3`` per x1 slab, is
+    ``irfft3`` of the padded band; forward, ``rfft_x3`` per slab into a
+    compact (3, n, n, m) array, then ``band_forward_planes`` per plane part,
+    is the band of ``rfft3``.  The parts are ``band_parts``' split into one
+    part or into three.  The band's rows are written out here, not taken from
     ``_Lattice.pad`` or ``crop``."""
 
     @staticmethod
@@ -525,18 +551,21 @@ class TestBandTransforms:
             return np.r_[0 : kc + 1, n - kc : n], kc + 1
         return np.arange(n), n // 2 + 1
 
-    @pytest.mark.parametrize("threaded", [False, True])
+    @pytest.mark.parametrize("split", [False, True])
     @pytest.mark.parametrize("rule", ["two_thirds", "none"])
     @pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 48, 64])
-    def test_band_pair_is_the_full_pair_on_the_padded_band(self, n, rule, threaded,
-                                                            monkeypatch):
+    def test_band_pair_is_the_full_pair_on_the_padded_band(self, n, rule, split, monkeypatch):
         """Two inputs through one work array filled with NaN at k3 < m, so
         that an off-band entry left unset shows; the inputs stay unchanged and
         the work array's planes k3 >= m stay zero."""
-        monkeypatch.setattr(field_module, "THREADED_MIN_N", 4 if threaded else n + 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(field_module, "THREADED_MIN_N", 4 if split else n + 2)
         lat = _lattice(GridSpec(n), rule)
         rows, m = self.band_rows(n, rule)
         assert lat.shape == (len(rows), len(rows), m)
+        _, planes, slabs = field_module.band_parts(n, len(rows), m)
+        assert len(planes) == (3 if split else 1)
+        slabs = [x1 for part in slabs for x1 in part]
         band = (slice(None),) + np.ix_(rows, rows, np.arange(m))
         rng = np.random.default_rng(n + (rule == "none"))
         work = np.zeros((6, n, n, n // 2 + 1), dtype=complex)
@@ -547,14 +576,23 @@ class TestBandTransforms:
                 (6,) + lat.shape)
             block = np.ascontiguousarray(conjugate_planes(padded)[band])
             before = block.copy()
-            got = field_module.irfft3_band(block, lat.rows, work)
+            for p in planes:
+                field_module.band_inverse_planes(block[..., p], lat.rows, work[..., p])
+            got = np.full((6, n, n, n), np.nan)
+            for x1 in slabs:
+                got[:, x1] = field_module.irfft_k3(work[:, x1], n)
             assert same_bits(block, before)
             assert same_bits(got, irfft3(padded, n))
             assert not np.any(work[..., m:])
 
             samples = rng.standard_normal((3, n, n, n))
             before = samples.copy()
-            got = field_module.rfft3_band(samples, lat.rows, m)
+            forward = np.full((3, n, n, m), np.nan, dtype=complex)
+            for x1 in slabs:
+                field_module.rfft_x3(samples[:, x1], forward[:, x1])
+            got = np.full((3,) + lat.shape, np.nan, dtype=complex)
+            for p in planes:
+                field_module.band_forward_planes(forward[..., p], lat.rows, got[..., p])
             assert same_bits(samples, before)
             assert same_bits(got, np.ascontiguousarray(field_module.rfft3(samples)[band]))
 
