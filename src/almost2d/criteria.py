@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .field import LP_MAJORANT_TOL, SpectralVectorField, biot_savart, to_physical
+from .field import LP_MAJORANT_TOL, SpectralVectorField, to_physical
 from .norms import field_summary, p2d_split, samples_lebesgue_norm, sobolev_norm
 
 CONSTANTS_VERSION = "whole-space-sharp-v1"
@@ -60,9 +60,9 @@ class CriterionReport:
 
 
 def _require_valid_inputs(nu: float, *norms: float) -> None:
-    """nu > 0 and finite norms: a NaN norm must not reach a verdict."""
-    if not nu > 0:
-        raise ValueError(f"viscosity must be positive, got {nu}")
+    """0 < nu < inf and finite norms: a NaN norm must not reach a verdict."""
+    if not 0 < nu < math.inf:
+        raise ValueError(f"viscosity must be positive and finite, got {nu}")
     if not all(math.isfinite(x) for x in norms):
         raise ValueError(f"criterion norms must be finite, got {norms}")
 
@@ -157,17 +157,21 @@ def gamma2d_lp_from_norms(
     )
 
 
-def gamma2d_lp_check(omega: SpectralVectorField, nu: float) -> CriterionReport:
-    """Lp-only form of the criterion, stated on the vorticity:
+def gamma2d_lp_check(omega: SpectralVectorField, hilbert: CriterionReport) -> CriterionReport:
+    """Lp-only form of the criterion, stated on the vorticity omega = curl u:
     C1 ||omega_h||_{L^3/2} exp((C2^2 ||omega||_{L^6/5}^2 ||omega||_{L^2}^2 / 4
     - 6912 pi^4 nu^4) / (R2 nu^3)) < R1 nu.
 
-    Also certifies the derivation direction: the Hilbert-norm criterion's
-    left side on u = biot_savart(omega) never exceeds this one.
+    ``hilbert`` is u's ``gamma2d`` report: nu and ||omega||_{L^2} = sqrt(2 E0)
+    come from it, so omega's one inverse transform gives the two Lebesgue
+    norms.  Also certifies the derivation direction: that report's left side
+    never exceeds this one.
     """
-    omega_h_l32, omega_l65 = _vorticity_lp_norms(omega)
-    report = gamma2d_lp_from_norms(omega_h_l32, omega_l65, sobolev_norm(omega, 0), nu)
-    hilbert = gamma2d_check(biot_savart(omega), nu)
+    samples = to_physical(omega).samples
+    omega_l2 = math.sqrt(2 * hilbert.inputs["E0"])
+    report = gamma2d_lp_from_norms(samples_lebesgue_norm(samples[:2], 1.5),
+                                   samples_lebesgue_norm(samples, 1.2), omega_l2,
+                                   hilbert.inputs["nu"])
     if hilbert.inputs["log_lhs"] > report.inputs["log_lhs"] + LP_MAJORANT_TOL:
         raise AssertionError(
             "Hilbert-norm criterion left side exceeds its Lp majorant: "
@@ -175,13 +179,6 @@ def gamma2d_lp_check(omega: SpectralVectorField, nu: float) -> CriterionReport:
         )
     report.inputs["log_lhs_hilbert"] = hilbert.inputs["log_lhs"]
     return report
-
-
-def _vorticity_lp_norms(omega: SpectralVectorField) -> tuple[float, float]:
-    """||omega_h||_{L^3/2} and ||omega||_{L^6/5} from one transform, whose
-    samples are freed on return."""
-    samples = to_physical(omega).samples
-    return samples_lebesgue_norm(samples[:2], 1.5), samples_lebesgue_norm(samples, 1.2)
 
 
 @dataclass
@@ -246,8 +243,8 @@ def iftimie_check(u: SpectralVectorField, nu: float, c: float) -> CriterionRepor
     supply one, and the report records it.
     """
     _require_valid_inputs(nu)
-    if c <= 0:
-        raise ValueError(f"the criterion constant must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"the criterion constant must be positive and finite, got {c}")
     two_d, perp = p2d_split(u)
     perp_half = sobolev_norm(perp, 0.5)
     two_d_l2 = sobolev_norm(two_d, 0)

@@ -20,7 +20,7 @@ load 240 modules and about 20 MB into every process that imports the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
 import numpy as np
@@ -201,6 +201,7 @@ class FieldSummary:
     hhalf: float  # ||u||_{H^1/2}
     h1: float  # ||u||_{H^1}
     omega_h_hminushalf: float  # ||(omega_1, omega_2, 0)||_{H^-1/2}
+    omega: SpectralVectorField = dc_field(repr=False, compare=False)  # curl u, summed for E and omega_h
 
 
 def field_summary(u: SpectralVectorField) -> FieldSummary:
@@ -208,13 +209,15 @@ def field_summary(u: SpectralVectorField) -> FieldSummary:
     The divergence check takes max |uhat| from the velocity's spectrum."""
     velocity = ShellSpectrum(u.grid, u.half)
     _require_divergence_free(u, "field summary", velocity.peak)
-    vorticity = ShellSpectrum(u.grid, curl(u).half)
+    omega = curl(u)
+    vorticity = ShellSpectrum(u.grid, omega.half)
     return FieldSummary(
         K=0.5 * float(velocity.sobolev_sq(0).sum()),
         E=0.5 * float(vorticity.sobolev_sq(0).sum()),
         hhalf=math.sqrt(velocity.sobolev_sq(0.5).sum()),
         h1=math.sqrt(velocity.sobolev_sq(1.0).sum()),
         omega_h_hminushalf=math.sqrt(vorticity.sobolev_sq(-0.5)[:2].sum()),
+        omega=omega,
     )
 
 

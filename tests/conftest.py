@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from almost2d import GridSpec, SpectralVectorField, horizontal_parts, lebesgue_norm
+from almost2d import (
+    GridSpec,
+    SpectralVectorField,
+    biot_savart,
+    gamma2d_check,
+    horizontal_parts,
+    lebesgue_norm,
+)
 from almost2d.families import random_divergence_free
 from almost2d.field import HERMITIAN_TOL, StrainField, curl_coeffs, irfft3, k_dot, rfft3
 from almost2d.solver import _lattice
@@ -160,6 +167,13 @@ def biot_savart_oracle(half, grid):
     u /= 4 * np.pi**2 * grid.k_deriv_sq_safe
     u[:, 0, 0, 0] = 0.0
     return u
+
+
+def gamma2d_lp_hilbert_oracle(omega, nu):
+    """``log_lhs_hilbert`` as ``gamma2d_lp_check`` once formed it: the
+    Hilbert criterion's left side on the velocity rebuilt from omega by
+    Biot-Savart, through a second field summary."""
+    return gamma2d_check(biot_savart(omega), nu).inputs["log_lhs"]
 
 
 def samples_lebesgue_norm_oracle(samples, p):

@@ -1,14 +1,18 @@
 """Field file format and command-line round trips."""
 
+import csv
+import io
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from almost2d import GridSpec, PhysicalVectorField, SpectralVectorField, families, to_physical
-from almost2d import cli
+from almost2d import cli, norms
+from almost2d import field as field_layer
 from almost2d.cli import main
 from almost2d.families import annulus_analog, random_divergence_free
 from almost2d.fieldio import read_field, write_field
@@ -103,6 +107,42 @@ class TestCli:
         names = [r["name"] for r in doc["reports"]]
         assert names == ["small-data", "gamma2d", "gamma2d-lp"]
         assert all(r["satisfied"] for r in doc["reports"])
+
+    @pytest.mark.parametrize("extra", [[], ["--iftimie-c", "2.0"]], ids=["three", "iftimie"])
+    def test_check_csv_is_one_row_per_report(self, tmp_path, capsys, extra):
+        """check --format csv: one row per report, its cells formatted as
+        the JSON values they come from, no dict in any cell."""
+        path = str(tmp_path / "u.field")
+        write_field(path, random_divergence_free(GridSpec(16), 3, kmax=4))
+        argv = ["check", path, "--nu", "0.1", *extra]
+        assert main(argv) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert main(argv + ["--format", "csv"]) == 0
+        text = capsys.readouterr().out
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["name", "lhs", "rhs", "satisfied", "constants_version"]
+        assert len(rows[1:]) == len(reports) == 3 + (len(extra) > 0)
+        assert not any("{" in cell for row in rows for cell in row)
+        for row, report in zip(rows[1:], reports):
+            assert row == [report["name"], cli.FLOAT_FMT % float(report["lhs"]),
+                           cli.FLOAT_FMT % float(report["rhs"]), str(report["satisfied"]),
+                           report["constants_version"]]
+
+    def test_check_certifies_its_own_gamma2d_report(self, tmp_path, capsys, grid16):
+        """The Lp report's Hilbert side is the gamma2d report check prints.
+        A velocity mean enters that report's K0 but not the Lp side, so a
+        large one is refused with the majorant error."""
+        u = random_divergence_free(grid16, 3, kmax=4, amplitude=0.1)
+        path = str(tmp_path / "u.field")
+        write_field(path, u)
+        assert main(["check", path, "--nu", "1.0"]) == 0
+        _, hilbert, lp = json.loads(capsys.readouterr().out)["reports"]
+        assert lp["inputs"]["log_lhs_hilbert"] == hilbert["inputs"]["log_lhs"]
+        coeffs = u.half.copy()
+        coeffs[0, 0, 0, 0] = 100.0
+        write_field(path, SpectralVectorField(grid16, coeffs))
+        assert main(["check", path, "--nu", "1.0"]) == 1
+        assert "exceeds its Lp majorant" in _one_error_line(capsys)
 
     def test_sweep_annulus_criterion_decreasing(self, tmp_path):
         out = str(tmp_path / "sweep.csv")
@@ -274,6 +314,29 @@ class TestCliDefects:
         assert "viscosity must be positive" in _one_error_line(capsys)
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{field}", "--nu", "inf"],
+            ["sweep", "annulus-analog", "--n", "3", "--nu", "inf"],
+            ["wholespace", "lambda-n", "--n", "3", "--nu", "inf"],
+        ],
+        ids=["check", "sweep-annulus", "wholespace-lambda-n"],
+    )
+    def test_infinite_viscosity_is_a_domain_error(self, tmp_path, capsys, argv):
+        """An infinite viscosity would make every verdict trivially true."""
+        field_path = str(tmp_path / "tg.field")
+        write_field(field_path, families.taylor_green_2d(GridSpec(8)))
+        assert main([a.format(field=field_path) for a in argv]) == 1
+        assert "viscosity must be positive and finite" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_nonfinite_iftimie_constant_is_a_domain_error(self, tmp_path, capsys, c):
+        path = str(tmp_path / "u.field")
+        write_field(path, random_divergence_free(GridSpec(8), 2, kmax=2))
+        assert main(["check", path, "--nu", "0.1", "--iftimie-c", c]) == 1
+        assert "constant must be positive and finite" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["construct", "taylor-green", "--n", "8", "--amplitude", "nan"], "amplitude"),
@@ -393,3 +456,29 @@ class TestAnalysisTransformBudget:
         transform_counts.update({"3d": 0, "other": 0})
         assert main([verb[0], field, *verb[1:], "--output", str(tmp_path / "out.json")]) == 0
         assert transform_counts == {"3d": count, "other": 0}
+
+    def test_check_builds_each_quantity_once(self, tmp_path, transform_counts, monkeypatch):
+        """One n=64 check: the read's forward transform and the vorticity's
+        inverse, one curl, the velocity and vorticity spectra, and no
+        Biot-Savart rebuild of the velocity."""
+        path = str(tmp_path / "u.field")
+        write_field(path, random_divergence_free(GridSpec(64), 5))
+        calls = {"curl_coeffs": 0, "ShellSpectrum": 0, "biot_savart": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(field_layer, "curl_coeffs",
+                            counted("curl_coeffs", field_layer.curl_coeffs))
+        monkeypatch.setattr(norms, "ShellSpectrum", counted("ShellSpectrum", norms.ShellSpectrum))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("almost2d") and hasattr(module, "biot_savart"):
+                monkeypatch.setattr(module, "biot_savart",
+                                    counted("biot_savart", module.biot_savart))
+        transform_counts.update({"3d": 0, "other": 0})
+        assert main(["check", path, "--nu", "0.1", "--output", str(tmp_path / "out.json")]) == 0
+        assert calls == {"curl_coeffs": 1, "ShellSpectrum": 2, "biot_savart": 0}
+        assert transform_counts == {"3d": 3 + 3, "other": 0}

@@ -7,6 +7,7 @@ import pytest
 
 from almost2d import (
     GridSpec,
+    annulus_analog,
     blowup_time_bounds,
     constants,
     critical_product_floor,
@@ -15,8 +16,10 @@ from almost2d import (
     gamma2d_check,
     gamma2d_lp_check,
     large_almost_2d,
+    random_divergence_free,
     small_data_check,
     taylor_green_2d,
+    un_family,
 )
 from almost2d.criteria import (
     SMALL_DATA_COEFF,
@@ -25,8 +28,9 @@ from almost2d.criteria import (
     gamma2d_lp_from_norms,
     iftimie_check,
 )
-from almost2d.norms import field_summary, horizontal, horizontal_parts, p2d_split
-from conftest import seeded_fields, zeroed
+from almost2d.field import LP_MAJORANT_TOL
+from almost2d.norms import field_summary, horizontal, horizontal_parts, p2d_split, sobolev_norm
+from conftest import gamma2d_lp_hilbert_oracle, seeded_fields, zeroed
 
 
 class TestConstants:
@@ -150,24 +154,70 @@ class TestGamma2d:
 
 class TestGamma2dLp:
     def test_horizontal_free_vorticity_passes(self, grid32):
-        w = curl(taylor_green_2d(grid32))
-        rep = gamma2d_lp_check(w, 0.5)
+        u = taylor_green_2d(grid32)
+        rep = gamma2d_lp_check(curl(u), gamma2d_check(u, 0.5))
         assert rep.satisfied
 
     def test_hilbert_side_below_lp_side(self, grid16):
         for u in seeded_fields(grid16, 3, kmax=4, amplitude=0.1, base_seed=400):
-            rep = gamma2d_lp_check(curl(u), 1.0)
+            rep = gamma2d_lp_check(curl(u), gamma2d_check(u, 1.0))
             assert rep.inputs["log_lhs_hilbert"] <= rep.inputs["log_lhs"] + 1e-9
 
     def test_verdict_consistency(self, grid16):
-        from almost2d import biot_savart
-
         for u in seeded_fields(grid16, 3, kmax=4, amplitude=0.1, base_seed=410):
-            w = curl(u)
-            lp = gamma2d_lp_check(w, 1.0)
-            hilbert = gamma2d_check(biot_savart(w), 1.0)
+            hilbert = gamma2d_check(u, 1.0)
+            lp = gamma2d_lp_check(curl(u), hilbert)
             if lp.satisfied:
                 assert hilbert.satisfied
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            *(lambda n=n: random_divergence_free(GridSpec(n), n) for n in (16, 24, 32, 64)),
+            *(lambda n=n: random_divergence_free(GridSpec(n), n + 1, kmax=n // 2 - 1)
+              for n in (16, 24, 32, 64)),
+            lambda: taylor_green_2d(GridSpec(32)),
+            lambda: un_family(5, GridSpec(24)),
+            lambda: annulus_analog(8, GridSpec(32)),
+            *(lambda i=i: large_almost_2d(i, GridSpec(32)) for i in (1, 2, 3)),
+        ],
+        ids=[*(f"random{n}" for n in (16, 24, 32, 64)),
+             *(f"random{n}-kmax{n // 2 - 1}" for n in (16, 24, 32, 64)),
+             "taylor-green", "un5", "annulus-analog8", "large1", "large2", "large3"],
+    )
+    def test_hilbert_side_matches_the_biot_savart_rebuild(self, make):
+        """check's path, one field summary of u whose vorticity and gamma2d
+        report feed the Lp check, against the Hilbert side of the velocity
+        rebuilt from that vorticity by Biot-Savart."""
+        u = make()
+        s = field_summary(u)
+        for nu in (0.1, 1.0):
+            hilbert = gamma2d_from_norms(s.omega_h_hminushalf, s.K, s.E, nu)
+            rep = gamma2d_lp_check(s.omega, hilbert)
+            assert rep.inputs["omega_l2"] == sobolev_norm(s.omega, 0)
+            got, want = rep.inputs["log_lhs_hilbert"], gamma2d_lp_hilbert_oracle(s.omega, nu)
+            assert got == hilbert.inputs["log_lhs"]
+            assert got == want or abs(got - want) <= 1e-14 * abs(want), (nu, got, want)
+
+    def test_majorant_failure_raises(self, grid16):
+        """A Hilbert report whose left side exceeds the Lp one by more than
+        LP_MAJORANT_TOL is refused.  The energy is raised past what the
+        vorticity's L^6/5 norm allows, as a velocity mean would raise it."""
+        (u,) = seeded_fields(grid16, 1, kmax=4, amplitude=0.1, base_seed=420)
+        s = field_summary(u)
+        nu = 1.0
+        honest = gamma2d_from_norms(s.omega_h_hminushalf, s.K, s.E, nu)
+        gap = gamma2d_lp_check(s.omega, honest).inputs["log_lhs"] - honest.inputs["log_lhs"]
+        assert gap > 0
+
+        def with_energy_gap(margin):
+            K0 = s.K + (gap + margin) * constants().r2 * nu**3 / s.E
+            return gamma2d_from_norms(s.omega_h_hminushalf, K0, s.E, nu)
+
+        below = gamma2d_lp_check(s.omega, with_energy_gap(-1e3 * LP_MAJORANT_TOL))
+        assert below.inputs["log_lhs_hilbert"] < below.inputs["log_lhs"]
+        with pytest.raises(AssertionError, match="exceeds its Lp majorant"):
+            gamma2d_lp_check(s.omega, with_energy_gap(1e3 * LP_MAJORANT_TOL))
 
     def test_annulus_analog_lp_side_decreasing(self):
         """Family sweep n = 8 vs n = 64: the Lp criterion left side falls."""
@@ -289,7 +339,7 @@ def test_checks_and_splits_leave_inputs_untouched(grid16):
     calls = [
         (field_summary, u),
         (lambda v: gamma2d_check(v, 0.1), u),
-        (lambda v: gamma2d_lp_check(v, 0.1), w),
+        (lambda v: gamma2d_lp_check(v, gamma2d_check(u, 0.1)), w),
         (lambda v: iftimie_check(v, 0.1, 2.0), u),
         (p2d_split, u),
         (horizontal_parts, u),
