@@ -161,8 +161,8 @@ def _closed_form_sidecar(args, u: SpectralVectorField) -> dict:
 
 def _cmd_construct(args) -> int:
     u = _construct_field(args)
+    sidecar = _closed_form_sidecar(args, u)  # before any file, so a failure leaves none
     fieldio.write_field(args.output, u)
-    sidecar = _closed_form_sidecar(args, u)
     with open(args.output + ".norms.json", "w") as fh:
         json.dump(_sanitize(sidecar), fh, indent=2, default=_json_default)
         fh.write("\n")
@@ -277,9 +277,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_wholespace(args) -> int:
-    quad = wholespace.QuadratureSpec(
-        radial_nodes=args.nodes, vertical_nodes=args.nodes
-    )
+    quad = wholespace.QuadratureSpec(args.nodes)
     rows = []
     if args.table == "lambda-n":
         for n in args.n:
@@ -303,7 +301,10 @@ def _cmd_wholespace(args) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+    values = [int(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise ValueError(f"no integer in {text!r}")
+    return values
 
 
 @functools.cache
@@ -393,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, ArithmeticError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -88,29 +88,27 @@ def small_data_check(K0: float, E0: float, nu: float) -> CriterionReport:
     )
 
 
+def _gamma2d(name: str, factor: float, product: float, nu: float,
+             inputs: dict[str, float]) -> CriterionReport:
+    """The almost-2D criterion factor * exp((product - 6912 pi^4 nu^4) / (R2 nu^3))
+    < R1 nu, for whichever norms bound the factor and the energy-enstrophy
+    product; ``inputs`` gains log_lhs as its last entry."""
+    consts = constants()
+    exponent = (product - SMALL_DATA_COEFF * nu**4) / (consts.r2 * nu**3)
+    rhs = consts.r1 * nu
+    log_lhs, lhs, satisfied = _log_verdict(factor, exponent, rhs)
+    inputs["log_lhs"] = log_lhs
+    return CriterionReport(name, lhs, rhs, satisfied, inputs)
+
+
 def gamma2d_from_norms(
     omega_h_norm: float, K0: float, E0: float, nu: float
 ) -> CriterionReport:
     """Almost-2D criterion from precomputed scalars (the field-level
     gamma2d_check reduces to this)."""
     _require_valid_inputs(nu, omega_h_norm, K0, E0)
-    consts = constants()
-    exponent = (K0 * E0 - SMALL_DATA_COEFF * nu**4) / (consts.r2 * nu**3)
-    rhs = consts.r1 * nu
-    log_lhs, lhs, satisfied = _log_verdict(omega_h_norm, exponent, rhs)
-    return CriterionReport(
-        "gamma2d",
-        lhs,
-        rhs,
-        satisfied,
-        {
-            "K0": K0,
-            "E0": E0,
-            "nu": nu,
-            "omega_h_hminushalf": omega_h_norm,
-            "log_lhs": log_lhs,
-        },
-    )
+    return _gamma2d("gamma2d", omega_h_norm, K0 * E0, nu,
+                    {"K0": K0, "E0": E0, "nu": nu, "omega_h_hminushalf": omega_h_norm})
 
 
 def gamma2d_check(u: SpectralVectorField, nu: float) -> CriterionReport:
@@ -138,23 +136,9 @@ def gamma2d_lp_from_norms(
     _require_valid_inputs(nu, omega_h_l32, omega_l65, omega_l2)
     consts = constants()
     product = 0.25 * consts.c2**2 * omega_l65**2 * omega_l2**2
-    exponent = (product - SMALL_DATA_COEFF * nu**4) / (consts.r2 * nu**3)
-    rhs = consts.r1 * nu
-    log_lhs, lhs, satisfied = _log_verdict(consts.c1 * omega_h_l32, exponent, rhs)
-    return CriterionReport(
-        "gamma2d-lp",
-        lhs,
-        rhs,
-        satisfied,
-        {
-            "omega_h_l32": omega_h_l32,
-            "omega_l65": omega_l65,
-            "omega_l2": omega_l2,
-            "nu": nu,
-            "KE_upper": product,
-            "log_lhs": log_lhs,
-        },
-    )
+    return _gamma2d("gamma2d-lp", consts.c1 * omega_h_l32, product, nu,
+                    {"omega_h_l32": omega_h_l32, "omega_l65": omega_l65,
+                     "omega_l2": omega_l2, "nu": nu, "KE_upper": product})
 
 
 def gamma2d_lp_check(omega: SpectralVectorField, hilbert: CriterionReport) -> CriterionReport:
@@ -204,7 +188,7 @@ def envelopes(K0: float, E0: float, nu: float, t: float) -> Envelopes:
         global_bound = None
         reason = "K0*E0 at or above the small-data threshold"
 
-    window = 1728 * math.pi**4 * nu**3
+    window = SMALL_DATA_COEFF / 4 * nu**3
     if E0 == 0:
         local_bound = 0.0
     elif t < window / E0**2:
@@ -224,15 +208,16 @@ class BlowupTimeBounds:
 
 def blowup_time_bounds(K0: float, E0: float, nu: float) -> BlowupTimeBounds:
     _require_valid_inputs(nu)
-    upper = K0**2 / (13824 * math.pi**4 * nu**5)
-    lower = math.inf if E0 == 0 else 1728 * math.pi**4 * nu**3 / E0**2
+    upper = K0**2 / (2 * SMALL_DATA_COEFF * nu**5)
+    lower = math.inf if E0 == 0 else SMALL_DATA_COEFF / 4 * nu**3 / E0**2
     return BlowupTimeBounds(upper, lower)
 
 
 def critical_product_floor(K: float, E: float, nu: float) -> bool:
     """True iff K*E sits strictly below 6912 pi^4 nu^4, so no blow-up can
-    originate from this state."""
-    return K * E < SMALL_DATA_COEFF * nu**4
+    originate from this state; the small-data check's verdict, with its
+    input checks."""
+    return small_data_check(K, E, nu).satisfied
 
 
 def iftimie_check(u: SpectralVectorField, nu: float, c: float) -> CriterionReport:

@@ -75,7 +75,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .criteria import constants
+from .criteria import SMALL_DATA_COEFF, constants
 from .field import (
     DECAY_SLACK_TOL, DIVFREE_TOL, GRONWALL_2D_GROWTH_TOL, GRONWALL_2D_TOL, GRONWALL_LOG_TOL,
     INITIAL_MEAN_TOL, T_END_LATTICE_TOL, SpectralVectorField, StrainField, band_forward_planes,
@@ -555,7 +555,7 @@ def _assemble_series(rows: list[dict], cfg: SolverConfig) -> DiagnosticsSeries:
     inst = -2 * cfg.nu * h1 - 4 * cols["det_S_integral"][1:-1]
     scale = np.maximum(np.maximum(np.abs(inst), np.abs(d)), 1e-30)
     strain_res[1:-1] = np.abs(d - inst) / scale
-    cubic = np.float_power(E_i, 3) / (3456 * math.pi**4 * cfg.nu**3) - d
+    cubic = np.float_power(E_i, 3) / (SMALL_DATA_COEFF / 2 * cfg.nu**3) - d
     l3_cubed = np.float_power(cols["strain_l3"][1:-1], 3)
     cor22 = -2 * cfg.nu * h1 + (2.0 / 9.0) * math.sqrt(6.0) * l3_cubed - d
     slack[1:-1] = np.where(cor22 < cubic, cor22, cubic)  # min(cubic, cor22), NaN as min() keeps it

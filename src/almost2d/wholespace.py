@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -22,32 +21,21 @@ from .field import MAJORANT_TOL, NODE_DIVFREE_TOL, QUADRATURE_TOL
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
-class QuadScheme(Enum):
-    GAUSS_LEGENDRE = "gauss_legendre"
-    TRAPEZOID = "trapezoid"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    radial_nodes: int = 128
-    vertical_nodes: int = 128
-    scheme: QuadScheme = QuadScheme.GAUSS_LEGENDRE
+    """The Gauss-Legendre rule of ``nodes`` nodes, on every interval."""
+
+    nodes: int = 128
 
     def __post_init__(self):
-        if self.radial_nodes < 16 or self.vertical_nodes < 16:
+        if self.nodes < 16:
             raise ValueError("node counts must be >= 16")
 
-    def nodes(self, a: float, b: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    def rule(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights on [a, b], as new arrays."""
-        if self.scheme is QuadScheme.GAUSS_LEGENDRE:
-            x, w = _gauss_legendre(count)
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            return mid + half * x, half * w
-        x = np.linspace(a, b, count)
-        w = np.full(count, (b - a) / (count - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return x, w
+        x, w = _gauss_legendre(self.nodes)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return mid + half * x, half * w
 
 
 @functools.lru_cache(maxsize=8)
@@ -88,8 +76,8 @@ def lambda_n_report(n: int, quad: QuadratureSpec = QuadratureSpec(), nu: float =
     if n < 3:
         raise ValueError(f"loglog(n) undefined for n={n} < 3")
     loglog_half = math.sqrt(math.log(math.log(n)))
-    r, wr = quad.nodes(1.0, 2.0, quad.radial_nodes)
-    z, wz = quad.nodes(-1.0 / n, 1.0 / n, quad.vertical_nodes)
+    r, wr = quad.rule(1.0, 2.0)
+    z, wz = quad.rule(-1.0 / n, 1.0 / n)
     R, Z = np.meshgrid(r, z, indexing="ij")
     W = np.outer(wr, wz) * 2 * math.pi * R  # cylindrical volume element
 
@@ -162,7 +150,7 @@ def besov_embedding_constant(p: float, quad: QuadratureSpec = QuadratureSpec()) 
         return math.sqrt(2 * math.pi * rstar) * math.exp(-4 * math.pi**2 * rstar**2)
     s = _holder_exponent(p)
     R = _radial_truncation(s)
-    r, w = quad.nodes(0.0, R, quad.radial_nodes)
+    r, w = quad.rule(0.0, R)
     integrand = 4 * math.pi * r**2 * (2 * math.pi * r) ** (s / 2) * np.exp(
         -4 * math.pi**2 * s * r**2
     )
@@ -191,11 +179,11 @@ def cone_embedding_constant(
         raise ValueError(f"cone parameter must satisfy 0 < eps < 1, got {eps}")
     s = _holder_exponent(p)
     R = _radial_truncation(s)
-    r, wr = quad.nodes(0.0, R, quad.radial_nodes)
+    r, wr = quad.rule(0.0, R)
 
     # Vertical rule on [-eps r_i, eps r_i] for every radial node at once:
     # z_ij = eps r_i x_j, w_ij = eps r_i w_j.
-    x, wx = quad.nodes(-1.0, 1.0, quad.vertical_nodes)
+    x, wx = quad.rule(-1.0, 1.0)
     half = (eps * r)[:, None]
     z, wz = half * x, half * wx
     rho_sq = (r**2)[:, None] + z**2
@@ -230,7 +218,7 @@ def heat_kernel_constants(quad: QuadratureSpec = QuadratureSpec()) -> HeatKernel
     the closed form 2/sqrt(pi), plus the curl-smoothing bound
     ||curl e^{t lap} v||_p <= t^(-1/2) ||grad g||_1 ||v||_p on random torus
     fields."""
-    r, w = quad.nodes(0.0, 16.0, quad.radial_nodes)
+    r, w = quad.rule(0.0, 16.0)
     g = (4 * math.pi) ** (-1.5) * np.exp(-(r**2) / 4.0)
     integrand = 4 * math.pi * r**2 * g * (r / 2.0)
     grad_g_l1 = float(np.sum(w * integrand))

@@ -13,6 +13,9 @@ from almost2d import (
     horizontal_parts,
     lebesgue_norm,
 )
+from almost2d.criteria import (
+    BlowupTimeBounds, CriterionReport, Envelopes, _log_verdict, _require_valid_inputs, constants,
+)
 from almost2d.families import random_divergence_free
 from almost2d.field import HERMITIAN_TOL, StrainField, curl_coeffs, irfft3, k_dot, rfft3
 from almost2d.solver import _lattice
@@ -176,6 +179,64 @@ def gamma2d_lp_hilbert_oracle(omega, nu):
     return gamma2d_check(biot_savart(omega), nu).inputs["log_lhs"]
 
 
+# The criteria layer's formulas as they were before one core stated the
+# almost-2D criterion and SMALL_DATA_COEFF the growth coefficient: each form
+# with its own exponent, right side and verdict, and the coefficient's
+# multiples as literals.  The bit-for-bit references of tests/test_bitwise.py.
+
+
+def gamma2d_from_norms_oracle(omega_h_norm, K0, E0, nu):
+    _require_valid_inputs(nu, omega_h_norm, K0, E0)
+    consts = constants()
+    exponent = (K0 * E0 - 6912 * math.pi**4 * nu**4) / (consts.r2 * nu**3)
+    rhs = consts.r1 * nu
+    log_lhs, lhs, satisfied = _log_verdict(omega_h_norm, exponent, rhs)
+    return CriterionReport("gamma2d", lhs, rhs, satisfied, {
+        "K0": K0, "E0": E0, "nu": nu, "omega_h_hminushalf": omega_h_norm, "log_lhs": log_lhs,
+    })
+
+
+def gamma2d_lp_from_norms_oracle(omega_h_l32, omega_l65, omega_l2, nu):
+    _require_valid_inputs(nu, omega_h_l32, omega_l65, omega_l2)
+    consts = constants()
+    product = 0.25 * consts.c2**2 * omega_l65**2 * omega_l2**2
+    exponent = (product - 6912 * math.pi**4 * nu**4) / (consts.r2 * nu**3)
+    rhs = consts.r1 * nu
+    log_lhs, lhs, satisfied = _log_verdict(consts.c1 * omega_h_l32, exponent, rhs)
+    return CriterionReport("gamma2d-lp", lhs, rhs, satisfied, {
+        "omega_h_l32": omega_h_l32, "omega_l65": omega_l65, "omega_l2": omega_l2,
+        "nu": nu, "KE_upper": product, "log_lhs": log_lhs,
+    })
+
+
+def envelopes_oracle(K0, E0, nu, t):
+    _require_valid_inputs(nu)
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    reason = None
+    threshold = 6912 * math.pi**4 * nu**4
+    if K0 * E0 < threshold:
+        global_bound = E0 / (1.0 - K0 * E0 / threshold)
+    else:
+        global_bound = None
+        reason = "K0*E0 at or above the small-data threshold"
+    window = 1728 * math.pi**4 * nu**3
+    if E0 == 0:
+        local_bound = 0.0
+    elif t < window / E0**2:
+        local_bound = E0 / math.sqrt(1.0 - E0**2 * t / window)
+    else:
+        raise ValueError(f"t={t} is beyond the local validity window {window / E0**2}")
+    return Envelopes(global_bound, local_bound, nu, reason)
+
+
+def blowup_time_bounds_oracle(K0, E0, nu):
+    _require_valid_inputs(nu)
+    upper = K0**2 / (13824 * math.pi**4 * nu**5)
+    lower = math.inf if E0 == 0 else 1728 * math.pi**4 * nu**3 / E0**2
+    return BlowupTimeBounds(upper, lower)
+
+
 def samples_lebesgue_norm_oracle(samples, p):
     mag = np.sqrt(np.sum(samples**2, axis=0))
     if p == np.inf:
@@ -279,7 +340,7 @@ def lambda_n_closed_forms(n, quad=QuadratureSpec()):
         inner = zmax * np.sqrt(zmax**2 + r**2) - r**2 * np.arcsinh(zmax / r)
         return inner / r
 
-    r, wr = quad.nodes(1.0, 2.0, quad.radial_nodes)
+    r, wr = quad.rule(1.0, 2.0)
     horizontal_sq = n * loglog_half * float(np.sum(wr * horiz_integrand(r)))
     return {
         "volume": volume,

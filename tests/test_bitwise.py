@@ -1,22 +1,32 @@
-"""The field layer's in-place kernels, chunked draws and vectorized families
-against the expressions they replaced (conftest's ``*_oracle``), and the
-solver's trapezoid sums against scipy's, as bits.
+"""The field layer's in-place kernels, chunked draws and vectorized families,
+and the criteria layer's one almost-2D core and growth coefficient, against
+the expressions they replaced (conftest's ``*_oracle``), and the solver's
+trapezoid sums against scipy's, as bits.
 
 Each kernel runs on the half lattice and, as the solver calls it, on band
 k1 row slices written into a slice of a larger array; every input is
 compared with a copy taken before the call."""
+
+import dataclasses
+import itertools
+import math
+import struct
 
 import numpy as np
 import pytest
 
 from almost2d import GridSpec, PhysicalVectorField, SpectralVectorField, biot_savart, curl
 from almost2d import leray_project, to_spectral
+from almost2d.criteria import (
+    blowup_time_bounds, envelopes, gamma2d_from_norms, gamma2d_lp_from_norms,
+)
 from almost2d.families import annulus_analog, random_divergence_free
 from almost2d.field import curl_coeffs, k_dot, strain_coeffs
 from almost2d.norms import samples_lebesgue_norm
 from almost2d.solver import _cumulative_trapezoid, _lattice
 from conftest import (
-    annulus_analog_oracle, biot_savart_oracle, curl_coeffs_oracle, k_dot_oracle,
+    annulus_analog_oracle, biot_savart_oracle, blowup_time_bounds_oracle, curl_coeffs_oracle,
+    envelopes_oracle, gamma2d_from_norms_oracle, gamma2d_lp_from_norms_oracle, k_dot_oracle,
     leray_project_oracle, random_divergence_free_oracle, random_physical,
     samples_lebesgue_norm_oracle, strain_coeffs_oracle,
 )
@@ -142,3 +152,42 @@ def test_trapezoid_sums_are_scipys(rows):
     running = _cumulative_trapezoid(y, t)
     assert same_bits(running, cumulative_trapezoid(y, t))
     assert same_bits(np.concatenate(([0.0], running)), cumulative_trapezoid(y, t, initial=0.0))
+
+
+#: Viscosities that are rejected, whose powers underflow to zero or overflow,
+#: whose exponents overflow or underflow exp, and a geometric run between.
+VISCOSITIES = (-1.0, 0.0, math.nan, math.inf, 1e-110, 1e-80, 1e60, 1e80,
+               *np.geomspace(1e-4, 1e4, 7).tolist())
+#: Norms, energies and enstrophies from zero to products that overflow.
+SCALARS = (0.0, 1e-300, 0.5, 37.5, 1e150, 1e200)
+
+
+def _bits(x):
+    """x with every float as its 8 bytes, dicts as (key, value) pairs in order."""
+    if isinstance(x, dict):
+        return tuple((key, _bits(value)) for key, value in x.items())
+    return struct.pack("<d", x) if isinstance(x, float) else x
+
+
+def outcome(fn, *args):
+    """The bits of fn(*args) as a dict, or the type and message it raised."""
+    try:
+        return _bits(dataclasses.asdict(fn(*args)))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("formula, oracle, arity, nu_at", (
+    (gamma2d_from_norms, gamma2d_from_norms_oracle, 3, 3),
+    (gamma2d_lp_from_norms, gamma2d_lp_from_norms_oracle, 3, 3),
+    (blowup_time_bounds, blowup_time_bounds_oracle, 2, 2),
+    (envelopes, envelopes_oracle, 3, 2),
+))
+def test_criteria_formulas_are_the_written_out_forms(formula, oracle, arity, nu_at):
+    """Each report (its key order included), bound and raised error equals the
+    oracle's for every viscosity, argument ``nu_at``, and every choice of the
+    other arguments (envelopes' last one is the time)."""
+    for nu in VISCOSITIES:
+        for values in itertools.product(SCALARS, repeat=arity):
+            args = (*values[:nu_at], nu, *values[nu_at:])
+            assert outcome(formula, *args) == outcome(oracle, *args), (formula.__name__, args)

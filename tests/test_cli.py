@@ -351,6 +351,26 @@ class TestCliDefects:
         assert message in _one_error_line(capsys)
         assert not out.exists()
 
+    def test_overflowing_closed_form_is_a_domain_error(self, tmp_path, capsys):
+        """amplitude**2 overflows in the sidecar's closed forms: one error line,
+        and neither the field nor its sidecar is written."""
+        out = tmp_path / "out.field"
+        with np.errstate(over="ignore"):
+            code = main(["construct", "taylor-green", "--amplitude", "1e200", "--n", "16",
+                         "--output", str(out)])
+        assert code == 1
+        _one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("verb", [["sweep", "un"], ["wholespace", "lambda-n"]],
+                             ids=["sweep-un", "wholespace-lambda-n"])
+    def test_empty_int_list_is_a_usage_error(self, capsys, verb):
+        with pytest.raises(SystemExit) as exit_info:
+            main(verb + ["--n", ",", "--format", "csv"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --n: invalid" in err and "Traceback" not in err
+
     def test_repeated_header_key_is_a_domain_error(self, tmp_path, grid16, capsys):
         path = str(tmp_path / "u.field")
         write_field(path, random_divergence_free(grid16, 6, kmax=4))

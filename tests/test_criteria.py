@@ -296,6 +296,13 @@ class TestCriticalFloor:
     def test_taylor_green_state(self):
         assert critical_product_floor(0.25, 2 * math.pi**2, 0.1)
 
+    @pytest.mark.parametrize("nu", [-1.0, 0.0, math.nan, math.inf])
+    def test_nonpositive_or_nonfinite_viscosity_rejected(self, nu):
+        """No verdict under a viscosity no flow has: a negative or infinite
+        one would otherwise pass every product."""
+        with pytest.raises(ValueError, match="viscosity must be positive and finite"):
+            critical_product_floor(0.25, 2 * math.pi**2, nu)
+
 
 class TestIftimieCheck:
     def test_pure_2d_field_passes_for_any_constant(self, grid32):

@@ -1,8 +1,8 @@
 """Package layout: src/ carries no test-only API and no CLI option that its
 handler ignores, no import of scipy.optimize or scipy.integrate at module
 level, one transform path (the pair and the solver's band passes, with no
-second band form beside them) and one place for each tolerance and spectral
-multiplier."""
+second band form beside them) and one place for each tolerance, spectral
+multiplier and growth coefficient."""
 
 import argparse
 import ast
@@ -139,6 +139,20 @@ def test_thread_threshold_and_tolerances_defined_once():
     assert {"THREADED_MIN_N", "HERMITIAN_TOL", "DIVFREE_TOL", "NORM_DIVFREE_TOL",
             "CONSTRUCTION_DIVFREE_TOL", "MEAN_TOL", "INITIAL_MEAN_TOL",
             "VORTICITY_MEAN_TOL"} <= set(names)
+
+
+def test_growth_coefficient_written_once():
+    """The numeric literal 6912 of SMALL_DATA_COEFF = 6912 pi^4 appears once in
+    src/, in criteria.py, and its multiples 3456, 1728 and 13824 nowhere:
+    every growth constant is written from SMALL_DATA_COEFF."""
+    literals = [
+        (path.name, node.value)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and not isinstance(node.value, (str, bytes))
+        and node.value in (6912, 3456, 1728, 13824)
+    ]
+    assert literals == [("criteria.py", 6912)]
 
 
 def test_spectral_field_is_grid_and_coeffs():
