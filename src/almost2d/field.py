@@ -452,7 +452,9 @@ def heat_semigroup(u: SpectralVectorField, t: float) -> SpectralVectorField:
 
 
 def dealias(u: SpectralVectorField) -> SpectralVectorField:
-    """2/3-rule truncation: zero every coefficient with any |k_i| > n/3."""
+    """2/3-rule truncation: keep the coefficients with every |k_i| <= kc =
+    (n - 1) // 3, that is |k_i| < n/3 (``GridSpec.kc``; 3kc < n, so a product
+    of kept modes does not alias into them), and zero the rest."""
     return SpectralVectorField(u.grid, u.half * u.grid.dealias_mask)
 
 

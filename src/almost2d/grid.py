@@ -74,12 +74,20 @@ class GridSpec:
         k3 = self.k[2]
         return _read_only(np.where((k3 == 0) | (k3 == self.n // 2), 1.0, 2.0))
 
+    @property
+    def kc(self) -> int:
+        """The 2/3 rule's cutoff (n - 1) // 3, the largest |k| with 3|k| < n: a
+        quadratic product of modes with every |k_i| <= kc reaches |k_i| <= 2kc,
+        and 2kc - n < -kc, so no product aliases back into the band."""
+        return (self.n - 1) // 3
+
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """Boolean mask of modes kept by the 2/3 rule: every |k_i| <= n/3."""
+        """Boolean mask of modes kept by the 2/3 rule: every |k_i| <= kc, that
+        is |k_i| < n/3."""
         k1, k2, k3 = self.k
-        cut = self.n / 3.0
-        return _read_only((np.abs(k1) <= cut) & (np.abs(k2) <= cut) & (np.abs(k3) <= cut))
+        kc = self.kc
+        return _read_only((np.abs(k1) <= kc) & (np.abs(k2) <= kc) & (np.abs(k3) <= kc))
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grid point coordinates x_i = j/n, broadcastable to (n, n, n)."""

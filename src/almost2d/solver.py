@@ -14,22 +14,25 @@ functionals against instantaneous spectral right-hand sides:
 The nonlinear term is evaluated in rotational form, P(u x omega) with
 omega = curl u, using real FFTs.  The state holds only the band of
 coefficients the dealias rule keeps: under the 2/3 rule the k3 >= 0 half of
-the cube |k_i| <= n // 3 (30% of the ``numpy.fft.rfftn`` half spectrum at
-n=64), with "none" the whole half spectrum.  Each stage makes 6 inverse real
-transforms of the band, zero-padded to the half spectrum, and 3 forward ones
-cropped back to it, as do each row's strain and the CFL sample: bit for bit
-the package's ``irfft3`` / ``rfft3`` of the padded band, through ``field``'s
-band passes, which skip the 1-D lines that are zero on input or cropped on
-output (under "none" the band is every line, and nothing is skipped).  The
+the cube |k_i| <= kc = (n - 1) // 3 (``GridSpec.kc``), that is |k_i| < n/3
+(30% of the ``numpy.fft.rfftn`` half spectrum at n=64), with "none" the whole
+half spectrum.  Each stage makes 6 inverse real transforms of the band,
+zero-padded to the half spectrum, and 3 forward ones cropped back to it, as
+do each row's strain and the CFL sample: bit for bit the package's
+``irfft3`` / ``rfft3`` of the padded band, through ``field``'s band passes,
+which skip the 1-D lines that are zero on input or cropped on output (under
+"none" the band is every line, and nothing is skipped).  The
 curl, each row's strain and the projection's k.c are ``field``'s multiplier
 kernels applied to the band.  ``run`` crops the band from a
 ``SpectralVectorField``'s half spectrum at entry and pads it back at exit.
 (u.grad)u and omega x u differ by the gradient grad(|u|^2/2), which the
 Leray projection P removes.  Under the 2/3 rule every product is
-alias-free, so the rotational form equals the convective form
-``field.advection`` to roundoff.  With ``dealias="none"`` the two forms alias
-differently and their tendencies differ by O(1) at the resolved scales;
-"none" means the aliased rotational form.
+alias-free, at every n: a product of band modes reaches |k_i| <= 2kc, and
+since 3kc < n its aliases k - n fall below -kc, outside the band.  So the
+rotational form equals the convective form ``field.advection`` to roundoff.
+With ``dealias="none"`` the two forms alias differently and their tendencies
+differ by O(1) at the resolved scales; "none" means the aliased rotational
+form.
 
 A stage, a row and the CFL sample are cut into parts (``field.band_parts``):
 one below n = ``field.THREADED_MIN_N``, which the calling thread runs, and
@@ -206,13 +209,14 @@ class _StageBuffers(NamedTuple):
 class _Lattice(NamedTuple):
     """The band of coefficients the solver keeps, and multipliers on it.
 
-    Under the 2/3 rule the band is the block |k_i| <= kc = n // 3, k3 >= 0, of
-    shape (2kc+1, 2kc+1, kc+1): k1 and k2 in FFT order (0..kc, then -kc..-1)
-    and k3 = 0..kc.  The solver state is zero outside it, and cropping a
-    product to it is the 2/3 truncation.  With dealias "none" the band is the
-    whole k3 >= 0 half spectrum of ``rfftn``, (n, n, n/2 + 1), and ``pad`` and
-    ``crop`` copy it whole.  Cached per grid and rule and shared between calls,
-    so the arrays made here are read-only.
+    Under the 2/3 rule the band is the block |k_i| <= kc = (n - 1) // 3, that
+    is |k_i| < n/3 (``GridSpec.kc``: 3kc < n, so no product of the band
+    aliases into it), k3 >= 0, of shape (2kc+1, 2kc+1, kc+1): k1 and k2 in
+    FFT order (0..kc, then -kc..-1) and k3 = 0..kc.  The solver state is zero
+    outside it, and cropping a product to it is the 2/3 truncation.  With
+    dealias "none" the band is the whole k3 >= 0 half spectrum of ``rfftn``,
+    (n, n, n/2 + 1), and ``pad`` and ``crop`` copy it whole.  Cached per grid
+    and rule and shared between calls, so the arrays made here are read-only.
     """
 
     n: int
@@ -272,7 +276,8 @@ class _Lattice(NamedTuple):
 def _lattice(grid: GridSpec, dealias_rule: str) -> _Lattice:
     n = grid.n
     if dealias_rule == "two_thirds":
-        lo, hi, m = n // 3 + 1, n // 3, n // 3 + 1
+        kc = grid.kc
+        lo, hi, m = kc + 1, kc, kc + 1
     elif dealias_rule == "none":
         lo, hi, m = n // 2, n // 2, n // 2 + 1
     else:

@@ -155,6 +155,20 @@ def test_growth_coefficient_written_once():
     assert literals == [("criteria.py", 6912)]
 
 
+def test_two_thirds_cutoff_written_once():
+    """The one floor division by the literal 3 in src/ is GridSpec.kc =
+    (n - 1) // 3 in grid.py: the solver's band and the dealias mask both
+    read the 2/3 rule's cutoff from it."""
+    divisions = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+        and isinstance(node.right, ast.Constant) and node.right.value == 3
+    ]
+    assert divisions == ["grid.py"]
+
+
 def test_spectral_field_is_grid_and_coeffs():
     """SpectralVectorField is a frozen dataclass of exactly two fields, its
     grid and its half-spectrum coefficients: no cached property of the

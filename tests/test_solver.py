@@ -25,14 +25,15 @@ from almost2d import solver as solver_module
 from almost2d.cli import main
 from almost2d.families import random_divergence_free, set_mode_pair
 from almost2d.field import (
-    DECAY_SLACK_TOL, advection, curl, curl_coeffs, divergence, divergence_defect, irfft3,
-    k_dot, leray_project, strain, strain_coeffs,
+    DECAY_SLACK_TOL, advection, curl, curl_coeffs, dealias, divergence, divergence_defect,
+    irfft3, k_dot, leray_project, strain, strain_coeffs,
 )
 from almost2d.field import from_full_coeffs
 from almost2d.grid import conjugate_planes
 from almost2d.norms import field_summary, samples_lebesgue_norm
 from almost2d.solver import (
-    CSV_COLUMNS, _assemble_series, _det, _lattice, _strain_cubed, nonlinear_term,
+    CSV_COLUMNS, _assemble_series, _det, _lattice, _spectral_diagnostics, _strain_cubed,
+    nonlinear_term,
 )
 from conftest import (
     _FFT_NAMES, full_coeffs, full_wavenumbers, half_spectrum, nonlinear_term_oracle, plane_defect,
@@ -101,13 +102,49 @@ def rel_err(a, b):
 class TestRotationalForm:
     """The solver's P(u x omega) against the convective form -P((u.grad)u)."""
 
+    @pytest.mark.parametrize("n", [24, 32, 48])
     @pytest.mark.parametrize("seed", [21, 22, 23])
-    def test_equals_convective_form_under_two_thirds_rule(self, grid32, seed):
-        u = random_divergence_free(grid32, seed)
-        convective = -projected(full_coeffs(advection(u)), grid32)
-        lat = _lattice(grid32, "two_thirds")
-        got = lat.pad(nonlinear_term(lat.crop(u.half), grid32))
+    def test_equals_convective_form_under_two_thirds_rule(self, seed, n):
+        """On a field that fills the band, at every n, 3 | n included."""
+        grid = GridSpec(n)
+        u = dealias(random_divergence_free(grid, seed, kmax=n // 2 - 1))
+        convective = -projected(full_coeffs(advection(u)), grid)
+        lat = _lattice(grid, "two_thirds")
+        got = lat.pad(nonlinear_term(lat.crop(u.half), grid))
         assert rel_err(got, half_spectrum(convective)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [16, 24, 30, 32, 48])
+    def test_band_is_alias_free(self, n):
+        """The band's nonlinear term equals the same band's embedded in a grid
+        of N >= 3n/2 > 3 kc points under "none", on which no product of the
+        band aliases into it: no mode of the band is written by an alias."""
+        grid = GridSpec(n)
+        lat = _lattice(grid, "two_thirds")
+        kc = lat.shape[2] - 1
+        big = 2 * ((3 * n + 3) // 4)  # the least even N >= 3n/2
+        ks = np.r_[0 : kc + 1, -kc:0] % big  # the band's k1 and k2 rows on the big grid
+        band = (slice(None),) + np.ix_(ks, ks, np.arange(kc + 1))
+        c = lat.crop(random_divergence_free(grid, 7, kmax=n // 2 - 1).half)
+        embedded = np.zeros((3, big, big, big // 2 + 1), dtype=complex)
+        embedded[band] = c
+        want = nonlinear_term(embedded, GridSpec(big), "none")[band]
+        assert rel_err(nonlinear_term(c, grid), want) <= 1e-12
+
+    @pytest.mark.parametrize("n", [16, 24, 48])
+    def test_enstrophy_production_is_minus_four_det_s(self, n):
+        """sum mult 4 pi^2 |k|^2 Re(conj c . N) over the band, the nonlinear
+        part of dE/dt, equals -4 int det S of the row: the cubic det S of
+        the band is alias-free on the n grid, and the truncated rotational
+        form keeps the identity."""
+        grid = GridSpec(n)
+        lat = _lattice(grid, "two_thirds")
+        c = lat.crop(random_divergence_free(grid, 7, kmax=n // 2 - 1).half)
+        production = float(np.sum(
+            lat.multiplicity * 4 * np.pi**2 * lat.k_sq
+            * np.real(np.sum(np.conj(c) * nonlinear_term(c, grid), axis=0))
+        ))
+        det_s = _spectral_diagnostics(c, lat, lat.stage_buffers())["det_S_integral"]
+        assert abs(production + 4 * det_s) <= 1e-12 * abs(production)
 
     def test_undealiased_rhs_is_the_aliased_rotational_form(self, grid16):
         u = random_divergence_free(grid16, 31, kmax=7)
@@ -125,6 +162,19 @@ class TestRotationalForm:
         final = run(u0, SolverConfig(grid=grid32, nu=0.05, dt=dt, t_end=20 * dt)).final_field
         assert plane_defect(final.half) <= 1e-14
         assert divergence_defect(final) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(4, 97, 2))
+def test_two_thirds_band_is_the_dealias_mask(n):
+    """The solver's band is the k3 >= 0 half of the modes ``dealias_mask``
+    keeps, a (2kc+1, 2kc+1, kc+1) block with 3 kc < n <= 3 kc + 3: the
+    largest cutoff under which no product of the band aliases into it."""
+    grid = GridSpec(n)
+    lat = _lattice(grid, "two_thirds")
+    kc = lat.shape[2] - 1
+    assert lat.shape == (2 * kc + 1, 2 * kc + 1, kc + 1)
+    assert np.array_equal(lat.pad(np.ones(lat.shape)) != 0, grid.dealias_mask)
+    assert 3 * kc < n <= 3 * kc + 3
 
 
 def swap_x1_x2(u):
@@ -544,11 +594,12 @@ class TestBandTransforms:
 
     @staticmethod
     def band_rows(n, rule):
-        """The band's k1 and k2 rows of the half spectrum in FFT order (0..kc,
-        then -kc..-1, or every row under "none") and its plane count m."""
+        """The band's k1 and k2 rows of the half spectrum in FFT order (the
+        integers |k| < n/3, 0 up, then negative; or every row under "none")
+        and its plane count m."""
         if rule == "two_thirds":
-            kc = n // 3
-            return np.r_[0 : kc + 1, n - kc : n], kc + 1
+            k = np.fft.fftfreq(n, d=1.0 / n)
+            return np.flatnonzero(np.abs(k) < n / 3), int(np.sum((k >= 0) & (k < n / 3)))
         return np.arange(n), n // 2 + 1
 
     @pytest.mark.parametrize("split", [False, True])
@@ -601,7 +652,7 @@ class TestTransformBudget:
     """A simulate invocation reads its field with one 3-D transform of 3
     fields (``to_spectral``) and makes every other transform as 1-D lines
     through the band pair.  With b band rows along k1 and k2 and m planes
-    k3 < m (b = 2kc + 1 and m = kc + 1, kc = n // 3, under the 2/3 rule;
+    k3 < m (b = 2kc + 1 and m = kc + 1, kc = (n - 1) // 3, under the 2/3 rule;
     b = n and m = n/2 + 1 under "none"), one field costs L = b m + n m + n^2
     lines each way:
 
