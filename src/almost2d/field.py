@@ -15,7 +15,10 @@ factor, run only over the lines that are not zero on the way in or cropped
 away on the way out, so they agree with the pair as bits.  A solver part runs
 them on its share (``band_parts``): the complex passes on band planes k3 < m
 (``band_inverse_planes``, ``band_forward_planes``) and the real ones along the
-last axis on x1 slabs (``irfft_k3``, ``rfft_x3``).
+last axis on x1 slabs (``irfft_k3``, ``rfft_x3``).  The band, its rows and
+its pad and crop are ``GridSpec.band(K)``'s; ``dealias``, ``advection`` and
+``pressure`` truncate by the 2/3 rule as the solver does, by cropping to
+``band(kc)`` and padding back.
 Only ``advection``, the convective-form reference, calls ``numpy.fft``.  Mean
 zero is read from k = 0 by each operation that needs it (``is_mean_zero``).
 Multipliers k.c, 2 pi i k x c and pi i (k_i c_j + k_j c_i) are written once, as
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .grid import GridSpec, conjugate_planes, hermitian_defect
+from .grid import Band, GridSpec, conjugate_planes, hermitian_defect
 
 # Every tolerance: *_DIVFREE_TOL bounds max|k.uhat|/max|uhat|, *_MEAN_TOL |uhat(0)|/max|uhat|.
 HERMITIAN_TOL = 1e-10  # over the sample rms: transforms leave ~1e-16, a complex field O(1)
@@ -128,56 +131,25 @@ def irfft3(half: np.ndarray, n: int) -> np.ndarray:
     )
 
 
-def _quadrants(rows: tuple, m: int) -> list:
-    """(band index, half-spectrum index) of the four k1/k2 quadrants of a band
-    with k1/k2 row slices ``rows`` ((band, spectrum) for k >= 0, then k < 0)
-    and planes k3 < m."""
-    return [
-        ((..., b1, b2, slice(None)), (..., s1, s2, slice(0, m)))
-        for b1, s1 in rows
-        for b2, s2 in rows
-    ]
-
-
-def pad_band(block: np.ndarray, rows: tuple, out: np.ndarray) -> np.ndarray:
-    """Write band coefficients (..., b, b, m) into their rows and planes of the
-    half-spectrum array ``out`` (..., n, n, n/2 + 1); nothing else is written."""
-    for b, s in _quadrants(rows, block.shape[-1]):
-        out[s] = block[b]
-    return out
-
-
-def crop_band(coeffs: np.ndarray, rows: tuple, m: int,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """The band (..., b, b, m) of half-spectrum coefficients, written into
-    ``out`` if given, else into a fresh array."""
-    if out is None:
-        size = sum(s.stop - s.start for _, s in rows)
-        out = np.empty(coeffs.shape[:-3] + (size, size, m), dtype=complex)
-    for b, s in _quadrants(rows, m):
-        out[b] = coeffs[s]
-    return out
-
-
-def band_inverse_planes(block: np.ndarray, rows: tuple, half: np.ndarray) -> np.ndarray:
-    """The complex passes of ``irfft3`` of band coefficients (..., b, b, m)
-    zero-padded to the half spectrum, over the planes of ``block``, k3 < m of
-    the work array ``half`` (..., n, n, n/2 + 1): clear the off-band part that
-    an earlier call left there, pad the band, then k1 over the band's k2 rows
-    and k2 over every row, in place (scipy's pocketfft writes a complex input
-    given ``overwrite_x``).  These are pocketfft's passes for ``irfftn``, in
-    its order and with its unit factor, with the lines that are zero skipped;
-    ``irfft_k3`` makes the last.  Planes k3 >= m of ``half`` are never written
-    and must be zero.  Each line lies in one k3 plane, so a solver part
-    passes a block and ``half`` cut to its planes."""
+def band_inverse_planes(block: np.ndarray, band: Band, half: np.ndarray) -> np.ndarray:
+    """The complex passes of ``irfft3`` of coefficients (..., b, b, m) on
+    ``band`` zero-padded to the half spectrum, over the planes of ``block``,
+    k3 < m of the work array ``half`` (..., n, n, n/2 + 1): clear the off-band
+    part that an earlier call left there, pad the band, then k1 over the
+    band's k2 rows and k2 over every row, in place (scipy's pocketfft writes
+    a complex input given ``overwrite_x``).  These are pocketfft's passes for
+    ``irfftn``, in its order and with its unit factor, with the lines that
+    are zero skipped; ``irfft_k3`` makes the last.  Planes k3 >= m of
+    ``half`` are never written and must be zero.  Each line lies in one k3
+    plane, so a solver part passes a block and ``half`` cut to its planes."""
     m = block.shape[-1]
-    (_, low), (_, high) = rows
-    gap = slice(low.stop, high.start)  # the rows off the band, empty under "none"
+    (_, low), (_, high) = band.rows
+    gap = slice(low.stop, high.start)  # the rows off the band, none when K >= n/2
     planes = half[..., :m]
     planes[..., gap, :, :] = 0.0
     for s in (low, high):
         planes[..., s, gap, :] = 0.0
-    pad_band(block, rows, half)
+    band.pad(block, out=half)
     for s in (low, high):
         scipy.fft.ifft(half[..., s, :m], axis=-3, norm="forward", overwrite_x=True, workers=1)
     scipy.fft.ifft(planes, axis=-2, norm="forward", overwrite_x=True, workers=1)
@@ -206,7 +178,7 @@ def rfft_x3(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def band_forward_planes(forward: np.ndarray, rows: tuple, out: np.ndarray) -> np.ndarray:
+def band_forward_planes(forward: np.ndarray, band: Band, out: np.ndarray) -> np.ndarray:
     """The complex passes of ``rfft3``, cropped to the band, over the planes of
     ``forward`` (..., n, n, m), which ``rfft_x3`` transformed along x3 and
     scaled: x1 over every row, then x2 over the band's k1 rows, in place, then
@@ -214,9 +186,9 @@ def band_forward_planes(forward: np.ndarray, rows: tuple, out: np.ndarray) -> np
     k3 plane, so a solver part passes ``forward`` and ``out`` cut to its
     planes."""
     scipy.fft.fft(forward, axis=-3, overwrite_x=True, workers=1)
-    for _, s in rows:
+    for _, s in band.rows:
         scipy.fft.fft(forward[..., s, :, :], axis=-2, overwrite_x=True, workers=1)
-    return crop_band(forward, rows, forward.shape[-1], out)
+    return band.crop(forward, out)
 
 
 def is_mean_zero(magnitude: np.ndarray, tol: float) -> bool:
@@ -454,8 +426,10 @@ def heat_semigroup(u: SpectralVectorField, t: float) -> SpectralVectorField:
 def dealias(u: SpectralVectorField) -> SpectralVectorField:
     """2/3-rule truncation: keep the coefficients with every |k_i| <= kc =
     (n - 1) // 3, that is |k_i| < n/3 (``GridSpec.kc``; 3kc < n, so a product
-    of kept modes does not alias into them), and zero the rest."""
-    return SpectralVectorField(u.grid, u.half * u.grid.dealias_mask)
+    of kept modes does not alias into them), and zero the rest: the band
+    ``band(kc)`` cropped, then padded."""
+    band = u.grid.band(u.grid.kc)
+    return SpectralVectorField(u.grid, band.pad(band.crop(u.half)))
 
 
 def pressure(u: SpectralVectorField) -> np.ndarray:
@@ -470,8 +444,8 @@ def pressure(u: SpectralVectorField) -> np.ndarray:
         for j in range(3):
             # grads[j][i] holds d_i u_j
             source += grads[j][i] * grads[i][j]
-    shat = conjugate_planes(rfft3(source))
-    shat *= u.grid.dealias_mask  # zero on the Nyquist modes, where k_deriv and k differ
+    band = u.grid.band(u.grid.kc)  # no Nyquist mode, where k_deriv and k differ
+    shat = band.pad(band.crop(conjugate_planes(rfft3(source))))
     phat = shat / (4 * np.pi**2 * u.grid.k_deriv_sq_safe)
     phat[0, 0, 0] = 0.0
     return phat
@@ -489,7 +463,6 @@ def advection(u: SpectralVectorField, apply_dealias: bool = True) -> SpectralVec
     grads = np.fft.irfftn(grad_hat, s=(n, n, n), axes=(2, 3, 4)) * n**3
     adv = np.einsum("ixyz,jixyz->jxyz", u_phys, grads)
     out = conjugate_planes(np.fft.rfftn(adv, axes=(1, 2, 3)) / n**3)
-    if apply_dealias:
-        out *= u.grid.dealias_mask
     out[:, 0, 0, 0] = 0.0
-    return SpectralVectorField(u.grid, out)
+    product = SpectralVectorField(u.grid, out)
+    return dealias(product) if apply_dealias else product

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,17 +82,85 @@ class GridSpec:
         and 2kc - n < -kc, so no product aliases back into the band."""
         return (self.n - 1) // 3
 
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean mask of modes kept by the 2/3 rule: every |k_i| <= kc, that
-        is |k_i| < n/3."""
-        k1, k2, k3 = self.k
-        kc = self.kc
-        return _read_only((np.abs(k1) <= kc) & (np.abs(k2) <= kc) & (np.abs(k3) <= kc))
+    @lru_cache(maxsize=8)
+    def band(self, K: int) -> Band:
+        """The band |k_i| <= K, k3 >= 0, and multipliers on it, cached for the
+        process and shared between calls (its arrays are read-only).
+        ``band(kc)`` is the 2/3 rule's block and ``band(n // 2)`` the whole
+        half spectrum; K is clipped at n/2, where the k >= 0 half of a k1 or
+        k2 axis ends and the k < 0 half holds the Nyquist row -n/2."""
+        n = self.n
+        lo, hi, m = min(K + 1, n // 2), min(K, n // 2), min(K + 1, n // 2 + 1)
+        # (band, spectrum) slices of the k >= 0 and k < 0 halves of a k1 or k2 axis
+        halves = ((slice(0, lo), slice(0, lo)), (slice(lo, None), slice(n - hi, n)))
+        index = np.r_[0:lo, n - hi : n]  # the band's k1 and k2 rows of the lattice
+        k_deriv = (self.k_deriv[0][index], self.k_deriv[1][:, index], self.k_deriv[2][..., :m])
+        k_sq = self.k_sq[np.ix_(index, index, np.arange(m))]
+        kd_sq = k_deriv[0] ** 2 + k_deriv[1] ** 2 + k_deriv[2] ** 2
+        with np.errstate(divide="ignore"):
+            inv_kderiv_sq = np.where(kd_sq == 0, 0.0, 1.0 / kd_sq)
+            omega_h_weight = np.where(k_sq == 0, 0.0, 1.0 / (2 * np.pi * np.sqrt(k_sq)))
+        return Band(
+            n, (lo + hi, lo + hi, m), halves, tuple(map(_read_only, k_deriv)), _read_only(k_sq),
+            _read_only(inv_kderiv_sq), self.multiplicity[..., :m], _read_only(omega_h_weight),
+        )
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grid point coordinates x_i = j/n, broadcastable to (n, n, n)."""
         return _axes(np.arange(self.n) / self.n)
+
+
+class Band(NamedTuple):
+    """A band of the half lattice, |k_i| <= K with k3 >= 0 (``GridSpec.band``),
+    and multipliers on it: a (b, b, m) block with k1 and k2 in FFT order (0
+    up, then negative) and k3 = 0 .. m - 1.  The 2/3 rule's band is the block
+    |k_i| <= kc, (2kc+1, 2kc+1, kc+1): the solver state is zero outside it,
+    and cropping a product to it is the 2/3 truncation.  The band |k_i| <=
+    n/2 is the whole half spectrum, (n, n, n/2 + 1), which ``pad`` and
+    ``crop`` copy whole."""
+
+    n: int
+    shape: tuple[int, int, int]
+    rows: tuple  # (band slice, spectrum slice) of the k >= 0, then k < 0, k1/k2 rows
+    k_deriv: tuple[np.ndarray, np.ndarray, np.ndarray]  # Nyquist zeroed
+    k_sq: np.ndarray
+    inv_kderiv_sq: np.ndarray  # 1/|k_deriv|^2, 0 where k_deriv = 0
+    multiplicity: np.ndarray  # Plancherel weight: 1 on k3 = 0, n/2, else 2 (the grid's)
+    omega_h_weight: np.ndarray  # 1/(2 pi |k|), 0 at k = 0
+
+    def _quadrants(self, m: int) -> list:
+        """(band index, half-spectrum index) of the four k1/k2 quadrants,
+        over m planes: the first m of a block or of the half spectrum."""
+        return [
+            ((..., b1, b2, slice(None)), (..., s1, s2, slice(0, m)))
+            for b1, s1 in self.rows
+            for b2, s2 in self.rows
+        ]
+
+    def pad(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Band coefficients (..., b, b, m) written into their rows and planes
+        of the half spectrum ``out`` (..., n, n, n/2 + 1), which is written
+        nowhere else; if not given, a fresh one, zero off the band."""
+        if out is None:
+            n = self.n
+            out = np.zeros(block.shape[:-3] + (n, n, n // 2 + 1), dtype=complex)
+        for b, s in self._quadrants(block.shape[-1]):
+            out[s] = block[b]
+        return out
+
+    def crop(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The band of half-spectrum coefficients (k3 = 0 first), written into
+        ``out`` (..., b, b, planes) if given, else into a fresh array."""
+        if out is None:
+            out = np.empty(coeffs.shape[:-3] + self.shape, dtype=complex)
+        for b, s in self._quadrants(out.shape[-1]):
+            out[b] = coeffs[s]
+        return out
+
+    def k_rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``k_deriv`` on the band's k1 rows ``rows``."""
+        k1, k2, k3 = self.k_deriv
+        return k1[rows], k2, k3
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

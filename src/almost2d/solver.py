@@ -12,10 +12,10 @@ functionals against instantaneous spectral right-hand sides:
     ||omega_h(t)||^2 <= ||omega_h(0)||^2 exp(int ||omega||_L2^4 / (R2 nu^3))
 
 The nonlinear term is evaluated in rotational form, P(u x omega) with
-omega = curl u, using real FFTs.  The state holds only the band of
-coefficients the dealias rule keeps: under the 2/3 rule the k3 >= 0 half of
-the cube |k_i| <= kc = (n - 1) // 3 (``GridSpec.kc``), that is |k_i| < n/3
-(30% of the ``numpy.fft.rfftn`` half spectrum at n=64), with "none" the whole
+omega = curl u, using real FFTs.  The state holds only the band |k_i| <= K,
+k3 >= 0, the dealias rule keeps (``_lattice``, ``GridSpec.band(K)``): under
+the 2/3 rule K = kc = (n - 1) // 3, that is |k_i| < n/3 (30% of the
+``numpy.fft.rfftn`` half spectrum at n=64), with "none" K = n/2, the whole
 half spectrum.  Each stage makes 6 inverse real transforms of the band,
 zero-padded to the half spectrum, and 3 forward ones cropped back to it, as
 do each row's strain and the CFL sample: bit for bit the package's
@@ -82,10 +82,10 @@ from .criteria import SMALL_DATA_COEFF, constants
 from .field import (
     DECAY_SLACK_TOL, DIVFREE_TOL, GRONWALL_2D_GROWTH_TOL, GRONWALL_2D_TOL, GRONWALL_LOG_TOL,
     INITIAL_MEAN_TOL, T_END_LATTICE_TOL, SpectralVectorField, StrainField, band_forward_planes,
-    band_inverse_planes, band_parts, crop_band, curl_coeffs, divergence_defect, irfft_k3,
-    is_mean_zero, k_dot, pad_band, rfft_x3, strain_coeffs,
+    band_inverse_planes, band_parts, curl_coeffs, divergence_defect, irfft_k3, is_mean_zero,
+    k_dot, rfft_x3, strain_coeffs,
 )
-from .grid import GridSpec, conjugate_planes
+from .grid import Band, GridSpec, conjugate_planes
 from .norms import samples_lebesgue_norm
 
 CSV_COLUMNS = [
@@ -126,8 +126,7 @@ class SolverConfig:
             raise ValueError(
                 f"t_end={self.t_end!r} is not an integer multiple of dt={self.dt!r}"
             )
-        if self.dealias not in ("two_thirds", "none"):
-            raise ValueError(f"unknown dealias rule {self.dealias!r}")
+        _lattice(self.grid, self.dealias)  # rejects an unknown rule
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
@@ -156,7 +155,7 @@ class DiagnosticsSeries:
     horizontal_decay_flag: np.ndarray
     status: str = "completed"
     summary: dict = dc_field(default_factory=dict)
-    #: (grid, band lattice, last band state) of the run that made the series
+    #: (grid, band, last band state) of the run that made the series
     _final_state: tuple | None = dc_field(default=None, repr=False, compare=False)
 
     @functools.cached_property
@@ -206,98 +205,42 @@ class _StageBuffers(NamedTuple):
     parts: _Parts
 
 
-class _Lattice(NamedTuple):
-    """The band of coefficients the solver keeps, and multipliers on it.
+def _stage_buffers(band: Band, pool: ThreadPoolExecutor | None = None) -> _StageBuffers:
+    """A fresh set of stage buffers on ``band``, its half spectrum zeroed,
+    whose parts after the first run on ``pool`` if given, else in turn."""
+    n, m = band.n, band.shape[2]
+    rows, planes, slabs = band_parts(n, band.shape[0], m)
 
-    Under the 2/3 rule the band is the block |k_i| <= kc = (n - 1) // 3, that
-    is |k_i| < n/3 (``GridSpec.kc``: 3kc < n, so no product of the band
-    aliases into it), k3 >= 0, of shape (2kc+1, 2kc+1, kc+1): k1 and k2 in
-    FFT order (0..kc, then -kc..-1) and k3 = 0..kc.  The solver state is zero
-    outside it, and cropping a product to it is the 2/3 truncation.  With
-    dealias "none" the band is the whole k3 >= 0 half spectrum of ``rfftn``,
-    (n, n, n/2 + 1), and ``pad`` and ``crop`` copy it whole.  Cached per grid
-    and rule and shared between calls, so the arrays made here are read-only.
-    """
+    def run_parts(fn, items):
+        if pool is None:
+            return list(map(fn, items))
+        rest = [pool.submit(fn, item) for item in items[1:]]
+        try:
+            first = fn(items[0])
+        finally:
+            # No part still writes into the buffers when this returns or
+            # raises.  exception() waits without raising; wait(rest) took
+            # 3 of the 4.3 us of a one-part map, of which a stage makes 5.
+            for future in rest:
+                future.exception()
+        return [first] + [future.result() for future in rest]
 
-    n: int
-    shape: tuple[int, int, int]
-    rows: tuple  # (band slice, spectrum slice) of the k >= 0, then k < 0, k1/k2 rows
-    k_deriv: tuple[np.ndarray, np.ndarray, np.ndarray]  # Nyquist zeroed
-    k_sq: np.ndarray
-    inv_kderiv_sq: np.ndarray  # 1/|k_deriv|^2, 0 where k_deriv = 0
-    multiplicity: np.ndarray  # Plancherel weight: 1 on k3 = 0, n/2, else 2 (the grid's)
-    omega_h_weight: np.ndarray  # 1/(2 pi |k|), 0 at k = 0
-
-    def pad(self, block: np.ndarray) -> np.ndarray:
-        """Half-spectrum coefficients (..., n, n, n/2 + 1), zero off the band."""
-        n = self.n
-        out = np.zeros(block.shape[:-3] + (n, n, n // 2 + 1), dtype=complex)
-        return pad_band(block, self.rows, out)
-
-    def crop(self, coeffs: np.ndarray) -> np.ndarray:
-        """The band of half-spectrum coefficients (k3 = 0 first)."""
-        return crop_band(coeffs, self.rows, self.shape[2])
-
-    def k_rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``k_deriv`` on the band's k1 rows ``rows``."""
-        k1, k2, k3 = self.k_deriv
-        return k1[rows], k2, k3
-
-    def stage_buffers(self, pool: ThreadPoolExecutor | None = None) -> _StageBuffers:
-        """A fresh set of stage buffers on this band, its half spectrum zeroed,
-        whose parts after the first run on ``pool`` if given, else in turn."""
-        n, m = self.n, self.shape[2]
-        rows, planes, slabs = band_parts(n, self.shape[0], m)
-
-        def run_parts(fn, items):
-            if pool is None:
-                return list(map(fn, items))
-            rest = [pool.submit(fn, item) for item in items[1:]]
-            try:
-                first = fn(items[0])
-            finally:
-                # No part still writes into the buffers when this returns or
-                # raises.  exception() waits without raising; wait(rest) took
-                # 3 of the 4.3 us of a one-part map, of which a stage makes 5.
-                for future in rest:
-                    future.exception()
-            return [first] + [future.result() for future in rest]
-
-        return _StageBuffers(
-            np.empty((6,) + self.shape, dtype=complex),
-            np.zeros((6, n, n, n // 2 + 1), dtype=complex),
-            np.empty((2, n, n, n)),
-            np.empty((3, n, n, m), dtype=complex),
-            _Parts(run_parts, rows, planes, slabs),
-        )
-
-
-@functools.lru_cache(maxsize=8)
-def _lattice(grid: GridSpec, dealias_rule: str) -> _Lattice:
-    n = grid.n
-    if dealias_rule == "two_thirds":
-        kc = grid.kc
-        lo, hi, m = kc + 1, kc, kc + 1
-    elif dealias_rule == "none":
-        lo, hi, m = n // 2, n // 2, n // 2 + 1
-    else:
-        raise ValueError(f"unknown dealias rule {dealias_rule!r}")
-    # (band, spectrum) slices of the k >= 0 and k < 0 halves of a k1 or k2 axis
-    halves = ((slice(0, lo), slice(0, lo)), (slice(lo, None), slice(n - hi, n)))
-    index = np.r_[0:lo, n - hi : n]  # the band's k1 and k2 rows of the grid's lattice
-    k_deriv = (grid.k_deriv[0][index], grid.k_deriv[1][:, index], grid.k_deriv[2][..., :m])
-    k_sq = grid.k_sq[np.ix_(index, index, np.arange(m))]
-    kd_sq = k_deriv[0] ** 2 + k_deriv[1] ** 2 + k_deriv[2] ** 2
-    multiplicity = grid.multiplicity[..., :m]
-    with np.errstate(divide="ignore"):
-        inv_kderiv_sq = np.where(kd_sq == 0, 0.0, 1.0 / kd_sq)
-        omega_h_weight = np.where(k_sq == 0, 0.0, 1.0 / (2 * np.pi * np.sqrt(k_sq)))
-    for a in (*k_deriv, k_sq, inv_kderiv_sq, omega_h_weight):
-        a.setflags(write=False)
-    return _Lattice(
-        n, (lo + hi, lo + hi, m), halves, k_deriv, k_sq, inv_kderiv_sq,
-        multiplicity, omega_h_weight,
+    return _StageBuffers(
+        np.empty((6,) + band.shape, dtype=complex),
+        np.zeros((6, n, n, n // 2 + 1), dtype=complex),
+        np.empty((2, n, n, n)),
+        np.empty((3, n, n, m), dtype=complex),
+        _Parts(run_parts, rows, planes, slabs),
     )
+
+
+def _lattice(grid: GridSpec, dealias_rule: str) -> Band:
+    """The band ``grid.band(K)`` the solver keeps under ``dealias_rule``: the
+    2/3 rule's block, K = kc, or with "none" the whole half spectrum, K = n/2."""
+    cutoffs = {"two_thirds": grid.kc, "none": grid.n // 2}
+    if dealias_rule not in cutoffs:
+        raise ValueError(f"unknown dealias rule {dealias_rule!r}")
+    return grid.band(cutoffs[dealias_rule])
 
 
 def rhs(u: SpectralVectorField, nu: float, dealias_rule: str = "two_thirds") -> SpectralVectorField:
@@ -324,7 +267,7 @@ def nonlinear_term(
     result is a fresh array.
     """
     lat = _lattice(grid, dealias_rule)
-    buffers = lat.stage_buffers() if buffers is None else buffers
+    buffers = _stage_buffers(lat) if buffers is None else buffers
     band, forward, parts = buffers.band, buffers.forward, buffers.parts
 
     def fill(rows):
@@ -335,7 +278,7 @@ def nonlinear_term(
         rfft_x3(_cross_in_place(samples, scratch[:, : len(samples[0])]), forward[:, x1])
 
     def forward_planes(planes):
-        band_forward_planes(forward[..., planes], lat.rows, out[..., planes])
+        band_forward_planes(forward[..., planes], lat, out[..., planes])
 
     _band_samples(band, fill, lat, buffers, slab_product)
     out = np.empty((3,) + lat.shape, dtype=complex)
@@ -345,7 +288,7 @@ def nonlinear_term(
     return out
 
 
-def _band_samples(block: np.ndarray, fill: Callable, lat: _Lattice, buffers: _StageBuffers,
+def _band_samples(block: np.ndarray, fill: Callable, lat: Band, buffers: _StageBuffers,
                   on_slab: Callable) -> list:
     """The inverse band transform of ``block``, which ``fill(rows)`` writes
     first, handed to ``on_slab(samples, x1 slice, scratch)``: on_slab's
@@ -358,7 +301,7 @@ def _band_samples(block: np.ndarray, fill: Callable, lat: _Lattice, buffers: _St
     half, parts = buffers.half[: len(block)], buffers.parts
 
     def planes_part(planes):
-        band_inverse_planes(block[..., planes], lat.rows, half[..., planes])
+        band_inverse_planes(block[..., planes], lat, half[..., planes])
 
     def slabs_part(slabs):
         scratch = buffers.real[:, slabs[0]]  # the part's first slab is its highest
@@ -369,7 +312,7 @@ def _band_samples(block: np.ndarray, fill: Callable, lat: _Lattice, buffers: _St
     return [result for part in parts.map(slabs_part, parts.slabs) for result in part]
 
 
-def _project(coeffs: np.ndarray, lat: _Lattice, rows: slice) -> None:
+def _project(coeffs: np.ndarray, lat: Band, rows: slice) -> None:
     """Leray-project band coefficients (3, rows, b, m) in place."""
     k = lat.k_rows(rows)
     dot = k_dot(coeffs, k)
@@ -417,7 +360,7 @@ def _strain_cubed(s_phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return np.power(np.sqrt(sum(wi * si**2 for wi, si in zip(w, s_phys))), 3, out=out)
 
 
-def _spectral_diagnostics(c: np.ndarray, lat: _Lattice, buffers: _StageBuffers) -> dict:
+def _spectral_diagnostics(c: np.ndarray, lat: Band, buffers: _StageBuffers) -> dict:
     """One diagnostics row from band coefficients, omega and the strain
     formed in the run's stage buffers.  det S and |S|^3 are written slab by
     slab into the real buffer and averaged whole, so no split moves a bit."""
@@ -477,7 +420,7 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
     # thread outlives the call.  The calling thread runs one part, the pool
     # the others; one part submits nothing, so starts no thread.
     with ThreadPoolExecutor(max(parts - 1, 1)) as pool:
-        buffers = lat.stage_buffers(pool)
+        buffers = _stage_buffers(lat, pool)
         stability = _advective_cfl_warning(u, lat, cfg, buffers)
 
         def record(step: int, state: np.ndarray) -> str:
@@ -513,7 +456,7 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
 
 
 def _advective_cfl_warning(
-    u_hat: np.ndarray, lat: _Lattice, cfg: SolverConfig, buffers: _StageBuffers
+    u_hat: np.ndarray, lat: Band, cfg: SolverConfig, buffers: _StageBuffers
 ) -> dict:
     umax = _max_speed(u_hat, lat, buffers)
     cfl = cfg.dt * umax * cfg.grid.n
@@ -527,7 +470,7 @@ def _advective_cfl_warning(
     }
 
 
-def _max_speed(u_hat: np.ndarray, lat: _Lattice, buffers: _StageBuffers) -> float:
+def _max_speed(u_hat: np.ndarray, lat: Band, buffers: _StageBuffers) -> float:
     """max|u| over the grid samples of band coefficients u_hat, slab by slab."""
     slab_max = _band_samples(u_hat, lambda rows: None, lat, buffers,
                              lambda samples, x1, scratch: samples_lebesgue_norm(samples, np.inf))

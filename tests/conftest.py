@@ -61,6 +61,14 @@ def full_coeffs(x):
     return np.fft.fftn(np.fft.irfftn(half, s=(n, n, n), axes=axes), axes=axes)
 
 
+def two_thirds_mask(grid):
+    """The modes the 2/3 rule keeps on the half lattice, written out from the
+    wavenumbers alone: every |k_i| < n/3."""
+    k1, k2, k3 = grid.k
+    n = grid.n
+    return (3 * np.abs(k1) < n) & (3 * np.abs(k2) < n) & (3 * np.abs(k3) < n)
+
+
 def full_wavenumbers(n):
     """Integer wavenumbers of the full (n, n, n) lattice, numpy FFT order."""
     k = np.fft.fftfreq(n, d=1.0 / n)

@@ -37,6 +37,7 @@ from conftest import (
     scalar_to_physical,
     seeded_fields,
     strain_sobolev_norm,
+    two_thirds_mask,
     zeroed,
 )
 
@@ -349,8 +350,8 @@ class TestPressure:
 
 class TestDealias:
     def test_low_mode_kept(self, grid16):
-        assert grid16.dealias_mask[1, 0, 0]
-        assert grid16.dealias_mask[5, 0, 0]  # 5 <= 16/3
+        assert two_thirds_mask(grid16)[1, 0, 0]
+        assert two_thirds_mask(grid16)[5, 0, 0]  # 5 <= 16/3
 
     def test_high_mode_zeroed(self, grid16):
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
@@ -364,6 +365,21 @@ class TestDealias:
         once = dealias(u)
         twice = dealias(once)
         assert np.array_equal(full_coeffs(once), full_coeffs(twice))
+
+    @pytest.mark.parametrize("n", [16, 24, 48])
+    def test_truncation_is_the_two_thirds_mask(self, n):
+        """On fields on every mode but the Nyquist rows and planes,
+        ``dealias`` and the truncated ``advection`` equal the product with the
+        written-out mask as values (off the band they hold +0.0 where the
+        product can hold -0.0), and ``dealias`` is idempotent as bits."""
+        grid = GridSpec(n)
+        mask = two_thirds_mask(grid)
+        u = families.random_divergence_free(grid, 80 + n, kmax=n // 2 - 1)
+        once = dealias(u)
+        assert np.array_equal(once.half, u.half * mask)
+        assert np.array_equal(dealias(once).half.view(np.uint64), once.half.view(np.uint64))
+        full = field_module.advection(u, apply_dealias=False)
+        assert np.array_equal(field_module.advection(u).half, full.half * mask)
 
 
 class TestHermitianPreservation:

@@ -2,7 +2,7 @@
 handler ignores, no import of scipy.optimize or scipy.integrate at module
 level, one transform path (the pair and the solver's band passes, with no
 second band form beside them) and one place for each tolerance, spectral
-multiplier and growth coefficient."""
+multiplier, growth coefficient and the band's geometry."""
 
 import argparse
 import ast
@@ -157,8 +157,8 @@ def test_growth_coefficient_written_once():
 
 def test_two_thirds_cutoff_written_once():
     """The one floor division by the literal 3 in src/ is GridSpec.kc =
-    (n - 1) // 3 in grid.py: the solver's band and the dealias mask both
-    read the 2/3 rule's cutoff from it."""
+    (n - 1) // 3 in grid.py: the solver's band and the field operators'
+    truncation, both ``band(kc)``, read the 2/3 rule's cutoff from it."""
     divisions = [
         path.name
         for path in sorted(SRC.glob("*.py"))
@@ -167,6 +167,33 @@ def test_two_thirds_cutoff_written_once():
         and isinstance(node.right, ast.Constant) and node.right.value == 3
     ]
     assert divisions == ["grid.py"]
+
+
+def _band_statements(tree):
+    """Where a module states the band: each ``np.r_`` (its rows), each
+    comprehension pairing the rows with themselves (its k1/k2 quadrants) and
+    each definition of a second statement of the truncation."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "r_":
+            yield "np.r_"
+        elif (isinstance(node, (ast.ListComp, ast.GeneratorExp)) and len(node.generators) == 2
+              and ast.dump(node.generators[0].iter) == ast.dump(node.generators[1].iter)):
+            yield "quadrants"
+        elif (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name in ("dealias_mask", "pad_band", "crop_band", "_Lattice")):
+            yield node.name
+
+
+def test_band_stated_once():
+    """The band |k_i| <= K is built in grid.py alone (GridSpec.band): its rows
+    and its quadrant list are made nowhere else, and no mask, pad, crop or
+    lattice type states the 2/3 truncation a second time."""
+    statements = sorted(
+        (path.name, statement)
+        for path in sorted(SRC.glob("*.py"))
+        for statement in _band_statements(ast.parse(path.read_text()))
+    )
+    assert statements == [("grid.py", "np.r_"), ("grid.py", "quadrants")]
 
 
 def test_spectral_field_is_grid_and_coeffs():

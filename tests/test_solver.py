@@ -32,12 +32,12 @@ from almost2d.field import from_full_coeffs
 from almost2d.grid import conjugate_planes
 from almost2d.norms import field_summary, samples_lebesgue_norm
 from almost2d.solver import (
-    CSV_COLUMNS, _assemble_series, _det, _lattice, _spectral_diagnostics, _strain_cubed,
-    nonlinear_term,
+    CSV_COLUMNS, _assemble_series, _det, _lattice, _spectral_diagnostics, _stage_buffers,
+    _strain_cubed, nonlinear_term,
 )
 from conftest import (
     _FFT_NAMES, full_coeffs, full_wavenumbers, half_spectrum, nonlinear_term_oracle, plane_defect,
-    zeroed,
+    two_thirds_mask, zeroed,
 )
 
 
@@ -67,7 +67,7 @@ class TestRhs:
     def test_advection_skew_symmetry(self, grid16):
         for seed in (1, 2, 3):
             u = random_divergence_free(grid16, seed, kmax=5)
-            u = SpectralVectorField(grid16, u.half * grid16.dealias_mask)
+            u = SpectralVectorField(grid16, u.half * two_thirds_mask(grid16))
             adv = advection(u)
             c = full_coeffs(u)
             pairing = float(np.sum(np.real(full_coeffs(adv) * np.conj(c))))
@@ -78,6 +78,22 @@ class TestRhs:
         tendency = rhs(u, 0.3)
         assert divergence_defect(tendency) < 1e-12
         assert np.max(np.abs(tendency.half[:, 0, 0, 0])) == 0.0
+
+
+@pytest.mark.parametrize("call", ["SolverConfig", "rhs", "nonlinear_term"])
+def test_unknown_dealias_rule_is_rejected(call, grid16):
+    """A rule other than "two_thirds" and "none" raises, so that no caller
+    falls through to a band such as the whole spectrum."""
+    u = random_divergence_free(grid16, 3, kmax=4)
+    calls = {
+        "SolverConfig": lambda: SolverConfig(grid=grid16, nu=0.1, dt=0.01, t_end=0.02,
+                                             dealias="bogus"),
+        "rhs": lambda: rhs(u, 0.1, "bogus"),
+        "nonlinear_term": lambda: nonlinear_term(
+            _lattice(grid16, "two_thirds").crop(u.half), grid16, "bogus"),
+    }
+    with pytest.raises(ValueError, match="unknown dealias rule 'bogus'"):
+        calls[call]()
 
 
 def projected(coeffs, grid):
@@ -143,7 +159,7 @@ class TestRotationalForm:
             lat.multiplicity * 4 * np.pi**2 * lat.k_sq
             * np.real(np.sum(np.conj(c) * nonlinear_term(c, grid), axis=0))
         ))
-        det_s = _spectral_diagnostics(c, lat, lat.stage_buffers())["det_S_integral"]
+        det_s = _spectral_diagnostics(c, lat, _stage_buffers(lat))["det_S_integral"]
         assert abs(production + 4 * det_s) <= 1e-12 * abs(production)
 
     def test_undealiased_rhs_is_the_aliased_rotational_form(self, grid16):
@@ -166,14 +182,15 @@ class TestRotationalForm:
 
 @pytest.mark.parametrize("n", range(4, 97, 2))
 def test_two_thirds_band_is_the_dealias_mask(n):
-    """The solver's band is the k3 >= 0 half of the modes ``dealias_mask``
-    keeps, a (2kc+1, 2kc+1, kc+1) block with 3 kc < n <= 3 kc + 3: the
-    largest cutoff under which no product of the band aliases into it."""
+    """The solver's band is the k3 >= 0 half of the modes the 2/3 rule keeps
+    (``two_thirds_mask``), a (2kc+1, 2kc+1, kc+1) block with 3 kc < n <=
+    3 kc + 3: the largest cutoff under which no product of the band aliases
+    into it."""
     grid = GridSpec(n)
     lat = _lattice(grid, "two_thirds")
     kc = lat.shape[2] - 1
     assert lat.shape == (2 * kc + 1, 2 * kc + 1, kc + 1)
-    assert np.array_equal(lat.pad(np.ones(lat.shape)) != 0, grid.dealias_mask)
+    assert np.array_equal(lat.pad(np.ones(lat.shape)) != 0, two_thirds_mask(grid))
     assert 3 * kc < n <= 3 * kc + 3
 
 
@@ -231,7 +248,7 @@ class TestSymmetries:
     def test_state_stays_in_the_two_thirds_block(self, grid16):
         u0 = random_divergence_free(grid16, 61, kmax=7, amplitude=0.2)
         final = run(u0, SolverConfig(grid=grid16, nu=0.05, dt=1e-3, t_end=5e-3)).final_field
-        inside = grid16.dealias_mask
+        inside = two_thirds_mask(grid16)
         assert np.all(final.half[:, ~inside] == 0.0)
         assert np.count_nonzero(final.half[:, inside]) > 0.9 * 3 * np.count_nonzero(inside)
 
@@ -353,7 +370,7 @@ class TestStageBuffers:
         or writes into an earlier result or its input.  n=48 is threaded."""
         grid = GridSpec(n)
         lat = _lattice(grid, rule)
-        buffers = lat.stage_buffers()
+        buffers = _stage_buffers(lat)
         inputs = band_inputs(lat, 3, seed=70 + n)
         copies = [c.copy() for c in inputs]
         results = [nonlinear_term(c, grid, rule, buffers=buffers) for c in inputs]
@@ -429,7 +446,7 @@ class TestStageBuffers:
         stage at n=32 peaks at least one padded (6, 32, 32, 17) half spectrum
         below the fresh-array stage."""
         lat = _lattice(grid32, "two_thirds")
-        buffers = lat.stage_buffers()
+        buffers = _stage_buffers(lat)
         (u,) = band_inputs(lat, 1, seed=99)
 
         def peak(call):
@@ -479,7 +496,7 @@ class TestParts:
         grid = GridSpec(n)
         lat = _lattice(grid, rule)
         with ThreadPoolExecutor(3) as pool:
-            buffers = lat.stage_buffers(pool)
+            buffers = _stage_buffers(lat, pool)
             assert len(buffers.parts.planes) == (3 if threaded else 1)
             self.check_against_oracles(grid, rule, buffers, seed=n)
 
@@ -520,7 +537,7 @@ class TestParts:
         for name in _FFT_NAMES:
             monkeypatch.setattr(scipy.fft, name, spy(getattr(scipy.fft, name)))
         with ThreadPoolExecutor(8) as pool:
-            buffers = lat.stage_buffers(pool)
+            buffers = _stage_buffers(lat, pool)
             parts = buffers.parts
             assert (len(parts.planes), sum(map(len, parts.slabs))) == (planes, slabs)
             assert [p.indices(lat.shape[2]) for p in parts.planes] == [
@@ -589,21 +606,27 @@ class TestBandTransforms:
     ``irfft3`` of the padded band; forward, ``rfft_x3`` per slab into a
     compact (3, n, n, m) array, then ``band_forward_planes`` per plane part,
     is the band of ``rfft3``.  The parts are ``band_parts``' split into one
-    part or into three.  The band's rows are written out here, not taken from
-    ``_Lattice.pad`` or ``crop``."""
+    part or into three (two when the band has two planes).  The bands are the
+    two rules' (``_lattice``), K = kc and K = n/2, and ``GridSpec.band(K)``
+    at K = 1 and n/2 - 1, the last band that leaves the Nyquist row out.
+    Their rows are written out here, not taken from ``Band.pad`` or
+    ``crop``."""
+
+    #: The cutoff K of each band, written out from n: under the 2/3 rule the
+    #: largest integer below n/3, under "none" n/2.
+    CUTOFFS = {"two_thirds": lambda n: math.ceil(n / 3) - 1, "none": lambda n: n // 2,
+               "K=1": lambda n: 1, "K=n/2-1": lambda n: n // 2 - 1}
 
     @staticmethod
-    def band_rows(n, rule):
+    def band_rows(n, K):
         """The band's k1 and k2 rows of the half spectrum in FFT order (the
-        integers |k| < n/3, 0 up, then negative; or every row under "none")
-        and its plane count m."""
-        if rule == "two_thirds":
-            k = np.fft.fftfreq(n, d=1.0 / n)
-            return np.flatnonzero(np.abs(k) < n / 3), int(np.sum((k >= 0) & (k < n / 3)))
-        return np.arange(n), n // 2 + 1
+        integers |k| <= K, 0 up, then negative) and its plane count m (the
+        planes k3 <= K)."""
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        return np.flatnonzero(np.abs(k) <= K), int(np.sum(np.fft.rfftfreq(n, d=1.0 / n) <= K))
 
     @pytest.mark.parametrize("split", [False, True])
-    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    @pytest.mark.parametrize("rule", ["two_thirds", "none", "K=1", "K=n/2-1"])
     @pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 48, 64])
     def test_band_pair_is_the_full_pair_on_the_padded_band(self, n, rule, split, monkeypatch):
         """Two inputs through one work array filled with NaN at k3 < m, so
@@ -611,11 +634,12 @@ class TestBandTransforms:
         the work array's planes k3 >= m stay zero."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(field_module, "THREADED_MIN_N", 4 if split else n + 2)
-        lat = _lattice(GridSpec(n), rule)
-        rows, m = self.band_rows(n, rule)
+        grid, K = GridSpec(n), self.CUTOFFS[rule](n)
+        lat = _lattice(grid, rule) if rule in ("two_thirds", "none") else grid.band(K)
+        rows, m = self.band_rows(n, K)
         assert lat.shape == (len(rows), len(rows), m)
         _, planes, slabs = field_module.band_parts(n, len(rows), m)
-        assert len(planes) == (3 if split else 1)
+        assert len(planes) == (min(3, m) if split else 1)
         slabs = [x1 for part in slabs for x1 in part]
         band = (slice(None),) + np.ix_(rows, rows, np.arange(m))
         rng = np.random.default_rng(n + (rule == "none"))
@@ -628,7 +652,7 @@ class TestBandTransforms:
             block = np.ascontiguousarray(conjugate_planes(padded)[band])
             before = block.copy()
             for p in planes:
-                field_module.band_inverse_planes(block[..., p], lat.rows, work[..., p])
+                field_module.band_inverse_planes(block[..., p], lat, work[..., p])
             got = np.full((6, n, n, n), np.nan)
             for x1 in slabs:
                 got[:, x1] = field_module.irfft_k3(work[:, x1], n)
@@ -643,7 +667,7 @@ class TestBandTransforms:
                 field_module.rfft_x3(samples[:, x1], forward[:, x1])
             got = np.full((3,) + lat.shape, np.nan, dtype=complex)
             for p in planes:
-                field_module.band_forward_planes(forward[..., p], lat.rows, got[..., p])
+                field_module.band_forward_planes(forward[..., p], lat, got[..., p])
             assert same_bits(samples, before)
             assert same_bits(got, np.ascontiguousarray(field_module.rfft3(samples)[band]))
 
