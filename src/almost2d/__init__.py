@@ -10,15 +10,9 @@ from .field import (
     PhysicalVectorField,
     SpectralVectorField,
     StrainField,
-    advection,
-    biot_savart,
     curl,
-    dealias,
-    divergence,
-    from_full_coeffs,
     heat_semigroup,
     leray_project,
-    pressure,
     strain,
     to_physical,
     to_spectral,
@@ -38,9 +32,7 @@ from .criteria import (
     SharpConstants,
     blowup_time_bounds,
     constants,
-    critical_product_floor,
     envelopes,
-    gamma2d_check,
     gamma2d_lp_check,
     iftimie_check,
     small_data_check,
@@ -54,7 +46,7 @@ from .families import (
     two_d_plus_perturbation,
     un_family,
 )
-from .solver import DiagnosticsSeries, SolverConfig, rhs, run
+from .solver import DiagnosticsSeries, SolverConfig, run
 from .wholespace import (
     QuadratureSpec,
     besov_embedding_constant,

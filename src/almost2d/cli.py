@@ -226,78 +226,74 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _emit_rows(args, rows: list[dict]) -> int:
+    _emit(args, {"rows": rows}, csv_rows=rows)
+    return 0
+
+
+def _cmd_sweep_annulus_analog(args) -> int:
     grid = GridSpec(args.n_grid)
     rows = []
-    if args.family == "annulus-analog":
-        for n in args.n:
-            w = families.annulus_analog(n, grid)  # the family is a vorticity
-            spectrum = norms.ShellSpectrum(grid, w.half)
-            K0 = 0.5 * float(spectrum.sobolev_sq(-1.0).sum())
-            E0 = 0.5 * float(spectrum.sobolev_sq(0.0).sum())
-            omh = math.sqrt(spectrum.sobolev_sq(-0.5)[:2].sum())
-            besov = norms.besov_norm(w, 0.5, 2.0, spectrum=spectrum).value
-            rows.append(
-                {
-                    "n": n,
-                    "omega_h_hminushalf": omh,
-                    "KE_product": K0 * E0,
-                    "criterion_quantity": criteria.criterion_quantity(
-                        omh, K0, E0, args.nu
-                    ),
-                    "besov_half": besov,
-                }
-            )
-    elif args.family == "un":
-        for n in args.n:
-            s = norms.field_summary(families.un_family(n, grid))
-            rows.append(
-                {"n": n, "hhalf_sq": s.hhalf**2, "omega_h_hminushalf": s.omega_h_hminushalf}
-            )
-    elif args.family == "rescaled":
-        base = families.helical_base_vorticity(grid)
-        for m in args.m:
-            r = families.rescaled_vorticity(base, m, args.a)
-            omega_h_l32 = r.component_lebesgue_norm("horizontal", 1.5)
-            report = criteria.gamma2d_lp_from_norms(
-                omega_h_l32, r.lebesgue_norm(1.2), r.lebesgue_norm(2.0), args.nu
-            )
-            rows.append(
-                {
-                    "m": m,
-                    "omega_h_l32": omega_h_l32,
-                    "omega3_l32": r.component_lebesgue_norm("vertical", 1.5),
-                    "criterion_log_lhs": report.inputs["log_lhs"],
-                }
-            )
-    else:
-        raise ValueError(f"unknown sweep family {args.family!r}")
-    _emit(args, {"rows": rows}, csv_rows=rows)
-    return 0
+    for n in args.n:
+        w = families.annulus_analog(n, grid)  # the family is a vorticity
+        spectrum = norms.ShellSpectrum(grid, w.half)
+        K0 = 0.5 * float(spectrum.sobolev_sq(-1.0).sum())
+        E0 = 0.5 * float(spectrum.sobolev_sq(0.0).sum())
+        omh = math.sqrt(spectrum.sobolev_sq(-0.5)[:2].sum())
+        besov = norms.besov_norm(w, 0.5, 2.0, spectrum=spectrum).value
+        rows.append({"n": n, "omega_h_hminushalf": omh, "KE_product": K0 * E0,
+                     "criterion_quantity": criteria.criterion_quantity(omh, K0, E0, args.nu),
+                     "besov_half": besov})
+    return _emit_rows(args, rows)
 
 
-def _cmd_wholespace(args) -> int:
+def _cmd_sweep_un(args) -> int:
+    grid = GridSpec(args.n_grid)
+    rows = []
+    for n in args.n:
+        s = norms.field_summary(families.un_family(n, grid))
+        rows.append({"n": n, "hhalf_sq": s.hhalf**2, "omega_h_hminushalf": s.omega_h_hminushalf})
+    return _emit_rows(args, rows)
+
+
+def _cmd_sweep_rescaled(args) -> int:
+    base = families.helical_base_vorticity(GridSpec(args.n_grid))
+    rows = []
+    for m in args.m:
+        r = families.rescaled_vorticity(base, m, args.a)
+        omega_h_l32 = r.component_lebesgue_norm("horizontal", 1.5)
+        report = criteria.gamma2d_lp_from_norms(
+            omega_h_l32, r.lebesgue_norm(1.2), r.lebesgue_norm(2.0), args.nu
+        )
+        rows.append({"m": m, "omega_h_l32": omega_h_l32,
+                     "omega3_l32": r.component_lebesgue_norm("vertical", 1.5),
+                     "criterion_log_lhs": report.inputs["log_lhs"]})
+    return _emit_rows(args, rows)
+
+
+def _cmd_wholespace_lambda_n(args) -> int:
+    quad = wholespace.QuadratureSpec(args.nodes)
+    return _emit_rows(args, [wholespace.lambda_n_report(n, quad, nu=args.nu).as_dict()
+                             for n in args.n])
+
+
+def _cmd_wholespace_embedding(args) -> int:
     quad = wholespace.QuadratureSpec(args.nodes)
     rows = []
-    if args.table == "lambda-n":
-        for n in args.n:
-            rows.append(wholespace.lambda_n_report(n, quad, nu=args.nu).as_dict())
-    elif args.table == "embedding":
-        for p in args.p:
-            pv = math.inf if p == "inf" else float(p)
-            row = {"p": p, "embedding_constant": wholespace.besov_embedding_constant(pv, quad)}
-            if args.eps is not None:
-                cone = wholespace.cone_embedding_constant(pv, args.eps, quad)
-                row.update({"eps": args.eps, "cone_direct": cone.direct,
-                            "cone_majorant": cone.majorant})
-            rows.append(row)
-    elif args.table == "heat-kernel":
-        report = wholespace.heat_kernel_constants(quad)
-        rows = [{"grad_g_l1": report.grad_g_l1, "curl_bound_holds": report.all_hold}]
-    else:
-        raise ValueError(f"unknown wholespace table {args.table!r}")
-    _emit(args, {"rows": rows}, csv_rows=rows)
-    return 0
+    for p in args.p:
+        pv = math.inf if p == "inf" else float(p)
+        row = {"p": p, "embedding_constant": wholespace.besov_embedding_constant(pv, quad)}
+        if args.eps is not None:
+            cone = wholespace.cone_embedding_constant(pv, args.eps, quad)
+            row.update({"eps": args.eps, "cone_direct": cone.direct,
+                        "cone_majorant": cone.majorant})
+        rows.append(row)
+    return _emit_rows(args, rows)
+
+
+def _cmd_wholespace_heat_kernel(args) -> int:
+    report = wholespace.heat_kernel_constants(wholespace.QuadratureSpec(args.nodes))
+    return _emit_rows(args, [{"grad_g_l1": report.grad_g_l1, "curl_bound_holds": report.all_hold}])
 
 
 def _int_list(text: str) -> list[int]:
@@ -367,25 +363,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_simulate)
 
+    # sweep and wholespace: one parser per family or table, holding only the
+    # options its handler reads, after the family or table name, and taking
+    # no abbreviation, so that another table's --n is not read as --nodes.
+    def table(choices, name, handler, *options):
+        p = choices.add_parser(name, allow_abbrev=False)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        common(p)
+        p.set_defaults(func=handler)
+
+    nu = ("--nu", {"type": float, "default": 1.0})
+    n_grid = ("--n-grid", {"dest": "n_grid", "type": int, "default": 32})
+    sweep_n = ("--n", {"type": _int_list, "default": (3, 6, 12)})
+    nodes = ("--nodes", {"type": int, "default": 128})
+
     p = sub.add_parser("sweep", help="family sweeps with criterion columns")
-    p.add_argument("family", choices=("annulus-analog", "un", "rescaled"))
-    p.add_argument("--n", type=_int_list, default=(3, 6, 12))
-    p.add_argument("--m", type=_int_list, default=(2, 4, 8))
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--nu", type=float, default=1.0)
-    p.add_argument("--n-grid", dest="n_grid", type=int, default=32)
-    common(p)
-    p.set_defaults(func=_cmd_sweep)
+    choices = p.add_subparsers(dest="family", required=True)
+    table(choices, "annulus-analog", _cmd_sweep_annulus_analog, sweep_n, nu, n_grid)
+    table(choices, "un", _cmd_sweep_un, sweep_n, n_grid)
+    table(choices, "rescaled", _cmd_sweep_rescaled,
+          ("--m", {"type": _int_list, "default": (2, 4, 8)}),
+          ("--a", {"type": float, "default": 1.0}), nu, n_grid)
 
     p = sub.add_parser("wholespace", help="quadrature constant tables")
-    p.add_argument("table", choices=("lambda-n", "embedding", "heat-kernel"))
-    p.add_argument("--n", type=_int_list, default=(3, 10, 100))
-    p.add_argument("--p", type=lambda s: s.split(","), default=("4", "6", "inf"))
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--nu", type=float, default=1.0)
-    p.add_argument("--nodes", type=int, default=128)
-    common(p)
-    p.set_defaults(func=_cmd_wholespace)
+    choices = p.add_subparsers(dest="table", required=True)
+    table(choices, "lambda-n", _cmd_wholespace_lambda_n,
+          ("--n", {"type": _int_list, "default": (3, 10, 100)}), nu, nodes)
+    table(choices, "embedding", _cmd_wholespace_embedding,
+          ("--p", {"type": lambda s: s.split(","), "default": ("4", "6", "inf")}),
+          ("--eps", {"type": float, "default": None}), nodes)
+    table(choices, "heat-kernel", _cmd_wholespace_heat_kernel, nodes)
 
     return parser
 
@@ -396,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, ArithmeticError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an allocation the machine cannot make
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

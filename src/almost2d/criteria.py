@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 
 from .field import LP_MAJORANT_TOL, SpectralVectorField, to_physical
-from .norms import field_summary, p2d_split, samples_lebesgue_norm, sobolev_norm
+from .norms import p2d_split, samples_lebesgue_norm, sobolev_norm
 
 CONSTANTS_VERSION = "whole-space-sharp-v1"
 
@@ -104,19 +104,11 @@ def _gamma2d(name: str, factor: float, product: float, nu: float,
 def gamma2d_from_norms(
     omega_h_norm: float, K0: float, E0: float, nu: float
 ) -> CriterionReport:
-    """Almost-2D criterion from precomputed scalars (the field-level
-    gamma2d_check reduces to this)."""
+    """Almost-2D global-regularity criterion from a velocity's norms:
+    ||omega_h||_{H^-1/2} exp((K0 E0 - 6912 pi^4 nu^4)/(R2 nu^3)) < R1 nu."""
     _require_valid_inputs(nu, omega_h_norm, K0, E0)
     return _gamma2d("gamma2d", omega_h_norm, K0 * E0, nu,
                     {"K0": K0, "E0": E0, "nu": nu, "omega_h_hminushalf": omega_h_norm})
-
-
-def gamma2d_check(u: SpectralVectorField, nu: float) -> CriterionReport:
-    """Almost-2D global-regularity criterion on a velocity field:
-    ||omega_h||_{H^-1/2} exp((K0 E0 - 6912 pi^4 nu^4)/(R2 nu^3)) < R1 nu.
-    """
-    s = field_summary(u)
-    return gamma2d_from_norms(s.omega_h_hminushalf, s.K, s.E, nu)
 
 
 def criterion_quantity(omega_h: float, K0: float, E0: float, nu: float) -> float:
@@ -211,13 +203,6 @@ def blowup_time_bounds(K0: float, E0: float, nu: float) -> BlowupTimeBounds:
     upper = K0**2 / (2 * SMALL_DATA_COEFF * nu**5)
     lower = math.inf if E0 == 0 else SMALL_DATA_COEFF / 4 * nu**3 / E0**2
     return BlowupTimeBounds(upper, lower)
-
-
-def critical_product_floor(K: float, E: float, nu: float) -> bool:
-    """True iff K*E sits strictly below 6912 pi^4 nu^4, so no blow-up can
-    originate from this state; the small-data check's verdict, with its
-    input checks."""
-    return small_data_check(K, E, nu).satisfied
 
 
 def iftimie_check(u: SpectralVectorField, nu: float, c: float) -> CriterionReport:

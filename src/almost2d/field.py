@@ -7,8 +7,9 @@ literally.  Physical sample arrays are indexed [component, x1, x2, x3]
 (x3 fastest in memory).
 
 A field is its grid and the read-only k3 >= 0 half spectrum of a real field,
-Hermitian by construction; a full array enters only through ``from_full_coeffs``,
-the one Hermitian check.  Every field transform goes through one real-data pair,
+Hermitian by construction: it is made from samples (``to_spectral``) or from
+a half spectrum, never from a full coefficient array, so no operation checks
+Hermitian symmetry.  Every field transform goes through one real-data pair,
 ``rfft3`` / ``irfft3``, and every solver transform through the passes of its
 band form: the same pocketfft 1-D passes, in the same order and with the same
 factor, run only over the lines that are not zero on the way in or cropped
@@ -16,39 +17,34 @@ away on the way out, so they agree with the pair as bits.  A solver part runs
 them on its share (``band_parts``): the complex passes on band planes k3 < m
 (``band_inverse_planes``, ``band_forward_planes``) and the real ones along the
 last axis on x1 slabs (``irfft_k3``, ``rfft_x3``).  The band, its rows and
-its pad and crop are ``GridSpec.band(K)``'s; ``dealias``, ``advection`` and
-``pressure`` truncate by the 2/3 rule as the solver does, by cropping to
-``band(kc)`` and padding back.
-Only ``advection``, the convective-form reference, calls ``numpy.fft``.  Mean
-zero is read from k = 0 by each operation that needs it (``is_mean_zero``).
+its pad and crop are ``GridSpec.band(K)``'s.  No function here calls
+``numpy.fft``.  Mean zero is read from k = 0 by each operation that needs it
+(``is_mean_zero``).
 Multipliers k.c, 2 pi i k x c and pi i (k_i c_j + k_j c_i) are written once, as
 kernels on coefficients and a ``k_deriv`` triple (``k_dot``, ``curl_coeffs``,
 ``strain_coeffs``), applied here to the half lattice and by the solver to its
 band.  Each kernel forms its products in its result array or one scratch
 array and adds, subtracts and scales in place, in the plain expression's
-order, so it makes no temporary per product and moves no bit; so do
-``leray_project`` and ``biot_savart``.
+order, so it makes no temporary per product and moves no bit; so does
+``leray_project``.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from .grid import Band, GridSpec, conjugate_planes, hermitian_defect
+from .grid import Band, GridSpec, conjugate_planes
 
 # Every tolerance: *_DIVFREE_TOL bounds max|k.uhat|/max|uhat|, *_MEAN_TOL |uhat(0)|/max|uhat|.
-HERMITIAN_TOL = 1e-10  # over the sample rms: transforms leave ~1e-16, a complex field O(1)
-DIVFREE_TOL = 1e-10  # Biot-Savart and solver inputs: the isometries they feed hold to 1e-10
+DIVFREE_TOL = 1e-10  # solver inputs: the isometries they feed hold to 1e-10
 NORM_DIVFREE_TOL = 1e-8  # norm battery input: the defect enters ||curl u||^2 only squared
 CONSTRUCTION_DIVFREE_TOL = 1e-12  # modes solenoidal by construction: above roundoff is a bug
 MEAN_TOL = 1e-13  # s < 0 Sobolev and Besov norms diverge on a mean; transforms leave ~1e-16
 INITIAL_MEAN_TOL = 1e-12  # the solver drops the initial mean, so this only rejects a real one
-VORTICITY_MEAN_TOL = 1e-10  # Biot-Savart sets its k = 0 output to zero; as loose as DIVFREE_TOL
 TWO_D_TOL = 1e-13  # max|uhat(k3 != 0)|/max|uhat| of a 2-D base field: transforms leave ~1e-16
 T_END_LATTICE_TOL = 1e-9  # |t_end/dt - steps|/steps: a decimal dt such as 0.01 leaves ~1e-16
 DECAY_SLACK_TOL = 1e-6  # dE/dt <= 0 relative to max(|dE/dt|, E, 1): differences err O(dt^2)
@@ -232,21 +228,6 @@ class SpectralVectorField:
     __rmul__ = __mul__
 
 
-def from_full_coeffs(grid: GridSpec, coeffs: np.ndarray) -> SpectralVectorField:
-    """The field of full-lattice coefficients (3, n, n, n), such as mode pairs
-    written out by hand.  Rejects coefficients of a non-real field:
-    max_k |c(k) - conj c(-k)| against HERMITIAN_TOL times max(rms, 1), where
-    the sample rms is sqrt(sum |c|^2) by Plancherel."""
-    n = grid.n
-    if coeffs.shape != (3, n, n, n):
-        raise ValueError(f"coefficient array shape {coeffs.shape} does not match grid n={n}")
-    defect = hermitian_defect(coeffs)
-    rms = math.sqrt(float(np.vdot(coeffs, coeffs).real))
-    if defect > HERMITIAN_TOL * max(rms, 1.0):
-        raise ValueError(f"Hermitian symmetry violated: coefficient defect {defect:.3e}")
-    return SpectralVectorField(grid, conjugate_planes(coeffs[..., : n // 2 + 1].copy()))
-
-
 @dataclass
 class PhysicalVectorField:
     """Real samples at the n^3 grid points, indexed [component, x1, x2, x3]."""
@@ -341,13 +322,6 @@ def strain_coeffs(c: np.ndarray, k_deriv: tuple, out: np.ndarray | None = None) 
     return out
 
 
-def divergence(u: SpectralVectorField) -> np.ndarray:
-    """Spectral divergence as a half-spectrum scalar coefficient array."""
-    out = k_dot(u.half, u.grid.k_deriv)
-    out *= 2j * np.pi
-    return out
-
-
 def divergence_defect(u: SpectralVectorField, peak: float | None = None) -> float:
     """max_k |k . uhat(k)| / max_k |uhat(k)|, zero for divergence-free fields.
     ``peak`` is max_k |uhat(k)|, when the caller has already taken it."""
@@ -397,72 +371,9 @@ def strain(u: SpectralVectorField) -> StrainField:
     return StrainField(u.grid, strain_coeffs(u.half, u.grid.k_deriv))
 
 
-def biot_savart(w: SpectralVectorField) -> SpectralVectorField:
-    """Velocity with curl w: multiplier (2*pi*i k x what) / (4*pi^2 |k|^2).
-
-    Requires w mean-zero and divergence-free; the k=0 mode of the output
-    is zero.  |what| serves both checks, and its first component then holds
-    the divisor 4*pi^2 |k|^2.
-    """
-    magnitude = np.abs(w.half)
-    if not is_mean_zero(magnitude, VORTICITY_MEAN_TOL):
-        raise ValueError("Biot-Savart requires a mean-zero vorticity")
-    if divergence_defect(w, float(np.max(magnitude))) > DIVFREE_TOL:
-        raise ValueError("Biot-Savart requires a divergence-free vorticity")
-    u = curl_coeffs(w.half, w.grid.k_deriv)
-    u /= np.multiply(4 * np.pi**2, w.grid.k_deriv_sq_safe, out=magnitude[0])
-    u[:, 0, 0, 0] = 0.0
-    return SpectralVectorField(w.grid, u)
-
-
 def heat_semigroup(u: SpectralVectorField, t: float) -> SpectralVectorField:
     """Heat flow for time t, multiplier exp(-4*pi^2 |k|^2 t)."""
     if t < 0:
         raise ValueError(f"heat semigroup requires t >= 0, got {t}")
     factor = np.exp(-4 * np.pi**2 * u.grid.k_sq * t)
     return SpectralVectorField(u.grid, u.half * factor)
-
-
-def dealias(u: SpectralVectorField) -> SpectralVectorField:
-    """2/3-rule truncation: keep the coefficients with every |k_i| <= kc =
-    (n - 1) // 3, that is |k_i| < n/3 (``GridSpec.kc``; 3kc < n, so a product
-    of kept modes does not alias into them), and zero the rest: the band
-    ``band(kc)`` cropped, then padded."""
-    band = u.grid.band(u.grid.kc)
-    return SpectralVectorField(u.grid, band.pad(band.crop(u.half)))
-
-
-def pressure(u: SpectralVectorField) -> np.ndarray:
-    """Half-spectrum pressure coefficients solving -lap(p) = sum_ij d_i u_j d_j u_i.
-
-    The quadratic source is formed in physical space and dealiased;
-    phat(0) = 0.
-    """
-    grads = [to_physical(gradient_of_component(u, i)).samples for i in range(3)]
-    source = np.zeros_like(grads[0][0])
-    for i in range(3):
-        for j in range(3):
-            # grads[j][i] holds d_i u_j
-            source += grads[j][i] * grads[i][j]
-    band = u.grid.band(u.grid.kc)  # no Nyquist mode, where k_deriv and k differ
-    shat = band.pad(band.crop(conjugate_planes(rfft3(source))))
-    phat = shat / (4 * np.pi**2 * u.grid.k_deriv_sq_safe)
-    phat[0, 0, 0] = 0.0
-    return phat
-
-
-def advection(u: SpectralVectorField, apply_dealias: bool = True) -> SpectralVectorField:
-    """(u . grad) u formed in physical space, then truncated.
-
-    The convective form, with ``numpy.fft`` transforms, not the package's
-    pair; the solver uses the rotational form and tests compare the two.
-    """
-    n = u.grid.n
-    u_phys = np.fft.irfftn(u.half, s=(n, n, n), axes=(1, 2, 3)) * n**3
-    grad_hat = np.stack([gradient_of_component(u, j).half for j in range(3)])
-    grads = np.fft.irfftn(grad_hat, s=(n, n, n), axes=(2, 3, 4)) * n**3
-    adv = np.einsum("ixyz,jixyz->jxyz", u_phys, grads)
-    out = conjugate_planes(np.fft.rfftn(adv, axes=(1, 2, 3)) / n**3)
-    out[:, 0, 0, 0] = 0.0
-    product = SpectralVectorField(u.grid, out)
-    return dealias(product) if apply_dealias else product

@@ -50,8 +50,8 @@ class GridSpec:
     @cached_property
     def k_deriv_sq_safe(self) -> np.ndarray:
         """|k_deriv|^2 with its zeros set to 1, shape (n, n, n/2 + 1): the
-        divisor of the Leray projection, Biot-Savart and the pressure, whose
-        numerators vanish wherever k_deriv does."""
+        divisor of the Leray projection, whose numerator vanishes wherever
+        k_deriv does."""
         k1, k2, k3 = self.k_deriv
         ksq = k1**2 + k2**2 + k3**2
         return _read_only(np.where(ksq == 0, 1.0, ksq))
@@ -179,13 +179,3 @@ def conjugate_planes(half: np.ndarray) -> np.ndarray:
         p = half[..., plane]
         half[..., plane] = 0.5 * (p + np.conj(p[..., neg, :][..., neg]))
     return half
-
-
-def hermitian_defect(coeffs: np.ndarray) -> float:
-    """max_k |c(k) - conj c(-k)| over the last three axes of a full coefficient
-    array, zero for the coefficients of a real field.  k and -k have the same
-    defect, so only k3 >= 0 is read."""
-    n = coeffs.shape[-1]
-    neg = -np.arange(n) % n  # index of -k along each axis
-    mirror = coeffs[..., neg[: n // 2 + 1]][..., neg, :][..., neg, :, :]
-    return float(np.max(np.abs(coeffs[..., : n // 2 + 1] - np.conj(mirror))))

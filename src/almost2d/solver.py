@@ -29,7 +29,8 @@ kernels applied to the band.  ``run`` crops the band from a
 Leray projection P removes.  Under the 2/3 rule every product is
 alias-free, at every n: a product of band modes reaches |k_i| <= 2kc, and
 since 3kc < n its aliases k - n fall below -kc, outside the band.  So the
-rotational form equals the convective form ``field.advection`` to roundoff.
+rotational form equals the convective form, truncated to the band, to
+roundoff.
 With ``dealias="none"`` the two forms alias differently and their tendencies
 differ by O(1) at the resolved scales; "none" means the aliased rotational
 form.
@@ -63,8 +64,8 @@ instead, these arrays went back to the C allocator and were page-faulted in
 again: three traced n=64 ``simulate`` invocations of 4 steps took 198k minor
 faults and 0.84 s of system time that way, 25k and 0.13 s with the buffers.
 They and the pool are locals of ``run``, not module state, so concurrent runs
-share only the read-only lattices, and no thread outlives the call.  ``rhs``,
-and any call without buffers, runs its parts in turn.
+share only the read-only lattices, and no thread outlives the call.  A
+call without buffers runs its parts in turn.
 """
 
 from __future__ import annotations
@@ -241,18 +242,6 @@ def _lattice(grid: GridSpec, dealias_rule: str) -> Band:
     if dealias_rule not in cutoffs:
         raise ValueError(f"unknown dealias rule {dealias_rule!r}")
     return grid.band(cutoffs[dealias_rule])
-
-
-def rhs(u: SpectralVectorField, nu: float, dealias_rule: str = "two_thirds") -> SpectralVectorField:
-    """Leray-projected tendency nu lap(u) - P_df((u.grad)u) of the solver's
-    dynamics: under the 2/3 rule u is first truncated to the band, as ``run``
-    truncates its initial data."""
-    grid = u.grid
-    lat = _lattice(grid, dealias_rule)
-    c = lat.crop(u.half)
-    tendency = nonlinear_term(c, grid, dealias_rule)
-    tendency -= nu * 4 * np.pi**2 * lat.k_sq * c
-    return SpectralVectorField(grid, conjugate_planes(lat.pad(tendency)))
 
 
 def nonlinear_term(

@@ -128,7 +128,7 @@ def lambda_n_report(n: int, quad: QuadratureSpec = QuadratureSpec(), nu: float =
 
 def _holder_exponent(p: float) -> float:
     """s with 1/s = 1/2 - 1/p, the Holder pairing exponent."""
-    if p != math.inf and p <= 2:
+    if not p > 2:  # NaN included
         raise ValueError(f"embedding constants need p > 2, got {p}")
     if p == math.inf:
         return 2.0
@@ -271,7 +271,7 @@ def besov_equivalence_constants(p: float) -> EquivalenceConstants:
     negative as literally written in its derivation; its positive magnitude
     2/(1 - 3/p) is used here.
     """
-    if p != math.inf and p <= 3:
+    if not p > 3:  # NaN included
         raise ValueError(f"equivalence constants need p > 3, got {p}")
     grad_g = TWO_OVER_SQRT_PI
     if p == math.inf:

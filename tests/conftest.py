@@ -5,21 +5,19 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from almost2d import (
-    GridSpec,
-    SpectralVectorField,
-    biot_savart,
-    gamma2d_check,
-    horizontal_parts,
-    lebesgue_norm,
-)
+from almost2d import GridSpec, SpectralVectorField, horizontal_parts, lebesgue_norm
 from almost2d.criteria import (
     BlowupTimeBounds, CriterionReport, Envelopes, _log_verdict, _require_valid_inputs, constants,
+    gamma2d_from_norms,
 )
 from almost2d.families import random_divergence_free
-from almost2d.field import HERMITIAN_TOL, StrainField, curl_coeffs, irfft3, k_dot, rfft3
-from almost2d.solver import _lattice
+from almost2d.field import StrainField, curl_coeffs, gradient_of_component, irfft3, k_dot, rfft3
+from almost2d.grid import conjugate_planes
+from almost2d.norms import field_summary
+from almost2d.solver import _lattice, nonlinear_term
 from almost2d.wholespace import QuadratureSpec
+
+HERMITIAN_TOL = 1e-10  # over the sample rms: transforms leave ~1e-16, a complex field O(1)
 
 
 @pytest.fixture(scope="session")
@@ -87,9 +85,19 @@ def hermitian_defect(coeffs):
     return float(np.max(np.abs(coeffs - np.conj(_reflect(coeffs)))))
 
 
-def hermitian_part(coeffs):
-    """0.5 (c(k) + conj c(-k)) of a full array."""
-    return 0.5 * (coeffs + np.conj(_reflect(coeffs)))
+def from_full_coeffs(grid: GridSpec, coeffs: np.ndarray) -> SpectralVectorField:
+    """The field of full-lattice coefficients (3, n, n, n), such as mode pairs
+    written out by hand.  Rejects coefficients of a non-real field:
+    max_k |c(k) - conj c(-k)| against HERMITIAN_TOL times max(rms, 1), where
+    the sample rms is sqrt(sum |c|^2) by Plancherel."""
+    n = grid.n
+    if coeffs.shape != (3, n, n, n):
+        raise ValueError(f"coefficient array shape {coeffs.shape} does not match grid n={n}")
+    defect = hermitian_defect(coeffs)
+    rms = math.sqrt(float(np.vdot(coeffs, coeffs).real))
+    if defect > HERMITIAN_TOL * max(rms, 1.0):
+        raise ValueError(f"Hermitian symmetry violated: coefficient defect {defect:.3e}")
+    return SpectralVectorField(grid, conjugate_planes(coeffs[..., : n // 2 + 1].copy()))
 
 
 def plane_defect(half):
@@ -112,6 +120,38 @@ def zeroed(u, index):
     half = u.half.copy()
     half[index] = 0.0
     return SpectralVectorField(u.grid, half)
+
+
+def advection(u: SpectralVectorField, apply_dealias: bool = True) -> SpectralVectorField:
+    """(u . grad) u formed in physical space, then truncated to the 2/3 rule's
+    band ``grid.band(grid.kc)``.
+
+    The convective form, with ``numpy.fft`` transforms, not the package's
+    pair; the solver uses the rotational form and tests compare the two.
+    """
+    n = u.grid.n
+    u_phys = np.fft.irfftn(u.half, s=(n, n, n), axes=(1, 2, 3)) * n**3
+    grad_hat = np.stack([gradient_of_component(u, j).half for j in range(3)])
+    grads = np.fft.irfftn(grad_hat, s=(n, n, n), axes=(2, 3, 4)) * n**3
+    adv = np.einsum("ixyz,jixyz->jxyz", u_phys, grads)
+    out = conjugate_planes(np.fft.rfftn(adv, axes=(1, 2, 3)) / n**3)
+    out[:, 0, 0, 0] = 0.0
+    if apply_dealias:
+        band = u.grid.band(u.grid.kc)
+        out = band.pad(band.crop(out))
+    return SpectralVectorField(u.grid, out)
+
+
+def rhs(u: SpectralVectorField, nu: float, dealias_rule: str = "two_thirds") -> SpectralVectorField:
+    """Leray-projected tendency nu lap(u) - P_df((u.grad)u) of the solver's
+    dynamics: under the 2/3 rule u is first truncated to the band, as ``run``
+    truncates its initial data."""
+    grid = u.grid
+    lat = _lattice(grid, dealias_rule)
+    c = lat.crop(u.half)
+    tendency = nonlinear_term(c, grid, dealias_rule)
+    tendency -= nu * 4 * np.pi**2 * lat.k_sq * c
+    return SpectralVectorField(grid, conjugate_planes(lat.pad(tendency)))
 
 
 def nonlinear_term_oracle(u_hat, grid, dealias_rule="two_thirds"):
@@ -180,11 +220,18 @@ def biot_savart_oracle(half, grid):
     return u
 
 
+def gamma2d_of_field(u, nu):
+    """The almost-2D criterion on a velocity field, from its field summary."""
+    s = field_summary(u)
+    return gamma2d_from_norms(s.omega_h_hminushalf, s.K, s.E, nu)
+
+
 def gamma2d_lp_hilbert_oracle(omega, nu):
     """``log_lhs_hilbert`` as ``gamma2d_lp_check`` once formed it: the
     Hilbert criterion's left side on the velocity rebuilt from omega by
     Biot-Savart, through a second field summary."""
-    return gamma2d_check(biot_savart(omega), nu).inputs["log_lhs"]
+    u = SpectralVectorField(omega.grid, biot_savart_oracle(omega.half, omega.grid))
+    return gamma2d_of_field(u, nu).inputs["log_lhs"]
 
 
 # The criteria layer's formulas as they were before one core stated the

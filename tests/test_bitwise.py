@@ -15,7 +15,7 @@ import struct
 import numpy as np
 import pytest
 
-from almost2d import GridSpec, PhysicalVectorField, SpectralVectorField, biot_savart, curl
+from almost2d import GridSpec, PhysicalVectorField, SpectralVectorField
 from almost2d import leray_project, to_spectral
 from almost2d.criteria import (
     blowup_time_bounds, envelopes, gamma2d_from_norms, gamma2d_lp_from_norms,
@@ -25,7 +25,7 @@ from almost2d.field import curl_coeffs, k_dot, strain_coeffs
 from almost2d.norms import samples_lebesgue_norm
 from almost2d.solver import _cumulative_trapezoid, _lattice
 from conftest import (
-    annulus_analog_oracle, biot_savart_oracle, blowup_time_bounds_oracle, curl_coeffs_oracle,
+    annulus_analog_oracle, blowup_time_bounds_oracle, curl_coeffs_oracle,
     envelopes_oracle, gamma2d_from_norms_oracle, gamma2d_lp_from_norms_oracle, k_dot_oracle,
     leray_project_oracle, random_divergence_free_oracle, random_physical,
     samples_lebesgue_norm_oracle, strain_coeffs_oracle,
@@ -105,15 +105,6 @@ def test_leray_projection(n):
         want_df, want_grad = leray_project_oracle(before, grid)
         assert same_bits(u_df.half, want_df) and same_bits(grad.half, want_grad)
         assert same_bits(field.half, before)
-
-
-@pytest.mark.parametrize("n", SIZES)
-def test_biot_savart(n):
-    grid, (_, half) = fields(n)
-    w = curl(SpectralVectorField(grid, half))
-    before = w.half.copy()
-    assert same_bits(biot_savart(w).half, biot_savart_oracle(before, grid))
-    assert same_bits(w.half, before)
 
 
 @pytest.mark.parametrize("n", SIZES)

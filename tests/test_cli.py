@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -371,6 +370,50 @@ class TestCliDefects:
         err = capsys.readouterr().err
         assert "argument --n: invalid" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "un", "--n", "3", "--m", "99"],
+        ["sweep", "un", "--n", "3", "--nu", "1"],
+        ["sweep", "rescaled", "--n", "99"],
+        ["wholespace", "heat-kernel", "--n", "3"],
+        ["wholespace", "lambda-n", "--eps", "0.1"],
+    ], ids=["un-m", "un-nu", "rescaled-n", "heat-kernel-n", "lambda-n-eps"])
+    def test_an_option_the_family_does_not_read_is_a_usage_error(self, capsys, argv):
+        """Each sweep family and wholespace table takes only the options its
+        handler reads, spelled out in full: --n is no prefix of --nodes."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n", "3", "un"],
+        ["wholespace", "--nodes", "64", "heat-kernel"],
+        ["sweep"],
+    ], ids=["option-before-family", "option-before-table", "no-family"])
+    def test_sweep_and_wholespace_take_their_family_first(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_nan_exponent_is_a_domain_error(self, capsys):
+        assert main(["wholespace", "embedding", "--p", "nan", "--nodes", "16"]) == 1
+        assert "need p > 2" in _one_error_line(capsys)
+
+    def test_failed_allocation_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        """A MemoryError, such as numpy raises for an array the machine cannot
+        hold, exits 1 with one line and writes no file."""
+
+        def too_large(grid, amplitude):
+            raise MemoryError("Unable to allocate 12.0 TiB for an array")
+
+        monkeypatch.setattr(families, "taylor_green_2d", too_large)
+        out = tmp_path / "tg.field"
+        assert main(["construct", "taylor-green", "--n", "8192", "--output", str(out)]) == 1
+        assert "out of memory: Unable to allocate" in _one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
     def test_repeated_header_key_is_a_domain_error(self, tmp_path, grid16, capsys):
         path = str(tmp_path / "u.field")
         write_field(path, random_divergence_free(grid16, 6, kmax=4))
@@ -479,11 +522,10 @@ class TestAnalysisTransformBudget:
 
     def test_check_builds_each_quantity_once(self, tmp_path, transform_counts, monkeypatch):
         """One n=64 check: the read's forward transform and the vorticity's
-        inverse, one curl, the velocity and vorticity spectra, and no
-        Biot-Savart rebuild of the velocity."""
+        inverse, one curl, and the velocity and vorticity spectra."""
         path = str(tmp_path / "u.field")
         write_field(path, random_divergence_free(GridSpec(64), 5))
-        calls = {"curl_coeffs": 0, "ShellSpectrum": 0, "biot_savart": 0}
+        calls = {"curl_coeffs": 0, "ShellSpectrum": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -494,11 +536,7 @@ class TestAnalysisTransformBudget:
         monkeypatch.setattr(field_layer, "curl_coeffs",
                             counted("curl_coeffs", field_layer.curl_coeffs))
         monkeypatch.setattr(norms, "ShellSpectrum", counted("ShellSpectrum", norms.ShellSpectrum))
-        for name, module in list(sys.modules.items()):
-            if name.startswith("almost2d") and hasattr(module, "biot_savart"):
-                monkeypatch.setattr(module, "biot_savart",
-                                    counted("biot_savart", module.biot_savart))
         transform_counts.update({"3d": 0, "other": 0})
         assert main(["check", path, "--nu", "0.1", "--output", str(tmp_path / "out.json")]) == 0
-        assert calls == {"curl_coeffs": 1, "ShellSpectrum": 2, "biot_savart": 0}
+        assert calls == {"curl_coeffs": 1, "ShellSpectrum": 2}
         assert transform_counts == {"3d": 3 + 3, "other": 0}

@@ -10,10 +10,8 @@ from almost2d import (
     annulus_analog,
     blowup_time_bounds,
     constants,
-    critical_product_floor,
     curl,
     envelopes,
-    gamma2d_check,
     gamma2d_lp_check,
     large_almost_2d,
     random_divergence_free,
@@ -30,7 +28,7 @@ from almost2d.criteria import (
 )
 from almost2d.field import LP_MAJORANT_TOL
 from almost2d.norms import field_summary, horizontal, horizontal_parts, p2d_split, sobolev_norm
-from conftest import gamma2d_lp_hilbert_oracle, seeded_fields, zeroed
+from conftest import gamma2d_lp_hilbert_oracle, gamma2d_of_field, seeded_fields, zeroed
 
 
 class TestConstants:
@@ -115,7 +113,7 @@ class TestNonFiniteNorms:
 
 class TestGamma2d:
     def test_two_dimensional_flow_passes(self, grid32):
-        rep = gamma2d_check(taylor_green_2d(grid32, 5.0), 0.25)
+        rep = gamma2d_of_field(taylor_green_2d(grid32, 5.0), 0.25)
         assert rep.lhs == 0.0
         assert rep.satisfied
 
@@ -140,13 +138,13 @@ class TestGamma2d:
         assert worse.inputs["log_lhs"] > failing.inputs["log_lhs"]
 
     def test_large_almost_2d_passes_above_crossover(self, grid32):
-        reports = [gamma2d_check(large_almost_2d(n, grid32), 1.0) for n in (1, 2, 3)]
+        reports = [gamma2d_of_field(large_almost_2d(n, grid32), 1.0) for n in (1, 2, 3)]
         lhs = [r.inputs["log_lhs"] for r in reports]
         assert lhs[0] > lhs[1] > lhs[2]
         assert all(r.satisfied for r in reports)
 
     def test_report_serializes(self, grid32):
-        rep = gamma2d_check(taylor_green_2d(grid32), 1.0)
+        rep = gamma2d_of_field(taylor_green_2d(grid32), 1.0)
         d = rep.as_dict()
         assert d["name"] == "gamma2d"
         assert d["constants_version"].startswith("whole-space")
@@ -155,17 +153,17 @@ class TestGamma2d:
 class TestGamma2dLp:
     def test_horizontal_free_vorticity_passes(self, grid32):
         u = taylor_green_2d(grid32)
-        rep = gamma2d_lp_check(curl(u), gamma2d_check(u, 0.5))
+        rep = gamma2d_lp_check(curl(u), gamma2d_of_field(u, 0.5))
         assert rep.satisfied
 
     def test_hilbert_side_below_lp_side(self, grid16):
         for u in seeded_fields(grid16, 3, kmax=4, amplitude=0.1, base_seed=400):
-            rep = gamma2d_lp_check(curl(u), gamma2d_check(u, 1.0))
+            rep = gamma2d_lp_check(curl(u), gamma2d_of_field(u, 1.0))
             assert rep.inputs["log_lhs_hilbert"] <= rep.inputs["log_lhs"] + 1e-9
 
     def test_verdict_consistency(self, grid16):
         for u in seeded_fields(grid16, 3, kmax=4, amplitude=0.1, base_seed=410):
-            hilbert = gamma2d_check(u, 1.0)
+            hilbert = gamma2d_of_field(u, 1.0)
             lp = gamma2d_lp_check(curl(u), hilbert)
             if lp.satisfied:
                 assert hilbert.satisfied
@@ -287,21 +285,21 @@ class TestBlowupBounds:
 
 class TestCriticalFloor:
     def test_zero_product(self):
-        assert critical_product_floor(0.0, 5.0, 1.0)
+        assert small_data_check(0.0, 5.0, 1.0).satisfied
 
     def test_boundary(self):
         nu = 0.7
-        assert not critical_product_floor(1.0, SMALL_DATA_COEFF * nu**4, nu)
+        assert not small_data_check(1.0, SMALL_DATA_COEFF * nu**4, nu).satisfied
 
     def test_taylor_green_state(self):
-        assert critical_product_floor(0.25, 2 * math.pi**2, 0.1)
+        assert small_data_check(0.25, 2 * math.pi**2, 0.1).satisfied
 
     @pytest.mark.parametrize("nu", [-1.0, 0.0, math.nan, math.inf])
     def test_nonpositive_or_nonfinite_viscosity_rejected(self, nu):
         """No verdict under a viscosity no flow has: a negative or infinite
         one would otherwise pass every product."""
         with pytest.raises(ValueError, match="viscosity must be positive and finite"):
-            critical_product_floor(0.25, 2 * math.pi**2, nu)
+            small_data_check(0.25, 2 * math.pi**2, nu).satisfied
 
 
 class TestIftimieCheck:
@@ -345,8 +343,8 @@ def test_checks_and_splits_leave_inputs_untouched(grid16):
     w = curl(u)
     calls = [
         (field_summary, u),
-        (lambda v: gamma2d_check(v, 0.1), u),
-        (lambda v: gamma2d_lp_check(v, gamma2d_check(u, 0.1)), w),
+        (lambda v: gamma2d_of_field(v, 0.1), u),
+        (lambda v: gamma2d_lp_check(v, gamma2d_of_field(u, 0.1)), w),
         (lambda v: iftimie_check(v, 0.1, 2.0), u),
         (p2d_split, u),
         (horizontal_parts, u),

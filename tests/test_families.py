@@ -10,7 +10,6 @@ from almost2d import (
     besov_norm,
     constants,
     curl,
-    gamma2d_check,
     horizontal_parts,
     large_almost_2d,
     lebesgue_norm,
@@ -24,7 +23,7 @@ from almost2d import (
 from almost2d.families import helical_base_vorticity, random_divergence_free
 from almost2d.field import divergence_defect
 from almost2d.norms import lebesgue_norm as LN
-from conftest import full_coeffs, full_wavenumbers, plane_defect, zeroed
+from conftest import full_coeffs, full_wavenumbers, gamma2d_of_field, plane_defect, zeroed
 
 
 ALL_GENERATORS = [
@@ -63,7 +62,7 @@ class TestTaylorGreen:
 
     def test_criterion_passes_for_any_viscosity(self, grid32):
         for nu in (1e-3, 0.1, 10.0):
-            assert gamma2d_check(taylor_green_2d(grid32), nu).satisfied
+            assert gamma2d_of_field(taylor_green_2d(grid32), nu).satisfied
 
 
 class TestUnFamily:
@@ -97,12 +96,12 @@ class TestLargeAlmost2d:
         assert omega_h == pytest.approx(
             math.sqrt(3 * math.sqrt(3) * math.pi) * eps, rel=1e-10
         )
-        assert math.isfinite(gamma2d_check(u, 1.0).inputs["log_lhs"])
+        assert math.isfinite(gamma2d_of_field(u, 1.0).inputs["log_lhs"])
 
     def test_underflow_makes_exactly_2d(self, grid32):
         u = large_almost_2d(4, grid32)
         assert np.max(np.abs(full_coeffs(horizontal_parts(u).omega_h))) == 0.0
-        assert gamma2d_check(u, 1.0).lhs == 0.0
+        assert gamma2d_of_field(u, 1.0).lhs == 0.0
 
     def test_endpoint_besov_grows(self, grid32):
         values = [

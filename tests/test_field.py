@@ -9,29 +9,28 @@ from almost2d import (
     GridSpec,
     PhysicalVectorField,
     SpectralVectorField,
-    biot_savart,
     curl,
-    dealias,
     heat_semigroup,
     leray_project,
-    pressure,
     strain,
     taylor_green_2d,
     to_physical,
     to_spectral,
 )
-from almost2d import families, rhs, run, SolverConfig
-from almost2d import field as field_module, grid as grid_module
-from almost2d.field import HERMITIAN_TOL, divergence, divergence_defect, from_full_coeffs
+from almost2d import families, run, SolverConfig
+from almost2d.field import divergence_defect, k_dot
 from almost2d.fieldio import read_field, write_field
 from almost2d.norms import field_summary
 from almost2d.grid import conjugate_planes
 from almost2d.norms import sobolev_norm
 from conftest import (
+    HERMITIAN_TOL,
+    advection,
+    biot_savart_oracle,
+    from_full_coeffs,
     full_coeffs,
     full_wavenumbers,
     hermitian_defect,
-    hermitian_part,
     plane_defect,
     random_physical,
     scalar_to_physical,
@@ -100,15 +99,10 @@ class TestTransforms:
         with pytest.raises(ValueError, match="Hermitian"):
             from_full_coeffs(grid16, coeffs)
 
-    def test_read_path_does_not_symmetrize(self, grid16, monkeypatch):
-        """to_spectral keeps the rfftn half: no full array is checked, and its
-        self-conjugate planes are exactly Hermitian."""
-
-        def forbidden(*args):
-            raise AssertionError("full-spectrum check on the read path")
-
-        monkeypatch.setattr(field_module, "hermitian_defect", forbidden)
-        monkeypatch.setattr(grid_module, "hermitian_defect", forbidden)
+    def test_read_path_does_not_symmetrize(self, grid16):
+        """to_spectral keeps the rfftn half, whose self-conjugate planes are
+        exactly Hermitian; no full array is checked (the package has no
+        Hermitian check, which test_package.py asserts)."""
         u = to_spectral(PhysicalVectorField(grid16, random_physical(grid16, 12)))
         assert plane_defect(u.half) == 0.0
 
@@ -120,14 +114,6 @@ class TestHermitianCheck:
     transform, the earlier test, is max_x |sum_k a(k) e(k.x)|: at least
     ||a||_2 and at most ||a||_1."""
 
-    @pytest.mark.parametrize("n", [4, 8, 16])
-    def test_defect_matches_the_roll_oracle_bit_for_bit(self, n):
-        rng = np.random.default_rng(n)
-        for shape in [(3, n, n, n), (n, n, n), (6, n, n, n)]:
-            noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            for coeffs in (noise, hermitian_part(noise), noise.real):
-                assert grid_module.hermitian_defect(coeffs) == hermitian_defect(coeffs)
-
     def test_spread_anti_hermitian_part_is_accepted(self, grid16):
         """a = i eps on every mode: a defect of 2 eps, far below the tolerance,
         but an imaginary residue of eps n^3 at x = 0, which the residue test
@@ -138,7 +124,7 @@ class TestHermitianCheck:
         residue = np.max(np.abs(np.fft.ifftn(coeffs, axes=(1, 2, 3)).imag)) * 16**3
         assert residue == pytest.approx(eps * 16**3, rel=1e-6)
         assert residue > HERMITIAN_TOL * max(np.max(np.abs(to_physical(u).samples)), 1.0)
-        assert grid_module.hermitian_defect(coeffs) == pytest.approx(2 * eps, rel=1e-3)
+        assert hermitian_defect(coeffs) == pytest.approx(2 * eps, rel=1e-3)
         samples = to_physical(from_full_coeffs(grid16, coeffs)).samples
         assert np.max(np.abs(samples - to_physical(u).samples)) <= 2 * eps * 16**3
 
@@ -223,7 +209,7 @@ class TestDifferentialOperators:
     def test_divergence_of_curl_vanishes(self, grid16):
         u = to_spectral(PhysicalVectorField(grid16, random_physical(grid16, 11)))
         w = curl(u)
-        div = divergence(w)
+        div = 2j * np.pi * k_dot(w.half, grid16.k_deriv)
         assert np.max(np.abs(div)) < 1e-12 * np.max(np.abs(full_coeffs(w)))
 
     def test_strain_of_constant_vanishes(self, grid16):
@@ -265,38 +251,27 @@ class TestDifferentialOperators:
 
 
 class TestBiotSavart:
+    """Biot-Savart (conftest's ``biot_savart_oracle``) inverts ``curl``."""
+
     def test_zero_maps_to_zero(self, grid16):
         w = from_full_coeffs(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
-        assert np.max(np.abs(full_coeffs(biot_savart(w)))) == 0.0
+        assert np.max(np.abs(full_coeffs(biot_savart_oracle(curl(w).half, grid16)))) == 0.0
 
     def test_inverts_curl(self, grid16):
         for u in seeded_fields(grid16, 3, base_seed=73):
-            recovered = biot_savart(curl(u))
+            recovered = biot_savart_oracle(curl(u).half, grid16)
             err = np.max(np.abs(full_coeffs(recovered) - full_coeffs(u)))
             assert err < 1e-10 * np.max(np.abs(full_coeffs(u)))
 
     def test_taylor_green_vorticity_inverts(self, grid32):
         tg = taylor_green_2d(grid32)
-        u = biot_savart(curl(tg))
+        u = biot_savart_oracle(curl(tg).half, grid32)
         assert np.max(np.abs(full_coeffs(u) - full_coeffs(tg))) < 1e-12
 
     def test_output_divergence_free(self, grid16):
         (u,) = seeded_fields(grid16, 1, base_seed=80)
-        v = biot_savart(curl(u))
+        v = SpectralVectorField(grid16, biot_savart_oracle(curl(u).half, grid16))
         assert divergence_defect(v) < 1e-12
-
-    def test_rejects_nonzero_mean(self, grid16):
-        coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
-        coeffs[0, 0, 0, 0] = 1.0
-        with pytest.raises(ValueError, match="mean-zero"):
-            biot_savart(from_full_coeffs(grid16, coeffs))
-
-    def test_rejects_non_divergence_free(self, grid16):
-        coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
-        coeffs[0, 1, 0, 0] = 1.0
-        coeffs[0, -1, 0, 0] = 1.0
-        with pytest.raises(ValueError, match="divergence-free"):
-            biot_savart(from_full_coeffs(grid16, coeffs))
 
 
 class TestHeatSemigroup:
@@ -326,26 +301,12 @@ class TestHeatSemigroup:
             heat_semigroup(u, -0.1)
 
 
-class TestPressure:
-    def test_constant_velocity_zero_pressure(self, grid16):
-        coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
-        coeffs[:, 0, 0, 0] = [1.0, -1.0, 0.5]
-        assert np.max(np.abs(pressure(from_full_coeffs(grid16, coeffs)))) < 1e-14
-
-    def test_taylor_green_closed_form(self, grid32):
-        # For u = (sin cos, -cos sin, 0) the Poisson solve gives
-        # p = +(1/4)(cos 4 pi x1 + cos 4 pi x2); the opposite TG phase
-        # convention flips the sign.
-        p = scalar_to_physical(grid32, pressure(taylor_green_2d(grid32)))
-        x1, x2, _ = grid32.coordinates()
-        expected = 0.25 * (np.cos(4 * np.pi * x1) + np.cos(4 * np.pi * x2))
-        assert np.max(np.abs(p - expected * np.ones_like(p))) < 1e-10
-
-    def test_quadratic_scaling(self, grid16):
-        (u,) = seeded_fields(grid16, 1, kmax=4, base_seed=95)
-        p1 = pressure(u)
-        p3 = pressure(3.0 * u)
-        assert np.max(np.abs(p3 - 9.0 * p1)) < 1e-10 * max(np.max(np.abs(p3)), 1e-30)
+def dealias(half):
+    """The 2/3 rule's truncation of half-spectrum coefficients: the band
+    ``band(kc)`` cropped, then padded."""
+    grid = GridSpec(half.shape[-2])
+    band = grid.band(grid.kc)
+    return band.pad(band.crop(half))
 
 
 class TestDealias:
@@ -357,46 +318,43 @@ class TestDealias:
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
         coeffs[0, 7, 0, 0] = 1.0
         coeffs[0, -7, 0, 0] = 1.0
-        out = dealias(from_full_coeffs(grid16, coeffs))
+        out = dealias(from_full_coeffs(grid16, coeffs).half)
         assert np.max(np.abs(full_coeffs(out))) == 0.0
 
     def test_idempotent(self, grid16):
         u = to_spectral(PhysicalVectorField(grid16, random_physical(grid16, 21)))
-        once = dealias(u)
+        once = dealias(u.half)
         twice = dealias(once)
         assert np.array_equal(full_coeffs(once), full_coeffs(twice))
 
     @pytest.mark.parametrize("n", [16, 24, 48])
     def test_truncation_is_the_two_thirds_mask(self, n):
-        """On fields on every mode but the Nyquist rows and planes,
-        ``dealias`` and the truncated ``advection`` equal the product with the
-        written-out mask as values (off the band they hold +0.0 where the
-        product can hold -0.0), and ``dealias`` is idempotent as bits."""
+        """On fields on every mode but the Nyquist rows and planes, the crop
+        to ``band(kc)`` and pad back and the truncated ``advection`` equal the
+        product with the written-out mask as values (off the band they hold
+        +0.0 where the product can hold -0.0), and the truncation is
+        idempotent as bits."""
         grid = GridSpec(n)
         mask = two_thirds_mask(grid)
         u = families.random_divergence_free(grid, 80 + n, kmax=n // 2 - 1)
-        once = dealias(u)
-        assert np.array_equal(once.half, u.half * mask)
-        assert np.array_equal(dealias(once).half.view(np.uint64), once.half.view(np.uint64))
-        full = field_module.advection(u, apply_dealias=False)
-        assert np.array_equal(field_module.advection(u).half, full.half * mask)
+        once = dealias(u.half)
+        assert np.array_equal(once, u.half * mask)
+        assert np.array_equal(dealias(once).view(np.uint64), once.view(np.uint64))
+        full = advection(u, apply_dealias=False)
+        assert np.array_equal(advection(u).half, full.half * mask)
 
 
 class TestHermitianPreservation:
     def test_every_operation_preserves_symmetry(self, grid16):
         """The half spectrum is Hermitian wherever it holds a mode and its
         mirror: on the planes k3 = 0 and k3 = n/2."""
-        from almost2d.field import advection
-
         (u,) = seeded_fields(grid16, 1, base_seed=99)
         outputs = [
             curl(u).half,
             leray_project(u)[0].half,
             heat_semigroup(u, 0.2).half,
-            dealias(u).half,
-            biot_savart(curl(u)).half,
+            dealias(u.half),
             advection(u).half,
-            pressure(u)[None],
         ]
         outputs.extend(strain(u).comps[None, slot] for slot in range(6))
         for coeffs in outputs:
@@ -458,11 +416,9 @@ class TestImmutability:
             "to_spectral": to_spectral(to_physical(u)),
             "read_field": read_field(path),
             "curl": w,
-            "biot_savart": biot_savart(w),
             "leray_project": leray_project(u)[0],
             "leray_project gradient part": leray_project(u)[1],
             "heat_semigroup": heat_semigroup(u, 0.1),
-            "rhs": rhs(u, 0.1),
             "final_field": series.final_field,
             **{name: make(grid16) for name, make in FAMILIES.items()},
         }

@@ -32,8 +32,9 @@ from almost2d.norms import (
     horizontal,
 )
 from almost2d.families import large_almost_2d, set_mode_pair
-from almost2d.field import from_full_coeffs
-from conftest import full_coeffs, full_wavenumbers, seeded_fields, v3_omega_h_ratio, zeroed
+from conftest import (
+    from_full_coeffs, full_coeffs, full_wavenumbers, seeded_fields, v3_omega_h_ratio, zeroed,
+)
 
 
 def half_zeros(grid):

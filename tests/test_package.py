@@ -1,5 +1,6 @@
-"""Package layout: src/ carries no test-only API and no CLI option that its
-handler ignores, no import of scipy.optimize or scipy.integrate at module
+"""Package layout: src/ carries no test-only API (every export is reached
+from a CLI verb or is a paper statement) and no CLI option that its handler
+ignores, no import of scipy.optimize or scipy.integrate at module
 level, one transform path (the pair and the solver's band passes, with no
 second band form beside them) and one place for each tolerance, spectral
 multiplier, growth coefficient and the band's geometry."""
@@ -7,6 +8,7 @@ multiplier, growth coefficient and the band's geometry."""
 import argparse
 import ast
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -54,20 +56,31 @@ def _args_reads(function):
     return reads, callees
 
 
+def _handler_parsers(parser, command=()):
+    """(command words, parser) of each parser under ``parser`` that runs a
+    handler: the parsers of its subcommands, recursively, such as ``sweep
+    un``, or ``parser`` itself if it has none."""
+    subcommands = [
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    ]
+    if not subcommands:
+        yield " ".join(command), parser
+    for action in subcommands:
+        for name, child in action.choices.items():
+            yield from _handler_parsers(child, command + (name,))
+
+
 def test_every_cli_option_is_read_by_its_handler():
-    """Each option of each subcommand (its ``dest``) is read as ``args.<dest>``
-    by the subcommand's handler or by a cli function it passes ``args`` to, so
-    no option is accepted and then ignored."""
+    """Each option of each command, a sweep family or wholespace table
+    included (its ``dest``), is read as ``args.<dest>`` by the command's
+    handler or by a cli function it passes ``args`` to, so no option is
+    accepted and then ignored."""
     functions = {
         node.name: node for node in ast.parse((SRC / "cli.py").read_text()).body
         if isinstance(node, ast.FunctionDef)
     }
-    (subcommands,) = [
-        action for action in almost2d.cli.build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ]
     unread = []
-    for verb, parser in subcommands.choices.items():
+    for command, parser in _handler_parsers(almost2d.cli.build_parser()):
         read, todo, seen = set(), [parser.get_default("func").__name__], set()
         while todo:
             name = todo.pop()
@@ -78,10 +91,50 @@ def test_every_cli_option_is_read_by_its_handler():
             read |= reads
             todo.extend(callees)
         unread += [
-            f"{verb} {action.dest}" for action in parser._actions
+            f"{command} {action.dest}" for action in parser._actions
             if not isinstance(action, argparse._HelpAction) and action.dest not in read
         ]
     assert unread == []
+
+
+#: Paper statements that no verb prints yet: roots of the reachability walk
+#: beside the CLI handlers, so that the operators they call count as reached.
+PAPER_STATEMENTS = ("envelopes", "blowup_time_bounds", "two_d_plus_perturbation",
+                    "horizontal_parts", "p2dperp_bound_check", "cone_filter",
+                    "besov_equivalence_constants")
+#: Exported types, the values that functions take and return.
+EXPORTED_TYPES = ("GridSpec", "SpectralVectorField", "PhysicalVectorField", "StrainField",
+                  "BesovSearchConfig", "CriterionReport", "SharpConstants", "SolverConfig",
+                  "DiagnosticsSeries", "QuadratureSpec")
+
+
+def test_every_export_is_reached_from_a_verb():
+    """Each name in almost2d.__all__, modules and EXPORTED_TYPES apart, is
+    called from a handler of build_parser() or from one of PAPER_STATEMENTS,
+    directly or through the functions they call: an AST walk of calls in
+    which a call f() or x.f() reaches every definition named f in src/."""
+    assert set(PAPER_STATEMENTS + EXPORTED_TYPES) <= set(almost2d.__all__)
+    definitions = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                definitions.setdefault(node.name, []).append(node)
+    parser = almost2d.cli.build_parser()
+    todo = [p.get_default("func").__name__ for _, p in _handler_parsers(parser)]
+    todo += PAPER_STATEMENTS
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for node in definitions.get(name, ()):
+                todo.extend(callee for _, callee in _calls(node))
+    unreached = [
+        name for name in almost2d.__all__
+        if name not in reached and name not in EXPORTED_TYPES
+        and not inspect.ismodule(getattr(almost2d, name))
+    ]
+    assert unreached == []
 
 
 _TRANSFORMS = {
@@ -103,12 +156,11 @@ def _transform_sites(node, module, owner=None):
         yield from _transform_sites(child, module, name)
 
 
-def test_nd_transforms_only_in_the_transform_pair_and_advection():
+def test_nd_transforms_only_in_the_transform_pair():
     """Every FFT call in src/, 1-D included, sits in field.py's transform
-    functions (the pair rfft3 / irfft3, and the passes of its band form that a
-    solver part runs: band_inverse_planes and irfft_k3 inverse, rfft_x3 and
-    band_forward_planes forward) or the convective-form reference
-    field.advection."""
+    functions: the pair rfft3 / irfft3, and the passes of its band form that a
+    solver part runs (band_inverse_planes and irfft_k3 inverse, rfft_x3 and
+    band_forward_planes forward)."""
     sites = {
         site
         for path in sorted(SRC.glob("*.py"))
@@ -117,7 +169,6 @@ def test_nd_transforms_only_in_the_transform_pair_and_advection():
     assert sites == {
         ("field.py", "rfft3"), ("field.py", "irfft3"), ("field.py", "band_inverse_planes"),
         ("field.py", "irfft_k3"), ("field.py", "rfft_x3"), ("field.py", "band_forward_planes"),
-        ("field.py", "advection"),
     }
 
 
@@ -136,9 +187,8 @@ def test_thread_threshold_and_tolerances_defined_once():
     names = [name for name, _ in definitions]
     assert len(names) == len(set(names))
     assert {module for _, module in definitions} == {"field.py"}
-    assert {"THREADED_MIN_N", "HERMITIAN_TOL", "DIVFREE_TOL", "NORM_DIVFREE_TOL",
-            "CONSTRUCTION_DIVFREE_TOL", "MEAN_TOL", "INITIAL_MEAN_TOL",
-            "VORTICITY_MEAN_TOL"} <= set(names)
+    assert {"THREADED_MIN_N", "DIVFREE_TOL", "NORM_DIVFREE_TOL",
+            "CONSTRUCTION_DIVFREE_TOL", "MEAN_TOL", "INITIAL_MEAN_TOL"} <= set(names)
 
 
 def test_growth_coefficient_written_once():
@@ -215,16 +265,17 @@ def test_spectral_field_is_grid_and_coeffs():
 
 
 def test_hermitian_machinery_of_the_full_layout_is_gone():
-    """The half-spectrum layout is Hermitian by construction: no mirror,
-    symmetrizer or per-operation check is left, and the coefficient check
-    runs only where a full array enters, in from_full_coeffs."""
+    """The half-spectrum layout is Hermitian by construction, and no full
+    coefficient array enters the package: no mirror, symmetrizer or
+    Hermitian check is defined or called in src/."""
     names = {
         node.name
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
-    gone = {"mirror_conjugate", "hermitian_symmetrize", "_reflect", "require_hermitian"}
+    gone = {"mirror_conjugate", "hermitian_symmetrize", "_reflect", "require_hermitian",
+            "hermitian_defect"}
     assert names & gone == set()
     callers = {
         (path.name, owner)
@@ -232,7 +283,7 @@ def test_hermitian_machinery_of_the_full_layout_is_gone():
         for owner, name in _calls(ast.parse(path.read_text()))
         if name == "hermitian_defect"
     }
-    assert callers == {("field.py", "from_full_coeffs")}
+    assert callers == set()
 
 
 def _calls(node, owner=None):

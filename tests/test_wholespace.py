@@ -109,6 +109,13 @@ class TestEmbeddingConstant:
         with pytest.raises(ValueError, match="p > 2"):
             besov_embedding_constant(1.5)
 
+    def test_nan_p_rejected(self):
+        """The guards read ``not p > 2``, which NaN fails as well."""
+        with pytest.raises(ValueError, match="p > 2"):
+            besov_embedding_constant(math.nan)
+        with pytest.raises(ValueError, match="p > 2"):
+            cone_embedding_constant(math.nan, 0.5)
+
 
 class TestConeConstant:
     @pytest.mark.parametrize("p", [4.0, math.inf])
@@ -202,6 +209,11 @@ class TestEquivalenceConstants:
     def test_p_at_most_three_rejected(self):
         with pytest.raises(ValueError, match="p > 3"):
             besov_equivalence_constants(3.0)
+
+    def test_nan_p_rejected(self):
+        """The guard reads ``not p > 3``, which NaN fails as well."""
+        with pytest.raises(ValueError, match="p > 3"):
+            besov_equivalence_constants(math.nan)
 
     def test_backward_positive(self):
         for p in (4.0, 6.0, 12.0, math.inf):
