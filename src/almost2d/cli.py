@@ -310,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="almost2d",
         description="Periodic-box Navier-Stokes toolkit: norms, criteria, "
         "families, simulation, and whole-space constants.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -317,16 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None)
 
-    p = sub.add_parser("constants", help="sharp constants as a document")
+    p = sub.add_parser("constants", help="sharp constants as a document", allow_abbrev=False)
     common(p)
     p.set_defaults(func=_cmd_constants)
 
-    p = sub.add_parser("norms", help="norm battery for a field file")
+    p = sub.add_parser("norms", help="norm battery for a field file", allow_abbrev=False)
     p.add_argument("field")
     common(p)
     p.set_defaults(func=_cmd_norms)
 
-    p = sub.add_parser("check", help="criterion reports for a field file")
+    p = sub.add_parser("check", help="criterion reports for a field file", allow_abbrev=False)
     p.add_argument("field")
     p.add_argument("--nu", type=float, required=True)
     p.add_argument(
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("construct", help="generate a family field file")
+    p = sub.add_parser("construct", help="generate a family field file", allow_abbrev=False)
     p.add_argument("family", choices=_FAMILIES)
     p.add_argument("--n", type=int, default=32, help="grid points per axis")
     p.add_argument("--index", type=int, default=1, help="family index")
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("simulate", help="integrate an initial field file")
+    p = sub.add_parser("simulate", help="integrate an initial field file", allow_abbrev=False)
     p.add_argument("--config", default=None, help="key=value solver config file")
     p.add_argument("--initial", required=True)
     p.add_argument("--output", required=True, help="CSV path (summary JSON beside it)")
@@ -364,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     # sweep and wholespace: one parser per family or table, holding only the
-    # options its handler reads, after the family or table name, and taking
-    # no abbreviation, so that another table's --n is not read as --nodes.
+    # options its handler reads, after the family or table name.  No parser takes
+    # an abbreviation: --n is not --nodes, nor check's --iftimie --iftimie-c.
     def table(choices, name, handler, *options):
         p = choices.add_parser(name, allow_abbrev=False)
         for flag, kwargs in options:

@@ -12,9 +12,9 @@ coarse scan plus bounded refinement around the interior maximum; p = 2
 evaluates the spectrum at each t with no transform, p != 2 transforms
 e^{t lap} u, its multiplier gathered from one exp per shell.  Each spectrum
 bins through the grid's cached ``shell_index``, and ``samples_lebesgue_norm``
-forms |u|, then |u|^p, in one array.  scipy.optimize, which only the Besov
-refinement needs, is imported inside ``besov_norm``: at module level it would
-load 240 modules and about 20 MB into every process that imports the package.
+forms |u|, then |u|^p, in one array.  The refinement is the package's own
+bounded Brent search (``_bounded_minimum``), so no verb loads scipy.optimize,
+whose import costs 240 modules and about 20 MB.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class BesovSearchConfig:
     t_min: float = 1e-6
     t_max: float = 1e2
     coarse_points: int = 64
-    refine_iters: int = 80
+    refine_iters: int = 80  # cap on the refinement's objective calls
 
     def __post_init__(self):
         if not (0 < self.t_min < self.t_max):
@@ -148,7 +148,9 @@ def besov_norm(
     cfg: BesovSearchConfig = BesovSearchConfig(),
     spectrum: ShellSpectrum | None = None,
 ) -> BesovResult:
-    """Heat-kernel Besov norm B^{-s}_{p,inf} with the maximizing time.
+    """Heat-kernel Besov norm B^{-s}_{p,inf} with the maximizing time: the
+    coarse scan's peak, refined by the package's bounded Brent search
+    (``_bounded_minimum``, no scipy.optimize) between its two neighbours.
     ``spectrum`` is u's ``ShellSpectrum``, when the caller has already made it.
     The value is good to about 1e-12 relative and t* to about 1e-7 (see
     ``BesovResult``): compare t* no tighter than that."""
@@ -178,17 +180,70 @@ def besov_norm(
         raise ValueError(
             "coarse Besov scan peaked at the window edge; widen [t_min, t_max]"
         )
-    from scipy.optimize import minimize_scalar  # on use: see the module docstring
-
-    res = minimize_scalar(
-        lambda t: -objective(t),
-        bounds=(ts[imax - 1], ts[imax + 1]),
-        method="bounded",
-        options={"maxiter": cfg.refine_iters, "xatol": 1e-14},
+    t_star, low, _ = _bounded_minimum(
+        lambda t: -objective(t), ts[imax - 1], ts[imax + 1], 1e-14, cfg.refine_iters
     )
-    t_star = float(res.x)
-    value = max(float(-res.fun), float(values[imax]))
-    return BesovResult(value, t_star)
+    return BesovResult(max(float(-low), float(values[imax])), float(t_star))
+
+
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _bounded_minimum(f, a, b, xatol: float, maxiter: int):
+    """(x, f(x), calls of f) at Brent's bounded minimum of f on [a, b] (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5), restated
+    from scipy's ``_minimize_scalar_bounded`` (BSD-3-Clause, (c) 2001-2002
+    Enthought, Inc. and 2003-2024 SciPy Developers) step for step, so f is
+    called at the same points and the result is minimize_scalar(method=
+    "bounded")'s (x, fun, nfev) as bits.  maxiter caps the calls of f."""
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    calls = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # the parabola through (xf, fx), (nfc, fnfc), (fulc, ffulc)
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                if (xf + rat - a) < tol2 or (b - (xf + rat)) < tol2:  # too near an end
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0 else -step)
+        fu = f(x)
+        calls += 1
+        if fu <= fx:  # x is the new best point: shift the older two
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if calls >= maxiter:
+            break
+    return xf, fx, calls
 
 
 @dataclass(frozen=True)

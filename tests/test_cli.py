@@ -397,9 +397,37 @@ class TestCliDefects:
         assert exit_info.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--form", "csv"],
+        ["norms", "{field}", "--form", "csv"],
+        ["check", "{field}", "--nu", "0.1", "--iftimie", "2"],
+        ["construct", "random", "--n", "8", "--amp", "0.5"],
+        ["simulate", "--init", "{field}", "--nu", "0.1", "--dt", "0.01", "--t-end", "0.03"],
+        ["sweep", "un", "--n", "3", "--n-g", "8"],
+        ["wholespace", "heat-kernel", "--node", "16"],
+    ], ids=["constants", "norms", "check", "construct", "simulate", "sweep", "wholespace"])
+    def test_every_verb_refuses_an_abbreviated_option(self, tmp_path, capsys, argv):
+        """One spelling rule for every verb: an option is spelled out in full,
+        so --iftimie is no prefix of --iftimie-c, and nothing is written."""
+        field = tmp_path / "u.field"
+        write_field(str(field), random_divergence_free(GridSpec(8), 2, kmax=2))
+        argv = [str(field) if arg == "{field}" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--output", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [field]
+
     def test_nan_exponent_is_a_domain_error(self, capsys):
         assert main(["wholespace", "embedding", "--p", "nan", "--nodes", "16"]) == 1
         assert "need p > 2" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("p, message", [("2.001", "the rule gives nan"),
+                                            ("2.01", "128 nodes resolve")])
+    def test_embedding_near_two_is_a_domain_error(self, capsys, p, message):
+        """Once printed nan, or a constant 4e-6 off, and exited 0."""
+        assert main(["wholespace", "embedding", "--p", p, "--eps", "0.5"]) == 1
+        assert message in _one_error_line(capsys)
 
     def test_failed_allocation_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         """A MemoryError, such as numpy raises for an array the machine cannot

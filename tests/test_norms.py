@@ -28,6 +28,7 @@ from almost2d.field import gradient_of_component, partial3
 from almost2d.norms import (
     BesovSearchConfig,
     ShellSpectrum,
+    _bounded_minimum,
     field_summary,
     horizontal,
 )
@@ -230,6 +231,64 @@ class TestEndpointBesov:
             value, t_star = transform_route_besov(w, 0.5, p)
             assert got.value == pytest.approx(value, rel=1e-12)
             assert got.t_star == pytest.approx(t_star, rel=1e-12)
+
+
+def _scipy_and_package_searches(f, a, b, xatol, maxiter):
+    """(x, fun, calls, points called) of scipy's bounded search and of the
+    package's, each point and value as its bits."""
+    runs = []
+    for search in ("scipy", "package"):
+        points = []
+
+        def recorded(x):
+            points.append(x)
+            return f(x)
+
+        if search == "scipy":
+            res = minimize_scalar(recorded, bounds=(a, b), method="bounded",
+                                  options={"xatol": xatol, "maxiter": maxiter})
+            x, fun, calls = res.x, res.fun, res.nfev
+        else:
+            x, fun, calls = _bounded_minimum(recorded, a, b, xatol, maxiter)
+        runs.append((float(x).hex(), float(fun).hex(), calls, [float(t).hex() for t in points]))
+    return runs
+
+
+class TestBoundedSearch:
+    """The package's bounded Brent search is scipy's minimize_scalar(method=
+    "bounded") bit for bit: the same points called in the same order, the
+    same x, f(x) and call count."""
+
+    @pytest.mark.parametrize("iters", [1, 2, 80])
+    @pytest.mark.parametrize("make, p", [
+        pytest.param(*field.values, 2.0, id=field.id) for field in P2_FIELDS
+    ] + [pytest.param(lambda: annulus_analog(6, GridSpec(32)), np.inf, id="annulus-6-inf")])
+    def test_besov_objectives(self, make, p, iters, monkeypatch):
+        """The search besov_norm runs, on the objective and bracket it passes."""
+        from almost2d import norms as norms_module
+
+        searches = []
+        search = norms_module._bounded_minimum
+        monkeypatch.setattr(norms_module, "_bounded_minimum",
+                            lambda *args: searches.append(args) or search(*args))
+        besov_norm(make(), 0.5, p, BesovSearchConfig(refine_iters=iters))
+        ((f, a, b, xatol, maxiter),) = searches
+        assert (xatol, maxiter) == (1e-14, iters)
+        scipy_run, package_run = _scipy_and_package_searches(f, a, b, xatol, maxiter)
+        assert package_run == scipy_run
+
+    @pytest.mark.parametrize("iters", [1, 2, 80])
+    @pytest.mark.parametrize("f", [
+        lambda x: (x - 0.3) ** 2,  # parabolic steps
+        lambda x: 1.0,  # a plateau: golden steps
+        lambda x: -x,  # the maximum of -f at the right end
+        lambda x: x,  # ... and at the left end
+        lambda x: math.nan,
+        lambda x: math.nan if x > 0.5 else (x - 0.7) ** 2,
+    ], ids=["parabola", "plateau", "right-end", "left-end", "nan", "nan-right-half"])
+    def test_model_functions(self, f, iters):
+        scipy_run, package_run = _scipy_and_package_searches(f, 0.0, 1.0, 1e-14, iters)
+        assert package_run == scipy_run
 
 
 def full_lattice_sobolev(u, s):

@@ -1,7 +1,7 @@
 """Package layout: src/ carries no test-only API (every export is reached
 from a CLI verb or is a paper statement) and no CLI option that its handler
-ignores, no import of scipy.optimize or scipy.integrate at module
-level, one transform path (the pair and the solver's band passes, with no
+ignores, no import of scipy.optimize or scipy.integrate at any
+depth, one transform path (the pair and the solver's band passes, with no
 second band form beside them) and one place for each tolerance, spectral
 multiplier, growth coefficient and the band's geometry."""
 
@@ -324,50 +324,68 @@ def test_solver_has_no_complex_literal():
     assert complex_literals == []
 
 
-#: Imported inside the one function that needs each, never at module level:
-#: scipy.optimize by besov_norm, and scipy.integrate by nothing.
-_ON_USE_ONLY = ("scipy.optimize", "scipy.integrate")
+#: Modules src/ never imports: the Besov refinement is the package's own
+#: bounded search, and no quadrature comes from scipy.
+_BANNED = ("scipy.optimize", "scipy.integrate")
 
 
-def _module_level_imports(tree):
-    """Names of the modules that statements outside any function body import."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
+def _imports(tree):
+    """Names of the modules that import statements anywhere in tree import."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
             yield node.module
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
-        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
 
 
-def test_no_module_imports_optimize_or_integrate_at_module_level():
+def test_no_module_imports_optimize_or_integrate():
+    """Neither at module level nor inside a function."""
     found = [
         f"{path.name}:{name}"
         for path in sorted(SRC.glob("*.py"))
-        for name in _module_level_imports(ast.parse(path.read_text()))
-        if name.startswith(_ON_USE_ONLY)
+        for name in _imports(ast.parse(path.read_text()))
+        if name.startswith(_BANNED)
     ]
     assert found == []
 
 
-def test_a_simulate_loads_neither_optimize_nor_integrate(tmp_path):
-    """A fresh process that imports the CLI, constructs a field and simulates
-    it has imported neither module."""
+def _modules_loaded(steps: str) -> str:
+    """The banned modules in sys.modules, as printed by a fresh process that
+    imports the CLI and then runs ``steps``."""
     script = f"""
 import sys
 from almost2d.cli import main
-field = {str(tmp_path / "tg.field")!r}
-assert main(["construct", "taylor-green", "--n", "8", "--output", field]) == 0
-assert main(["simulate", "--initial", field, "--output", {str(tmp_path / "run.csv")!r},
-             "--nu", "0.1", "--dt", "0.01", "--t-end", "0.03"]) == 0
-print(sorted(m for m in {_ON_USE_ONLY!r} if m in sys.modules))
+{steps}
+print(sorted(m for m in {_BANNED!r} if m in sys.modules))
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_a_simulate_loads_neither_optimize_nor_integrate(tmp_path):
+    """A fresh process that imports the CLI, constructs a field and simulates
+    it has imported neither module."""
+    field = str(tmp_path / "tg.field")
+    assert _modules_loaded(f"""
+assert main(["construct", "taylor-green", "--n", "8", "--output", {field!r}]) == 0
+assert main(["simulate", "--initial", {field!r}, "--output", {str(tmp_path / "run.csv")!r},
+             "--nu", "0.1", "--dt", "0.01", "--t-end", "0.03"]) == 0
+""") == "[]"
+
+
+def test_the_analysis_verbs_load_neither_optimize_nor_integrate(tmp_path):
+    """Nor does one that computes a Besov norm (sweep annulus-analog) and runs
+    check."""
+    field = str(tmp_path / "u.field")
+    assert _modules_loaded(f"""
+assert main(["sweep", "annulus-analog", "--n", "3", "--n-grid", "16",
+             "--output", {str(tmp_path / "sweep.json")!r}]) == 0
+assert main(["construct", "random", "--n", "8", "--output", {field!r}]) == 0
+assert main(["check", {field!r}, "--nu", "0.1", "--iftimie-c", "2.0",
+             "--output", {str(tmp_path / "check.json")!r}]) == 0
+""") == "[]"

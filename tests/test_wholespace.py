@@ -14,7 +14,7 @@ from almost2d.wholespace import (
     heat_kernel_constants,
     lambda_n_report,
 )
-from almost2d.wholespace import _gauss_legendre
+from almost2d.wholespace import _gauss_legendre, _radial_moment_root
 from conftest import lambda_n_closed_forms
 
 
@@ -115,6 +115,36 @@ class TestEmbeddingConstant:
             besov_embedding_constant(math.nan)
         with pytest.raises(ValueError, match="p > 2"):
             cone_embedding_constant(math.nan, 0.5)
+
+    def test_moment_closed_form_at_p_infinity(self):
+        """At s = 2 the Gamma-function moment gives 1/(4 pi), the p = inf
+        constant, which every node count is checked against."""
+        assert math.sqrt(2 * math.pi) * _radial_moment_root(2.0) == pytest.approx(
+            1 / (4 * math.pi), rel=1e-15)
+
+    @pytest.mark.parametrize("p, nodes", [(2.01, 128), (2.02, 128), (3.0, 32), (math.inf, 16)])
+    def test_unresolved_p_is_refused(self, p, nodes):
+        """Near p = 2 the integrand's peak narrows as s^(-1/2): a rule that
+        misses the closed form by more than QUADRATURE_TOL is refused, not
+        printed.  More nodes resolve the same p."""
+        with pytest.raises(ValueError, match=f"{nodes} nodes resolve"):
+            besov_embedding_constant(p, QuadratureSpec(nodes))
+        with pytest.raises(ValueError, match=f"{nodes} nodes resolve"):
+            cone_embedding_constant(p, 0.5, QuadratureSpec(nodes))
+        closed = math.sqrt(2 * math.pi) * _radial_moment_root(1.0 / (0.5 - 1.0 / p))
+        assert besov_embedding_constant(p, QuadratureSpec(512)) == pytest.approx(closed, rel=1e-13)
+        cone = cone_embedding_constant(p, 0.5, QuadratureSpec(512))
+        assert 0 < cone.direct <= cone.majorant
+
+    @pytest.mark.parametrize("p", [2.001, 2.004])
+    def test_overflowing_integrand_is_refused(self, p):
+        """(2 pi r)^(s/2) overflows and I_s underflows for p just above 2, at
+        any node count: refused, with no NaN returned and no warning."""
+        for quad in (QuadratureSpec(), QuadratureSpec(2048)):
+            with pytest.raises(ValueError, match="gives nan"):
+                besov_embedding_constant(p, quad)
+            with pytest.raises(ValueError, match="in double precision"):
+                cone_embedding_constant(p, 0.5, quad)
 
 
 class TestConeConstant:
