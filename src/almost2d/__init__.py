@@ -13,24 +13,19 @@ from .field import (
     curl,
     heat_semigroup,
     leray_project,
-    strain,
     to_physical,
     to_spectral,
 )
 from .norms import (
     BesovSearchConfig,
     besov_norm,
-    cone_filter,
-    horizontal_parts,
     lebesgue_norm,
     p2d_split,
-    p2dperp_bound_check,
     sobolev_norm,
 )
 from .criteria import (
     CriterionReport,
     SharpConstants,
-    blowup_time_bounds,
     constants,
     envelopes,
     gamma2d_lp_check,
@@ -50,7 +45,6 @@ from .solver import DiagnosticsSeries, SolverConfig, run
 from .wholespace import (
     QuadratureSpec,
     besov_embedding_constant,
-    besov_equivalence_constants,
     cone_embedding_constant,
     heat_kernel_constants,
     lambda_n_report,

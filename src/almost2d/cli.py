@@ -200,7 +200,10 @@ def _cmd_simulate(args) -> int:
         if flag_value is not None:
             return flag_value
         if key in file_cfg:
-            return cast(file_cfg[key])
+            try:
+                return cast(file_cfg[key])
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: config key {key!r}: {exc}") from None
         if default is None:
             raise ValueError(f"missing solver parameter {key}")
         return default
@@ -212,8 +215,8 @@ def _cmd_simulate(args) -> int:
         dt=pick(args.dt, "dt", float, None),
         t_end=pick(args.t_end, "t_end", float, None),
         dealias=pick(args.dealias, "dealias", str, "two_thirds").replace("-", "_"),
-        record_stride=int(file_cfg.get("record_stride", 1)),
-        blowup_threshold=float(file_cfg.get("blowup_threshold", 1e8)),
+        record_stride=pick(None, "record_stride", int, 1),
+        blowup_threshold=pick(None, "blowup_threshold", float, 1e8),
     )
     series = solver.run(u0, cfg)
     series.to_csv(args.output)
@@ -303,6 +306,23 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+class _VerbParser(argparse.ArgumentParser):
+    """A verb's parser.  sweep and wholespace take a family or table name
+    (``name_first``) before their options.  An option placed before the name
+    would have its value read as the name and reported as an invalid choice,
+    so that order is refused as such."""
+
+    def __init__(self, *args, name_first: str | None = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.name_first = name_first
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.name_first and args and args[0].startswith("-") and args[0] not in ("-h", "--help"):
+            self.error(f"options follow the {self.name_first} name "
+                       f"({self.prog} <{self.name_first}> [options]), but {args[0]} comes first")
+        return super().parse_known_args(args, namespace)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on the first call; parsing only reads it."""
@@ -312,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         "families, simulation, and whole-space constants.",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
+    sub = parser.add_subparsers(dest="verb", required=True, parser_class=_VerbParser)
 
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -379,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_n = ("--n", {"type": _int_list, "default": (3, 6, 12)})
     nodes = ("--nodes", {"type": int, "default": 128})
 
-    p = sub.add_parser("sweep", help="family sweeps with criterion columns")
+    p = sub.add_parser("sweep", help="family sweeps with criterion columns", name_first="family")
     choices = p.add_subparsers(dest="family", required=True)
     table(choices, "annulus-analog", _cmd_sweep_annulus_analog, sweep_n, nu, n_grid)
     table(choices, "un", _cmd_sweep_un, sweep_n, n_grid)
@@ -387,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
           ("--m", {"type": _int_list, "default": (2, 4, 8)}),
           ("--a", {"type": float, "default": 1.0}), nu, n_grid)
 
-    p = sub.add_parser("wholespace", help="quadrature constant tables")
+    p = sub.add_parser("wholespace", help="quadrature constant tables", name_first="table")
     choices = p.add_subparsers(dest="table", required=True)
     table(choices, "lambda-n", _cmd_wholespace_lambda_n,
           ("--n", {"type": _int_list, "default": (3, 10, 100)}), nu, nodes)

@@ -1,4 +1,4 @@
-"""Sharp constants, regularity criteria, growth envelopes, and time bounds.
+"""Sharp constants, regularity criteria, and growth envelopes.
 
 All criteria use strict inequality: boundary inputs report not satisfied.
 Torus fields are evaluated against the whole-space sharp constants; reports
@@ -190,19 +190,6 @@ def envelopes(K0: float, E0: float, nu: float, t: float) -> Envelopes:
             f"t={t} is beyond the local validity window {window / E0**2}"
         )
     return Envelopes(global_bound, local_bound, nu, reason)
-
-
-@dataclass(frozen=True)
-class BlowupTimeBounds:
-    upper_if_blowup: float  # valid only if the solution blows up at all
-    lower: float
-
-
-def blowup_time_bounds(K0: float, E0: float, nu: float) -> BlowupTimeBounds:
-    _require_valid_inputs(nu)
-    upper = K0**2 / (2 * SMALL_DATA_COEFF * nu**5)
-    lower = math.inf if E0 == 0 else SMALL_DATA_COEFF / 4 * nu**3 / E0**2
-    return BlowupTimeBounds(upper, lower)
 
 
 def iftimie_check(u: SpectralVectorField, nu: float, c: float) -> CriterionReport:

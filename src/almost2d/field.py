@@ -22,11 +22,11 @@ its pad and crop are ``GridSpec.band(K)``'s.  No function here calls
 (``is_mean_zero``).
 Multipliers k.c, 2 pi i k x c and pi i (k_i c_j + k_j c_i) are written once, as
 kernels on coefficients and a ``k_deriv`` triple (``k_dot``, ``curl_coeffs``,
-``strain_coeffs``), applied here to the half lattice and by the solver to its
-band.  Each kernel forms its products in its result array or one scratch
-array and adds, subtracts and scales in place, in the plain expression's
-order, so it makes no temporary per product and moves no bit; so does
-``leray_project``.
+``strain_coeffs``), the first two applied here to the half lattice and all
+three by the solver to its band.  Each kernel forms its products in its
+result array or one scratch array and adds, subtracts and scales in place,
+in the plain expression's order, so it makes no temporary per product and
+moves no bit; so does ``leray_project``.
 """
 
 from __future__ import annotations
@@ -351,24 +351,6 @@ def leray_project(v: SpectralVectorField) -> tuple[SpectralVectorField, Spectral
 def curl(u: SpectralVectorField) -> SpectralVectorField:
     """Spectral curl, multiplier 2*pi*i k x uhat(k)."""
     return SpectralVectorField(u.grid, curl_coeffs(u.half, u.grid.k_deriv))
-
-
-def gradient_of_component(u: SpectralVectorField, i: int) -> SpectralVectorField:
-    """grad(u_i) as a spectral vector field."""
-    k1, k2, k3 = u.grid.k_deriv
-    c = u.half[i]
-    return SpectralVectorField(u.grid, 2j * np.pi * np.stack([k1 * c, k2 * c, k3 * c]))
-
-
-def partial3(u: SpectralVectorField) -> SpectralVectorField:
-    """d/dx3 applied componentwise."""
-    _, _, k3 = u.grid.k_deriv
-    return SpectralVectorField(u.grid, 2j * np.pi * k3 * u.half)
-
-
-def strain(u: SpectralVectorField) -> StrainField:
-    """Symmetric velocity gradient, Shat_ij = pi*i (k_i uhat_j + k_j uhat_i)."""
-    return StrainField(u.grid, strain_coeffs(u.half, u.grid.k_deriv))
 
 
 def heat_semigroup(u: SpectralVectorField, t: float) -> SpectralVectorField:

@@ -9,12 +9,6 @@ from typing import NamedTuple
 import numpy as np
 
 
-def _axes(line: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A 1-D array along each of the three axes, broadcastable to (n, n, n)."""
-    n = len(line)
-    return line.reshape(n, 1, 1), line.reshape(1, n, 1), line.reshape(1, 1, n)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform n x n x n grid on the unit torus.
@@ -34,7 +28,8 @@ class GridSpec:
     @cached_property
     def k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Integer wavenumbers along each axis, broadcastable to (n, n, n/2 + 1)."""
-        k1, k2, _ = _axes(np.fft.fftfreq(self.n, d=1.0 / self.n))
+        line = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        k1, k2 = line.reshape(-1, 1, 1), line.reshape(1, -1, 1)
         k3 = np.fft.rfftfreq(self.n, d=1.0 / self.n).reshape(1, 1, -1)
         return tuple(_read_only(a) for a in (k1, k2, k3))
 
@@ -104,10 +99,6 @@ class GridSpec:
             n, (lo + hi, lo + hi, m), halves, tuple(map(_read_only, k_deriv)), _read_only(k_sq),
             _read_only(inv_kderiv_sq), self.multiplicity[..., :m], _read_only(omega_h_weight),
         )
-
-    def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Grid point coordinates x_i = j/n, broadcastable to (n, n, n)."""
-        return _axes(np.arange(self.n) / self.n)
 
 
 class Band(NamedTuple):

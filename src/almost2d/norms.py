@@ -1,4 +1,4 @@
-"""Function-space norms and anisotropic decompositions.
+"""Function-space norms and the vertical-average split.
 
 Every Hilbert-space quantity is a dot product with one shell spectrum
 P(m) = sum_{|k|^2 = m} |fhat(k)|^2, m = 0 ... 3 (n/2)^2 (``ShellSpectrum``),
@@ -21,23 +21,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from enum import Enum
 
 import numpy as np
 
 from .field import (
-    MAJORANT_TOL,
     MEAN_TOL,
     NORM_DIVFREE_TOL,
     SpectralVectorField,
-    StrainField,
     curl,
     divergence_defect,
-    gradient_of_component,
     irfft3,
     is_mean_zero,
-    partial3,
-    strain,
     to_physical,
 )
 from .grid import GridSpec
@@ -276,88 +270,7 @@ def field_summary(u: SpectralVectorField) -> FieldSummary:
     )
 
 
-def horizontal(v: SpectralVectorField) -> SpectralVectorField:
-    """(v1, v2, 0) as a new field; the first two components are v's exactly."""
-    c = v.half
-    return SpectralVectorField(v.grid, np.concatenate((c[:2], np.zeros_like(c[2:]))))
-
-
-@dataclass
-class HorizontalParts:
-    """Horizontal vorticity, the vector v3 = d3 u + grad u3, and the two
-    independent components of the strain commutator matrix."""
-
-    omega_h: SpectralVectorField
-    v3: SpectralVectorField
-    s13: np.ndarray
-    s23: np.ndarray
-
-    def sh_sobolev_norm(self, s: float) -> float:
-        """Frobenius Sobolev norm of [[0,0,S13],[0,0,S23],[-S13,-S23,0]]."""
-        spectrum = ShellSpectrum(self.omega_h.grid, np.stack((self.s13, self.s23)))
-        return math.sqrt(2.0 * spectrum.sobolev_sq(s).sum())
-
-
-def horizontal_parts(u: SpectralVectorField) -> HorizontalParts:
-    _require_divergence_free(u, "horizontal decomposition")
-    v3 = partial3(u) + gradient_of_component(u, 2)
-    s_field = strain(u)
-    return HorizontalParts(
-        omega_h=horizontal(curl(u)),
-        v3=v3,
-        s13=s_field.comps[StrainField.INDEX[(1, 3)]],
-        s23=s_field.comps[StrainField.INDEX[(2, 3)]],
-    )
-
-
 def p2d_split(u: SpectralVectorField) -> tuple[SpectralVectorField, SpectralVectorField]:
     """Vertical-average projection (k3 = 0 plane, remainder); they sum to u exactly."""
     plane = u.grid.k[2] == 0
     return tuple(SpectralVectorField(u.grid, u.half * part) for part in (plane, ~plane))
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    lhs: float
-    rhs: float
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0 else math.inf
-
-
-def p2dperp_bound_check(u: SpectralVectorField) -> BoundCheck:
-    """||perp part||_{H^1/2} against (1/2pi) ||d3 u||_{H^1/2}."""
-    _, perp = p2d_split(u)
-    lhs = sobolev_norm(perp, 0.5)
-    rhs = sobolev_norm(partial3(u), 0.5) / (2 * np.pi)
-    if lhs > rhs * (1 + MAJORANT_TOL) + 1e-300:
-        raise AssertionError(
-            f"vertical-average remainder bound violated: {lhs:.15e} > {rhs:.15e}"
-        )
-    return BoundCheck(lhs, rhs)
-
-
-class ConePart(Enum):
-    INSIDE = "inside"
-    OUTSIDE = "outside"
-
-
-def cone_filter(
-    u: SpectralVectorField, eps: float, part: ConePart | str
-) -> SpectralVectorField:
-    """Restrict the spectrum to the cone |k3| < eps * sqrt(k1^2 + k2^2)
-    (inside) or its complement (outside).
-
-    Modes on the k3 axis fail the inside test (the defining ratio is
-    infinite) except k = 0, which is inside by convention.
-    """
-    if not 0 < eps < 1:
-        raise ValueError(f"cone parameter must satisfy 0 < eps < 1, got {eps}")
-    part = ConePart(part)
-    k1, k2, k3 = u.grid.k
-    r = np.sqrt(k1**2 + k2**2)
-    inside = np.abs(k3) < eps * r
-    inside = inside | ((r == 0) & (k3 == 0))
-    mask = inside if part is ConePart.INSIDE else ~inside
-    return SpectralVectorField(u.grid, u.half * mask)

@@ -275,32 +275,3 @@ def heat_kernel_constants(quad: QuadratureSpec = QuadratureSpec()) -> HeatKernel
     if not report.all_hold:
         raise AssertionError("heat-curl smoothing bound violated on a sample field")
     return report
-
-
-@dataclass(frozen=True)
-class EquivalenceConstants:
-    forward: float   # vorticity Besov norm by velocity Besov norm
-    backward: float  # velocity Besov norm by vorticity Besov norm
-
-    @property
-    def band(self) -> float:
-        return max(self.forward, self.backward)
-
-
-def besov_equivalence_constants(p: float) -> EquivalenceConstants:
-    """Two-sided constants between ||u||_{B^{-1+3/p}} and ||omega||_{B^{-2+3/p}}.
-
-    Valid for p > 3.  The backward constant's factor 1/(-1/2 + 3/(2p)) is
-    negative as literally written in its derivation; its positive magnitude
-    2/(1 - 3/p) is used here.
-    """
-    if not p > 3:  # NaN included
-        raise ValueError(f"equivalence constants need p > 3, got {p}")
-    grad_g = TWO_OVER_SQRT_PI
-    if p == math.inf:
-        forward = 2.0 * grad_g
-        backward = 2.0**1.5 * 2.0 * grad_g
-    else:
-        forward = 2 ** (1 - 3 / (2 * p)) * grad_g
-        backward = 2 ** (1.5 * (1 - 1 / p)) * (2.0 / (1 - 3.0 / p)) * grad_g
-    return EquivalenceConstants(forward, backward)

@@ -19,14 +19,12 @@ from almost2d import (
     constants,
     curl,
     envelopes,
-    horizontal_parts,
     lebesgue_norm,
     p2d_split,
     rescaled_vorticity,
     run,
     small_data_check,
     sobolev_norm,
-    strain,
     taylor_green_2d,
     un_family,
 )
@@ -35,9 +33,11 @@ from almost2d.families import (
     helical_base_vorticity,
     random_divergence_free,
 )
-from almost2d.field import gradient_of_component, partial3
 from almost2d.norms import lebesgue_norm as LN
-from conftest import full_coeffs, strain_sobolev_norm, zeroed
+from conftest import (
+    full_coeffs, gradient_of_component, horizontal_parts, partial3, strain, strain_sobolev_norm,
+    zeroed,
+)
 from almost2d.wholespace import (
     besov_embedding_constant,
     heat_kernel_constants,

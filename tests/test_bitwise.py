@@ -17,18 +17,16 @@ import pytest
 
 from almost2d import GridSpec, PhysicalVectorField, SpectralVectorField
 from almost2d import leray_project, to_spectral
-from almost2d.criteria import (
-    blowup_time_bounds, envelopes, gamma2d_from_norms, gamma2d_lp_from_norms,
-)
+from almost2d.criteria import envelopes, gamma2d_from_norms, gamma2d_lp_from_norms
 from almost2d.families import annulus_analog, random_divergence_free
 from almost2d.field import curl_coeffs, k_dot, strain_coeffs
 from almost2d.norms import samples_lebesgue_norm
 from almost2d.solver import _cumulative_trapezoid, _lattice
 from conftest import (
-    annulus_analog_oracle, blowup_time_bounds_oracle, curl_coeffs_oracle,
-    envelopes_oracle, gamma2d_from_norms_oracle, gamma2d_lp_from_norms_oracle, k_dot_oracle,
-    leray_project_oracle, random_divergence_free_oracle, random_physical,
-    samples_lebesgue_norm_oracle, strain_coeffs_oracle,
+    annulus_analog_oracle, curl_coeffs_oracle, envelopes_oracle, gamma2d_from_norms_oracle,
+    gamma2d_lp_from_norms_oracle, k_dot_oracle, leray_project_oracle,
+    random_divergence_free_oracle, random_physical, samples_lebesgue_norm_oracle,
+    strain_coeffs_oracle,
 )
 
 SIZES = (8, 16, 24, 32, 64)
@@ -171,7 +169,6 @@ def outcome(fn, *args):
 @pytest.mark.parametrize("formula, oracle, arity, nu_at", (
     (gamma2d_from_norms, gamma2d_from_norms_oracle, 3, 3),
     (gamma2d_lp_from_norms, gamma2d_lp_from_norms_oracle, 3, 3),
-    (blowup_time_bounds, blowup_time_bounds_oracle, 2, 2),
     (envelopes, envelopes_oracle, 3, 2),
 ))
 def test_criteria_formulas_are_the_written_out_forms(formula, oracle, arity, nu_at):

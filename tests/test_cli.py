@@ -280,14 +280,17 @@ class TestCliDefects:
             ("nu=0.1\nrecord_strid=2\n", "unknown config key 'record_strid'"),
             ("nu=0.1\nblowup_treshold=5\n", "unknown config key 'blowup_treshold'"),
             ("nu=0.1\nnu=0.2\n", "config key 'nu' appears more than once"),
+            ("nu=abc\n", "sim.cfg: config key 'nu': could not convert"),
+            ("nu=0.1\nrecord_stride=2.5\n", "sim.cfg: config key 'record_stride': invalid"),
         ],
-        ids=["misspelled-stride", "misspelled-threshold", "repeated-nu"],
+        ids=["misspelled-stride", "misspelled-threshold", "repeated-nu", "float-nu", "int-stride"],
     )
     def test_simulate_rejects_unknown_and_repeated_config_keys(
         self, tmp_path, capsys, config, message
     ):
         """A misspelled key would otherwise leave its parameter at the default,
-        and a repeated one let the last value win, both silently."""
+        and a repeated one let the last value win, both silently; a value its
+        parameter cannot take names the file and the key."""
         field = str(tmp_path / "tg.field")
         assert main(["construct", "taylor-green", "--n", "8", "--output", field]) == 0
         cfgfile = tmp_path / "sim.cfg"
@@ -386,16 +389,21 @@ class TestCliDefects:
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--n", "3", "un"],
-        ["wholespace", "--nodes", "64", "heat-kernel"],
-        ["sweep"],
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--n", "3", "un", "--output", "{out}"], "options follow the family name"),
+        (["wholespace", "--nodes", "64", "heat-kernel", "--output", "{out}"],
+         "options follow the table name"),
+        (["sweep"], "required: family"),
     ], ids=["option-before-family", "option-before-table", "no-family"])
-    def test_sweep_and_wholespace_take_their_family_first(self, capsys, argv):
+    def test_sweep_and_wholespace_take_their_family_first(self, tmp_path, capsys, argv, message):
+        """An option before the family or table name is refused as such, not
+        as an invalid name made of the option's value, and nothing is written."""
         with pytest.raises(SystemExit) as exit_info:
-            main(argv)
+            main([str(tmp_path / "out") if arg == "{out}" else arg for arg in argv])
         assert exit_info.value.code == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "invalid choice" not in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["constants", "--form", "csv"],

@@ -8,7 +8,6 @@ import pytest
 from almost2d import (
     GridSpec,
     annulus_analog,
-    blowup_time_bounds,
     constants,
     curl,
     envelopes,
@@ -27,8 +26,11 @@ from almost2d.criteria import (
     iftimie_check,
 )
 from almost2d.field import LP_MAJORANT_TOL
-from almost2d.norms import field_summary, horizontal, horizontal_parts, p2d_split, sobolev_norm
-from conftest import gamma2d_lp_hilbert_oracle, gamma2d_of_field, seeded_fields, zeroed
+from almost2d.norms import field_summary, p2d_split, sobolev_norm
+from conftest import (
+    blowup_time_bounds, gamma2d_lp_hilbert_oracle, gamma2d_of_field, horizontal, horizontal_parts,
+    seeded_fields, zeroed,
+)
 
 
 class TestConstants:

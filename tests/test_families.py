@@ -10,7 +10,6 @@ from almost2d import (
     besov_norm,
     constants,
     curl,
-    horizontal_parts,
     large_almost_2d,
     lebesgue_norm,
     p2d_split,
@@ -23,7 +22,9 @@ from almost2d import (
 from almost2d.families import helical_base_vorticity, random_divergence_free
 from almost2d.field import divergence_defect
 from almost2d.norms import lebesgue_norm as LN
-from conftest import full_coeffs, full_wavenumbers, gamma2d_of_field, plane_defect, zeroed
+from conftest import (
+    full_coeffs, full_wavenumbers, gamma2d_of_field, horizontal_parts, plane_defect, zeroed,
+)
 
 
 ALL_GENERATORS = [

@@ -12,7 +12,6 @@ from almost2d import (
     curl,
     heat_semigroup,
     leray_project,
-    strain,
     taylor_green_2d,
     to_physical,
     to_spectral,
@@ -27,6 +26,7 @@ from conftest import (
     HERMITIAN_TOL,
     advection,
     biot_savart_oracle,
+    coordinates,
     from_full_coeffs,
     full_coeffs,
     full_wavenumbers,
@@ -35,6 +35,7 @@ from conftest import (
     random_physical,
     scalar_to_physical,
     seeded_fields,
+    strain,
     strain_sobolev_norm,
     two_thirds_mask,
     zeroed,
@@ -53,7 +54,7 @@ class TestTransforms:
 
     def test_single_cosine_coefficients(self):
         grid = GridSpec(8)
-        x1, _, _ = grid.coordinates()
+        x1, _, _ = coordinates(grid)
         samples = np.zeros((3, 8, 8, 8))
         samples[0] = np.cos(2 * np.pi * x1)
         u = to_spectral(PhysicalVectorField(grid, samples))
@@ -72,7 +73,7 @@ class TestTransforms:
         coeffs[2, 0, 1, 0] = 0.5
         coeffs[2, 0, -1, 0] = 0.5
         u = from_full_coeffs(grid16, coeffs)
-        _, x2, _ = grid16.coordinates()
+        _, x2, _ = coordinates(grid16)
         expected = np.cos(2 * np.pi * x2) * np.ones((16, 16, 16))
         assert np.max(np.abs(to_physical(u).samples[2] - expected)) < 1e-13
 
@@ -200,7 +201,7 @@ class TestDifferentialOperators:
 
     def test_curl_taylor_green(self, grid32):
         w = curl(taylor_green_2d(grid32))
-        x1, x2, _ = grid32.coordinates()
+        x1, x2, _ = coordinates(grid32)
         expected = 4 * np.pi * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2)
         samples = to_physical(w).samples
         assert np.max(np.abs(samples[2] - expected * np.ones_like(samples[2]))) < 1e-12
@@ -220,7 +221,7 @@ class TestDifferentialOperators:
 
     def test_strain_single_shear_mode(self, grid16):
         # u = (sin(2 pi x2), 0, 0): S12 = pi cos(2 pi x2)
-        x1, x2, _ = grid16.coordinates()
+        x1, x2, _ = coordinates(grid16)
         samples = np.zeros((3, 16, 16, 16))
         samples[0] = np.sin(2 * np.pi * x2)
         s = strain(to_spectral(PhysicalVectorField(grid16, samples)))

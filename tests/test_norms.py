@@ -12,29 +12,25 @@ from almost2d import (
     SpectralVectorField,
     annulus_analog,
     besov_norm,
-    cone_filter,
     curl,
     heat_semigroup,
-    horizontal_parts,
     lebesgue_norm,
     p2d_split,
-    p2dperp_bound_check,
     sobolev_norm,
     to_physical,
     to_spectral,
     un_family,
 )
-from almost2d.field import gradient_of_component, partial3
 from almost2d.norms import (
     BesovSearchConfig,
     ShellSpectrum,
     _bounded_minimum,
     field_summary,
-    horizontal,
 )
 from almost2d.families import large_almost_2d, set_mode_pair
 from conftest import (
-    from_full_coeffs, full_coeffs, full_wavenumbers, seeded_fields, v3_omega_h_ratio, zeroed,
+    coordinates, from_full_coeffs, full_coeffs, full_wavenumbers, gradient_of_component,
+    horizontal_parts, partial3, seeded_fields, v3_omega_h_ratio, zeroed,
 )
 
 
@@ -98,7 +94,7 @@ class TestLebesgueNorm:
             assert lebesgue_norm(u, p) == pytest.approx(1.5, rel=1e-12)
 
     def test_cosine_l4(self, grid32):
-        x1, _, _ = grid32.coordinates()
+        x1, _, _ = coordinates(grid32)
         samples = np.zeros((3, 32, 32, 32))
         samples[0] = np.cos(2 * np.pi * x1)
         u = to_spectral(PhysicalVectorField(grid32, samples))
@@ -405,15 +401,6 @@ class TestFieldSummary:
         assert s.omega_h_hminushalf == pytest.approx(1.0, rel=1e-12)
 
 
-class TestHorizontal:
-    def test_keeps_horizontal_components(self, grid16):
-        (u,) = seeded_fields(grid16, 1, base_seed=397)
-        h = horizontal(u)
-        assert np.array_equal(h.half[:2], u.half[:2])
-        assert not np.any(h.half[2])
-        assert h.half is not u.half
-
-
 def read_back_un_field(grid24):
     """un_family(5) through a transform round trip, as a field file gives it:
     the k = 0 coefficient is roundoff (~1e-19), not an exact zero."""
@@ -423,19 +410,19 @@ def read_back_un_field(grid24):
 
 
 class TestExactLinearParts:
-    """horizontal and p2d_split copy coefficients and never edit them."""
-
-    def test_horizontal_keeps_a_roundoff_mean(self, grid24):
-        u = read_back_un_field(grid24)
-        h = horizontal(u)
-        assert np.array_equal(h.half[:2], u.half[:2])
-        assert not np.any(h.half[2])
+    """p2d_split copies coefficients and never edits them."""
 
     def test_p2d_parts_sum_to_a_read_back_field(self, grid24):
         u = read_back_un_field(grid24)
         two_d, perp = p2d_split(u)
         assert np.array_equal(two_d.half + perp.half, u.half)
         assert not np.any(two_d.half[..., 1:]) and not np.any(perp.half[..., 0])
+
+
+def perp_and_bound(u):
+    """||P2d_perp u||_{H^1/2} and its bound ||d3 u||_{H^1/2} / 2 pi."""
+    _, perp = p2d_split(u)
+    return sobolev_norm(perp, 0.5), sobolev_norm(partial3(u), 0.5) / (2 * np.pi)
 
 
 class TestVerticalAverage:
@@ -466,27 +453,40 @@ class TestVerticalAverage:
     def test_perp_bound_zero_for_2d(self, grid16):
         coeffs = half_zeros(grid16)
         set_mode_pair(coeffs, grid16, (1, 2, 0), np.array([2.0, -1.0, 0.0]))
-        check = p2dperp_bound_check(SpectralVectorField(grid16, coeffs))
-        assert check.lhs == 0.0
+        lhs, _ = perp_and_bound(SpectralVectorField(grid16, coeffs))
+        assert lhs == 0.0
 
     def test_perp_bound_saturates_on_un(self, grid24):
-        check = p2dperp_bound_check(un_family(2, grid24))
-        assert check.lhs == pytest.approx(math.sqrt(6), rel=1e-10)
-        assert check.rhs == pytest.approx(math.sqrt(6), rel=1e-10)
+        lhs, rhs = perp_and_bound(un_family(2, grid24))
+        assert lhs == pytest.approx(math.sqrt(6), rel=1e-10)
+        assert rhs == pytest.approx(math.sqrt(6), rel=1e-10)
 
     def test_perp_bound_random(self, grid16):
         for u in seeded_fields(grid16, 5, base_seed=340):
-            check = p2dperp_bound_check(u)
-            assert check.lhs <= check.rhs * (1 + 1e-10)
+            lhs, rhs = perp_and_bound(u)
+            assert lhs <= rhs * (1 + 1e-10)
 
     def test_perp_to_omega_h_ratio_growth(self, grid24):
-        """||perp||_{H 1/2} / ||omega_h||_{H -1/2} grows like sqrt(n^2+2)."""
+        """||perp||_{H 1/2} / ||omega_h||_{H -1/2} grows like sqrt(n^2+2), the
+        remainder bound holding at every n."""
         for n in (1, 2, 5, 10):
             u = un_family(n, grid24)
-            ratio = p2dperp_bound_check(u).lhs / sobolev_norm(
-                horizontal_parts(u).omega_h, -0.5
-            )
+            lhs, rhs = perp_and_bound(u)
+            assert lhs <= rhs * (1 + 1e-10)
+            ratio = lhs / sobolev_norm(horizontal_parts(u).omega_h, -0.5)
             assert ratio == pytest.approx(math.sqrt(n**2 + 2), rel=1e-10)
+
+
+def cone_filter(u, eps, part):
+    """u restricted to the cone |k3| < eps sqrt(k1^2 + k2^2) (part "inside")
+    or to its complement ("outside").  Modes on the k3 axis are outside (the
+    defining ratio is infinite) except k = 0, which is inside by convention."""
+    if not 0 < eps < 1:
+        raise ValueError(f"cone parameter must satisfy 0 < eps < 1, got {eps}")
+    k1, k2, k3 = u.grid.k
+    r = np.sqrt(k1**2 + k2**2)
+    inside = (np.abs(k3) < eps * r) | ((r == 0) & (k3 == 0))
+    return SpectralVectorField(u.grid, u.half * (inside if part == "inside" else ~inside))
 
 
 class TestConeFilter:
@@ -530,4 +530,3 @@ class TestConeFilter:
         (u,) = seeded_fields(grid16, 1, base_seed=380)
         with pytest.raises(ValueError, match="0 < eps < 1"):
             cone_filter(u, 1.5, "inside")
-

@@ -1,13 +1,14 @@
-"""Package layout: src/ carries no test-only API (every export is reached
-from a CLI verb or is a paper statement) and no CLI option that its handler
-ignores, no import of scipy.optimize or scipy.integrate at any
-depth, one transform path (the pair and the solver's band passes, with no
-second band form beside them) and one place for each tolerance, spectral
-multiplier, growth coefficient and the band's geometry."""
+"""Package layout: src/ carries no test-only API (every export and public
+method is reached from a CLI verb or from a paper statement that waits for
+one), no CLI option that its handler ignores, no import of scipy.optimize or
+scipy.integrate at any depth, one transform path (the pair and the solver's
+band passes, with no second band form beside them) and one place for each
+tolerance, spectral multiplier, growth coefficient and the band's geometry."""
 
 import argparse
 import ast
 import dataclasses
+import importlib
 import inspect
 import os
 import subprocess
@@ -99,21 +100,21 @@ def test_every_cli_option_is_read_by_its_handler():
 
 #: Paper statements that no verb prints yet: roots of the reachability walk
 #: beside the CLI handlers, so that the operators they call count as reached.
-PAPER_STATEMENTS = ("envelopes", "blowup_time_bounds", "two_d_plus_perturbation",
-                    "horizontal_parts", "p2dperp_bound_check", "cone_filter",
-                    "besov_equivalence_constants")
+#: ROADMAP item 6 gives both a verb: ``envelopes`` feeds simulate's envelope
+#: ratio, and ``two_d_plus_perturbation`` starts each run of the almost-2D
+#: trajectory sweep.
+PAPER_STATEMENTS = ("envelopes", "two_d_plus_perturbation")
 #: Exported types, the values that functions take and return.
 EXPORTED_TYPES = ("GridSpec", "SpectralVectorField", "PhysicalVectorField", "StrainField",
                   "BesovSearchConfig", "CriterionReport", "SharpConstants", "SolverConfig",
                   "DiagnosticsSeries", "QuadratureSpec")
 
 
-def test_every_export_is_reached_from_a_verb():
-    """Each name in almost2d.__all__, modules and EXPORTED_TYPES apart, is
-    called from a handler of build_parser() or from one of PAPER_STATEMENTS,
-    directly or through the functions they call: an AST walk of calls in
-    which a call f() or x.f() reaches every definition named f in src/."""
-    assert set(PAPER_STATEMENTS + EXPORTED_TYPES) <= set(almost2d.__all__)
+def _reached_from_a_verb() -> set:
+    """Names called from a handler of build_parser() or from one of
+    PAPER_STATEMENTS, directly or through the functions they call: an AST
+    walk of calls in which a call f() or x.f() reaches every definition
+    named f in src/, a method included."""
     definitions = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -129,11 +130,42 @@ def test_every_export_is_reached_from_a_verb():
             reached.add(name)
             for node in definitions.get(name, ()):
                 todo.extend(callee for _, callee in _calls(node))
+    return reached
+
+
+def test_every_export_is_reached_from_a_verb():
+    """Each name in almost2d.__all__, modules and EXPORTED_TYPES apart, is
+    reached from a verb (``_reached_from_a_verb``)."""
+    assert set(PAPER_STATEMENTS + EXPORTED_TYPES) <= set(almost2d.__all__)
+    reached = _reached_from_a_verb()
     unreached = [
         name for name in almost2d.__all__
         if name not in reached and name not in EXPORTED_TYPES
         and not inspect.ismodule(getattr(almost2d, name))
     ]
+    assert unreached == []
+
+
+def test_every_public_method_is_reached_from_a_verb():
+    """So is each public method of a class in src/.  Properties, cached
+    properties and dunders are apart, as no call names them, and so are
+    overrides of an inherited method, which their base class calls."""
+    reached = _reached_from_a_verb()
+    unreached = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"almost2d.{path.stem}")
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases = getattr(module, cls.name).__mro__[1:]
+            unreached += [
+                f"{path.name}:{cls.name}.{node.name}" for node in cls.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                and not {getattr(d, "id", getattr(d, "attr", None)) for d in node.decorator_list}
+                & {"property", "cached_property"}
+                and not any(node.name in vars(base) for base in bases)
+                and node.name not in reached
+            ]
     assert unreached == []
 
 

