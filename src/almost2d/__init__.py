@@ -9,7 +9,6 @@ from .grid import GridSpec
 from .field import (
     PhysicalVectorField,
     SpectralVectorField,
-    StrainField,
     curl,
     heat_semigroup,
     leray_project,

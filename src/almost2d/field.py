@@ -243,19 +243,11 @@ class PhysicalVectorField:
             )
 
 
-@dataclass
-class StrainField:
-    """Six independent strain components as half-spectrum scalar fields.
-
-    Component order: S11, S12, S13, S22, S23, S33.  Frobenius weights
-    (1, 2, 2, 1, 2, 1) restore the full symmetric-matrix sums.
-    """
-
-    grid: GridSpec
-    comps: np.ndarray  # complex, shape (6, n, n, n/2 + 1)
-
-    FROBENIUS_WEIGHTS = (1.0, 2.0, 2.0, 1.0, 2.0, 1.0)
-    INDEX = {(1, 1): 0, (1, 2): 1, (1, 3): 2, (2, 2): 3, (2, 3): 4, (3, 3): 5}
+#: The slot of each strain component S_ij, i <= j, in a (6, ...) strain array:
+#: S11, S12, S13, S22, S23, S33.
+STRAIN_SLOTS = {(1, 1): 0, (1, 2): 1, (1, 3): 2, (2, 2): 3, (2, 3): 4, (3, 3): 5}
+#: The weights by slot that restore the full symmetric-matrix sums.
+FROBENIUS_WEIGHTS = (1.0, 2.0, 2.0, 1.0, 2.0, 1.0)
 
 
 def _check_same_grid(a, b) -> None:
@@ -306,13 +298,13 @@ def curl_coeffs(c: np.ndarray, k_deriv: tuple, out: np.ndarray | None = None) ->
 
 def strain_coeffs(c: np.ndarray, k_deriv: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """Strain multiplier pi*i (k_i c_j + k_j c_i), components (6, ...) in
-    ``StrainField`` order, written into ``out`` if given.  The first product
+    ``STRAIN_SLOTS`` order, written into ``out`` if given.  The first product
     is formed in ``out``; a diagonal adds it to itself, an off-diagonal adds
     the second, formed in the S33 slot, which is written last.  Then pi*i is
     applied in place."""
     out = np.empty((6,) + c.shape[1:], dtype=complex) if out is None else out
-    last = out[StrainField.INDEX[(3, 3)]]
-    for (i, j), slot in StrainField.INDEX.items():  # S33 last
+    last = out[STRAIN_SLOTS[(3, 3)]]
+    for (i, j), slot in STRAIN_SLOTS.items():  # S33 last
         np.multiply(k_deriv[i - 1], c[j - 1], out=out[slot])
         if i == j:
             out[slot] += out[slot]

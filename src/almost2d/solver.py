@@ -50,22 +50,23 @@ wholly in one plane or one slab and each transform runs on one thread, so
 the parts change no bit.  Every run takes this one path; with one part it
 starts no thread.
 
-Each ``run`` owns one set of stage buffers, made when it starts and written by
-every stage and diagnostics row: the padded (6, n, n, n/2 + 1) half spectrum,
-the band inverse's work array (its planes k3 beyond the band stay zero, and
-each transform clears the rest of the off-band part, pads the band and
-transforms in place); the 6-field band array of (u, omega), or of a row's
-strain; a stage's compact (3, n, n, m) forward array; and a (2, n, n, n)
-real array, into which a row writes det S and |S|^3 before it averages them,
-and of which each part takes the x1 planes of its first slab as the scratch
-in which u x omega is formed over its samples.  So no stage, row or CFL
-sample holds more samples than one slab per part.  Allocated per stage
-instead, these arrays went back to the C allocator and were page-faulted in
-again: three traced n=64 ``simulate`` invocations of 4 steps took 198k minor
-faults and 0.84 s of system time that way, 25k and 0.13 s with the buffers.
-They and the pool are locals of ``run``, not module state, so concurrent runs
-share only the read-only lattices, and no thread outlives the call.  A
-call without buffers runs its parts in turn.
+Each ``run`` opens one ``_Stage`` (``_stage``) and hands it to every RK
+stage, diagnostics row and CFL sample: its band, its split into parts, the
+pool that runs every part after the first, and the buffers they write into.
+These are the padded (6, n, n, n/2 + 1) half spectrum, the band inverse's
+work array (its planes k3 beyond the band stay zero, and each transform
+clears the rest of the off-band part, pads the band and transforms in
+place); the 6-field band array of (u, omega), or of a row's strain; a
+stage's compact (3, n, n, m) forward array; and a (2, n, n, n) real array,
+into which a row writes det S and |S|^3 before it averages them, and of
+which each part takes the x1 planes of its first slab as the scratch in
+which u x omega is formed over its samples.  So no stage, row or CFL sample
+holds more samples than one slab per part.  Allocated per stage instead,
+these arrays went back to the C allocator and were page-faulted in again:
+three traced n=64 ``simulate`` invocations of 4 steps took 198k minor faults
+and 0.84 s of system time that way, 25k and 0.13 s with the buffers.  The
+``_Stage`` is a local of ``run``, not module state, so concurrent runs share
+only the read-only lattices, and no thread outlives the call.
 """
 
 from __future__ import annotations
@@ -74,17 +75,18 @@ import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .criteria import SMALL_DATA_COEFF, constants
 from .field import (
-    DECAY_SLACK_TOL, DIVFREE_TOL, GRONWALL_2D_GROWTH_TOL, GRONWALL_2D_TOL, GRONWALL_LOG_TOL,
-    INITIAL_MEAN_TOL, T_END_LATTICE_TOL, SpectralVectorField, StrainField, band_forward_planes,
-    band_inverse_planes, band_parts, curl_coeffs, divergence_defect, irfft_k3, is_mean_zero,
-    k_dot, rfft_x3, strain_coeffs,
+    DECAY_SLACK_TOL, DIVFREE_TOL, FROBENIUS_WEIGHTS, GRONWALL_2D_GROWTH_TOL, GRONWALL_2D_TOL,
+    GRONWALL_LOG_TOL, INITIAL_MEAN_TOL, T_END_LATTICE_TOL, SpectralVectorField,
+    band_forward_planes, band_inverse_planes, band_parts, curl_coeffs, divergence_defect,
+    irfft_k3, is_mean_zero, k_dot, rfft_x3, strain_coeffs,
 )
 from .grid import Band, GridSpec, conjugate_planes
 from .norms import samples_lebesgue_norm
@@ -182,57 +184,53 @@ class DiagnosticsSeries:
                 fh.write(",".join(cells) + "\n")
 
 
-class _Parts(NamedTuple):
-    """How one ``run`` splits each stage, row and CFL sample (``band_parts``):
-    each part's band k1 rows, band planes and x1 slabs, and ``map(fn,
-    items)``, which runs fn on every item, one per part, and returns the
-    results as a list: the first in the calling thread and the others on the
-    run's pool, or all in turn for a caller without one."""
+class _Stage(NamedTuple):
+    """What one ``run`` hands every RK stage, diagnostics row and CFL sample:
+    its band ``lat``; its split (``band_parts``), each part's band k1 rows,
+    band planes and x1 slabs, with ``map(fn, items)``, which runs fn on every
+    item, one per part, the first in the calling thread and the others on the
+    run's pool, and returns the results as a list; and the arrays they all
+    write into, so that none allocates (and page-faults in) its own."""
 
+    lat: Band
     map: Callable[[Callable, tuple], list]
     rows: tuple[slice, ...]
     planes: tuple[slice, ...]
     slabs: tuple[tuple[slice, ...], ...]
-
-
-class _StageBuffers(NamedTuple):
-    """The arrays every nonlinear stage and diagnostics row of one ``run``
-    writes into, so that no stage allocates (and page-faults in) its own."""
-
     band: np.ndarray  # (6, *band shape) complex: (u, omega) of a stage, a row's strain
     half: np.ndarray  # (6, n, n, n/2 + 1) complex, the band inverse's work array: 0 at k3 >= m
     real: np.ndarray  # (2, n, n, n): a row's det S and |S|^3; u x omega's scratch, by slabs
     forward: np.ndarray  # (3, n, n, m) complex: a stage's scaled x3 transform
-    parts: _Parts
 
 
-def _stage_buffers(band: Band, pool: ThreadPoolExecutor | None = None) -> _StageBuffers:
-    """A fresh set of stage buffers on ``band``, its half spectrum zeroed,
-    whose parts after the first run on ``pool`` if given, else in turn."""
-    n, m = band.n, band.shape[2]
-    rows, planes, slabs = band_parts(n, band.shape[0], m)
+@contextmanager
+def _stage(lat: Band) -> Iterator[_Stage]:
+    """A fresh stage on ``lat``, its half spectrum zeroed, whose parts after
+    the first run on a pool that the ``with`` block owns: no thread outlives
+    it, and one part submits nothing, so starts no thread."""
+    n, m = lat.n, lat.shape[2]
+    rows, planes, slabs = band_parts(n, lat.shape[0], m)
+    with ThreadPoolExecutor(max(len(planes) - 1, 1)) as pool:
 
-    def run_parts(fn, items):
-        if pool is None:
-            return list(map(fn, items))
-        rest = [pool.submit(fn, item) for item in items[1:]]
-        try:
-            first = fn(items[0])
-        finally:
-            # No part still writes into the buffers when this returns or
-            # raises.  exception() waits without raising; wait(rest) took
-            # 3 of the 4.3 us of a one-part map, of which a stage makes 5.
-            for future in rest:
-                future.exception()
-        return [first] + [future.result() for future in rest]
+        def run_parts(fn, items):
+            rest = [pool.submit(fn, item) for item in items[1:]]
+            try:
+                first = fn(items[0])
+            finally:
+                # No part still writes into the buffers when this returns or
+                # raises.  exception() waits without raising; wait(rest) took
+                # 3 of the 4.3 us of a one-part map, of which a stage makes 5.
+                for future in rest:
+                    future.exception()
+            return [first] + [future.result() for future in rest]
 
-    return _StageBuffers(
-        np.empty((6,) + band.shape, dtype=complex),
-        np.zeros((6, n, n, n // 2 + 1), dtype=complex),
-        np.empty((2, n, n, n)),
-        np.empty((3, n, n, m), dtype=complex),
-        _Parts(run_parts, rows, planes, slabs),
-    )
+        yield _Stage(
+            lat, run_parts, rows, planes, slabs,
+            np.empty((6,) + lat.shape, dtype=complex),
+            np.zeros((6, n, n, n // 2 + 1), dtype=complex),
+            np.empty((2, n, n, n)),
+            np.empty((3, n, n, m), dtype=complex),
+        )
 
 
 def _lattice(grid: GridSpec, dealias_rule: str) -> Band:
@@ -244,20 +242,14 @@ def _lattice(grid: GridSpec, dealias_rule: str) -> Band:
     return grid.band(cutoffs[dealias_rule])
 
 
-def nonlinear_term(
-    u_hat: np.ndarray, grid: GridSpec, dealias_rule: str = "two_thirds",
-    buffers: _StageBuffers | None = None,
-) -> np.ndarray:
-    """-P(omega x u) = P(u x omega) on band coefficients (3, *band shape).
+def nonlinear_term(u_hat: np.ndarray, stage: _Stage) -> np.ndarray:
+    """-P(omega x u) = P(u x omega) on band coefficients (3, *band shape),
+    formed in the run's stage.
 
     Under the 2/3 rule the product is truncated to the band.  The k = 0 mode
-    of the result is zero.  ``run`` passes the buffers it owns; a call
-    without them makes a set of its own and runs its parts in turn.  The
-    result is a fresh array.
+    of the result is zero.  The result is a fresh array.
     """
-    lat = _lattice(grid, dealias_rule)
-    buffers = _stage_buffers(lat) if buffers is None else buffers
-    band, forward, parts = buffers.band, buffers.forward, buffers.parts
+    lat, band, forward = stage.lat, stage.band, stage.forward
 
     def fill(rows):
         band[:3, rows] = u_hat[:, rows]
@@ -269,16 +261,15 @@ def nonlinear_term(
     def forward_planes(planes):
         band_forward_planes(forward[..., planes], lat, out[..., planes])
 
-    _band_samples(band, fill, lat, buffers, slab_product)
+    _band_samples(band, fill, stage, slab_product)
     out = np.empty((3,) + lat.shape, dtype=complex)
-    parts.map(forward_planes, parts.planes)
-    parts.map(lambda rows: _project(out[:, rows], lat, rows), parts.rows)
+    stage.map(forward_planes, stage.planes)
+    stage.map(lambda rows: _project(out[:, rows], lat, rows), stage.rows)
     out[:, 0, 0, 0] = 0.0
     return out
 
 
-def _band_samples(block: np.ndarray, fill: Callable, lat: Band, buffers: _StageBuffers,
-                  on_slab: Callable) -> list:
+def _band_samples(block: np.ndarray, fill: Callable, stage: _Stage, on_slab: Callable) -> list:
     """The inverse band transform of ``block``, which ``fill(rows)`` writes
     first, handed to ``on_slab(samples, x1 slice, scratch)``: on_slab's
     results, part by part, each part's slabs in order.
@@ -287,18 +278,18 @@ def _band_samples(block: np.ndarray, fill: Callable, lat: Band, buffers: _StageB
     transforms its x1 slabs one at a time, on one thread, with a slice of the
     real buffer as its scratch; the parts' maps are the only barriers.
     """
-    half, parts = buffers.half[: len(block)], buffers.parts
+    lat, half = stage.lat, stage.half[: len(block)]
 
     def planes_part(planes):
         band_inverse_planes(block[..., planes], lat, half[..., planes])
 
     def slabs_part(slabs):
-        scratch = buffers.real[:, slabs[0]]  # the part's first slab is its highest
+        scratch = stage.real[:, slabs[0]]  # the part's first slab is its highest
         return [on_slab(irfft_k3(half[:, x1], lat.n), x1, scratch) for x1 in slabs]
 
-    parts.map(fill, parts.rows)
-    parts.map(planes_part, parts.planes)
-    return [result for part in parts.map(slabs_part, parts.slabs) for result in part]
+    stage.map(fill, stage.rows)
+    stage.map(planes_part, stage.planes)
+    return [result for part in stage.map(slabs_part, stage.slabs) for result in part]
 
 
 def _project(coeffs: np.ndarray, lat: Band, rows: slice) -> None:
@@ -345,25 +336,25 @@ def _det(s_phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _strain_cubed(s_phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """|S|^3, the Frobenius norm cubed, at each sample of the strain, written
     into ``out`` if given."""
-    w = StrainField.FROBENIUS_WEIGHTS
-    return np.power(np.sqrt(sum(wi * si**2 for wi, si in zip(w, s_phys))), 3, out=out)
+    return np.power(np.sqrt(sum(w * s**2 for w, s in zip(FROBENIUS_WEIGHTS, s_phys))), 3, out=out)
 
 
-def _spectral_diagnostics(c: np.ndarray, lat: Band, buffers: _StageBuffers) -> dict:
+def _spectral_diagnostics(c: np.ndarray, stage: _Stage) -> dict:
     """One diagnostics row from band coefficients, omega and the strain
-    formed in the run's stage buffers.  det S and |S|^3 are written slab by
+    formed in the run's stage.  det S and |S|^3 are written slab by
     slab into the real buffer and averaged whole, so no split moves a bit."""
+    lat = stage.lat
     abs_sq = lat.multiplicity * (np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2 + np.abs(c[2]) ** 2)
     four_pi_sq_ksq = 4 * np.pi**2 * lat.k_sq
     K = 0.5 * float(np.sum(abs_sq))
     E = 0.5 * float(np.sum(four_pi_sq_ksq * abs_sq))
     strain_h1 = 0.5 * float(np.sum(four_pi_sq_ksq**2 * abs_sq))
 
-    w = curl_coeffs(c, lat.k_deriv, out=buffers.band[:3])
+    w = curl_coeffs(c, lat.k_deriv, out=stage.band[:3])
     omega_h_sq = float(
         np.sum(lat.multiplicity * lat.omega_h_weight * (np.abs(w[0]) ** 2 + np.abs(w[1]) ** 2))
     )
-    band, det, cubed = buffers.band, buffers.real[0], buffers.real[1]
+    band, det, cubed = stage.band, stage.real[0], stage.real[1]
 
     def fill(rows):
         strain_coeffs(c[:, rows], lat.k_rows(rows), out=band[:, rows])
@@ -372,7 +363,7 @@ def _spectral_diagnostics(c: np.ndarray, lat: Band, buffers: _StageBuffers) -> d
         _det(s_phys, out=det[x1])
         _strain_cubed(s_phys, out=cubed[x1])
 
-    _band_samples(band, fill, lat, buffers, slab_strain)
+    _band_samples(band, fill, stage, slab_strain)
     return {
         "K": K,
         "E": E,
@@ -403,17 +394,13 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
     full_decay = half_decay**2
 
     rows = []
-    b, _, m = lat.shape
-    parts = len(band_parts(grid.n, b, m)[1])
-    # This call's own pool and buffers: concurrent runs share neither, and no
-    # thread outlives the call.  The calling thread runs one part, the pool
-    # the others; one part submits nothing, so starts no thread.
-    with ThreadPoolExecutor(max(parts - 1, 1)) as pool:
-        buffers = _stage_buffers(lat, pool)
-        stability = _advective_cfl_warning(u, lat, cfg, buffers)
+    # This call's own stage: concurrent runs share neither its buffers nor
+    # its pool, and no thread outlives the call.
+    with _stage(lat) as stage:
+        stability = _advective_cfl_warning(u, stage, cfg)
 
         def record(step: int, state: np.ndarray) -> str:
-            diag = _spectral_diagnostics(state, lat, buffers)
+            diag = _spectral_diagnostics(state, stage)
             diag["t"] = step * h
             rows.append(diag)
             if not math.isfinite(diag["E"]):
@@ -424,13 +411,10 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
         step = 0
         while status == "completed" and step < n_steps:
             step += 1
-            k1 = nonlinear_term(u, grid, cfg.dealias, buffers=buffers)
-            k2 = nonlinear_term(half_decay * (u + 0.5 * h * k1), grid, cfg.dealias,
-                                buffers=buffers)
-            k3 = nonlinear_term(half_decay * u + 0.5 * h * k2, grid, cfg.dealias,
-                                buffers=buffers)
-            k4 = nonlinear_term(full_decay * u + h * half_decay * k3, grid, cfg.dealias,
-                                buffers=buffers)
+            k1 = nonlinear_term(u, stage)
+            k2 = nonlinear_term(half_decay * (u + 0.5 * h * k1), stage)
+            k3 = nonlinear_term(half_decay * u + 0.5 * h * k2, stage)
+            k4 = nonlinear_term(full_decay * u + h * half_decay * k3, stage)
             u = full_decay * u + (h / 6.0) * (
                 full_decay * k1 + 2 * half_decay * (k2 + k3) + k4
             )
@@ -444,10 +428,8 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
     return series
 
 
-def _advective_cfl_warning(
-    u_hat: np.ndarray, lat: Band, cfg: SolverConfig, buffers: _StageBuffers
-) -> dict:
-    umax = _max_speed(u_hat, lat, buffers)
+def _advective_cfl_warning(u_hat: np.ndarray, stage: _Stage, cfg: SolverConfig) -> dict:
+    umax = _max_speed(u_hat, stage)
     cfl = cfg.dt * umax * cfg.grid.n
     if cfl > 0.5:  # stacklevel 3 names the caller of ``run``
         warnings.warn(
@@ -459,9 +441,9 @@ def _advective_cfl_warning(
     }
 
 
-def _max_speed(u_hat: np.ndarray, lat: Band, buffers: _StageBuffers) -> float:
+def _max_speed(u_hat: np.ndarray, stage: _Stage) -> float:
     """max|u| over the grid samples of band coefficients u_hat, slab by slab."""
-    slab_max = _band_samples(u_hat, lambda rows: None, lat, buffers,
+    slab_max = _band_samples(u_hat, lambda rows: None, stage,
                              lambda samples, x1, scratch: samples_lebesgue_norm(samples, np.inf))
     return float(np.max(slab_max))
 

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import criterion_quantity
-from .field import MAJORANT_TOL, NODE_DIVFREE_TOL, QUADRATURE_TOL
+from .families import random_divergence_free
+from .field import MAJORANT_TOL, NODE_DIVFREE_TOL, QUADRATURE_TOL, curl, heat_semigroup
+from .grid import GridSpec
+from .norms import lebesgue_norm
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -249,11 +252,6 @@ def heat_kernel_constants(quad: QuadratureSpec = QuadratureSpec()) -> HeatKernel
         raise AssertionError(
             f"||grad g||_1 quadrature {grad_g_l1} deviates from 2/sqrt(pi)"
         )
-
-    from .families import random_divergence_free
-    from .field import curl, heat_semigroup
-    from .grid import GridSpec
-    from .norms import lebesgue_norm
 
     grid = GridSpec(16)
     rows = []

@@ -13,10 +13,12 @@ from almost2d.criteria import (
     gamma2d_from_norms,
 )
 from almost2d.families import random_divergence_free
-from almost2d.field import StrainField, curl_coeffs, irfft3, k_dot, rfft3, strain_coeffs
+from almost2d.field import (
+    FROBENIUS_WEIGHTS, STRAIN_SLOTS, curl_coeffs, irfft3, k_dot, rfft3, strain_coeffs,
+)
 from almost2d.grid import conjugate_planes
 from almost2d.norms import ShellSpectrum, field_summary
-from almost2d.solver import _lattice, nonlinear_term
+from almost2d.solver import _lattice, _stage, nonlinear_term
 from almost2d.wholespace import QuadratureSpec
 
 HERMITIAN_TOL = 1e-10  # over the sample rms: transforms leave ~1e-16, a complex field O(1)
@@ -146,6 +148,14 @@ def partial3(u: SpectralVectorField) -> SpectralVectorField:
     return SpectralVectorField(u.grid, 2j * np.pi * u.grid.k_deriv[2] * u.half)
 
 
+class StrainField(NamedTuple):
+    """Six independent strain components as half-spectrum scalar fields, in
+    ``STRAIN_SLOTS`` order."""
+
+    grid: GridSpec
+    comps: np.ndarray  # complex, shape (6, n, n, n/2 + 1)
+
+
 def strain(u: SpectralVectorField) -> StrainField:
     """Symmetric velocity gradient, Shat_ij = pi*i (k_i uhat_j + k_j uhat_i)."""
     return StrainField(u.grid, strain_coeffs(u.half, u.grid.k_deriv))
@@ -178,8 +188,8 @@ def horizontal_parts(u: SpectralVectorField) -> HorizontalParts:
     return HorizontalParts(
         omega_h=horizontal(curl(u)),
         v3=partial3(u) + gradient_of_component(u, 2),
-        s13=s_field.comps[StrainField.INDEX[(1, 3)]],
-        s23=s_field.comps[StrainField.INDEX[(2, 3)]],
+        s13=s_field.comps[STRAIN_SLOTS[(1, 3)]],
+        s23=s_field.comps[STRAIN_SLOTS[(2, 3)]],
     )
 
 
@@ -210,9 +220,16 @@ def rhs(u: SpectralVectorField, nu: float, dealias_rule: str = "two_thirds") -> 
     grid = u.grid
     lat = _lattice(grid, dealias_rule)
     c = lat.crop(u.half)
-    tendency = nonlinear_term(c, grid, dealias_rule)
+    tendency = stage_tendency(c, grid, dealias_rule)
     tendency -= nu * 4 * np.pi**2 * lat.k_sq * c
     return SpectralVectorField(grid, conjugate_planes(lat.pad(tendency)))
+
+
+def stage_tendency(c, grid, rule="two_thirds"):
+    """``solver.nonlinear_term`` of band coefficients c, in a stage of its own
+    on the band of ``rule``, as one ``run`` would form it."""
+    with _stage(_lattice(grid, rule)) as stage:
+        return nonlinear_term(c, stage)
 
 
 def nonlinear_term_oracle(u_hat, grid, dealias_rule="two_thirds"):
@@ -259,7 +276,7 @@ def curl_coeffs_oracle(c, k_deriv):
 
 def strain_coeffs_oracle(c, k_deriv):
     out = np.empty((6,) + c.shape[1:], dtype=complex)
-    for (i, j), slot in StrainField.INDEX.items():
+    for (i, j), slot in STRAIN_SLOTS.items():
         out[slot] = 1j * np.pi * (k_deriv[i - 1] * c[j - 1] + k_deriv[j - 1] * c[i - 1])
     return out
 
@@ -431,7 +448,7 @@ def strain_sobolev_norm(s_field, s):
         weight[0, 0, 0] = 0.0
     comps = full_coeffs(s_field.comps)
     total = 0.0
-    for slot, w in enumerate(StrainField.FROBENIUS_WEIGHTS):
+    for slot, w in enumerate(FROBENIUS_WEIGHTS):
         total += w * float(np.sum(weight * np.abs(comps[slot]) ** 2))
     return math.sqrt(total)
 

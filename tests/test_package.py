@@ -105,9 +105,9 @@ def test_every_cli_option_is_read_by_its_handler():
 #: trajectory sweep.
 PAPER_STATEMENTS = ("envelopes", "two_d_plus_perturbation")
 #: Exported types, the values that functions take and return.
-EXPORTED_TYPES = ("GridSpec", "SpectralVectorField", "PhysicalVectorField", "StrainField",
-                  "BesovSearchConfig", "CriterionReport", "SharpConstants", "SolverConfig",
-                  "DiagnosticsSeries", "QuadratureSpec")
+EXPORTED_TYPES = ("GridSpec", "SpectralVectorField", "PhysicalVectorField", "BesovSearchConfig",
+                  "CriterionReport", "SharpConstants", "SolverConfig", "DiagnosticsSeries",
+                  "QuadratureSpec")
 
 
 def _reached_from_a_verb() -> set:

@@ -1,11 +1,11 @@
 """Time integration and trajectory monitors."""
 
+import contextlib
 import math
 import os
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,12 +30,12 @@ from almost2d.field import (
 from almost2d.grid import conjugate_planes
 from almost2d.norms import field_summary, samples_lebesgue_norm
 from almost2d.solver import (
-    CSV_COLUMNS, _assemble_series, _det, _lattice, _spectral_diagnostics, _stage_buffers,
-    _strain_cubed, nonlinear_term,
+    CSV_COLUMNS, _assemble_series, _det, _lattice, _spectral_diagnostics, _stage, _strain_cubed,
+    nonlinear_term,
 )
 from conftest import (
     _FFT_NAMES, advection, from_full_coeffs, full_coeffs, full_wavenumbers, half_spectrum,
-    nonlinear_term_oracle, plane_defect, rhs, strain, two_thirds_mask, zeroed,
+    nonlinear_term_oracle, plane_defect, rhs, stage_tendency, strain, two_thirds_mask, zeroed,
 )
 
 
@@ -87,8 +87,7 @@ def test_unknown_dealias_rule_is_rejected(call, grid16):
         "SolverConfig": lambda: SolverConfig(grid=grid16, nu=0.1, dt=0.01, t_end=0.02,
                                              dealias="bogus"),
         "rhs": lambda: rhs(u, 0.1, "bogus"),
-        "nonlinear_term": lambda: nonlinear_term(
-            _lattice(grid16, "two_thirds").crop(u.half), grid16, "bogus"),
+        "nonlinear_term": lambda: _lattice(grid16, "bogus"),
     }
     with pytest.raises(ValueError, match="unknown dealias rule 'bogus'"):
         calls[call]()
@@ -125,7 +124,7 @@ class TestRotationalForm:
         filled = random_divergence_free(grid, seed, kmax=n // 2 - 1)
         u = SpectralVectorField(grid, lat.pad(lat.crop(filled.half)))
         convective = -projected(full_coeffs(advection(u)), grid)
-        got = lat.pad(nonlinear_term(lat.crop(u.half), grid))
+        got = lat.pad(stage_tendency(lat.crop(u.half), grid))
         assert rel_err(got, half_spectrum(convective)) <= 1e-12
 
     @pytest.mark.parametrize("n", [16, 24, 30, 32, 48])
@@ -142,8 +141,8 @@ class TestRotationalForm:
         c = lat.crop(random_divergence_free(grid, 7, kmax=n // 2 - 1).half)
         embedded = np.zeros((3, big, big, big // 2 + 1), dtype=complex)
         embedded[band] = c
-        want = nonlinear_term(embedded, GridSpec(big), "none")[band]
-        assert rel_err(nonlinear_term(c, grid), want) <= 1e-12
+        want = stage_tendency(embedded, GridSpec(big), "none")[band]
+        assert rel_err(stage_tendency(c, grid), want) <= 1e-12
 
     @pytest.mark.parametrize("n", [16, 24, 48])
     def test_enstrophy_production_is_minus_four_det_s(self, n):
@@ -156,9 +155,10 @@ class TestRotationalForm:
         c = lat.crop(random_divergence_free(grid, 7, kmax=n // 2 - 1).half)
         production = float(np.sum(
             lat.multiplicity * 4 * np.pi**2 * lat.k_sq
-            * np.real(np.sum(np.conj(c) * nonlinear_term(c, grid), axis=0))
+            * np.real(np.sum(np.conj(c) * stage_tendency(c, grid), axis=0))
         ))
-        det_s = _spectral_diagnostics(c, lat, _stage_buffers(lat))["det_S_integral"]
+        with _stage(lat) as stage:
+            det_s = _spectral_diagnostics(c, stage)["det_S_integral"]
         assert abs(production + 4 * det_s) <= 1e-12 * abs(production)
 
     def test_undealiased_rhs_is_the_aliased_rotational_form(self, grid16):
@@ -370,14 +370,14 @@ class TestStageBuffers:
         or writes into an earlier result or its input.  n=48 is threaded."""
         grid = GridSpec(n)
         lat = _lattice(grid, rule)
-        buffers = _stage_buffers(lat)
         inputs = band_inputs(lat, 3, seed=70 + n)
         copies = [c.copy() for c in inputs]
-        results = [nonlinear_term(c, grid, rule, buffers=buffers) for c in inputs]
+        with _stage(lat) as stage:
+            results = [nonlinear_term(c, stage) for c in inputs]
         for c, copy, got in zip(inputs, copies, results):
             assert same_bits(c, copy)
             assert same_bits(got, nonlinear_term_oracle(copy, grid, rule))
-        assert same_bits(nonlinear_term(inputs[0], grid, rule), results[0])
+        assert same_bits(stage_tendency(inputs[0], grid, rule), results[0])
 
     @pytest.mark.parametrize("n, rule, steps, stride, threshold", [
         (16, "two_thirds", 6, 1, 1e8),
@@ -398,6 +398,39 @@ class TestStageBuffers:
             assert same_bits(getattr(series, col), getattr(expected, col)), col
         assert (series.status, repr(series.summary)) == (expected.status, repr(expected.summary))
         assert same_bits(series.final_field.half, final.half)
+
+    @pytest.mark.parametrize("n, parts", [(16, 1), (48, 2)])
+    def test_one_run_opens_one_stage(self, n, parts, monkeypatch):
+        """A run opens one stage and hands that same object to its 4
+        nonlinear terms per step, to every diagnostics row and to its CFL
+        sample: with two cores, one part at n=16 and two at n=48."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        opened = []  # (id, parts) of each stage the run opens
+        seen = {"nonlinear_term": [], "_spectral_diagnostics": [], "_max_speed": []}
+        open_stage = solver_module._stage
+
+        @contextlib.contextmanager
+        def spied_stage(lat):
+            with open_stage(lat) as stage:
+                opened.append((id(stage), len(stage.planes)))
+                yield stage
+
+        def spy(name, fn):
+            def spied(c, stage):
+                seen[name].append(id(stage))
+                return fn(c, stage)
+            return spied
+
+        monkeypatch.setattr(solver_module, "_stage", spied_stage)
+        for name in seen:
+            monkeypatch.setattr(solver_module, name, spy(name, getattr(solver_module, name)))
+        grid, steps = GridSpec(n), 2
+        u0 = random_divergence_free(grid, 33, kmax=5, amplitude=4.8 / n)
+        series = run(u0, SolverConfig(grid=grid, nu=0.03, dt=1e-3, t_end=steps * 1e-3))
+        assert [parts for _, parts in opened] == [parts]
+        assert [len(ids) for ids in seen.values()] == [4 * steps, steps + 1, 1]
+        assert len(series.t) == steps + 1
+        assert {i for ids in seen.values() for i in ids} == {opened[0][0]}
 
     def test_final_field_is_built_on_first_access(self, grid16, monkeypatch):
         calls = []
@@ -446,7 +479,6 @@ class TestStageBuffers:
         stage at n=32 peaks at least one padded (6, 32, 32, 17) half spectrum
         below the fresh-array stage."""
         lat = _lattice(grid32, "two_thirds")
-        buffers = _stage_buffers(lat)
         (u,) = band_inputs(lat, 1, seed=99)
 
         def peak(call):
@@ -459,8 +491,9 @@ class TestStageBuffers:
                 tracemalloc.stop()
 
         fresh = peak(lambda: nonlinear_term_oracle(u, grid32))
-        reused = peak(lambda: nonlinear_term(u, grid32, buffers=buffers))
-        assert fresh - reused >= buffers.half.nbytes == 6 * 32 * 32 * 17 * 16
+        with _stage(lat) as stage:
+            reused = peak(lambda: nonlinear_term(u, stage))
+        assert fresh - reused >= stage.half.nbytes == 6 * 32 * 32 * 17 * 16
 
 
 class TestParts:
@@ -470,18 +503,17 @@ class TestParts:
     fresh-array oracle's as bits."""
 
     @staticmethod
-    def check_against_oracles(grid, rule, buffers, seed):
-        """Two inputs through one buffer set: the stage, the row and max|u|
+    def check_against_oracles(grid, rule, stage, seed):
+        """Two inputs through one stage: the RK stage, the row and max|u|
         each equal their oracle as bits, and the inputs stay unchanged."""
         lat = _lattice(grid, rule)
         for c in band_inputs(lat, 2, seed):
             before = c.copy()
-            assert same_bits(nonlinear_term(c, grid, rule, buffers=buffers),
-                             nonlinear_term_oracle(before, grid, rule))
-            assert repr(solver_module._spectral_diagnostics(c, lat, buffers)) == repr(
+            assert same_bits(nonlinear_term(c, stage), nonlinear_term_oracle(before, grid, rule))
+            assert repr(solver_module._spectral_diagnostics(c, stage)) == repr(
                 diagnostics_row_oracle(before, lat))
             umax = samples_lebesgue_norm(irfft3(lat.pad(before), grid.n), np.inf)
-            assert solver_module._max_speed(c, lat, buffers) == umax
+            assert solver_module._max_speed(c, stage) == umax
             assert same_bits(c, before)
 
     @pytest.mark.parametrize("threaded", [False, True])
@@ -495,10 +527,9 @@ class TestParts:
         monkeypatch.setattr(field_module, "THREADED_MIN_N", 4 if threaded else n + 2)
         grid = GridSpec(n)
         lat = _lattice(grid, rule)
-        with ThreadPoolExecutor(3) as pool:
-            buffers = _stage_buffers(lat, pool)
-            assert len(buffers.parts.planes) == (3 if threaded else 1)
-            self.check_against_oracles(grid, rule, buffers, seed=n)
+        with _stage(lat) as stage:
+            assert len(stage.planes) == (3 if threaded else 1)
+            self.check_against_oracles(grid, rule, stage, seed=n)
 
     @pytest.mark.parametrize("n, cores, slabs", [
         (16, {0}, [[(0, 16)]]),
@@ -536,16 +567,14 @@ class TestParts:
 
         for name in _FFT_NAMES:
             monkeypatch.setattr(scipy.fft, name, spy(getattr(scipy.fft, name)))
-        with ThreadPoolExecutor(8) as pool:
-            buffers = _stage_buffers(lat, pool)
-            parts = buffers.parts
-            assert (len(parts.planes), sum(map(len, parts.slabs))) == (planes, slabs)
-            assert [p.indices(lat.shape[2]) for p in parts.planes] == [
+        with _stage(lat) as stage:
+            assert (len(stage.planes), sum(map(len, stage.slabs))) == (planes, slabs)
+            assert [p.indices(lat.shape[2]) for p in stage.planes] == [
                 (i, i + 1, 1) for i in range(planes)]
-            assert all(x.stop > x.start for part in parts.slabs for x in part)
-            assert len(parts.rows) == planes
-            assert all(r.stop > r.start for r in parts.rows)
-            self.check_against_oracles(grid, rule, buffers, seed=8)
+            assert all(x.stop > x.start for part in stage.slabs for x in part)
+            assert len(stage.rows) == planes
+            assert all(r.stop > r.start for r in stage.rows)
+            self.check_against_oracles(grid, rule, stage, seed=8)
         assert sizes and min(sizes) > 0
 
     @pytest.mark.parametrize("threshold, status", [
