@@ -16,7 +16,6 @@ from .field import (
     to_spectral,
 )
 from .norms import (
-    BesovSearchConfig,
     besov_norm,
     lebesgue_norm,
     p2d_split,

@@ -23,31 +23,38 @@ from .grid import GridSpec
 FLOAT_FMT = "%.12e"
 
 
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % x
+def _csv_text(rows: list[dict]) -> str:
+    """A header of the first row's keys, then one line per row: floats in
+    FLOAT_FMT, any other value by str."""
+    header = list(rows[0])
+    lines = [",".join(header)] + [
+        ",".join(FLOAT_FMT % row[h] if isinstance(row[h], float) else str(row[h]) for h in header)
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(payload) -> str:
+    """Indented strict JSON, numpy scalars and arrays as Python values."""
+    return json.dumps(_sanitize(payload), indent=2, default=_json_default) + "\n"
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write text to path, or to stdout when path is None."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(args, payload: dict, csv_rows: list[dict] | None = None) -> None:
     """Write JSON (default) or CSV to --output or stdout."""
     if args.format == "csv":
-        rows = csv_rows if csv_rows is not None else [payload]
-        header = list(rows[0].keys())
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    _fmt(v) if isinstance(v, float) else str(v)
-                    for v in (row[h] for h in header)
-                )
-            )
-        text = "\n".join(lines) + "\n"
+        text = _csv_text(csv_rows if csv_rows is not None else [payload])
     else:
-        text = json.dumps(_sanitize(payload), indent=2, default=_json_default) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        text = _json_text(payload)
+    _write(args.output, text)
 
 
 def _json_default(obj):
@@ -163,14 +170,16 @@ def _cmd_construct(args) -> int:
     u = _construct_field(args)
     sidecar = _closed_form_sidecar(args, u)  # before any file, so a failure leaves none
     fieldio.write_field(args.output, u)
-    with open(args.output + ".norms.json", "w") as fh:
-        json.dump(_sanitize(sidecar), fh, indent=2, default=_json_default)
-        fh.write("\n")
+    _write(args.output + ".norms.json", _json_text(sidecar))
     return 0
 
 
-#: The solver parameters a ``simulate --config`` file may set, each at most once.
-_CONFIG_KEYS = ("nu", "dt", "t_end", "dealias", "record_stride", "blowup_threshold")
+#: The solver parameters a ``simulate --config`` file may set, each at most
+#: once, with the cast of its value.  A parameter given by neither a flag nor
+#: the file takes SolverConfig's default.
+_CONFIG_KEYS = {"nu": float, "dt": float, "t_end": float,
+                "dealias": lambda rule: rule.replace("-", "_"),
+                "record_stride": int, "blowup_threshold": float}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -195,37 +204,27 @@ def _parse_config_file(path: str) -> dict:
 
 def _cmd_simulate(args) -> int:
     file_cfg = _parse_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
+    flags = {"nu": args.nu, "dt": args.dt, "t_end": args.t_end, "dealias": args.dealias}
+    u0 = fieldio.read_field(args.initial)
+    params = {}  # a flag before the file, one key at a time
+    for key, cast in _CONFIG_KEYS.items():
+        if flags.get(key) is not None:
+            params[key] = cast(flags[key])
+        elif key in file_cfg:
             try:
-                return cast(file_cfg[key])
+                params[key] = cast(file_cfg[key])
             except ValueError as exc:
                 raise ValueError(f"{args.config}: config key {key!r}: {exc}") from None
-        if default is None:
+        elif not hasattr(solver.SolverConfig, key):  # a field with no default
             raise ValueError(f"missing solver parameter {key}")
-        return default
-
-    u0 = fieldio.read_field(args.initial)
-    cfg = solver.SolverConfig(
-        grid=u0.grid,
-        nu=pick(args.nu, "nu", float, None),
-        dt=pick(args.dt, "dt", float, None),
-        t_end=pick(args.t_end, "t_end", float, None),
-        dealias=pick(args.dealias, "dealias", str, "two_thirds").replace("-", "_"),
-        record_stride=pick(None, "record_stride", int, 1),
-        blowup_threshold=pick(None, "blowup_threshold", float, 1e8),
-    )
-    series = solver.run(u0, cfg)
-    series.to_csv(args.output)
-    summary = dict(series.summary)
-    summary["status"] = series.status
-    summary["steps_recorded"] = len(series.t)
-    with open(args.output + ".summary.json", "w") as fh:
-        json.dump(_sanitize(summary), fh, indent=2, default=_json_default)
-        fh.write("\n")
+    series = solver.run(u0, solver.SolverConfig(grid=u0.grid, **params))
+    columns = {col: getattr(series, col) for col in solver.CSV_COLUMNS}
+    columns["horizontal_decay_flag"] = [
+        "" if math.isnan(flag) else str(int(flag)) for flag in series.horizontal_decay_flag
+    ]
+    _write(args.output, _csv_text([dict(zip(columns, row)) for row in zip(*columns.values())]))
+    summary = dict(series.summary, status=series.status, steps_recorded=len(series.t))
+    _write(args.output + ".summary.json", _json_text(summary))
     return 0
 
 
@@ -397,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     nu = ("--nu", {"type": float, "default": 1.0})
     n_grid = ("--n-grid", {"dest": "n_grid", "type": int, "default": 32})
     sweep_n = ("--n", {"type": _int_list, "default": (3, 6, 12)})
-    nodes = ("--nodes", {"type": int, "default": 128})
+    nodes = ("--nodes", {"type": int, "default": wholespace.QuadratureSpec.nodes})
 
     p = sub.add_parser("sweep", help="family sweeps with criterion columns", name_first="family")
     choices = p.add_subparsers(dest="family", required=True)

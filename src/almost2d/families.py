@@ -147,7 +147,9 @@ def rescaled_vorticity(
     grid = base_omega.grid
     n = grid.n
     eps = 1.0 / m
-    prefactor = eps ** (2.0 / 3.0) * math.log(m**a) ** 0.25
+    prefactor = eps ** (2.0 / 3.0) * (a * math.log(m)) ** 0.25
+    if not math.isfinite(prefactor):
+        raise ValueError(f"prefactor eps^(2/3) log(m^a)^(1/4) overflows at a={a!r}, m={m}")
 
     src = base_omega.half
     out = _empty(grid)

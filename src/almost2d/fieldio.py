@@ -34,12 +34,10 @@ _REQUIRED = {
 }
 
 
-def write_field(path: str, u: SpectralVectorField | PhysicalVectorField) -> None:
-    if isinstance(u, SpectralVectorField):
-        u = to_physical(u)
+def write_field(path: str, u: SpectralVectorField) -> None:
     fixed = "".join(f"{key}={value}\n" for key, value in _REQUIRED.items())
     header = f"version={FORMAT_VERSION}\nn={u.grid.n}\n{fixed}\n"
-    data = np.ascontiguousarray(u.samples, dtype="<f8")
+    data = np.ascontiguousarray(to_physical(u).samples, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(memoryview(data).cast("B"))  # the array's own bytes, not a copy

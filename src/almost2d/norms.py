@@ -7,8 +7,9 @@ summed over the half lattice with each plane's Plancherel multiplicity:
     ||e^{t lap} f||_{L2}^2 = sum_m exp(-8 pi^2 m t) P(m).
 Lebesgue norms are equal-weight grid quadratures of the pointwise
 Euclidean magnitude |u(x)|.  The heat-kernel Besov norm B^{-s}_{p,inf}
-is sup_{t>0} t^{s/2} ||e^{t lap} u||_{Lp}, discretized by a log-spaced
-coarse scan plus bounded refinement around the interior maximum; p = 2
+is sup_{t>0} t^{s/2} ||e^{t lap} u||_{Lp}, discretized by a scan of
+COARSE_POINTS log-spaced times in [T_MIN, T_MAX] plus a bounded refinement
+of at most REFINE_CALLS objective calls around the interior maximum; p = 2
 evaluates the spectrum at each t with no transform, p != 2 transforms
 e^{t lap} u, its multiplier gathered from one exp per shell.  Each spectrum
 bins through the grid's cached ``shell_index``, and ``samples_lebesgue_norm``
@@ -35,6 +36,10 @@ from .field import (
     to_physical,
 )
 from .grid import GridSpec
+
+#: The Besov sup's discretization: the coarse scan's window and points, and
+#: the cap on the refinement's objective calls.
+T_MIN, T_MAX, COARSE_POINTS, REFINE_CALLS = 1e-6, 1e2, 64, 80
 
 
 def _require_divergence_free(u: SpectralVectorField, context: str,
@@ -109,22 +114,6 @@ def samples_lebesgue_norm(samples: np.ndarray, p: float) -> float:
 
 
 @dataclass(frozen=True)
-class BesovSearchConfig:
-    """Discretization of the sup over t > 0."""
-
-    t_min: float = 1e-6
-    t_max: float = 1e2
-    coarse_points: int = 64
-    refine_iters: int = 80  # cap on the refinement's objective calls
-
-    def __post_init__(self):
-        if not (0 < self.t_min < self.t_max):
-            raise ValueError("need 0 < t_min < t_max")
-        if self.coarse_points < 16:
-            raise ValueError("coarse_points must be >= 16")
-
-
-@dataclass(frozen=True)
 class BesovResult:
     """The norm and the time t* at which the heat scan peaks.  ``value`` is
     good to about 1e-12 relative, ``t_star`` only to about 1e-7: the maximum
@@ -139,7 +128,6 @@ def besov_norm(
     u: SpectralVectorField,
     s: float,
     p: float,
-    cfg: BesovSearchConfig = BesovSearchConfig(),
     spectrum: ShellSpectrum | None = None,
 ) -> BesovResult:
     """Heat-kernel Besov norm B^{-s}_{p,inf} with the maximizing time: the
@@ -154,7 +142,7 @@ def besov_norm(
     if not spectrum.mean_zero:
         raise ValueError("besov norm requires a mean-zero field")
     if spectrum.peak == 0.0:
-        return BesovResult(0.0, cfg.t_min)
+        return BesovResult(0.0, T_MIN)
 
     if p == 2:
 
@@ -167,15 +155,14 @@ def besov_norm(
             flowed = irfft3(u.half * spectrum.heat_multiplier(t), u.grid.n)
             return t ** (s / 2.0) * samples_lebesgue_norm(flowed, p)
 
-    ts = np.geomspace(cfg.t_min, cfg.t_max, cfg.coarse_points)
+    ts = np.geomspace(T_MIN, T_MAX, COARSE_POINTS)
     values = np.array([objective(t) for t in ts])
     imax = int(np.argmax(values))
     if imax == 0 or imax == len(ts) - 1:
-        raise ValueError(
-            "coarse Besov scan peaked at the window edge; widen [t_min, t_max]"
-        )
+        raise ValueError(f"coarse Besov scan peaked at t={ts[imax]:g}, "
+                         f"the edge of its window [{T_MIN:g}, {T_MAX:g}]")
     t_star, low, _ = _bounded_minimum(
-        lambda t: -objective(t), ts[imax - 1], ts[imax + 1], 1e-14, cfg.refine_iters
+        lambda t: -objective(t), ts[imax - 1], ts[imax + 1], 1e-14, REFINE_CALLS
     )
     return BesovResult(max(float(-low), float(values[imax])), float(t_star))
 

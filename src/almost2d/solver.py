@@ -170,19 +170,6 @@ class DiagnosticsSeries:
         grid, lat, band = self._final_state
         return SpectralVectorField(grid, conjugate_planes(lat.pad(band)))
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for i in range(len(self.t)):
-                cells = []
-                for col in CSV_COLUMNS:
-                    value = getattr(self, col)[i]
-                    if col == "horizontal_decay_flag":
-                        cells.append("" if np.isnan(value) else str(int(value)))
-                    else:
-                        cells.append(f"{value:.12e}")
-                fh.write(",".join(cells) + "\n")
-
 
 class _Stage(NamedTuple):
     """What one ``run`` hands every RK stage, diagnostics row and CFL sample:

@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from almost2d import GridSpec, PhysicalVectorField, SpectralVectorField, families, to_physical
+from almost2d import (GridSpec, PhysicalVectorField, SpectralVectorField, families, to_physical,
+                      to_spectral)
 from almost2d import cli, norms
 from almost2d import field as field_layer
 from almost2d.cli import main
@@ -228,7 +229,7 @@ class TestCliDefects:
     @pytest.mark.parametrize("verb", [["norms"], ["check", "--nu", "0.1"]], ids=["norms", "check"])
     def test_divergent_field_is_a_domain_error(self, tmp_path, grid16, capsys, verb):
         path = str(tmp_path / "div.field")
-        write_field(path, PhysicalVectorField(grid16, random_physical(grid16, 12)))
+        write_field(path, to_spectral(PhysicalVectorField(grid16, random_physical(grid16, 12))))
         assert main(verb[:1] + [path] + verb[1:]) == 1
         assert "divergence-free" in _one_error_line(capsys)
 
@@ -344,14 +345,25 @@ class TestCliDefects:
             (["construct", "taylor-green", "--n", "8", "--amplitude", "nan"], "amplitude"),
             (["construct", "random", "--n", "8", "--amplitude", "inf"], "amplitude"),
             (["sweep", "rescaled", "--m", "2", "--a", "nan"], "log exponent"),
+            (["sweep", "rescaled", "--m", "8", "--a", "1e308"], "overflows at a=1e+308, m=8"),
         ],
-        ids=["taylor-green-nan", "random-inf", "rescaled-nan"],
+        ids=["taylor-green-nan", "random-inf", "rescaled-nan", "rescaled-overflow"],
     )
     def test_nonfinite_amplitude_is_a_domain_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.field"
         assert main(argv + ["--output", str(out)]) == 1
         assert message in _one_error_line(capsys)
         assert not out.exists()
+
+    def test_rescaled_sweep_takes_a_huge_log_exponent(self, capsys):
+        """log(m**a) overflowed in m**a at a = 1e30 and exited 1; log(m^a) is
+        a log(m), and its fourth root is finite."""
+        assert main(["sweep", "rescaled", "--m", "2,4", "--a", "1e30"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = json.loads(out)["rows"]
+        assert [row["m"] for row in rows] == [2, 4]
+        assert all(math.isfinite(value) for row in rows for value in row.values())
 
     def test_overflowing_closed_form_is_a_domain_error(self, tmp_path, capsys):
         """amplitude**2 overflows in the sidecar's closed forms: one error line,

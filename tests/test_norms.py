@@ -21,8 +21,8 @@ from almost2d import (
     to_spectral,
     un_family,
 )
+from almost2d import norms as norms_module
 from almost2d.norms import (
-    BesovSearchConfig,
     ShellSpectrum,
     _bounded_minimum,
     field_summary,
@@ -128,11 +128,21 @@ class TestBesovNorm:
             3.5 * base, rel=1e-12
         )
 
-    def test_refinement_self_convergence(self, grid24):
+    def test_refinement_self_convergence(self, grid24, monkeypatch):
         w = curl(un_family(3, grid24))
-        coarse = besov_norm(w, 0.5, 2.0, BesovSearchConfig(coarse_points=64))
-        fine = besov_norm(w, 0.5, 2.0, BesovSearchConfig(coarse_points=128))
+        monkeypatch.setattr(norms_module, "COARSE_POINTS", 64)
+        coarse = besov_norm(w, 0.5, 2.0)
+        monkeypatch.setattr(norms_module, "COARSE_POINTS", 128)
+        fine = besov_norm(w, 0.5, 2.0)
         assert abs(coarse.value - fine.value) < 1e-4 * fine.value
+
+    def test_peak_at_the_window_edge_names_the_window(self, grid16, monkeypatch):
+        """A single mode |k| = 1 peaks at t* = s / (8 pi^2) = 6.3e-3: a window
+        that ends at 1e-3 is refused, and the error gives its values."""
+        monkeypatch.setattr(norms_module, "T_MAX", 1e-3)
+        u = single_mode_field(grid16, (0, 1, 0), [0.4, 0.0, 0.3])
+        with pytest.raises(ValueError, match=r"at t=0\.001, the edge of its window \[1e-06, 0\.001\]"):
+            besov_norm(u, 0.5, 2.0)
 
     def test_requires_mean_zero(self, grid16):
         coeffs = np.zeros((3, 16, 16, 16), dtype=complex)
@@ -173,21 +183,21 @@ class TestBesovNorm:
         assert len(calls) == 74
 
 
-def transform_route_besov(u, s, p, cfg=BesovSearchConfig()):
+def transform_route_besov(u, s, p):
     """besov_norm's scan and refinement over the transform-per-t objective:
     (value, t_star)."""
 
     def objective(t):
         return t ** (s / 2.0) * lebesgue_norm(heat_semigroup(u, t), p)
 
-    ts = np.geomspace(cfg.t_min, cfg.t_max, cfg.coarse_points)
+    ts = np.geomspace(norms_module.T_MIN, norms_module.T_MAX, norms_module.COARSE_POINTS)
     values = np.array([objective(t) for t in ts])
     imax = int(np.argmax(values))
     res = minimize_scalar(
         lambda t: -objective(t),
         bounds=(ts[imax - 1], ts[imax + 1]),
         method="bounded",
-        options={"maxiter": cfg.refine_iters, "xatol": 1e-14},
+        options={"maxiter": norms_module.REFINE_CALLS, "xatol": 1e-14},
     )
     return max(float(-res.fun), float(values[imax])), float(res.x)
 
@@ -267,7 +277,8 @@ class TestBoundedSearch:
         search = norms_module._bounded_minimum
         monkeypatch.setattr(norms_module, "_bounded_minimum",
                             lambda *args: searches.append(args) or search(*args))
-        besov_norm(make(), 0.5, p, BesovSearchConfig(refine_iters=iters))
+        monkeypatch.setattr(norms_module, "REFINE_CALLS", iters)
+        besov_norm(make(), 0.5, p)
         ((f, a, b, xatol, maxiter),) = searches
         assert (xatol, maxiter) == (1e-14, iters)
         scipy_run, package_run = _scipy_and_package_searches(f, a, b, xatol, maxiter)

@@ -3,7 +3,8 @@ method is reached from a CLI verb or from a paper statement that waits for
 one), no CLI option that its handler ignores, no import of scipy.optimize or
 scipy.integrate at any depth, one transform path (the pair and the solver's
 band passes, with no second band form beside them) and one place for each
-tolerance, spectral multiplier, growth coefficient and the band's geometry."""
+tolerance, spectral multiplier, growth coefficient, output format and the
+band's geometry."""
 
 import argparse
 import ast
@@ -105,8 +106,7 @@ def test_every_cli_option_is_read_by_its_handler():
 #: trajectory sweep.
 PAPER_STATEMENTS = ("envelopes", "two_d_plus_perturbation")
 #: Exported types, the values that functions take and return.
-EXPORTED_TYPES = ("GridSpec", "SpectralVectorField", "PhysicalVectorField", "BesovSearchConfig",
-                  "CriterionReport", "SharpConstants", "SolverConfig", "DiagnosticsSeries",
+EXPORTED_TYPES = ("GridSpec", "SpectralVectorField", "PhysicalVectorField", "CriterionReport", "SharpConstants", "SolverConfig", "DiagnosticsSeries",
                   "QuadratureSpec")
 
 
@@ -249,6 +249,31 @@ def test_two_thirds_cutoff_written_once():
         and isinstance(node.right, ast.Constant) and node.right.value == 3
     ]
     assert divisions == ["grid.py"]
+
+
+def test_output_format_written_once():
+    """Every CSV and JSON file goes through one formatter of each: the float
+    format ``.12e`` is written in src/ only as cli.FLOAT_FMT, and a json
+    dump or dumps is called only in cli._json_text."""
+    cli_tree = ast.parse((SRC / "cli.py").read_text())
+    (float_fmt,) = [
+        node.value.lineno for node in cli_tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "FLOAT_FMT"
+    ]
+    formats = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".12e" in node.value
+    ]
+    assert formats == [("cli.py", float_fmt)]
+    dumps = [
+        (path.name, owner)
+        for path in sorted(SRC.glob("*.py"))
+        for owner, name in _calls(ast.parse(path.read_text()))
+        if name in ("dump", "dumps")
+    ]
+    assert dumps == [("cli.py", "_json_text")]
 
 
 def _band_statements(tree):
