@@ -35,8 +35,8 @@ def _csv_text(rows: list[dict]) -> str:
 
 
 def _json_text(payload) -> str:
-    """Indented strict JSON, numpy scalars and arrays as Python values."""
-    return json.dumps(_sanitize(payload), indent=2, default=_json_default) + "\n"
+    """Indented strict JSON of dicts, lists and Python (or np.float64) scalars."""
+    return json.dumps(_sanitize(payload), indent=2) + "\n"
 
 
 def _write(path: str | None, text: str) -> None:
@@ -55,14 +55,6 @@ def _emit(args, payload: dict, csv_rows: list[dict] | None = None) -> None:
     else:
         text = _json_text(payload)
     _write(args.output, text)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _sanitize(obj):
@@ -217,7 +209,7 @@ def _cmd_simulate(args) -> int:
                 raise ValueError(f"{args.config}: config key {key!r}: {exc}") from None
         elif not hasattr(solver.SolverConfig, key):  # a field with no default
             raise ValueError(f"missing solver parameter {key}")
-    series = solver.run(u0, solver.SolverConfig(grid=u0.grid, **params))
+    series = solver.run(u0, solver.SolverConfig(**params))
     columns = {col: getattr(series, col) for col in solver.CSV_COLUMNS}
     columns["horizontal_decay_flag"] = [
         "" if math.isnan(flag) else str(int(flag)) for flag in series.horizontal_decay_flag

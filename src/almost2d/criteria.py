@@ -60,7 +60,8 @@ class CriterionReport:
 
 
 def _require_valid_inputs(nu: float, *norms: float) -> None:
-    """0 < nu < inf and finite norms: a NaN norm must not reach a verdict."""
+    """0 < nu < inf, the precondition of every criterion and of a solver run,
+    and finite norms: a NaN norm must not reach a verdict."""
     if not 0 < nu < math.inf:
         raise ValueError(f"viscosity must be positive and finite, got {nu}")
     if not all(math.isfinite(x) for x in norms):

@@ -218,10 +218,6 @@ class SpectralVectorField:
         _check_same_grid(self, other)
         return SpectralVectorField(self.grid, self.half + other.half)
 
-    def __sub__(self, other: "SpectralVectorField") -> "SpectralVectorField":
-        _check_same_grid(self, other)
-        return SpectralVectorField(self.grid, self.half - other.half)
-
     def __mul__(self, scalar: float) -> "SpectralVectorField":
         return SpectralVectorField(self.grid, self.half * scalar)
 

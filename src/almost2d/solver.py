@@ -11,6 +11,11 @@ functionals against instantaneous spectral right-hand sides:
     ||omega_h|| < R1 nu  =>  dE/dt <= 0               (horizontal decay)
     ||omega_h(t)||^2 <= ||omega_h(0)||^2 exp(int ||omega||_L2^4 / (R2 nu^3))
 
+``run(u0, cfg)`` integrates u0 on its own grid and returns one finished
+``DiagnosticsSeries``, whose summary ends with the step's advective CFL and
+viscous stiffness on u0.  A dt past the advective limit shows only there,
+as advective_cfl > 0.5: the run writes nothing to stderr.
+
 The nonlinear term is evaluated in rotational form, P(u x omega) with
 omega = curl u, using real FFTs.  The state holds only the band |k_i| <= K,
 k3 >= 0, the dealias rule keeps (``_lattice``, ``GridSpec.band(K)``): under
@@ -73,15 +78,14 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
+from dataclasses import MISSING, dataclass, field as dc_field, fields
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .criteria import SMALL_DATA_COEFF, constants
+from .criteria import SMALL_DATA_COEFF, _require_valid_inputs, constants
 from .field import (
     DECAY_SLACK_TOL, DIVFREE_TOL, FROBENIUS_WEIGHTS, GRONWALL_2D_GROWTH_TOL, GRONWALL_2D_TOL,
     GRONWALL_LOG_TOL, INITIAL_MEAN_TOL, T_END_LATTICE_TOL, SpectralVectorField,
@@ -91,23 +95,21 @@ from .field import (
 from .grid import Band, GridSpec, conjugate_planes
 from .norms import samples_lebesgue_norm
 
-CSV_COLUMNS = [
-    "t",
-    "K",
-    "E",
-    "strain_h1_sq",
-    "det_S_integral",
-    "omega_h_hminushalf",
-    "energy_eq_residual",
-    "strain_identity_residual",
-    "enstrophy_ineq_slack",
-    "horizontal_decay_flag",
-]
+#: The band cutoff K of each dealias rule on a grid: the 2/3 rule's kc, or
+#: with "none" n/2, the whole half spectrum.
+_DEALIAS_CUTOFFS = {"two_thirds": lambda grid: grid.kc, "none": lambda grid: grid.n // 2}
+
+
+def _cutoff(dealias_rule: str) -> Callable[[GridSpec], int]:
+    if dealias_rule not in _DEALIAS_CUTOFFS:
+        raise ValueError(f"unknown dealias rule {dealias_rule!r}")
+    return _DEALIAS_CUTOFFS[dealias_rule]
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    grid: GridSpec
+    """The caller's choices for one ``run``; the grid is the initial field's."""
+
     nu: float
     dt: float
     t_end: float
@@ -116,8 +118,7 @@ class SolverConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not 0 < self.nu < math.inf:
-            raise ValueError(f"viscosity must be positive and finite, got {self.nu}")
+        _require_valid_inputs(self.nu)
         if not self.blowup_threshold > 0:
             raise ValueError(
                 f"blowup_threshold must be positive, got {self.blowup_threshold}"
@@ -129,7 +130,7 @@ class SolverConfig:
             raise ValueError(
                 f"t_end={self.t_end!r} is not an integer multiple of dt={self.dt!r}"
             )
-        _lattice(self.grid, self.dealias)  # rejects an unknown rule
+        _cutoff(self.dealias)  # rejects an unknown rule
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
@@ -140,7 +141,8 @@ class SolverConfig:
 
 @dataclass
 class DiagnosticsSeries:
-    """Per-step record of the monitored functionals.
+    """Per-step record of the monitored functionals.  Its array fields, the
+    ones without a default, are the CSV columns, in order.
 
     Column convention: residual/slack/flag entries needing a centered
     difference are NaN at the first and last recorded rows.
@@ -169,6 +171,10 @@ class DiagnosticsSeries:
             return None
         grid, lat, band = self._final_state
         return SpectralVectorField(grid, conjugate_planes(lat.pad(band)))
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsSeries)
+                    if f.default is MISSING and f.default_factory is MISSING)
 
 
 class _Stage(NamedTuple):
@@ -221,12 +227,8 @@ def _stage(lat: Band) -> Iterator[_Stage]:
 
 
 def _lattice(grid: GridSpec, dealias_rule: str) -> Band:
-    """The band ``grid.band(K)`` the solver keeps under ``dealias_rule``: the
-    2/3 rule's block, K = kc, or with "none" the whole half spectrum, K = n/2."""
-    cutoffs = {"two_thirds": grid.kc, "none": grid.n // 2}
-    if dealias_rule not in cutoffs:
-        raise ValueError(f"unknown dealias rule {dealias_rule!r}")
-    return grid.band(cutoffs[dealias_rule])
+    """The band ``grid.band(K)`` the solver keeps under ``dealias_rule``."""
+    return grid.band(_cutoff(dealias_rule)(grid))
 
 
 def nonlinear_term(u_hat: np.ndarray, stage: _Stage) -> np.ndarray:
@@ -362,16 +364,13 @@ def _spectral_diagnostics(c: np.ndarray, stage: _Stage) -> dict:
 
 
 def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
-    """Integrate to t_end, recording diagnostics every record_stride steps."""
-    if u0.grid.n != cfg.grid.n:
-        raise ValueError("initial data grid does not match the solver grid")
+    """Integrate u0 on its grid to t_end, recording diagnostics every record_stride steps."""
     if not is_mean_zero(np.abs(u0.half), INITIAL_MEAN_TOL):
         raise ValueError("initial data must be mean-zero")
     if divergence_defect(u0) > DIVFREE_TOL:
         raise ValueError("initial data must be divergence-free")
 
-    grid = cfg.grid
-    lat = _lattice(grid, cfg.dealias)
+    lat = _lattice(u0.grid, cfg.dealias)
     u = lat.crop(u0.half)
     u[:, 0, 0, 0] = 0.0
 
@@ -384,7 +383,7 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
     # This call's own stage: concurrent runs share neither its buffers nor
     # its pool, and no thread outlives the call.
     with _stage(lat) as stage:
-        stability = _advective_cfl_warning(u, stage, cfg)
+        stability = _stability(u, stage, cfg)
 
         def record(step: int, state: np.ndarray) -> str:
             diag = _spectral_diagnostics(state, stage)
@@ -408,23 +407,16 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
             if step % cfg.record_stride == 0 or step == n_steps:
                 status = record(step, u)
 
-    series = _assemble_series(rows, cfg)
-    series.status = status
-    series._final_state = (grid, lat, u)
-    series.summary.update(stability)
-    return series
+    return _assemble_series(rows, cfg, status, stability, (u0.grid, lat, u))
 
 
-def _advective_cfl_warning(u_hat: np.ndarray, stage: _Stage, cfg: SolverConfig) -> dict:
-    umax = _max_speed(u_hat, stage)
-    cfl = cfg.dt * umax * cfg.grid.n
-    if cfl > 0.5:  # stacklevel 3 names the caller of ``run``
-        warnings.warn(
-            f"advective CFL dt*max|u|*n = {cfl:.3g} exceeds 0.5", stacklevel=3
-        )
+def _stability(u_hat: np.ndarray, stage: _Stage, cfg: SolverConfig) -> dict:
+    """The step's advective CFL dt max|u| n, past the limit above 0.5, and its
+    viscous stiffness dt nu (pi n)^2, on the initial band state."""
+    n = stage.lat.n
     return {
-        "advective_cfl": cfl,
-        "stiff_heuristic": cfg.dt * cfg.nu * (2 * np.pi * cfg.grid.n / 2) ** 2,
+        "advective_cfl": cfg.dt * _max_speed(u_hat, stage) * n,
+        "stiff_heuristic": cfg.dt * cfg.nu * (2 * np.pi * n / 2) ** 2,
     }
 
 
@@ -435,13 +427,13 @@ def _max_speed(u_hat: np.ndarray, stage: _Stage) -> float:
     return float(np.max(slab_max))
 
 
-def _assemble_series(rows: list[dict], cfg: SolverConfig) -> DiagnosticsSeries:
+def _assemble_series(rows: list[dict], cfg: SolverConfig, status: str, stability: dict,
+                     final_state: tuple | None) -> DiagnosticsSeries:
+    """The finished record of a run: the rows' columns, the monitors derived
+    from them, and a summary of the monitors' extremes, then ``stability``."""
     m = len(rows)
-    cols = {
-        key: np.array([row[key] for row in rows])
-        for key in ("t", "K", "E", "strain_h1_sq", "det_S_integral",
-                    "omega_h_hminushalf", "strain_l3")
-    }
+    cols = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+    strain_l3 = cols.pop("strain_l3")
     t, K, E = cols["t"], cols["K"], cols["E"]
 
     dissipated = np.concatenate(([0.0], _cumulative_trapezoid(E, t)))
@@ -462,7 +454,7 @@ def _assemble_series(rows: list[dict], cfg: SolverConfig) -> DiagnosticsSeries:
     scale = np.maximum(np.maximum(np.abs(inst), np.abs(d)), 1e-30)
     strain_res[1:-1] = np.abs(d - inst) / scale
     cubic = np.float_power(E_i, 3) / (SMALL_DATA_COEFF / 2 * cfg.nu**3) - d
-    l3_cubed = np.float_power(cols["strain_l3"][1:-1], 3)
+    l3_cubed = np.float_power(strain_l3[1:-1], 3)
     cor22 = -2 * cfg.nu * h1 + (2.0 / 9.0) * math.sqrt(6.0) * l3_cubed - d
     slack[1:-1] = np.where(cor22 < cubic, cor22, cubic)  # min(cubic, cor22), NaN as min() keeps it
     small = cols["omega_h_hminushalf"][1:-1] < consts.r1 * cfg.nu
@@ -494,19 +486,12 @@ def _assemble_series(rows: list[dict], cfg: SolverConfig) -> DiagnosticsSeries:
         "gronwall_envelope_ok": gronwall_ok,
         "gronwall_max_log_ratio": gronwall_max_log_ratio,
         "max_energy_increase_per_step": per_step_increase,
+        **stability,
     }
     return DiagnosticsSeries(
-        t=t,
-        K=K,
-        E=E,
-        strain_h1_sq=cols["strain_h1_sq"],
-        det_S_integral=cols["det_S_integral"],
-        omega_h_hminushalf=cols["omega_h_hminushalf"],
-        energy_eq_residual=energy_residual,
-        strain_identity_residual=strain_res,
-        enstrophy_ineq_slack=slack,
-        horizontal_decay_flag=flag,
-        summary=summary,
+        **cols, energy_eq_residual=energy_residual, strain_identity_residual=strain_res,
+        enstrophy_ineq_slack=slack, horizontal_decay_flag=flag,
+        status=status, summary=summary, _final_state=final_state,
     )
 
 

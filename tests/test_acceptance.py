@@ -136,7 +136,7 @@ def test_criterion_5_taylor_green_regression():
         t0 = time.perf_counter()
         grid = GridSpec(32)
         tg = taylor_green_2d(grid)
-        series = run(tg, SolverConfig(grid=grid, nu=0.01, dt=1e-3, t_end=0.1))
+        series = run(tg, SolverConfig(nu=0.01, dt=1e-3, t_end=0.1))
         exact = full_coeffs(tg) * math.exp(-8 * math.pi**2 * 0.01 * 0.1)
         err = math.sqrt(float(np.sum(np.abs(full_coeffs(series.final_field) - exact) ** 2)))
         ref = math.sqrt(float(np.sum(np.abs(exact) ** 2)))
@@ -151,13 +151,13 @@ def test_criterion_6_trajectory_inequalities():
         grid = GridSpec(32)
         u0 = random_divergence_free(grid, 2024, kmax=4, amplitude=1.0)
         dt = 2e-6
-        series = run(u0, SolverConfig(grid=grid, nu=0.5, dt=dt, t_end=200 * dt))
+        series = run(u0, SolverConfig(nu=0.5, dt=dt, t_end=200 * dt))
         assert series.status == "completed"
         # Prop 2.1 identity, relative residual and O(dt^2) convergence
         res_full = series.summary["max_strain_identity_residual"]
         assert res_full <= 1e-5
         half = run(
-            u0, SolverConfig(grid=grid, nu=0.5, dt=dt / 2, t_end=60 * dt)
+            u0, SolverConfig(nu=0.5, dt=dt / 2, t_end=60 * dt)
         )
         ratio = res_full / half.summary["max_strain_identity_residual"]
         assert 2.5 < ratio < 6.0
@@ -168,7 +168,7 @@ def test_criterion_6_trajectory_inequalities():
         assert series.summary["horizontal_flag_all_true"]
         small_run = run(
             random_divergence_free(grid, 77, kmax=3, amplitude=2e-3),
-            SolverConfig(grid=grid, nu=0.5, dt=1e-5, t_end=5e-4),
+            SolverConfig(nu=0.5, dt=1e-5, t_end=5e-4),
         )
         below = small_run.omega_h_hminushalf < constants().r1 * 0.5
         assert np.all(below)
@@ -241,6 +241,6 @@ def test_criterion_9_envelope_consistency():
         E0 = 0.5 * sobolev_norm(curl(u0), 0) ** 2
         assert small_data_check(K0, E0, 1.0).satisfied
         bound = envelopes(K0, E0, 1.0, 0.0).global_enstrophy_bound
-        series = run(u0, SolverConfig(grid=grid, nu=1.0, dt=2e-5, t_end=2e-3))
+        series = run(u0, SolverConfig(nu=1.0, dt=2e-5, t_end=2e-3))
         assert series.status == "completed"
         assert np.all(series.E <= bound * (1 + 1e-6))

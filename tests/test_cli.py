@@ -4,7 +4,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +186,37 @@ class TestCli:
         assert summary["status"] == "completed"
         assert summary["max_energy_eq_residual"] < 1e-6 * 0.25
 
+    def test_simulate_header_and_summary_keys_are_the_documented_ones(self, tmp_path):
+        """The whole CSV header, and the summary's keys in order, are README's."""
+        field = str(tmp_path / "tg.field")
+        assert main(["construct", "taylor-green", "--n", "8", "--output", field]) == 0
+        out = str(tmp_path / "run.csv")
+        assert main(["simulate", "--initial", field, "--output", out,
+                     "--nu", "0.1", "--dt", "0.01", "--t-end", "0.03"]) == 0
+        header = open(out).readline().strip().split(",")
+        assert header == _readme_names("with the fixed column order")
+        summary = json.load(open(out + ".summary.json"))
+        assert list(summary) == _readme_names("holds these keys, in this order")
+
+    def test_step_past_the_cfl_limit_leaves_stderr_empty(self, tmp_path):
+        """A run whose dt is past the advective limit exits 0 and says so only
+        in its summary: a fresh process, with Python's default warning
+        filters, writes nothing to stderr."""
+        field = str(tmp_path / "hot.field")
+        assert main(["construct", "random", "--n", "16", "--seed", "14", "--amplitude", "100",
+                     "--output", field]) == 0
+        out = str(tmp_path / "run.csv")
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "almost2d.cli", "simulate", "--initial", field,
+             "--output", out, "--nu", "0.1", "--dt", "0.01", "--t-end", "0.01"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.load(open(out + ".summary.json"))["advective_cfl"] > 0.5
+
     def test_wholespace_table(self, tmp_path, capsys):
         assert main(["wholespace", "lambda-n", "--n", "3,10", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -198,6 +233,14 @@ class TestCli:
 
     def test_io_error_exit_code(self, capsys):
         assert main(["norms", "/nonexistent/file.field"]) == 2
+
+
+def _readme_names(lead: str) -> list[str]:
+    """The comma-separated names of the first code block in README.md after
+    the text ``lead``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split(lead, 1)[1].split("```", 2)[1]
+    return "".join(block.split()).split(",")
 
 
 def _one_error_line(capsys) -> str:

@@ -412,7 +412,7 @@ class TestImmutability:
         path = str(tmp_path / "u.field")
         write_field(path, u)
         w = curl(u)
-        series = run(u, SolverConfig(grid=grid16, nu=0.1, dt=1e-3, t_end=2e-3))
+        series = run(u, SolverConfig(nu=0.1, dt=1e-3, t_end=2e-3))
         fields = {
             "to_spectral": to_spectral(to_physical(u)),
             "read_field": read_field(path),
