@@ -79,7 +79,7 @@ def _log_verdict(factor: float, exponent: float, rhs: float) -> tuple[float, flo
 
 def small_data_check(K0: float, E0: float, nu: float) -> CriterionReport:
     """Energy-enstrophy product against 6912 pi^4 nu^4."""
-    _require_valid_inputs(nu)
+    _require_valid_inputs(nu, K0, E0)
     if K0 < 0 or E0 < 0:
         raise ValueError("energy and enstrophy must be nonnegative")
     lhs = K0 * E0
@@ -116,9 +116,7 @@ def criterion_quantity(omega_h: float, K0: float, E0: float, nu: float) -> float
     """The unshifted criterion quantity ||omega_h|| exp(K0 E0 / (R2 nu^3));
     inf where the exponential overflows."""
     _require_valid_inputs(nu, omega_h, K0, E0)
-    with np.errstate(over="ignore"):
-        growth = np.exp(K0 * E0 / (constants().r2 * nu**3))
-    return float(omega_h * growth) if omega_h > 0 else 0.0
+    return _log_verdict(omega_h, K0 * E0 / (constants().r2 * nu**3), 1.0)[1]
 
 
 def gamma2d_lp_from_norms(
@@ -170,7 +168,7 @@ class Envelopes:
 
 def envelopes(K0: float, E0: float, nu: float, t: float) -> Envelopes:
     """Global (small-data) and local-in-time enstrophy bounds at time t."""
-    _require_valid_inputs(nu)
+    _require_valid_inputs(nu, K0, E0)
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     reason = None

@@ -237,6 +237,8 @@ def random_divergence_free(
     projected and recentered to mean zero."""
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     n = grid.n
     if kmax is None:
         kmax = max(1, n // 4)

@@ -342,8 +342,9 @@ def curl(u: SpectralVectorField) -> SpectralVectorField:
 
 
 def heat_semigroup(u: SpectralVectorField, t: float) -> SpectralVectorField:
-    """Heat flow for time t, multiplier exp(-4*pi^2 |k|^2 t)."""
+    """Heat flow for time t, exp(-4 pi^2 m t) per shell m = |k|^2 (``shell_index``)."""
     if t < 0:
         raise ValueError(f"heat semigroup requires t >= 0, got {t}")
-    factor = np.exp(-4 * np.pi**2 * u.grid.k_sq * t)
+    shells = np.arange(3 * (u.grid.n // 2) ** 2 + 1)
+    factor = np.exp(-4 * np.pi**2 * shells * t)[u.grid.shell_index]
     return SpectralVectorField(u.grid, u.half * factor)

@@ -128,13 +128,10 @@ class Band(NamedTuple):
             for b2, s2 in self.rows
         ]
 
-    def pad(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def pad(self, block: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Band coefficients (..., b, b, m) written into their rows and planes
         of the half spectrum ``out`` (..., n, n, n/2 + 1), which is written
-        nowhere else; if not given, a fresh one, zero off the band."""
-        if out is None:
-            n = self.n
-            out = np.zeros(block.shape[:-3] + (n, n, n // 2 + 1), dtype=complex)
+        nowhere else."""
         for b, s in self._quadrants(block.shape[-1]):
             out[s] = block[b]
         return out

@@ -10,8 +10,8 @@ Euclidean magnitude |u(x)|.  The heat-kernel Besov norm B^{-s}_{p,inf}
 is sup_{t>0} t^{s/2} ||e^{t lap} u||_{Lp}, discretized by a scan of
 COARSE_POINTS log-spaced times in [T_MIN, T_MAX] plus a bounded refinement
 of at most REFINE_CALLS objective calls around the interior maximum; p = 2
-evaluates the spectrum at each t with no transform, p != 2 transforms
-e^{t lap} u, its multiplier gathered from one exp per shell.  Each spectrum
+evaluates the spectrum at each t with no transform, p != 2 is the
+definition itself, the Lp norm of ``heat_semigroup(u, t)``.  Each spectrum
 bins through the grid's cached ``shell_index``, and ``samples_lebesgue_norm``
 forms |u|, then |u|^p, in one array.  The refinement is the package's own
 bounded Brent search (``_bounded_minimum``), so no verb loads scipy.optimize,
@@ -31,7 +31,7 @@ from .field import (
     SpectralVectorField,
     curl,
     divergence_defect,
-    irfft3,
+    heat_semigroup,
     is_mean_zero,
     to_physical,
 )
@@ -60,9 +60,9 @@ class ShellSpectrum:
         np.square(power, out=power)
         power *= grid.multiplicity
         size = 3 * (grid.n // 2) ** 2 + 1
-        self._shells = grid.shell_index
+        shells = grid.shell_index.ravel()
         self.power = np.stack(
-            [np.bincount(self._shells.ravel(), weights=p.ravel(), minlength=size) for p in power]
+            [np.bincount(shells, weights=p.ravel(), minlength=size) for p in power]
         )
         self._m = np.arange(size, dtype=float)
 
@@ -80,10 +80,6 @@ class ShellSpectrum:
         """||e^{t lap} .||_{L2} of the whole array."""
         decay = np.exp(-8 * np.pi**2 * self._m * t)
         return math.sqrt(float(np.dot(decay, self.power.sum(axis=0))))
-
-    def heat_multiplier(self, t: float) -> np.ndarray:
-        """exp(-4 pi^2 |k|^2 t) on the half lattice, one exp per shell."""
-        return np.exp(-4 * np.pi**2 * self._m * t)[self._shells]
 
 
 def sobolev_norm(u: SpectralVectorField, s: float) -> float:
@@ -152,8 +148,7 @@ def besov_norm(
     else:
 
         def objective(t: float) -> float:
-            flowed = irfft3(u.half * spectrum.heat_multiplier(t), u.grid.n)
-            return t ** (s / 2.0) * samples_lebesgue_norm(flowed, p)
+            return t ** (s / 2.0) * lebesgue_norm(heat_semigroup(u, t), p)
 
     ts = np.geomspace(T_MIN, T_MAX, COARSE_POINTS)
     values = np.array([objective(t) for t in ts])

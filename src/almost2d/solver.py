@@ -11,10 +11,10 @@ functionals against instantaneous spectral right-hand sides:
     ||omega_h|| < R1 nu  =>  dE/dt <= 0               (horizontal decay)
     ||omega_h(t)||^2 <= ||omega_h(0)||^2 exp(int ||omega||_L2^4 / (R2 nu^3))
 
-``run(u0, cfg)`` integrates u0 on its own grid and returns one finished
-``DiagnosticsSeries``, whose summary ends with the step's advective CFL and
-viscous stiffness on u0.  A dt past the advective limit shows only there,
-as advective_cfl > 0.5: the run writes nothing to stderr.
+``run(u0, cfg)`` integrates u0 on its own grid and returns the one record
+``simulate`` writes, a ``DiagnosticsSeries`` whose summary ends with the
+step's advective CFL and viscous stiffness on u0; a dt past the advective
+limit shows only there, as advective_cfl > 0.5 (the run writes no stderr).
 
 The nonlinear term is evaluated in rotational form, P(u x omega) with
 omega = curl u, using real FFTs.  The state holds only the band |k_i| <= K,
@@ -29,7 +29,7 @@ which skip the 1-D lines that are zero on input or cropped on output (under
 "none" the band is every line, and nothing is skipped).  The
 curl, each row's strain and the projection's k.c are ``field``'s multiplier
 kernels applied to the band.  ``run`` crops the band from a
-``SpectralVectorField``'s half spectrum at entry and pads it back at exit.
+``SpectralVectorField``'s half spectrum at entry and returns no state.
 (u.grad)u and omega x u differ by the gradient grad(|u|^2/2), which the
 Leray projection P removes.  Under the 2/3 rule every product is
 alias-free, at every n: a product of band modes reaches |k_i| <= 2kc, and
@@ -76,7 +76,6 @@ only the read-only lattices, and no thread outlives the call.
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -92,7 +91,7 @@ from .field import (
     band_forward_planes, band_inverse_planes, band_parts, curl_coeffs, divergence_defect,
     irfft_k3, is_mean_zero, k_dot, rfft_x3, strain_coeffs,
 )
-from .grid import Band, GridSpec, conjugate_planes
+from .grid import Band, GridSpec
 from .norms import samples_lebesgue_norm
 
 #: The band cutoff K of each dealias rule on a grid: the 2/3 rule's kc, or
@@ -160,17 +159,6 @@ class DiagnosticsSeries:
     horizontal_decay_flag: np.ndarray
     status: str = "completed"
     summary: dict = dc_field(default_factory=dict)
-    #: (grid, band, last band state) of the run that made the series
-    _final_state: tuple | None = dc_field(default=None, repr=False, compare=False)
-
-    @functools.cached_property
-    def final_field(self) -> SpectralVectorField | None:
-        """The last state padded to the half spectrum, built on first access:
-        ``simulate`` never reads it."""
-        if self._final_state is None:
-            return None
-        grid, lat, band = self._final_state
-        return SpectralVectorField(grid, conjugate_planes(lat.pad(band)))
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsSeries)
@@ -407,7 +395,7 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
             if step % cfg.record_stride == 0 or step == n_steps:
                 status = record(step, u)
 
-    return _assemble_series(rows, cfg, status, stability, (u0.grid, lat, u))
+    return _assemble_series(rows, cfg, status, stability)
 
 
 def _stability(u_hat: np.ndarray, stage: _Stage, cfg: SolverConfig) -> dict:
@@ -427,8 +415,8 @@ def _max_speed(u_hat: np.ndarray, stage: _Stage) -> float:
     return float(np.max(slab_max))
 
 
-def _assemble_series(rows: list[dict], cfg: SolverConfig, status: str, stability: dict,
-                     final_state: tuple | None) -> DiagnosticsSeries:
+def _assemble_series(rows: list[dict], cfg: SolverConfig, status: str,
+                     stability: dict) -> DiagnosticsSeries:
     """The finished record of a run: the rows' columns, the monitors derived
     from them, and a summary of the monitors' extremes, then ``stability``."""
     m = len(rows)
@@ -490,8 +478,7 @@ def _assemble_series(rows: list[dict], cfg: SolverConfig, status: str, stability
     }
     return DiagnosticsSeries(
         **cols, energy_eq_residual=energy_residual, strain_identity_residual=strain_res,
-        enstrophy_ineq_slack=slack, horizontal_decay_flag=flag,
-        status=status, summary=summary, _final_state=final_state,
+        enstrophy_ineq_slack=slack, horizontal_decay_flag=flag, status=status, summary=summary,
     )
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from almost2d import GridSpec, SpectralVectorField, curl, lebesgue_norm
+from almost2d import GridSpec, SpectralVectorField, curl, lebesgue_norm, run
+from almost2d import solver
 from almost2d.criteria import (
     CriterionReport, Envelopes, _log_verdict, _require_valid_inputs, constants,
     gamma2d_from_norms,
@@ -113,6 +114,37 @@ def plane_defect(half):
     return max(float(np.max(np.abs(p - np.conj(p[..., neg, :][..., neg])))) for p in planes)
 
 
+def padded(band, block):
+    """Band coefficients (..., b, b, m) in a fresh half spectrum
+    (..., n, n, n/2 + 1), zero off the band."""
+    n = band.n
+    return band.pad(block, np.zeros(block.shape[:-3] + (n, n, n // 2 + 1), dtype=complex))
+
+
+@pytest.fixture
+def run_with_final(monkeypatch):
+    """``run`` that also returns the field the run ends with: (series, final
+    field).  Every run ends on a diagnostics row, the row at t_end or the row
+    that stops it, so the band state that the calling thread's last
+    ``_spectral_diagnostics`` call read is the last state, padded here.  One
+    spy per test, keyed by thread, so concurrent runs keep their own."""
+    last = {}
+    diagnostics = solver._spectral_diagnostics
+
+    def spy(c, stage):
+        last[threading.get_ident()] = (c, stage.lat)
+        return diagnostics(c, stage)
+
+    monkeypatch.setattr(solver, "_spectral_diagnostics", spy)
+
+    def run_with_final(u0, cfg):
+        series = run(u0, cfg)
+        c, lat = last.pop(threading.get_ident())
+        return series, SpectralVectorField(u0.grid, conjugate_planes(padded(lat, c)))
+
+    return run_with_final
+
+
 def half_spectrum(coeffs):
     """The k3 >= 0 half (``numpy.fft.rfftn`` layout) of a coefficient array."""
     n = coeffs.shape[-1]
@@ -209,7 +241,7 @@ def advection(u: SpectralVectorField, apply_dealias: bool = True) -> SpectralVec
     out[:, 0, 0, 0] = 0.0
     if apply_dealias:
         band = u.grid.band(u.grid.kc)
-        out = band.pad(band.crop(out))
+        out = padded(band, band.crop(out))
     return SpectralVectorField(u.grid, out)
 
 
@@ -222,7 +254,7 @@ def rhs(u: SpectralVectorField, nu: float, dealias_rule: str = "two_thirds") -> 
     c = lat.crop(u.half)
     tendency = stage_tendency(c, grid, dealias_rule)
     tendency -= nu * 4 * np.pi**2 * lat.k_sq * c
-    return SpectralVectorField(grid, conjugate_planes(lat.pad(tendency)))
+    return SpectralVectorField(grid, conjugate_planes(padded(lat, tendency)))
 
 
 def stage_tendency(c, grid, rule="two_thirds"):
@@ -240,7 +272,7 @@ def nonlinear_term_oracle(u_hat, grid, dealias_rule="two_thirds"):
     fields = np.empty((6,) + u_hat.shape[1:], dtype=complex)
     fields[:3] = u_hat
     curl_coeffs(u_hat, lat.k_deriv, out=fields[3:])
-    u1, u2, u3, w1, w2, w3 = irfft3(lat.pad(fields), lat.n)
+    u1, u2, u3, w1, w2, w3 = irfft3(padded(lat, fields), lat.n)
     product = np.empty((3,) + u1.shape)
     scratch = np.empty(u1.shape)
     for p, (a, b, x, y) in zip(product, ((u2, w3, u3, w2), (u3, w1, u1, w3), (u1, w2, u2, w1))):

@@ -398,6 +398,14 @@ class TestCliDefects:
         assert message in _one_error_line(capsys)
         assert not out.exists()
 
+    def test_negative_seed_is_a_domain_error(self, tmp_path, capsys):
+        """numpy's own message named no input."""
+        out = tmp_path / "out.field"
+        argv = ["construct", "random", "--n", "8", "--seed", "-1", "--output", str(out)]
+        assert main(argv) == 1
+        assert "seed must be a non-negative integer, got -1" in _one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
     def test_rescaled_sweep_takes_a_huge_log_exponent(self, capsys):
         """log(m**a) overflowed in m**a at a = 1e30 and exited 1; log(m^a) is
         a log(m), and its fourth root is finite."""

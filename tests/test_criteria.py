@@ -112,6 +112,18 @@ class TestNonFiniteNorms:
         self._rejects_each_slot(criterion_quantity)
         assert criterion_quantity(1.0, 1e3, 1e3, 0.01) == math.inf
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_small_data_check_and_envelopes(self, slot, bad):
+        """K0 or E0 non-finite: small_data_check gave "not satisfied" and
+        envelopes a validity window of nan."""
+        norms = [1.0, 1.0]
+        norms[slot] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            small_data_check(*norms, 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            envelopes(*norms, 1.0, 0.0)
+
 
 class TestGamma2d:
     def test_two_dimensional_flow_passes(self, grid32):

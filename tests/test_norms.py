@@ -173,11 +173,11 @@ class TestBesovNorm:
         """p = inf makes one irfft3 per objective evaluation, 64 coarse points
         and 10 refinement steps here, and no transform for a Hermitian check.
         The full-spectrum layout made the same 74 through ``to_physical``."""
-        from almost2d import norms as norms_module
+        from almost2d import field as field_module
 
         calls = []
-        inverse = norms_module.irfft3
-        monkeypatch.setattr(norms_module, "irfft3",
+        inverse = field_module.irfft3
+        monkeypatch.setattr(field_module, "irfft3",
                             lambda *args: calls.append(1) or inverse(*args))
         besov_norm(large_almost_2d(1, grid32), 1.0, np.inf)
         assert len(calls) == 74

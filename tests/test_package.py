@@ -1,6 +1,6 @@
 """Package layout: src/ carries no test-only API (every export and public
 method is reached from a CLI verb or from a paper statement that waits for
-one), no CLI option that its handler ignores, no import of scipy.optimize or
+one, and every property is read in src/), no CLI option that its handler ignores, no import of scipy.optimize or
 scipy.integrate at any depth, one transform path (the pair and the solver's
 band passes, with no second band form beside them) and one place for each
 tolerance, spectral multiplier, growth coefficient, output format and the
@@ -148,8 +148,9 @@ def test_every_export_is_reached_from_a_verb():
 
 def test_every_public_method_is_reached_from_a_verb():
     """So is each public method of a class in src/.  Properties, cached
-    properties and dunders are apart, as no call names them, and so are
-    overrides of an inherited method, which their base class calls."""
+    properties and dunders are apart, as no call names them (properties are
+    read, ``test_every_property_is_read_in_src``), and so are overrides of
+    an inherited method, which their base class calls."""
     reached = _reached_from_a_verb()
     unreached = []
     for path in sorted(SRC.glob("*.py")):
@@ -161,12 +162,39 @@ def test_every_public_method_is_reached_from_a_verb():
             unreached += [
                 f"{path.name}:{cls.name}.{node.name}" for node in cls.body
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-                and not {getattr(d, "id", getattr(d, "attr", None)) for d in node.decorator_list}
-                & {"property", "cached_property"}
+                and not _is_property(node)
                 and not any(node.name in vars(base) for base in bases)
                 and node.name not in reached
             ]
     assert unreached == []
+
+
+def _is_property(node) -> bool:
+    """Whether a function definition is a property or a cached property."""
+    return bool({getattr(d, "id", getattr(d, "attr", None)) for d in node.decorator_list}
+                & {"property", "cached_property"})
+
+
+def test_every_property_is_read_in_src():
+    """Each property and cached property of a class in src/, which no call
+    names, is read as an attribute by src/ code outside its own body: none
+    is kept for tests alone."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = [
+        node for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and _is_property(node):
+                    own = set(map(id, ast.walk(node)))
+                    if not any(r.attr == node.name and id(r) not in own for r in reads):
+                        unread.append(f"{module}:{cls.name}.{node.name}")
+    assert unread == []
 
 
 _TRANSFORMS = {

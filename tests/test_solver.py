@@ -36,7 +36,8 @@ from almost2d.solver import (
 )
 from conftest import (
     _FFT_NAMES, advection, from_full_coeffs, full_coeffs, full_wavenumbers, half_spectrum,
-    nonlinear_term_oracle, plane_defect, rhs, stage_tendency, strain, two_thirds_mask, zeroed,
+    nonlinear_term_oracle, padded, plane_defect, rhs, stage_tendency, strain, two_thirds_mask,
+    zeroed,
 )
 
 
@@ -123,9 +124,9 @@ class TestRotationalForm:
         grid = GridSpec(n)
         lat = _lattice(grid, "two_thirds")
         filled = random_divergence_free(grid, seed, kmax=n // 2 - 1)
-        u = SpectralVectorField(grid, lat.pad(lat.crop(filled.half)))
+        u = SpectralVectorField(grid, padded(lat, lat.crop(filled.half)))
         convective = -projected(full_coeffs(advection(u)), grid)
-        got = lat.pad(stage_tendency(lat.crop(u.half), grid))
+        got = padded(lat, stage_tendency(lat.crop(u.half), grid))
         assert rel_err(got, half_spectrum(convective)) <= 1e-12
 
     @pytest.mark.parametrize("n", [16, 24, 30, 32, 48])
@@ -172,10 +173,10 @@ class TestRotationalForm:
         convective = -projected(full_coeffs(advection(u, apply_dealias=False)), grid16)
         assert rel_err(got, convective + viscous) > 1e-2
 
-    def test_final_field_hermitian_and_divergence_free(self, grid32):
+    def test_final_field_hermitian_and_divergence_free(self, grid32, run_with_final):
         u0 = random_divergence_free(grid32, 41, kmax=6, amplitude=0.2)
         dt = 1e-3
-        final = run(u0, SolverConfig(nu=0.05, dt=dt, t_end=20 * dt)).final_field
+        _, final = run_with_final(u0, SolverConfig(nu=0.05, dt=dt, t_end=20 * dt))
         assert plane_defect(final.half) <= 1e-14
         assert divergence_defect(final) <= 1e-12
 
@@ -190,7 +191,7 @@ def test_two_thirds_band_is_the_dealias_mask(n):
     lat = _lattice(grid, "two_thirds")
     kc = lat.shape[2] - 1
     assert lat.shape == (2 * kc + 1, 2 * kc + 1, kc + 1)
-    assert np.array_equal(lat.pad(np.ones(lat.shape)) != 0, two_thirds_mask(grid))
+    assert np.array_equal(padded(lat, np.ones(lat.shape)) != 0, two_thirds_mask(grid))
     assert 3 * kc < n <= 3 * kc + 3
 
 
@@ -215,7 +216,7 @@ class TestBandKernels:
         lat = _lattice(grid, rule)
         rng = np.random.default_rng(60 + n)
         noise = rng.standard_normal((2, 3) + lat.shape)
-        full = SpectralVectorField(grid, conjugate_planes(lat.pad(noise[0] + 1j * noise[1])))
+        full = SpectralVectorField(grid, conjugate_planes(padded(lat, noise[0] + 1j * noise[1])))
         band = lat.crop(full.half)
         divergence = 2j * np.pi * k_dot(full.half, grid.k_deriv)
         assert same_bits(2j * np.pi * k_dot(band, lat.k_deriv), lat.crop(divergence))
@@ -225,19 +226,20 @@ class TestBandKernels:
 
 class TestSymmetries:
     @pytest.mark.parametrize("n", [16, 24])
-    def test_run_commutes_with_swapping_x1_and_x2(self, n):
+    def test_run_commutes_with_swapping_x1_and_x2(self, n, run_with_final):
         """The swap maps solutions to solutions and keeps K, E, ||S||_{H1},
         int det S and ||omega_h||_{H^-1/2}.  kmax = n/2 - 1 puts modes outside
         the 2/3 block, so the truncation at entry is swapped too."""
         grid = GridSpec(n)
         u0 = random_divergence_free(grid, 50 + n, kmax=n // 2 - 1, amplitude=0.2)
         cfg = SolverConfig(nu=0.05, dt=1e-3, t_end=10e-3)
-        direct, swapped = run(u0, cfg), run(swap_x1_x2(u0), cfg)
+        (direct, direct_final), (swapped, swapped_final) = (
+            run_with_final(u0, cfg), run_with_final(swap_x1_x2(u0), cfg))
         for col in ("K", "E", "strain_h1_sq", "det_S_integral", "omega_h_hminushalf"):
             np.testing.assert_allclose(getattr(swapped, col), getattr(direct, col),
                                        rtol=1e-12, atol=0, err_msg=col)
-        assert rel_err(full_coeffs(swapped.final_field),
-                       full_coeffs(swap_x1_x2(direct.final_field))) <= 1e-12
+        assert rel_err(full_coeffs(swapped_final),
+                       full_coeffs(swap_x1_x2(direct_final))) <= 1e-12
 
     def test_two_dimensional_data_stays_two_dimensional(self, grid16):
         series = run(
@@ -246,9 +248,9 @@ class TestSymmetries:
         )
         assert np.all(series.omega_h_hminushalf <= 1e-13 * np.sqrt(series.E))
 
-    def test_state_stays_in_the_two_thirds_block(self, grid16):
+    def test_state_stays_in_the_two_thirds_block(self, grid16, run_with_final):
         u0 = random_divergence_free(grid16, 61, kmax=7, amplitude=0.2)
-        final = run(u0, SolverConfig(nu=0.05, dt=1e-3, t_end=5e-3)).final_field
+        _, final = run_with_final(u0, SolverConfig(nu=0.05, dt=1e-3, t_end=5e-3))
         inside = two_thirds_mask(grid16)
         assert np.all(final.half[:, ~inside] == 0.0)
         assert np.count_nonzero(final.half[:, inside]) > 0.9 * 3 * np.count_nonzero(inside)
@@ -299,7 +301,7 @@ def band_inputs(lat, count, seed):
     planes of rule "none" included, each call's input distinct."""
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((count, 2, 3) + lat.shape)
-    return [lat.crop(conjugate_planes(lat.pad(a + 1j * b))) for a, b in noise]
+    return [lat.crop(conjugate_planes(padded(lat, a + 1j * b))) for a, b in noise]
 
 
 def diagnostics_row_oracle(c, lat):
@@ -310,7 +312,7 @@ def diagnostics_row_oracle(c, lat):
     omega_h_sq = float(
         np.sum(lat.multiplicity * lat.omega_h_weight * (np.abs(w[0]) ** 2 + np.abs(w[1]) ** 2))
     )
-    s_phys = irfft3(lat.pad(strain_coeffs(c, lat.k_deriv)), lat.n)
+    s_phys = irfft3(padded(lat, strain_coeffs(c, lat.k_deriv)), lat.n)
     return {
         "K": 0.5 * float(np.sum(abs_sq)),
         "E": 0.5 * float(np.sum(four_pi_sq_ksq * abs_sq)),
@@ -331,7 +333,7 @@ def run_by_oracle(u0, cfg):
     u[:, 0, 0, 0] = 0.0
     half_decay = np.exp(-4 * np.pi**2 * lat.k_sq * cfg.nu * h / 2.0)
     full_decay = half_decay**2
-    umax = samples_lebesgue_norm(irfft3(lat.pad(u), lat.n), np.inf)
+    umax = samples_lebesgue_norm(irfft3(padded(lat, u), lat.n), np.inf)
     rows = []
 
     def record(step, state):
@@ -354,8 +356,8 @@ def run_by_oracle(u0, cfg):
         "advective_cfl": cfg.dt * umax * grid.n,
         "stiff_heuristic": cfg.dt * cfg.nu * (2 * np.pi * grid.n / 2) ** 2,
     }
-    series = _assemble_series(rows, cfg, status, stability, None)
-    return series, SpectralVectorField(grid, conjugate_planes(lat.pad(u)))
+    series = _assemble_series(rows, cfg, status, stability)
+    return series, SpectralVectorField(grid, conjugate_planes(padded(lat, u)))
 
 
 class TestStageBuffers:
@@ -384,20 +386,21 @@ class TestStageBuffers:
         (24, "none", 7, 3, 1e8),
         (16, "two_thirds", 6, 1, 1e-12),  # stopped at row 0: "blowup_suspected"
     ])
-    def test_run_matches_the_oracle_loop(self, n, rule, steps, stride, threshold):
+    def test_run_matches_the_oracle_loop(self, n, rule, steps, stride, threshold,
+                                         run_with_final):
         grid = GridSpec(n)
         u0 = random_divergence_free(grid, 80 + n, kmax=n // 2 - 1, amplitude=0.1)
         before = u0.half.copy()
         cfg = SolverConfig(nu=0.03, dt=1e-3, t_end=steps * 1e-3, dealias=rule,
                            record_stride=stride, blowup_threshold=threshold)
-        series = run(u0, cfg)
+        series, got_final = run_with_final(u0, cfg)
         expected, final = run_by_oracle(u0, cfg)
         assert same_bits(u0.half, before)
         assert len(series.t) == (1 if threshold < 1 else len(range(0, steps, stride)) + 1)
         for col in CSV_COLUMNS:
             assert same_bits(getattr(series, col), getattr(expected, col)), col
         assert (series.status, repr(series.summary)) == (expected.status, repr(expected.summary))
-        assert same_bits(series.final_field.half, final.half)
+        assert same_bits(got_final.half, final.half)
 
     @pytest.mark.parametrize("n, parts", [(16, 1), (48, 2)])
     def test_one_run_opens_one_stage(self, n, parts, monkeypatch):
@@ -432,18 +435,8 @@ class TestStageBuffers:
         assert len(series.t) == steps + 1
         assert {i for ids in seen.values() for i in ids} == {opened[0][0]}
 
-    def test_final_field_is_built_on_first_access(self, grid16, monkeypatch):
-        calls = []
-        monkeypatch.setattr(solver_module, "conjugate_planes",
-                            lambda *args: calls.append(1) or conjugate_planes(*args))
-        u0 = random_divergence_free(grid16, 90, kmax=5, amplitude=0.3)
-        series = run(u0, SolverConfig(nu=0.03, dt=1e-3, t_end=3e-3))
-        assert calls == []
-        assert series.final_field is series.final_field
-        assert calls == [1]
-
     @pytest.mark.parametrize("n, steps", [(16, 8), (48, 1)])
-    def test_concurrent_runs_equal_serial_runs(self, n, steps, monkeypatch):
+    def test_concurrent_runs_equal_serial_runs(self, n, steps, monkeypatch, run_with_final):
         """Four runs at once, in more threads than cores and with a short switch
         interval, each equal to its serial run as bits: no run writes into
         another's buffers.  At n=48 each run splits its work into two parts on
@@ -452,11 +445,11 @@ class TestStageBuffers:
         grid = GridSpec(n)
         cfg = SolverConfig(nu=0.03, dt=1e-3, t_end=steps * 1e-3)
         fields = [random_divergence_free(grid, 95 + i, kmax=5, amplitude=4.8 / n) for i in range(4)]
-        serial = [run(u0, cfg) for u0 in fields]
+        serial = [run_with_final(u0, cfg) for u0 in fields]
         results = [None] * len(fields)
 
         def work(i):
-            results[i] = run(fields[i], cfg)
+            results[i] = run_with_final(fields[i], cfg)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fields))]
         interval = sys.getswitchinterval()
@@ -469,10 +462,10 @@ class TestStageBuffers:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        for got, want in zip(results, serial):
+        for (got, got_final), (want, want_final) in zip(results, serial):
             for col in CSV_COLUMNS:
                 assert same_bits(getattr(got, col), getattr(want, col)), col
-            assert same_bits(got.final_field.half, want.final_field.half)
+            assert same_bits(got_final.half, want_final.half)
 
     def test_a_stage_allocates_no_padded_half_spectrum(self, grid32):
         """tracemalloc sees numpy's data allocations: with the run's buffers a
@@ -512,7 +505,7 @@ class TestParts:
             assert same_bits(nonlinear_term(c, stage), nonlinear_term_oracle(before, grid, rule))
             assert repr(solver_module._spectral_diagnostics(c, stage)) == repr(
                 diagnostics_row_oracle(before, lat))
-            umax = samples_lebesgue_norm(irfft3(lat.pad(before), grid.n), np.inf)
+            umax = samples_lebesgue_norm(irfft3(padded(lat, before), grid.n), np.inf)
             assert solver_module._max_speed(c, stage) == umax
             assert same_bits(c, before)
 
@@ -760,20 +753,19 @@ class TestRun:
         assert np.max(series.K) == 0.0
         assert series.status == "completed"
 
-    def test_taylor_green_decay(self, grid32):
+    def test_taylor_green_decay(self, grid32, run_with_final):
         tg = taylor_green_2d(grid32)
         cfg = SolverConfig(nu=0.01, dt=1e-3, t_end=0.05)
-        series = run(tg, cfg)
+        series, final = run_with_final(tg, cfg)
         exact = full_coeffs(tg) * math.exp(-8 * math.pi**2 * 0.01 * 0.05)
-        err = np.sqrt(np.sum(np.abs(full_coeffs(series.final_field) - exact) ** 2))
+        err = np.sqrt(np.sum(np.abs(full_coeffs(final) - exact) ** 2))
         ref = np.sqrt(np.sum(np.abs(exact) ** 2))
         assert err <= 1e-6 * ref
         assert series.summary["max_energy_eq_residual"] <= 1e-6 * series.K[0]
 
-    def test_divergence_and_mean_preserved(self, grid16):
+    def test_divergence_and_mean_preserved(self, grid16, run_with_final):
         u0 = random_divergence_free(grid16, 11, kmax=4, amplitude=0.5)
-        series = run(u0, SolverConfig(nu=0.2, dt=1e-4, t_end=5e-3))
-        final = series.final_field
+        _, final = run_with_final(u0, SolverConfig(nu=0.2, dt=1e-4, t_end=5e-3))
         assert divergence_defect(final) <= 1e-10
         assert np.max(np.abs(full_coeffs(final)[:, 0, 0, 0])) <= 1e-14
 
@@ -927,7 +919,7 @@ def test_assemble_series_closed_forms_on_many_rows():
         for i in range(m)
     ]
     cfg = SolverConfig(nu=nu, dt=dt, t_end=(m - 1) * dt)
-    series = _assemble_series(rows, cfg, "completed", {}, None)
+    series = _assemble_series(rows, cfg, "completed", {})
     np.testing.assert_allclose(
         series.energy_eq_residual, abs(2 * nu * e - slope) * t, rtol=1e-10, atol=1e-15
     )
@@ -979,7 +971,7 @@ def test_assemble_series_columns_match_the_row_loop(m):
         for i in range(m)
     ]
     cfg = SolverConfig(nu=nu, dt=1.0, t_end=1.0)
-    series = _assemble_series(rows, cfg, "completed", {}, None)
+    series = _assemble_series(rows, cfg, "completed", {})
     expected = monitor_columns_by_row(rows, cfg)
     got = (series.strain_identity_residual, series.enstrophy_ineq_slack,
            series.horizontal_decay_flag)
