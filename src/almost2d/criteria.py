@@ -61,11 +61,11 @@ class CriterionReport:
 
 def _require_valid_inputs(nu: float, *norms: float) -> None:
     """0 < nu < inf, the precondition of every criterion and of a solver run,
-    and finite norms: a NaN norm must not reach a verdict."""
+    and norms 0 <= x < inf: a NaN or negative norm must not reach a verdict."""
     if not 0 < nu < math.inf:
         raise ValueError(f"viscosity must be positive and finite, got {nu}")
-    if not all(math.isfinite(x) for x in norms):
-        raise ValueError(f"criterion norms must be finite, got {norms}")
+    if not all(0 <= x < math.inf for x in norms):
+        raise ValueError(f"criterion norms must be finite and non-negative, got {norms}")
 
 
 def _log_verdict(factor: float, exponent: float, rhs: float) -> tuple[float, float, bool]:
@@ -80,8 +80,6 @@ def _log_verdict(factor: float, exponent: float, rhs: float) -> tuple[float, flo
 def small_data_check(K0: float, E0: float, nu: float) -> CriterionReport:
     """Energy-enstrophy product against 6912 pi^4 nu^4."""
     _require_valid_inputs(nu, K0, E0)
-    if K0 < 0 or E0 < 0:
-        raise ValueError("energy and enstrophy must be nonnegative")
     lhs = K0 * E0
     rhs = SMALL_DATA_COEFF * nu**4
     return CriterionReport(

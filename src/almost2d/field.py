@@ -162,25 +162,27 @@ def irfft_k3(half: np.ndarray, n: int) -> np.ndarray:
 def rfft_x3(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The real transform of ``samples`` (..., n) along x3, on one thread, its
     planes k3 < m scaled by 1/n^3 into ``out`` (..., m): the first forward
-    pass on one x1 slab, written into a compact forward array.  It runs
-    unnormalized and the scale is applied once, here, where pocketfft's
-    ``rfftn`` applies its factor (per axis, 1/n moves the last bit when n is
-    not a power of two)."""
+    pass on one x1 slab, written into the planes k3 < m of a half-spectrum
+    work array.  It runs unnormalized and the scale is applied once, here,
+    where pocketfft's ``rfftn`` applies its factor (per axis, 1/n moves the
+    last bit when n is not a power of two), in place on the contiguous
+    transform, before the copy into the strided ``out``."""
     n = samples.shape[-1]
     lines = scipy.fft.rfft(samples, axis=-1, workers=1)
     # Real and imaginary parts, each scaled as rfftn scales them.
-    np.multiply(lines[..., : out.shape[-1]].view(np.float64), 1.0 / n**3,
-                out=out.view(np.float64))
+    parts = lines.view(np.float64)
+    np.multiply(parts, 1.0 / n**3, out=parts)
+    out[...] = lines[..., : out.shape[-1]]
     return out
 
 
 def band_forward_planes(forward: np.ndarray, band: Band, out: np.ndarray) -> np.ndarray:
     """The complex passes of ``rfft3``, cropped to the band, over the planes of
     ``forward`` (..., n, n, m), which ``rfft_x3`` transformed along x3 and
-    scaled: x1 over every row, then x2 over the band's k1 rows, in place, then
-    the crop to the band into ``out`` (..., b, b, m).  Each line lies in one
-    k3 plane, so a solver part passes ``forward`` and ``out`` cut to its
-    planes."""
+    scaled (the solver's are the planes k3 < m of its work array): x1 over
+    every row, then x2 over the band's k1 rows, in place, then the crop to
+    the band into ``out`` (..., b, b, m).  Each line lies in one k3 plane, so
+    a solver part passes ``forward`` and ``out`` cut to its planes."""
     scipy.fft.fft(forward, axis=-3, overwrite_x=True, workers=1)
     for _, s in band.rows:
         scipy.fft.fft(forward[..., s, :, :], axis=-2, overwrite_x=True, workers=1)

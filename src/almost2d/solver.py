@@ -50,28 +50,31 @@ split by band planes k3 < m, and the elementwise band work (the fill of
 inner loops stay contiguous; the physical work by x1 slabs: each slab's real
 transform along k3, its pointwise work (u x omega, the row's det S and
 |S|^3, the CFL's |u|) and, in a stage, its real transform along x3, scaled
-by 1/n^3 into a compact (3, n, n, m) forward array.  Each 1-D line lies
-wholly in one plane or one slab and each transform runs on one thread, so
-the parts change no bit.  Every run takes this one path; with one part it
-starts no thread.
+by 1/n^3 into the planes k3 < m of its own x1 rows of the work array.  Each
+1-D line lies wholly in one plane or one slab and each transform runs on one
+thread, so the parts change no bit.  Every run takes this one path; with one
+part it starts no thread.
 
 Each ``run`` opens one ``_Stage`` (``_stage``) and hands it to every RK
 stage, diagnostics row and CFL sample: its band, its split into parts, the
 pool that runs every part after the first, and the buffers they write into.
-These are the padded (6, n, n, n/2 + 1) half spectrum, the band inverse's
-work array (its planes k3 beyond the band stay zero, and each transform
-clears the rest of the off-band part, pads the band and transforms in
-place); the 6-field band array of (u, omega), or of a row's strain; a
-stage's compact (3, n, n, m) forward array; and a (2, n, n, n) real array,
-into which a row writes det S and |S|^3 before it averages them, and of
-which each part takes the x1 planes of its first slab as the scratch in
-which u x omega is formed over its samples.  So no stage, row or CFL sample
-holds more samples than one slab per part.  Allocated per stage instead,
-these arrays went back to the C allocator and were page-faulted in again:
-three traced n=64 ``simulate`` invocations of 4 steps took 198k minor faults
-and 0.84 s of system time that way, 25k and 0.13 s with the buffers.  The
-``_Stage`` is a local of ``run``, not module state, so concurrent runs share
-only the read-only lattices, and no thread outlives the call.
+These are the padded (6, n, n, n/2 + 1) half spectrum, the work array of
+every band transform (its planes k3 beyond the band stay zero; each inverse
+clears the rest of the off-band part, pads the band and transforms in place,
+and a stage's forward passes then run in fields 0-2 at k3 < m, where a slab
+writes only after its inverse has read them, and slabs are disjoint across
+parts); the 6-field band array of (u, omega), or of a row's strain; and a
+(2, n, n, n) real array, in which a row forms |S|^3 and det S before it
+averages them, and of which each part takes the x1 planes of its first slab
+as the scratch in which u x omega is formed over its samples.  So no stage,
+row or CFL sample holds more samples than one slab per part.  Allocated per
+stage instead, these arrays went back to the C allocator and were
+page-faulted in again: three traced n=64 ``simulate`` invocations of 4 steps
+took 198k minor faults and 0.84 s of system time that way, 25k and 0.13 s
+with the buffers.  For the same reason ``run`` forms each RK4 step in four
+band arrays of its own and updates its state in place.  The ``_Stage`` is a
+local of ``run``, not module state, so concurrent runs share only the
+read-only lattices, and no thread outlives the call.
 """
 
 from __future__ import annotations
@@ -171,7 +174,9 @@ class _Stage(NamedTuple):
     band planes and x1 slabs, with ``map(fn, items)``, which runs fn on every
     item, one per part, the first in the calling thread and the others on the
     run's pool, and returns the results as a list; and the arrays they all
-    write into, so that none allocates (and page-faults in) its own."""
+    write into, so that none allocates (and page-faults in) its own.  A
+    stage's forward passes run in ``half`` too, in fields 0-2 at k3 < m, which
+    a slab writes only after its inverse has read them."""
 
     lat: Band
     map: Callable[[Callable, tuple], list]
@@ -179,9 +184,8 @@ class _Stage(NamedTuple):
     planes: tuple[slice, ...]
     slabs: tuple[tuple[slice, ...], ...]
     band: np.ndarray  # (6, *band shape) complex: (u, omega) of a stage, a row's strain
-    half: np.ndarray  # (6, n, n, n/2 + 1) complex, the band inverse's work array: 0 at k3 >= m
+    half: np.ndarray  # (6, n, n, n/2 + 1) complex, the band transforms' work array: 0 at k3 >= m
     real: np.ndarray  # (2, n, n, n): a row's det S and |S|^3; u x omega's scratch, by slabs
-    forward: np.ndarray  # (3, n, n, m) complex: a stage's scaled x3 transform
 
 
 @contextmanager
@@ -210,7 +214,6 @@ def _stage(lat: Band) -> Iterator[_Stage]:
             np.empty((6,) + lat.shape, dtype=complex),
             np.zeros((6, n, n, n // 2 + 1), dtype=complex),
             np.empty((2, n, n, n)),
-            np.empty((3, n, n, m), dtype=complex),
         )
 
 
@@ -219,27 +222,28 @@ def _lattice(grid: GridSpec, dealias_rule: str) -> Band:
     return grid.band(_cutoff(dealias_rule)(grid))
 
 
-def nonlinear_term(u_hat: np.ndarray, stage: _Stage) -> np.ndarray:
-    """-P(omega x u) = P(u x omega) on band coefficients (3, *band shape),
-    formed in the run's stage.
+def nonlinear_term(u_hat: np.ndarray, stage: _Stage, out: np.ndarray) -> np.ndarray:
+    """-P(omega x u) = P(u x omega) of band coefficients (3, *band shape),
+    formed in the run's stage and written into ``out``, another band array.
 
     Under the 2/3 rule the product is truncated to the band.  The k = 0 mode
-    of the result is zero.  The result is a fresh array.
+    of the result is zero.
     """
-    lat, band, forward = stage.lat, stage.band, stage.forward
+    lat, band = stage.lat, stage.band
+    forward = stage.half[:3, ..., : lat.shape[2]]
 
     def fill(rows):
         band[:3, rows] = u_hat[:, rows]
         curl_coeffs(u_hat[:, rows], lat.k_rows(rows), out=band[3:, rows])
 
     def slab_product(samples, x1, scratch):
+        # irfft_k3 has read half[:, x1], so the slab's forward lines may land there.
         rfft_x3(_cross_in_place(samples, scratch[:, : len(samples[0])]), forward[:, x1])
 
     def forward_planes(planes):
         band_forward_planes(forward[..., planes], lat, out[..., planes])
 
     _band_samples(band, fill, stage, slab_product)
-    out = np.empty((3,) + lat.shape, dtype=complex)
     stage.map(forward_planes, stage.planes)
     stage.map(lambda rows: _project(out[:, rows], lat, rows), stage.rows)
     out[:, 0, 0, 0] = 0.0
@@ -299,27 +303,44 @@ def _cross_in_place(phys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return phys[1:4]
 
 
-def _det(s_phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """det S at each sample of the strain (S11, S12, S13, S22, S23, S33),
-    written into ``out`` if given."""
+def _strain_cubed(s_phys: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """|S|^3, the Frobenius norm cubed, at each sample of the strain, formed in
+    ``out``: the weighted squares summed in slot order, each formed in
+    ``scratch``, then the root and the cube."""
+    for slot, (w, s) in enumerate(zip(FROBENIUS_WEIGHTS, s_phys)):
+        term = out if slot == 0 else scratch
+        np.square(s, out=term)
+        np.multiply(w, term, out=term)
+        if slot:
+            out += term
+    np.sqrt(out, out=out)
+    return np.power(out, 3, out=out)
+
+
+def _det(s_phys: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """det S = s11 (s22 s33 - s23^2) - s12 (s12 s33 - s23 s13) + s13 (s12 s23
+    - s22 s13) at each sample of the strain (S11, S12, S13, S22, S23, S33),
+    formed in ``out`` in that order.  s11 and s33 are overwritten after their
+    last reads, and s23^2 is the one temporary."""
     s11, s12, s13, s22, s23, s33 = s_phys
-    return np.add(
-        s11 * (s22 * s33 - s23**2) - s12 * (s12 * s33 - s23 * s13),
-        s13 * (s12 * s23 - s22 * s13),
-        out=out,
-    )
-
-
-def _strain_cubed(s_phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|S|^3, the Frobenius norm cubed, at each sample of the strain, written
-    into ``out`` if given."""
-    return np.power(np.sqrt(sum(w * s**2 for w, s in zip(FROBENIUS_WEIGHTS, s_phys))), 3, out=out)
+    np.multiply(s22, s33, out=out)
+    out -= np.square(s23)
+    np.multiply(s11, out, out=out)
+    np.multiply(s12, s33, out=s11)
+    np.multiply(s23, s13, out=s33)
+    s11 -= s33
+    out -= np.multiply(s12, s11, out=s11)
+    np.multiply(s12, s23, out=s11)
+    s11 -= np.multiply(s22, s13, out=s33)
+    out += np.multiply(s13, s11, out=s11)
+    return out
 
 
 def _spectral_diagnostics(c: np.ndarray, stage: _Stage) -> dict:
     """One diagnostics row from band coefficients, omega and the strain
-    formed in the run's stage.  det S and |S|^3 are written slab by
-    slab into the real buffer and averaged whole, so no split moves a bit."""
+    formed in the run's stage.  |S|^3 and then det S are formed slab by slab
+    in the real buffer, consuming the slab's samples, and averaged whole, so
+    no split moves a bit."""
     lat = stage.lat
     abs_sq = lat.multiplicity * (np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2 + np.abs(c[2]) ** 2)
     four_pi_sq_ksq = 4 * np.pi**2 * lat.k_sq
@@ -337,8 +358,8 @@ def _spectral_diagnostics(c: np.ndarray, stage: _Stage) -> dict:
         strain_coeffs(c[:, rows], lat.k_rows(rows), out=band[:, rows])
 
     def slab_strain(s_phys, x1, scratch):
-        _det(s_phys, out=det[x1])
-        _strain_cubed(s_phys, out=cubed[x1])
+        _strain_cubed(s_phys, cubed[x1], det[x1])
+        _det(s_phys, det[x1])
 
     _band_samples(band, fill, stage, slab_strain)
     return {
@@ -353,10 +374,12 @@ def _spectral_diagnostics(c: np.ndarray, stage: _Stage) -> dict:
 
 def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
     """Integrate u0 on its grid to t_end, recording diagnostics every record_stride steps."""
-    if not is_mean_zero(np.abs(u0.half), INITIAL_MEAN_TOL):
+    magnitude = np.abs(u0.half)
+    if not is_mean_zero(magnitude, INITIAL_MEAN_TOL):
         raise ValueError("initial data must be mean-zero")
-    if divergence_defect(u0) > DIVFREE_TOL:
+    if divergence_defect(u0, float(np.max(magnitude))) > DIVFREE_TOL:
         raise ValueError("initial data must be divergence-free")
+    del magnitude  # a full-lattice array, not held through the run
 
     lat = _lattice(u0.grid, cfg.dealias)
     u = lat.crop(u0.half)
@@ -366,12 +389,14 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
     h = cfg.dt
     half_decay = np.exp(-4 * np.pi**2 * lat.k_sq * cfg.nu * h / 2.0)
     full_decay = half_decay**2
+    h_half_decay, two_half_decay = h * half_decay, 2 * half_decay
 
     rows = []
     # This call's own stage: concurrent runs share neither its buffers nor
     # its pool, and no thread outlives the call.
     with _stage(lat) as stage:
         stability = _stability(u, stage, cfg)
+        a, b, c, arg = np.empty((4, 3) + lat.shape, dtype=complex)
 
         def record(step: int, state: np.ndarray) -> str:
             diag = _spectral_diagnostics(state, stage)
@@ -385,13 +410,30 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
         step = 0
         while status == "completed" and step < n_steps:
             step += 1
-            k1 = nonlinear_term(u, stage)
-            k2 = nonlinear_term(half_decay * (u + 0.5 * h * k1), stage)
-            k3 = nonlinear_term(half_decay * u + 0.5 * h * k2, stage)
-            k4 = nonlinear_term(full_decay * u + h * half_decay * k3, stage)
-            u = full_decay * u + (h / 6.0) * (
-                full_decay * k1 + 2 * half_decay * (k2 + k3) + k4
-            )
+            # Classical RK4, u = fd u + h/6 (fd k1 + 2 hd (k2 + k3) + k4) with
+            # k2 = N(hd (u + h/2 k1)), k3 = N(hd u + h/2 k2) and
+            # k4 = N(fd u + h hd k3), in the buffers a, b, c and arg and in u
+            # itself; every ufunc takes the expression's operands in its order.
+            nonlinear_term(u, stage, a)  # k1
+            np.multiply(0.5 * h, a, out=arg)
+            np.add(u, arg, out=arg)
+            np.multiply(half_decay, arg, out=arg)
+            np.multiply(full_decay, a, out=a)  # fd k1
+            nonlinear_term(arg, stage, b)  # k2
+            np.multiply(half_decay, u, out=arg)
+            np.add(arg, np.multiply(0.5 * h, b, out=c), out=arg)
+            nonlinear_term(arg, stage, c)  # k3
+            np.add(b, c, out=b)  # k2 + k3
+            np.multiply(h_half_decay, c, out=c)
+            np.multiply(full_decay, u, out=arg)
+            np.add(arg, c, out=arg)
+            nonlinear_term(arg, stage, c)  # k4
+            np.multiply(two_half_decay, b, out=b)
+            np.add(a, b, out=a)
+            np.add(a, c, out=a)
+            np.multiply(h / 6.0, a, out=a)
+            np.multiply(full_decay, u, out=u)
+            np.add(u, a, out=u)
             if step % cfg.record_stride == 0 or step == n_steps:
                 status = record(step, u)
 

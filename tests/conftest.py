@@ -259,9 +259,9 @@ def rhs(u: SpectralVectorField, nu: float, dealias_rule: str = "two_thirds") -> 
 
 def stage_tendency(c, grid, rule="two_thirds"):
     """``solver.nonlinear_term`` of band coefficients c, in a stage of its own
-    on the band of ``rule``, as one ``run`` would form it."""
+    on the band of ``rule``, as one ``run`` would form it, into a fresh array."""
     with _stage(_lattice(grid, rule)) as stage:
-        return nonlinear_term(c, stage)
+        return nonlinear_term(c, stage, np.empty_like(c))
 
 
 def nonlinear_term_oracle(u_hat, grid, dealias_rule="two_thirds"):

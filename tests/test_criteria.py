@@ -125,6 +125,41 @@ class TestNonFiniteNorms:
             envelopes(*norms, 1.0, 0.0)
 
 
+class TestNegativeNorms:
+    """A negative norm is a domain error, never a verdict or a bound:
+    ``gamma2d_from_norms(-1, 1, 1, 1)`` was satisfied,
+    ``criterion_quantity(-1, 1, 1, 1)`` was 0.0 and ``envelopes(1, -1, 1,
+    0.5)`` gave negative bounds.  -0.0 is a norm of zero."""
+
+    @staticmethod
+    def _rejects_each_slot(helper, norms, *rest):
+        for slot in range(len(norms)):
+            args = list(norms)
+            args[slot] = -1.0
+            with pytest.raises(ValueError, match="must be finite and non-negative"):
+                helper(*args, *rest)
+
+    def test_gamma2d_from_norms(self):
+        self._rejects_each_slot(gamma2d_from_norms, [0.5, 1.0, 1.0], 1.0)
+        assert gamma2d_from_norms(-0.0, 1.0, 1.0, 1.0).satisfied
+
+    def test_gamma2d_lp_from_norms(self):
+        self._rejects_each_slot(gamma2d_lp_from_norms, [0.5, 1.0, 1.0], 1.0)
+        assert gamma2d_lp_from_norms(-0.0, 1.0, 1.0, 1.0).satisfied
+
+    def test_criterion_quantity(self):
+        self._rejects_each_slot(criterion_quantity, [0.5, 1.0, 1.0], 1.0)
+        assert criterion_quantity(-0.0, 1.0, 1.0, 1.0) == 0.0
+
+    def test_envelopes(self):
+        self._rejects_each_slot(envelopes, [1.0, 1.0], 1.0, 0.5)
+        assert envelopes(1.0, -0.0, 1.0, 0.5).local_enstrophy_bound == 0.0
+
+    def test_small_data_check(self):
+        self._rejects_each_slot(small_data_check, [1.0, 1.0], 1.0)
+        assert small_data_check(-0.0, 1.0, 1.0).satisfied
+
+
 class TestGamma2d:
     def test_two_dimensional_flow_passes(self, grid32):
         rep = gamma2d_of_field(taylor_green_2d(grid32, 5.0), 0.25)

@@ -25,14 +25,13 @@ from almost2d import solver as solver_module
 from almost2d.cli import main
 from almost2d.families import random_divergence_free, set_mode_pair
 from almost2d.field import (
-    DECAY_SLACK_TOL, curl, curl_coeffs, divergence_defect, irfft3, k_dot, leray_project,
-    strain_coeffs,
+    DECAY_SLACK_TOL, FROBENIUS_WEIGHTS, curl, curl_coeffs, divergence_defect, irfft3, k_dot,
+    leray_project, strain_coeffs,
 )
 from almost2d.grid import conjugate_planes
 from almost2d.norms import field_summary, samples_lebesgue_norm
 from almost2d.solver import (
-    CSV_COLUMNS, _assemble_series, _det, _lattice, _spectral_diagnostics, _stage, _strain_cubed,
-    nonlinear_term,
+    CSV_COLUMNS, _assemble_series, _lattice, _spectral_diagnostics, _stage, _Stage, nonlinear_term,
 )
 from conftest import (
     _FFT_NAMES, advection, from_full_coeffs, full_coeffs, full_wavenumbers, half_spectrum,
@@ -305,7 +304,8 @@ def band_inputs(lat, count, seed):
 
 
 def diagnostics_row_oracle(c, lat):
-    """One diagnostics row with fresh arrays, as before stage buffers."""
+    """One diagnostics row with fresh arrays, as before stage buffers: det S
+    and |S|^3 as the plain expressions, a temporary per operation."""
     abs_sq = lat.multiplicity * (np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2 + np.abs(c[2]) ** 2)
     four_pi_sq_ksq = 4 * np.pi**2 * lat.k_sq
     w = curl_coeffs(c, lat.k_deriv)
@@ -313,13 +313,17 @@ def diagnostics_row_oracle(c, lat):
         np.sum(lat.multiplicity * lat.omega_h_weight * (np.abs(w[0]) ** 2 + np.abs(w[1]) ** 2))
     )
     s_phys = irfft3(padded(lat, strain_coeffs(c, lat.k_deriv)), lat.n)
+    s11, s12, s13, s22, s23, s33 = s_phys
+    cubed = np.power(np.sqrt(sum(w * s**2 for w, s in zip(FROBENIUS_WEIGHTS, s_phys))), 3)
     return {
         "K": 0.5 * float(np.sum(abs_sq)),
         "E": 0.5 * float(np.sum(four_pi_sq_ksq * abs_sq)),
         "strain_h1_sq": 0.5 * float(np.sum(four_pi_sq_ksq**2 * abs_sq)),
-        "det_S_integral": float(np.mean(_det(s_phys))),
+        "det_S_integral": float(np.mean(
+            s11 * (s22 * s33 - s23**2) - s12 * (s12 * s33 - s23 * s13)
+            + s13 * (s12 * s23 - s22 * s13))),
         "omega_h_hminushalf": math.sqrt(max(omega_h_sq, 0.0)),
-        "strain_l3": float(np.mean(_strain_cubed(s_phys)) ** (1.0 / 3.0)),
+        "strain_l3": float(np.mean(cubed) ** (1.0 / 3.0)),
     }
 
 
@@ -375,7 +379,7 @@ class TestStageBuffers:
         inputs = band_inputs(lat, 3, seed=70 + n)
         copies = [c.copy() for c in inputs]
         with _stage(lat) as stage:
-            results = [nonlinear_term(c, stage) for c in inputs]
+            results = [nonlinear_term(c, stage, np.empty_like(c)) for c in inputs]
         for c, copy, got in zip(inputs, copies, results):
             assert same_bits(c, copy)
             assert same_bits(got, nonlinear_term_oracle(copy, grid, rule))
@@ -419,9 +423,9 @@ class TestStageBuffers:
                 yield stage
 
         def spy(name, fn):
-            def spied(c, stage):
+            def spied(c, stage, *out):
                 seen[name].append(id(stage))
-                return fn(c, stage)
+                return fn(c, stage, *out)
             return spied
 
         monkeypatch.setattr(solver_module, "_stage", spied_stage)
@@ -485,8 +489,54 @@ class TestStageBuffers:
 
         fresh = peak(lambda: nonlinear_term_oracle(u, grid32))
         with _stage(lat) as stage:
-            reused = peak(lambda: nonlinear_term(u, stage))
+            out = np.empty_like(u)  # a run's band buffer, made once
+            reused = peak(lambda: nonlinear_term(u, stage, out))
         assert fresh - reused >= stage.half.nbytes == 6 * 32 * 32 * 17 * 16
+
+    def test_a_step_peaks_at_one_nonlinear_term(self, grid32, monkeypatch):
+        """The RK4 combinations run in the run's band buffers: at n=32 a step
+        after the first, its four stages and the combinations between them,
+        peaks within 64 KB above its start of one ``nonlinear_term`` alone.
+        One band temporary (3, 21, 21, 11) is 233 KB."""
+        lat = _lattice(grid32, "two_thirds")
+        (c,) = band_inputs(lat, 1, seed=98)
+        with _stage(lat) as stage:
+            out = np.empty_like(c)
+            nonlinear_term(c, stage, out)  # warm: transform plans
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                nonlinear_term(c, stage, out)
+                one_term = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        step_marks = []  # traced (current, peak since the last mark) at each step's k1
+        calls = []
+        nonlinear = solver_module.nonlinear_term
+
+        def spied(u_hat, stage, out):
+            if len(calls) % 4 == 0:
+                step_marks.append(tracemalloc.get_traced_memory())
+                tracemalloc.reset_peak()
+            calls.append(None)
+            return nonlinear(u_hat, stage, out)
+
+        monkeypatch.setattr(solver_module, "nonlinear_term", spied)
+        u0 = random_divergence_free(grid32, 97, kmax=5, amplitude=0.15)
+        tracemalloc.start()
+        try:
+            run(u0, SolverConfig(nu=0.03, dt=1e-3, t_end=3e-3, record_stride=3))
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 12
+        (step2_start, _), (_, step2_peak) = step_marks[1:3]
+        assert step2_peak - step2_start <= one_term + 64 * 1024
+
+    def test_a_stage_holds_no_forward_array(self):
+        """A stage's forward passes run in its half-spectrum work array."""
+        assert "forward" not in _Stage._fields
 
 
 class TestParts:
@@ -502,7 +552,8 @@ class TestParts:
         lat = _lattice(grid, rule)
         for c in band_inputs(lat, 2, seed):
             before = c.copy()
-            assert same_bits(nonlinear_term(c, stage), nonlinear_term_oracle(before, grid, rule))
+            got = nonlinear_term(c, stage, np.empty_like(c))
+            assert same_bits(got, nonlinear_term_oracle(before, grid, rule))
             assert repr(solver_module._spectral_diagnostics(c, stage)) == repr(
                 diagnostics_row_oracle(before, lat))
             umax = samples_lebesgue_norm(irfft3(padded(lat, before), grid.n), np.inf)
