@@ -8,6 +8,7 @@ the norm machinery.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,23 +230,12 @@ def annulus_analog(n: int, grid: GridSpec) -> SpectralVectorField:
     return field
 
 
-def random_divergence_free(
-    grid: GridSpec, seed: int, kmax: int | None = None, amplitude: float = 1.0
-) -> SpectralVectorField:
-    """Seeded band-limited random field: Gaussian coefficients on the modes
-    with every |k_i| <= kmax, made Hermitian (real), then Leray
-    projected and recentered to mean zero."""
-    if not math.isfinite(amplitude):
-        raise ValueError(f"amplitude must be finite, got {amplitude}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+def _hermitian_block(grid: GridSpec, seed: int, kmax: int) -> np.ndarray:
+    """The Hermitian part 0.5 (c(k) + conj c(-k)) of c = real + i imag on the
+    band |k_i| <= kmax of the half spectrum, real and imag each a (3, n, n, n)
+    standard normal draw, zero elsewhere and at k = 0.  The draws die here,
+    before the caller projects the block."""
     n = grid.n
-    if kmax is None:
-        kmax = max(1, n // 4)
-    if kmax > n // 2 - 1:
-        raise ValueError(f"kmax={kmax} not resolved by grid n={n}")
-    # The Hermitian part 0.5 (c(k) + conj c(-k)) of c = real + i imag on the
-    # band's half, real and imag each a (3, n, n, n) standard normal draw.
     kline = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     rows = np.flatnonzero(np.abs(kline) <= kmax)  # closed under k -> -k
     planes = np.arange(kmax + 1)
@@ -266,7 +256,30 @@ def random_divergence_free(
     coeffs[(slice(None),) + np.ix_(rows, rows, planes)] = 0.5 * (
         real[block] + 1j * imag[block] + np.conj(real[mirror] + 1j * imag[mirror]))
     coeffs[:, 0, 0, 0] = 0.0
-    u, _ = leray_project(SpectralVectorField(grid, coeffs))
+    return coeffs
+
+
+def random_divergence_free(
+    grid: GridSpec, seed: int, kmax: int | None = None, amplitude: float = 1.0
+) -> SpectralVectorField:
+    """Seeded band-limited random field: Gaussian coefficients on the modes
+    with every |k_i| <= kmax, made Hermitian (real), then Leray
+    projected and recentered to mean zero.  A nonzero amplitude below the
+    smallest normal float is refused: the field's subnormal coefficients
+    would fail the relative divergence test of every norm."""
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
+    if 0 < abs(amplitude) < sys.float_info.min:
+        raise ValueError(f"amplitude must be 0 or at least {sys.float_info.min!r} "
+                         f"in magnitude, got {amplitude!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    n = grid.n
+    if kmax is None:
+        kmax = max(1, n // 4)
+    if kmax > n // 2 - 1:
+        raise ValueError(f"kmax={kmax} not resolved by grid n={n}")
+    u = leray_project(SpectralVectorField(grid, _hermitian_block(grid, seed, kmax)))
     scale = float(np.max(np.abs(u.half)))
     if scale > 0:
         u = u * (amplitude / scale)

@@ -26,7 +26,8 @@ kernels on coefficients and a ``k_deriv`` triple (``k_dot``, ``curl_coeffs``,
 three by the solver to its band.  Each kernel forms its products in its
 result array or one scratch array and adds, subtracts and scales in place,
 in the plain expression's order, so it makes no temporary per product and
-moves no bit; so does ``leray_project``.
+moves no bit; so does ``leray_project``, which returns the divergence-free
+part alone, formed in its gradient array.
 """
 
 from __future__ import annotations
@@ -189,9 +190,11 @@ def band_forward_planes(forward: np.ndarray, band: Band, out: np.ndarray) -> np.
     return band.crop(forward, out)
 
 
-def is_mean_zero(magnitude: np.ndarray, tol: float) -> bool:
-    """The k = 0 test on |half| (c, n, n, n/2 + 1), relative to the largest magnitude."""
-    amplitude = float(np.max(magnitude)) or 1.0
+def is_mean_zero(magnitude: np.ndarray, tol: float, peak: float | None = None) -> bool:
+    """The k = 0 test on |half| (c, n, n, n/2 + 1), relative to the largest
+    magnitude.  A caller that has taken that, ``peak``, may pass only the
+    k = 0 entries, (c, 1, 1, 1)."""
+    amplitude = (float(np.max(magnitude)) if peak is None else peak) or 1.0
     return float(np.max(magnitude[:, 0, 0, 0])) <= tol * amplitude
 
 
@@ -319,13 +322,12 @@ def divergence_defect(u: SpectralVectorField, peak: float | None = None) -> floa
     return float(np.max(np.abs(k_dot(u.half, u.grid.k_deriv)))) / (peak if peak > 0 else 1.0)
 
 
-def leray_project(v: SpectralVectorField) -> tuple[SpectralVectorField, SpectralVectorField]:
-    """Helmholtz split v = u_df + grad_part.
-
-    u_df(k) = v(k) - (k.v(k)) k / |k|^2 is divergence-free, grad_part(k) is
-    parallel to k.  The k=0 mode (a constant, hence divergence-free) passes
-    through to u_df.  The quotient and each product are written into arrays
-    made once here.
+def leray_project(v: SpectralVectorField) -> SpectralVectorField:
+    """The divergence-free part u_df(k) = v(k) - (k.v(k)) k / |k|^2 of v,
+    whose gradient part is parallel to k.  The k=0 mode (a constant, hence
+    divergence-free) passes through.  The quotient is formed in place and the
+    gradient part in one array, which v - grad then overwrites, so u_df takes
+    the gradient's buffer.
     """
     k_deriv = v.grid.k_deriv
     dot = k_dot(v.half, k_deriv)
@@ -334,8 +336,7 @@ def leray_project(v: SpectralVectorField) -> tuple[SpectralVectorField, Spectral
     for component, k_i in zip(grad, k_deriv):
         np.multiply(dot, k_i, out=component)
     grad[:, 0, 0, 0] = 0.0
-    u_df = np.subtract(v.half, grad)
-    return SpectralVectorField(v.grid, u_df), SpectralVectorField(v.grid, grad)
+    return SpectralVectorField(v.grid, np.subtract(v.half, grad, out=grad))
 
 
 def curl(u: SpectralVectorField) -> SpectralVectorField:

@@ -51,19 +51,24 @@ def _require_divergence_free(u: SpectralVectorField, context: str,
 class ShellSpectrum:
     """Shell-summed spectrum P_c(m) = sum_{|k|^2 = m} |c_c(k)|^2 of each
     component c of a half-spectrum array (c, n, n, n/2 + 1), planes weighted
-    by multiplicity, with the largest |c| and the k = 0 mean-zero test."""
+    by multiplicity, with the largest |c| and the k = 0 mean-zero test.
+    |c| is formed one component at a time, in one array that is squared and
+    weighted in place."""
 
     def __init__(self, grid: GridSpec, half: np.ndarray):
-        power = np.abs(half)
-        self.peak = float(np.max(power))
-        self.mean_zero = is_mean_zero(power, MEAN_TOL)
-        np.square(power, out=power)
-        power *= grid.multiplicity
         size = 3 * (grid.n // 2) ** 2 + 1
         shells = grid.shell_index.ravel()
-        self.power = np.stack(
-            [np.bincount(shells, weights=p.ravel(), minlength=size) for p in power]
-        )
+        peaks, mean, power = [], np.empty((len(half), 1, 1, 1)), []
+        for c, component in enumerate(half):
+            p = np.abs(component)
+            peaks.append(np.max(p))
+            mean[c] = p[0, 0, 0]
+            np.square(p, out=p)
+            p *= grid.multiplicity
+            power.append(np.bincount(shells, weights=p.ravel(), minlength=size))
+        self.peak = float(np.max(peaks))
+        self.mean_zero = is_mean_zero(mean, MEAN_TOL, self.peak)
+        self.power = np.stack(power)
         self._m = np.arange(size, dtype=float)
 
     def sobolev_sq(self, s: float) -> np.ndarray:

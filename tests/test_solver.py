@@ -96,7 +96,7 @@ def test_unknown_dealias_rule_is_rejected(call, grid16):
 
 def projected(coeffs, grid):
     """P(v) with the k = 0 mode zeroed, on full-spectrum coefficients."""
-    out, _ = leray_project(from_full_coeffs(grid, coeffs))
+    out = leray_project(from_full_coeffs(grid, coeffs))
     return full_coeffs(zeroed(out, (slice(None), 0, 0, 0)))
 
 
