@@ -230,35 +230,6 @@ def annulus_analog(n: int, grid: GridSpec) -> SpectralVectorField:
     return field
 
 
-def _hermitian_block(grid: GridSpec, seed: int, kmax: int) -> np.ndarray:
-    """The Hermitian part 0.5 (c(k) + conj c(-k)) of c = real + i imag on the
-    band |k_i| <= kmax of the half spectrum, real and imag each a (3, n, n, n)
-    standard normal draw, zero elsewhere and at k = 0.  The draws die here,
-    before the caller projects the block."""
-    n = grid.n
-    kline = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    rows = np.flatnonzero(np.abs(kline) <= kmax)  # closed under k -> -k
-    planes = np.arange(kmax + 1)
-    # The draws are made an (n, n) x1 plane at a time, in the stream's order;
-    # only the planes in rows, which the block and its mirror read, are kept.
-    slot = np.full(n, -1)
-    slot[rows] = np.arange(len(rows))
-    kept = np.empty((2, 3, len(rows), n, n))
-    spare = np.empty((n, n))
-    rng = np.random.default_rng(seed)
-    for component in kept.reshape(6, len(rows), n, n):
-        for x1 in range(n):
-            rng.standard_normal(out=component[slot[x1]] if slot[x1] >= 0 else spare)
-    real, imag = kept
-    block = (slice(None),) + np.ix_(slot[rows], rows, planes)
-    mirror = (slice(None),) + np.ix_(slot[-rows % n], -rows % n, -planes % n)
-    coeffs = _empty(grid)
-    coeffs[(slice(None),) + np.ix_(rows, rows, planes)] = 0.5 * (
-        real[block] + 1j * imag[block] + np.conj(real[mirror] + 1j * imag[mirror]))
-    coeffs[:, 0, 0, 0] = 0.0
-    return coeffs
-
-
 def random_divergence_free(
     grid: GridSpec, seed: int, kmax: int | None = None, amplitude: float = 1.0
 ) -> SpectralVectorField:
@@ -279,7 +250,33 @@ def random_divergence_free(
         kmax = max(1, n // 4)
     if kmax > n // 2 - 1:
         raise ValueError(f"kmax={kmax} not resolved by grid n={n}")
-    u = leray_project(SpectralVectorField(grid, _hermitian_block(grid, seed, kmax)))
+    # The Hermitian part 0.5 (c(k) + conj c(-k)) of c = real + i imag on the
+    # band's half, real and imag each a (3, n, n, n) standard normal draw.
+    kline = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    rows = np.flatnonzero(np.abs(kline) <= kmax)  # closed under k -> -k
+    planes = np.arange(kmax + 1)
+    # The draws are made an (n, n) x1 plane at a time, in the stream's order;
+    # only the planes in rows, which the block and its mirror read, are kept.
+    slot = np.full(n, -1)
+    slot[rows] = np.arange(len(rows))
+    kept = np.empty((2, 3, len(rows), n, n))
+    spare = np.empty((n, n))
+    rng = np.random.default_rng(seed)
+    for component in kept.reshape(6, len(rows), n, n):
+        for x1 in range(n):
+            rng.standard_normal(out=component[slot[x1]] if slot[x1] >= 0 else spare)
+    real, imag = kept
+    block = (slice(None),) + np.ix_(slot[rows], rows, planes)
+    mirror = (slice(None),) + np.ix_(slot[-rows % n], -rows % n, -planes % n)
+    coeffs = _empty(grid)
+    coeffs[(slice(None),) + np.ix_(rows, rows, planes)] = 0.5 * (
+        real[block] + 1j * imag[block] + np.conj(real[mirror] + 1j * imag[mirror]))
+    coeffs[:, 0, 0, 0] = 0.0
+    u = SpectralVectorField(grid, coeffs)
+    # The draws go before the projection, and the block with it; component,
+    # real and imag are views of kept.
+    del kept, real, imag, spare, component, coeffs
+    u = leray_project(u)
     scale = float(np.max(np.abs(u.half)))
     if scale > 0:
         u = u * (amplitude / scale)

@@ -190,12 +190,10 @@ def band_forward_planes(forward: np.ndarray, band: Band, out: np.ndarray) -> np.
     return band.crop(forward, out)
 
 
-def is_mean_zero(magnitude: np.ndarray, tol: float, peak: float | None = None) -> bool:
-    """The k = 0 test on |half| (c, n, n, n/2 + 1), relative to the largest
-    magnitude.  A caller that has taken that, ``peak``, may pass only the
-    k = 0 entries, (c, 1, 1, 1)."""
-    amplitude = (float(np.max(magnitude)) if peak is None else peak) or 1.0
-    return float(np.max(magnitude[:, 0, 0, 0])) <= tol * amplitude
+def is_mean_zero(k0: np.ndarray, peak: float, tol: float) -> bool:
+    """The k = 0 test on the c magnitudes ``k0`` at k = 0, relative to
+    ``peak``, the field's largest magnitude (1 for the zero field)."""
+    return float(np.max(k0)) <= tol * (peak or 1.0)
 
 
 @dataclass(frozen=True)

@@ -58,16 +58,16 @@ class ShellSpectrum:
     def __init__(self, grid: GridSpec, half: np.ndarray):
         size = 3 * (grid.n // 2) ** 2 + 1
         shells = grid.shell_index.ravel()
-        peaks, mean, power = [], np.empty((len(half), 1, 1, 1)), []
-        for c, component in enumerate(half):
+        peaks, k0, power = [], [], []
+        for component in half:
             p = np.abs(component)
             peaks.append(np.max(p))
-            mean[c] = p[0, 0, 0]
+            k0.append(p[0, 0, 0])
             np.square(p, out=p)
             p *= grid.multiplicity
             power.append(np.bincount(shells, weights=p.ravel(), minlength=size))
         self.peak = float(np.max(peaks))
-        self.mean_zero = is_mean_zero(mean, MEAN_TOL, self.peak)
+        self.mean_zero = is_mean_zero(k0, self.peak, MEAN_TOL)
         self.power = np.stack(power)
         self._m = np.arange(size, dtype=float)
 

@@ -269,7 +269,11 @@ class TestCliDefects:
         assert main(["norms", path]) == 1
         assert message in _one_error_line(capsys)
 
-    @pytest.mark.parametrize("verb", [["norms"], ["check", "--nu", "0.1"]], ids=["norms", "check"])
+    @pytest.mark.parametrize(
+        "verb",
+        [["norms"], ["check", "--nu", "0.1"], ["check", "--nu", "0.1", "--iftimie-c", "2"]],
+        ids=["norms", "check", "check-iftimie"],
+    )
     def test_divergent_field_is_a_domain_error(self, tmp_path, grid16, capsys, verb):
         path = str(tmp_path / "div.field")
         write_field(path, to_spectral(PhysicalVectorField(grid16, random_physical(grid16, 12))))
