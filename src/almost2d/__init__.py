@@ -18,8 +18,6 @@ from .field import (
 from .norms import (
     besov_norm,
     lebesgue_norm,
-    p2d_split,
-    sobolev_norm,
 )
 from .criteria import (
     CriterionReport,

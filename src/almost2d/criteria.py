@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 
 from .field import LP_MAJORANT_TOL, SpectralVectorField, to_physical
-from .norms import p2d_split, samples_lebesgue_norm, sobolev_norm
+from .norms import ShellSpectrum, samples_lebesgue_norm
 
 CONSTANTS_VERSION = "whole-space-sharp-v1"
 
@@ -193,15 +193,17 @@ def iftimie_check(u: SpectralVectorField, nu: float, c: float) -> CriterionRepor
     """Two-dimensional-perturbation criterion
     ||P2d_perp(u)||_{H^1/2} exp(||P2d(u)||_{L2}^2 / (c nu^2)) < c nu.
 
+    Both norms are ``ShellSpectrum`` plane blocks of u's own coefficients:
+    P2d u is the k3 = 0 plane and P2d_perp u the planes k3 >= 1.
+
     The constant c is not pinned by any computation here; the caller must
     supply one, and the report records it.
     """
     _require_valid_inputs(nu)
     if not 0 < c < math.inf:
         raise ValueError(f"the criterion constant must be positive and finite, got {c}")
-    two_d, perp = p2d_split(u)
-    perp_half = sobolev_norm(perp, 0.5)
-    two_d_l2 = sobolev_norm(two_d, 0)
+    perp_half = math.sqrt(ShellSpectrum(u.grid, u.half, slice(1, None)).sobolev_sq(0.5).sum())
+    two_d_l2 = math.sqrt(ShellSpectrum(u.grid, u.half, slice(0, 1)).sobolev_sq(0).sum())
     rhs = c * nu
     log_lhs, lhs, satisfied = _log_verdict(perp_half, two_d_l2**2 / (c * nu**2), rhs)
     return CriterionReport(

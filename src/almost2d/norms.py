@@ -1,10 +1,12 @@
-"""Function-space norms and the vertical-average split.
+"""Function-space norms.
 
 Every Hilbert-space quantity is a dot product with one shell spectrum
 P(m) = sum_{|k|^2 = m} |fhat(k)|^2, m = 0 ... 3 (n/2)^2 (``ShellSpectrum``),
 summed over the half lattice with each plane's Plancherel multiplicity:
     ||f||_{Hs}^2 = sum_{m > 0} (2 pi sqrt(m))^{2s} P(m)  (m = 0 too at s = 0),
     ||e^{t lap} f||_{L2}^2 = sum_m exp(-8 pi^2 m t) P(m).
+The vertical average P2d f and its complement are the spectra of the k3 = 0
+plane and of the planes k3 >= 1, binned from f's own coefficients.
 Lebesgue norms are equal-weight grid quadratures of the pointwise
 Euclidean magnitude |u(x)|.  The heat-kernel Besov norm B^{-s}_{p,inf}
 is sup_{t>0} t^{s/2} ||e^{t lap} u||_{Lp}, discretized by a scan of
@@ -52,19 +54,23 @@ class ShellSpectrum:
     """Shell-summed spectrum P_c(m) = sum_{|k|^2 = m} |c_c(k)|^2 of each
     component c of a half-spectrum array (c, n, n, n/2 + 1), planes weighted
     by multiplicity, with the largest |c| and the k = 0 mean-zero test.
-    |c| is formed one component at a time, in one array that is squared and
-    weighted in place."""
+    ``planes`` bins only that block of k3 planes, read as a view: the block
+    k3 = 0 is the vertical average P2d, k3 >= 1 its complement.  A block
+    without k3 = 0 holds no mean and passes the test.  |c| is formed one
+    component at a time, in one array that is squared and weighted in place."""
 
-    def __init__(self, grid: GridSpec, half: np.ndarray):
+    def __init__(self, grid: GridSpec, half: np.ndarray, planes: slice = slice(None)):
         size = 3 * (grid.n // 2) ** 2 + 1
-        shells = grid.shell_index.ravel()
+        shells = grid.shell_index[..., planes].ravel()
+        weight = grid.multiplicity[..., planes]
+        holds_mean = 0 in range(grid.n // 2 + 1)[planes]
         peaks, k0, power = [], [], []
         for component in half:
-            p = np.abs(component)
+            p = np.abs(component[..., planes])
             peaks.append(np.max(p))
-            k0.append(p[0, 0, 0])
+            k0.append(p[0, 0, 0] if holds_mean else 0.0)
             np.square(p, out=p)
-            p *= grid.multiplicity
+            p *= weight
             power.append(np.bincount(shells, weights=p.ravel(), minlength=size))
         self.peak = float(np.max(peaks))
         self.mean_zero = is_mean_zero(k0, self.peak, MEAN_TOL)
@@ -85,11 +91,6 @@ class ShellSpectrum:
         """||e^{t lap} .||_{L2} of the whole array."""
         decay = np.exp(-8 * np.pi**2 * self._m * t)
         return math.sqrt(float(np.dot(decay, self.power.sum(axis=0))))
-
-
-def sobolev_norm(u: SpectralVectorField, s: float) -> float:
-    """Homogeneous Sobolev norm of order s on the torus."""
-    return math.sqrt(ShellSpectrum(u.grid, u.half).sobolev_sq(s).sum())
 
 
 def lebesgue_norm(u: SpectralVectorField, p: float) -> float:
@@ -256,8 +257,3 @@ def field_summary(u: SpectralVectorField) -> FieldSummary:
         omega=omega,
     )
 
-
-def p2d_split(u: SpectralVectorField) -> tuple[SpectralVectorField, SpectralVectorField]:
-    """Vertical-average projection (k3 = 0 plane, remainder); they sum to u exactly."""
-    plane = u.grid.k[2] == 0
-    return tuple(SpectralVectorField(u.grid, u.half * part) for part in (plane, ~plane))

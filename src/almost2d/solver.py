@@ -128,6 +128,8 @@ class SolverConfig:
         if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
             raise ValueError("dt and t_end must be positive and finite")
         ratio = self.t_end / self.dt
+        if not math.isfinite(ratio):
+            raise ValueError(f"t_end={self.t_end!r} / dt={self.dt!r} is not a finite step count")
         if abs(ratio - round(ratio)) > T_END_LATTICE_TOL * ratio:
             raise ValueError(
                 f"t_end={self.t_end!r} is not an integer multiple of dt={self.dt!r}"

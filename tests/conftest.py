@@ -168,6 +168,19 @@ def coordinates(grid):
 # runs: the references the acceptance tests and the norm tests compare with.
 
 
+def sobolev_norm(u: SpectralVectorField, s: float) -> float:
+    """Homogeneous Sobolev norm of order s of a whole field on the torus."""
+    return math.sqrt(ShellSpectrum(u.grid, u.half).sobolev_sq(s).sum())
+
+
+def p2d_split(u: SpectralVectorField) -> tuple[SpectralVectorField, SpectralVectorField]:
+    """Vertical-average projection as two whole fields, (the k3 = 0 plane,
+    the remainder); they sum to u exactly.  iftimie_check reads the same two
+    norms from ShellSpectrum's plane blocks of u instead."""
+    plane = u.grid.k[2] == 0
+    return tuple(SpectralVectorField(u.grid, u.half * part) for part in (plane, ~plane))
+
+
 def gradient_of_component(u: SpectralVectorField, i: int) -> SpectralVectorField:
     """grad(u_i) as a spectral vector field."""
     k1, k2, k3 = u.grid.k_deriv

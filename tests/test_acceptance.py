@@ -20,11 +20,9 @@ from almost2d import (
     curl,
     envelopes,
     lebesgue_norm,
-    p2d_split,
     rescaled_vorticity,
     run,
     small_data_check,
-    sobolev_norm,
     taylor_green_2d,
     un_family,
 )
@@ -35,8 +33,8 @@ from almost2d.families import (
 )
 from almost2d.norms import lebesgue_norm as LN
 from conftest import (
-    full_coeffs, gradient_of_component, horizontal_parts, partial3, strain, strain_sobolev_norm,
-    zeroed,
+    full_coeffs, gradient_of_component, horizontal_parts, p2d_split, partial3, sobolev_norm,
+    strain, strain_sobolev_norm, zeroed,
 )
 from almost2d.wholespace import (
     besov_embedding_constant,

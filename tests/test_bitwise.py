@@ -1,7 +1,8 @@
 """The field layer's in-place kernels, chunked draws and vectorized families,
-and the criteria layer's one almost-2D core and growth coefficient, against
-the expressions they replaced (conftest's ``*_oracle``), and the solver's
-trapezoid sums against scipy's, as bits.
+and the criteria layer's one almost-2D core, growth coefficient and Iftimie
+norms, against the expressions they replaced (conftest's ``*_oracle``,
+``p2d_split`` and ``sobolev_norm``), and the solver's trapezoid sums against
+scipy's, as bits.
 
 Each kernel runs on the half lattice and, as the solver calls it, on band
 k1 row slices written into a slice of a larger array; every input is
@@ -17,16 +18,19 @@ import pytest
 
 from almost2d import GridSpec, PhysicalVectorField, SpectralVectorField
 from almost2d import leray_project, to_spectral
-from almost2d.criteria import envelopes, gamma2d_from_norms, gamma2d_lp_from_norms
-from almost2d.families import annulus_analog, random_divergence_free
+from almost2d.criteria import envelopes, gamma2d_from_norms, gamma2d_lp_from_norms, iftimie_check
+from almost2d.families import (
+    annulus_analog, large_almost_2d, random_divergence_free, taylor_green_2d, un_family,
+)
 from almost2d.field import curl_coeffs, k_dot, strain_coeffs
+from almost2d.fieldio import read_field, write_field
 from almost2d.norms import samples_lebesgue_norm
 from almost2d.solver import _cumulative_trapezoid, _lattice
 from conftest import (
     annulus_analog_oracle, curl_coeffs_oracle, envelopes_oracle, gamma2d_from_norms_oracle,
     gamma2d_lp_from_norms_oracle, k_dot_oracle, leray_project_oracle,
-    random_divergence_free_oracle, random_physical, samples_lebesgue_norm_oracle,
-    strain_coeffs_oracle,
+    p2d_split, random_divergence_free_oracle, random_physical, samples_lebesgue_norm_oracle,
+    sobolev_norm, strain_coeffs_oracle,
 )
 
 SIZES = (8, 16, 24, 32, 64)
@@ -179,3 +183,33 @@ def test_criteria_formulas_are_the_written_out_forms(formula, oracle, arity, nu_
         for values in itertools.product(SCALARS, repeat=arity):
             args = (*values[:nu_at], nu, *values[nu_at:])
             assert outcome(formula, *args) == outcome(oracle, *args), (formula.__name__, args)
+
+
+def _read_back(u, path):
+    write_field(path, u)
+    return read_field(path)
+
+
+#: name: the field, made from a scratch file path that only "un-file" uses.
+IFTIMIE_FIELDS = {
+    **{f"random{n}-seed{seed}": (lambda _, n=n, seed=seed: random_divergence_free(GridSpec(n), seed))
+       for n in (16, 24, 32, 64) for seed in (0, 7, 11)},
+    "taylor-green": lambda _: taylor_green_2d(GridSpec(32)),
+    "un": lambda _: un_family(5, GridSpec(24)),
+    "un-file": lambda path: _read_back(un_family(5, GridSpec(24)), path),
+    **{f"large-almost-2d-{index}": (lambda _, index=index: large_almost_2d(index, GridSpec(32)))
+       for index in (1, 2, 3)},
+    "annulus": lambda _: annulus_analog(12, GridSpec(32)),
+}
+
+
+@pytest.mark.parametrize("name", IFTIMIE_FIELDS)
+def test_iftimie_norms_are_the_split_forms(name, tmp_path):
+    """iftimie_check's plane blocks of u give the Sobolev norms of the two
+    whole fields that p2d_split forms, bit for bit: bincount adds the same
+    nonzero terms in the same order, and the split's zeros add nothing."""
+    u = IFTIMIE_FIELDS[name](str(tmp_path / "u.field"))
+    inputs = iftimie_check(u, 0.1, 2.0).inputs
+    two_d, perp = p2d_split(u)
+    assert same_bits(inputs["perp_hhalf"], sobolev_norm(perp, 0.5))
+    assert same_bits(inputs["two_d_l2"], sobolev_norm(two_d, 0))

@@ -299,6 +299,19 @@ class TestCliDefects:
         last = open(out).read().strip().splitlines()[-1]
         assert float(last.split(",")[0]) == pytest.approx(0.01, rel=1e-12)
 
+    @pytest.mark.parametrize("dt, t_end", [("0.01", "1e308"), ("1e-320", "1")],
+                             ids=["huge-t-end", "subnormal-dt"])
+    def test_simulate_rejects_a_step_count_that_overflows(self, tmp_path, capsys, dt, t_end):
+        field = str(tmp_path / "tg.field")
+        assert main(["construct", "taylor-green", "--n", "8", "--output", field]) == 0
+        out = tmp_path / "run.csv"
+        argv = ["simulate", "--initial", field, "--output", str(out), "--nu", "0.01",
+                "--dt", dt, "--t-end", t_end]
+        assert main(argv) == 1
+        line = _one_error_line(capsys)
+        assert f"t_end={float(t_end)!r}" in line and f"dt={float(dt)!r}" in line
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, config, message",
         [
@@ -636,11 +649,20 @@ class TestAnalysisPeakMemory:
                 str(tmp_path / "u.field")]
         assert self.peak(lambda: main(argv)) <= 3.5
 
-    def test_check(self, tmp_path):
+    def check_peak(self, tmp_path, *flags) -> float:
         field = str(tmp_path / "u.field")
         write_field(field, random_divergence_free(GridSpec(32), 3))
-        argv = ["check", field, "--nu", "0.1", "--output", str(tmp_path / "out.json")]
-        assert self.peak(lambda: main(argv)) <= 3.5
+        argv = ["check", field, "--nu", "0.1", "--output", str(tmp_path / "out.json"), *flags]
+        return self.peak(lambda: main(argv))
+
+    def test_check(self, tmp_path):
+        assert self.check_peak(tmp_path) <= 3.5
+
+    def test_check_iftimie(self, tmp_path):
+        """The Iftimie norms are plane blocks of the velocity's spectrum, so
+        the flag adds no field: it peaked at 3.7 when P2d u and its remainder
+        were formed as two fields."""
+        assert self.check_peak(tmp_path, "--iftimie-c", "2") <= 3.5
 
 
 class TestAnalysisTransformBudget:

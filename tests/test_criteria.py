@@ -26,10 +26,10 @@ from almost2d.criteria import (
     iftimie_check,
 )
 from almost2d.field import LP_MAJORANT_TOL
-from almost2d.norms import field_summary, p2d_split, sobolev_norm
+from almost2d.norms import field_summary
 from conftest import (
     blowup_time_bounds, gamma2d_lp_hilbert_oracle, gamma2d_of_field, horizontal, horizontal_parts,
-    seeded_fields, zeroed,
+    seeded_fields, sobolev_norm, zeroed,
 )
 
 
@@ -395,7 +395,6 @@ def test_checks_and_splits_leave_inputs_untouched(grid16):
         (lambda v: gamma2d_of_field(v, 0.1), u),
         (lambda v: gamma2d_lp_check(v, gamma2d_of_field(u, 0.1)), w),
         (lambda v: iftimie_check(v, 0.1, 2.0), u),
-        (p2d_split, u),
         (horizontal_parts, u),
         (horizontal, w),
     ]

@@ -12,9 +12,7 @@ from almost2d import (
     curl,
     large_almost_2d,
     lebesgue_norm,
-    p2d_split,
     rescaled_vorticity,
-    sobolev_norm,
     taylor_green_2d,
     two_d_plus_perturbation,
     un_family,
@@ -23,7 +21,8 @@ from almost2d.families import helical_base_vorticity, random_divergence_free
 from almost2d.field import divergence_defect
 from almost2d.norms import lebesgue_norm as LN
 from conftest import (
-    full_coeffs, full_wavenumbers, gamma2d_of_field, horizontal_parts, plane_defect, zeroed,
+    full_coeffs, full_wavenumbers, gamma2d_of_field, horizontal_parts, p2d_split, plane_defect,
+    sobolev_norm, zeroed,
 )
 
 

@@ -21,7 +21,6 @@ from almost2d.field import divergence_defect, k_dot
 from almost2d.fieldio import read_field, write_field
 from almost2d.norms import field_summary
 from almost2d.grid import conjugate_planes
-from almost2d.norms import sobolev_norm
 from conftest import (
     HERMITIAN_TOL,
     advection,
@@ -37,6 +36,7 @@ from conftest import (
     random_physical,
     scalar_to_physical,
     seeded_fields,
+    sobolev_norm,
     strain,
     strain_sobolev_norm,
     two_thirds_mask,

@@ -15,8 +15,6 @@ from almost2d import (
     curl,
     heat_semigroup,
     lebesgue_norm,
-    p2d_split,
-    sobolev_norm,
     to_physical,
     to_spectral,
     un_family,
@@ -30,7 +28,8 @@ from almost2d.norms import (
 from almost2d.families import large_almost_2d, set_mode_pair
 from conftest import (
     coordinates, from_full_coeffs, full_coeffs, full_wavenumbers, gradient_of_component,
-    horizontal_parts, partial3, seeded_fields, v3_omega_h_ratio, zeroed,
+    horizontal_parts, p2d_split, partial3, seeded_fields, sobolev_norm, v3_omega_h_ratio,
+    zeroed,
 )
 
 
@@ -345,6 +344,31 @@ class TestShellSpectrum:
         assert sobolev_norm(shifted, 0.5) == pytest.approx(sobolev_norm(u, 0.5), rel=1e-12)
 
 
+class TestPlaneBlocks:
+    """ShellSpectrum over a block of k3 planes: k3 = 0 is P2d, k3 >= 1 the rest."""
+
+    BLOCKS = (slice(0, 1), slice(1, None))
+
+    def test_blocks_partition_the_spectrum(self, grid16):
+        (u,) = seeded_fields(grid16, 1, base_seed=440)
+        whole = ShellSpectrum(grid16, u.half)
+        blocks = [ShellSpectrum(grid16, u.half, planes) for planes in self.BLOCKS]
+        assert np.allclose(blocks[0].power + blocks[1].power, whole.power, rtol=1e-14, atol=0)
+        assert max(b.peak for b in blocks) == whole.peak
+
+    def test_only_the_k3_zero_block_holds_the_mean(self, grid16):
+        (u,) = seeded_fields(grid16, 1, base_seed=460)
+        coeffs = u.half.copy()
+        coeffs[0, 0, 0, 0] = 0.25
+        average, rest = (ShellSpectrum(grid16, coeffs, planes) for planes in self.BLOCKS)
+        assert not average.mean_zero and rest.mean_zero
+        with pytest.raises(ValueError, match="requires a mean-zero field"):
+            average.sobolev_sq(-0.5)
+        assert rest.sobolev_sq(-0.5).sum() == pytest.approx(
+            sobolev_norm(p2d_split(u)[1], -0.5) ** 2, rel=1e-12
+        )
+
+
 class TestHorizontalParts:
     def test_two_dimensional_flow_vanishes(self, grid16):
         # x3-independent divergence-free flow with u3 = 0
@@ -421,7 +445,7 @@ def read_back_un_field(grid24):
 
 
 class TestExactLinearParts:
-    """p2d_split copies coefficients and never edits them."""
+    """The reference p2d_split copies coefficients and never edits them."""
 
     def test_p2d_parts_sum_to_a_read_back_field(self, grid24):
         u = read_back_un_field(grid24)

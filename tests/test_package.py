@@ -279,6 +279,21 @@ def test_two_thirds_cutoff_written_once():
     assert divisions == ["grid.py"]
 
 
+def test_shell_sum_written_once():
+    """One Sobolev path: np.bincount, the shell sum, is called in src/ only in
+    ShellSpectrum.__init__, so every Hilbert-space norm, the vertical
+    average's plane blocks included, is a weight on a ShellSpectrum."""
+    calls = [
+        (path.name, top.name, owner)
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        for owner, name in _calls(top, top.name)
+        if name == "bincount"
+    ]
+    assert calls == [("norms.py", "ShellSpectrum", "__init__")]
+
+
 def test_output_format_written_once():
     """Every CSV and JSON file goes through one formatter of each: the float
     format ``.12e`` is written in src/ only as cli.FLOAT_FMT, and a json
