@@ -13,13 +13,14 @@ Hermitian symmetry.  Every field transform goes through one real-data pair,
 ``rfft3`` / ``irfft3``, and every solver transform through the passes of its
 band form: the same pocketfft 1-D passes, in the same order and with the same
 factor, run only over the lines that are not zero on the way in or cropped
-away on the way out, so they agree with the pair as bits.  A solver part runs
-them on its share (``band_parts``): the complex passes on band planes k3 < m
-(``band_inverse_planes``, ``band_forward_planes``) and the real ones along the
-last axis on x1 slabs (``irfft_k3``, ``rfft_x3``).  The band, its rows and
-its pad and crop are ``GridSpec.band(K)``'s.  No function here calls
-``numpy.fft``.  Mean zero is read from k = 0 by each operation that needs it
-(``is_mean_zero``).
+away on the way out, so they agree with the pair as bits.  Each line of the
+complex passes (``band_inverse_planes``, ``band_forward_planes``) lies in one
+band plane k3 < m, and each of the real ones along the last axis
+(``irfft_k3``, ``rfft_x3``) in one x1 slab, so a caller may run them plane
+block by plane block and slab by slab.  Every transform here runs on one
+thread and starts none.  The band, its rows and its pad and crop are
+``GridSpec.band(K)``'s.  No function here calls ``numpy.fft``.  Mean zero is
+read from k = 0 by each operation that needs it (``is_mean_zero``).
 Multipliers k.c, 2 pi i k x c and pi i (k_i c_j + k_j c_i) are written once, as
 kernels on coefficients and a ``k_deriv`` triple (``k_dot``, ``curl_coeffs``,
 ``strain_coeffs``), the first two applied here to the half lattice and all
@@ -32,7 +33,6 @@ part alone, formed in its gradient array.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,75 +57,16 @@ NODE_DIVFREE_TOL = 1e-14  # xi . what at quadrature nodes vanishes identically u
 QUADRATURE_TOL = 1e-8  # quadrature against closed forms: the acceptance oracle's tolerance
 MAJORANT_TOL = 1e-10  # relative slack of a quadrature value or torus norm under its majorant
 
-#: Grids with at least this many points per axis run each transform on every
-#: core the process may use: a 3-D transform as one threaded pocketfft call, and
-#: a solver run as that many parts (``band_parts``), one in the calling thread
-#: and the others on the run's pool, each part's 1-D passes on one thread.
-#: Below it a run has one part, which the calling thread runs through the same
-#: passes, and starts no thread.  Two threads against one on a 2-vCPU VM
-#: (pocketfft, 3-D transforms), one ``simulate`` end to end, median of 8
-#: alternating pairs: 1.75x slower at n=16, 1.33x slower at n=32, 1.14x faster
-#: at n=48 and 1.17x faster at n=64.
-#: Threaded output is bit-identical.
-THREADED_MIN_N = 48
-
-#: x1-plane points in the slabs a solver part transforms and multiplies at a
-#: time: a slab is SLAB_POINTS // n^2 planes high, 8 at n=64, whose samples
-#: (6, 8, 64, 64) are 1.5 MB, so a slab's pointwise work reads what its
-#: transform just wrote while it is still in cache.  One n=64 RK stage in two
-#: parts on a 2-vCPU VM, median of 60 in each of two interleaved orders (ms):
-#: height 2: 22.2 / 20.3, 4: 21.4 / 19.1, 8: 20.8 / 18.9, 16: 21.5 / 19.0,
-#: 32 (one slab per part): 21.8 / 19.9.  Smaller grids fit a part in one slab,
-#: and so pay the per-call cost of the slab passes once.
-SLAB_POINTS = 8 * 64 * 64
-
-
-def _workers(n: int) -> int:
-    if n < THREADED_MIN_N:
-        return 1
-    if hasattr(os, "sched_getaffinity"):  # the cores this process may use
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def band_parts(n: int, b: int, m: int) -> tuple[tuple[slice, ...], tuple[slice, ...],
-                                                tuple[tuple[slice, ...], ...]]:
-    """How a solver run splits its work on an n-point grid whose band has b
-    k1 rows and m planes: (rows, planes, slabs), each part's k1 rows of the
-    band, its planes k3 < m and its x1 slabs.
-
-    There are ``_workers(n)`` parts, at most m (one plane each) and at most n
-    (one x1 plane each), so no part is empty (b > m).  The slabs are
-    SLAB_POINTS // n^2 planes high, at least 1 and at most n // parts, so
-    that each part gets one, dealt out in turn; a part's first slab is its
-    highest.  Each 1-D line of a band transform lies in one k3 plane or one
-    x1 slab, so a split transform equals the whole one as bits; the
-    elementwise band work is split by k1 rows, whose inner loops stay
-    contiguous.
-    """
-    count = min(_workers(n), m, n)
-    height = max(min(SLAB_POINTS // n**2, n // count), 1)
-    slabs = [slice(x, min(x + height, n)) for x in range(0, n, height)]
-    return (
-        tuple(slice(b * i // count, b * (i + 1) // count) for i in range(count)),
-        tuple(slice(m * i // count, m * (i + 1) // count) for i in range(count)),
-        tuple(tuple(slabs[i::count]) for i in range(count)),
-    )
-
 
 def rfft3(samples: np.ndarray) -> np.ndarray:
     """k3 >= 0 half-spectrum coefficients (..., n, n, n/2 + 1) of real samples
     over the last three axes, with the 1/n^3 forward normalization."""
-    return scipy.fft.rfftn(
-        samples, axes=(-3, -2, -1), norm="forward", workers=_workers(samples.shape[-1])
-    )
+    return scipy.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward", workers=1)
 
 
 def irfft3(half: np.ndarray, n: int) -> np.ndarray:
     """Real samples (..., n, n, n) from k3 >= 0 half-spectrum coefficients."""
-    return scipy.fft.irfftn(
-        half, s=(n, n, n), axes=(-3, -2, -1), norm="forward", workers=_workers(n)
-    )
+    return scipy.fft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1), norm="forward", workers=1)
 
 
 def band_inverse_planes(block: np.ndarray, band: Band, half: np.ndarray) -> np.ndarray:
@@ -154,20 +95,20 @@ def band_inverse_planes(block: np.ndarray, band: Band, half: np.ndarray) -> np.n
 
 
 def irfft_k3(half: np.ndarray, n: int) -> np.ndarray:
-    """Real samples (..., n) from the k3 axis of ``half``, on one thread: the
-    last inverse pass after ``band_inverse_planes``; a solver part passes one
-    x1 slab of it."""
+    """Real samples (..., n) from the k3 axis of ``half``: the last inverse
+    pass after ``band_inverse_planes``; a solver part passes one x1 slab of
+    it."""
     return scipy.fft.irfft(half, n, axis=-1, norm="forward", workers=1)
 
 
 def rfft_x3(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The real transform of ``samples`` (..., n) along x3, on one thread, its
-    planes k3 < m scaled by 1/n^3 into ``out`` (..., m): the first forward
-    pass on one x1 slab, written into the planes k3 < m of a half-spectrum
-    work array.  It runs unnormalized and the scale is applied once, here,
-    where pocketfft's ``rfftn`` applies its factor (per axis, 1/n moves the
-    last bit when n is not a power of two), in place on the contiguous
-    transform, before the copy into the strided ``out``."""
+    """The real transform of ``samples`` (..., n) along x3, its planes k3 < m
+    scaled by 1/n^3 into ``out`` (..., m): the first forward pass on one x1
+    slab, written into the planes k3 < m of a half-spectrum work array.  It
+    runs unnormalized and the scale is applied once, here, where pocketfft's
+    ``rfftn`` applies its factor (per axis, 1/n moves the last bit when n is
+    not a power of two), in place on the contiguous transform, before the
+    copy into the strided ``out``."""
     n = samples.shape[-1]
     lines = scipy.fft.rfft(samples, axis=-1, workers=1)
     # Real and imaginary parts, each scaled as rfftn scales them.

@@ -40,20 +40,22 @@ With ``dealias="none"`` the two forms alias differently and their tendencies
 differ by O(1) at the resolved scales; "none" means the aliased rotational
 form.
 
-A stage, a row and the CFL sample are cut into parts (``field.band_parts``):
-one below n = ``field.THREADED_MIN_N``, which the calling thread runs, and
-from it one per core, the calling thread running one and a pool of the run's
-own threads the others, at once.  The transform passes in spectral space
-(the pad and the k1/k2 passes in, the x1/x2 passes and the crop out) are
-split by band planes k3 < m, and the elementwise band work (the fill of
-(u, omega) or of a row's strain, the projection) by band k1 rows, whose
-inner loops stay contiguous; the physical work by x1 slabs: each slab's real
-transform along k3, its pointwise work (u x omega, the row's det S and
-|S|^3, the CFL's |u|) and, in a stage, its real transform along x3, scaled
-by 1/n^3 into the planes k3 < m of its own x1 rows of the work array.  Each
-1-D line lies wholly in one plane or one slab and each transform runs on one
-thread, so the parts change no bit.  Every run takes this one path; with one
-part it starts no thread.
+A stage, a row and the CFL sample are cut into parts (``_stage``): one below
+n = ``THREADED_MIN_N``, which the calling thread runs, and from it one per
+core, the calling thread running one and a pool of the run's own threads the
+others, at once.  That pool is the only thread the package starts: every
+other transform, ``field``'s pair included, runs on the calling thread.  The
+transform passes in spectral space (the pad and the k1/k2 passes in, the
+x1/x2 passes and the crop out) are split by band planes k3 < m, and the
+elementwise band work (the fill of (u, omega) or of a row's strain, the
+projection) by band k1 rows, whose inner loops stay contiguous; the
+physical work by x1 slabs: each slab's real transform along k3, its
+pointwise work (u x omega, the row's det S and |S|^3, the CFL's |u|) and,
+in a stage, its real transform along x3, scaled by 1/n^3 into the planes
+k3 < m of its own x1 rows of the work array.  Each 1-D line lies wholly in
+one plane or one slab and each transform runs on one thread, so the parts
+change no bit.  Every run takes this one path; with one part it starts no
+thread.
 
 Each ``run`` opens one ``_Stage`` (``_stage``) and hands it to every RK
 stage, diagnostics row and CFL sample: its band, its split into parts, the
@@ -67,19 +69,18 @@ parts); the 6-field band array of (u, omega), or of a row's strain; and a
 (2, n, n, n) real array, in which a row forms |S|^3 and det S before it
 averages them, and of which each part takes the x1 planes of its first slab
 as the scratch in which u x omega is formed over its samples.  So no stage,
-row or CFL sample holds more samples than one slab per part.  Allocated per
-stage instead, these arrays went back to the C allocator and were
-page-faulted in again: three traced n=64 ``simulate`` invocations of 4 steps
-took 198k minor faults and 0.84 s of system time that way, 25k and 0.13 s
-with the buffers.  For the same reason ``run`` forms each RK4 step in four
-band arrays of its own and updates its state in place.  The ``_Stage`` is a
-local of ``run``, not module state, so concurrent runs share only the
-read-only lattices, and no thread outlives the call.
+row or CFL sample holds more samples than one slab per part, and none
+allocates (and page-faults in) a sample or half-spectrum array of its own;
+nor does an RK4 step allocate a band array: ``run`` forms each in four of its
+own, updating its state in place.  The ``_Stage`` is a local of ``run``, not
+module state, so concurrent runs share only the read-only lattices, and no
+thread outlives the call.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field as dc_field, fields
@@ -91,8 +92,8 @@ from .criteria import SMALL_DATA_COEFF, _require_valid_inputs, constants
 from .field import (
     DECAY_SLACK_TOL, DIVFREE_TOL, FROBENIUS_WEIGHTS, GRONWALL_2D_GROWTH_TOL, GRONWALL_2D_TOL,
     GRONWALL_LOG_TOL, INITIAL_MEAN_TOL, T_END_LATTICE_TOL, SpectralVectorField,
-    band_forward_planes, band_inverse_planes, band_parts, curl_coeffs, divergence_defect,
-    irfft_k3, is_mean_zero, k_dot, rfft_x3, strain_coeffs,
+    band_forward_planes, band_inverse_planes, curl_coeffs, divergence_defect, irfft_k3,
+    is_mean_zero, k_dot, rfft_x3, strain_coeffs,
 )
 from .grid import Band, GridSpec
 from .norms import samples_lebesgue_norm
@@ -170,9 +171,31 @@ CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsSeries)
                     if f.default is MISSING and f.default_factory is MISSING)
 
 
+#: Grids with at least this many points per axis run each RK stage,
+#: diagnostics row and CFL sample as one part per core the process may use
+#: (``_stage``), one in the calling thread and the others on the run's pool,
+#: each part's 1-D passes on one thread.  Below it a run has one part, which
+#: the calling thread runs through the same passes, and starts no thread.
+#: Two parts against one on a 2-vCPU VM, a whole run, median of 11
+#: alternating runs in one process: 2.0x slower at n=16 and 1.2x slower at
+#: n=32, losing every run.  At n=64 the benchmark's dns-n64 read 0.29-0.30 s
+#: split against 0.38-0.40 s in one part (4 pairs; 10 more in ``README.md``).
+THREADED_MIN_N = 48
+
+#: x1-plane points in the slabs a solver part transforms and multiplies at a
+#: time: a slab is SLAB_POINTS // n^2 planes high, 8 at n=64, whose samples
+#: (6, 8, 64, 64) are 1.5 MB, so a slab's pointwise work reads what its
+#: transform just wrote while it is still in cache.  One n=64 RK stage in two
+#: parts on a 2-vCPU VM, median of 60 in each of two interleaved orders (ms):
+#: height 2: 22.2 / 20.3, 4: 21.4 / 19.1, 8: 20.8 / 18.9, 16: 21.5 / 19.0,
+#: 32 (one slab per part): 21.8 / 19.9.  Smaller grids fit a part in one slab,
+#: and so pay the per-call cost of the slab passes once.
+SLAB_POINTS = 8 * 64 * 64
+
+
 class _Stage(NamedTuple):
     """What one ``run`` hands every RK stage, diagnostics row and CFL sample:
-    its band ``lat``; its split (``band_parts``), each part's band k1 rows,
+    its band ``lat``; its split (``_stage``), each part's band k1 rows,
     band planes and x1 slabs, with ``map(fn, items)``, which runs fn on every
     item, one per part, the first in the calling thread and the others on the
     run's pool, and returns the results as a list; and the arrays they all
@@ -192,12 +215,25 @@ class _Stage(NamedTuple):
 
 @contextmanager
 def _stage(lat: Band) -> Iterator[_Stage]:
-    """A fresh stage on ``lat``, its half spectrum zeroed, whose parts after
-    the first run on a pool that the ``with`` block owns: no thread outlives
-    it, and one part submits nothing, so starts no thread."""
-    n, m = lat.n, lat.shape[2]
-    rows, planes, slabs = band_parts(n, lat.shape[0], m)
-    with ThreadPoolExecutor(max(len(planes) - 1, 1)) as pool:
+    """A fresh stage on ``lat``, its half spectrum zeroed, split into parts:
+    one below THREADED_MIN_N, and from it one per core the process may use,
+    at most m (one band plane each) and at most n (one x1 plane each), so no
+    part is empty (b > m).  Each part gets its band k1 rows, its planes k3 < m
+    and its x1 slabs, SLAB_POINTS // n^2 planes high, at least 1 and at most
+    n // parts, so that each part gets one, dealt out in turn; a part's first
+    slab is its highest.  The parts after the first run on a pool that the
+    ``with`` block owns: no thread outlives it, and one part submits nothing,
+    so starts no thread."""
+    n, (b, _, m) = lat.n, lat.shape
+    count = 1
+    if n >= THREADED_MIN_N:
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        count = min(cores or 1, m, n)
+    height = max(min(SLAB_POINTS // n**2, n // count), 1)
+    slabs = [slice(x, min(x + height, n)) for x in range(0, n, height)]
+    rows = tuple(slice(b * i // count, b * (i + 1) // count) for i in range(count))
+    planes = tuple(slice(m * i // count, m * (i + 1) // count) for i in range(count))
+    with ThreadPoolExecutor(max(count - 1, 1)) as pool:
 
         def run_parts(fn, items):
             rest = [pool.submit(fn, item) for item in items[1:]]
@@ -212,7 +248,7 @@ def _stage(lat: Band) -> Iterator[_Stage]:
             return [first] + [future.result() for future in rest]
 
         yield _Stage(
-            lat, run_parts, rows, planes, slabs,
+            lat, run_parts, rows, planes, tuple(tuple(slabs[i::count]) for i in range(count)),
             np.empty((6,) + lat.shape, dtype=complex),
             np.zeros((6, n, n, n // 2 + 1), dtype=complex),
             np.empty((2, n, n, n)),
@@ -492,8 +528,9 @@ def _assemble_series(rows: list[dict], cfg: SolverConfig, status: str,
     decay_ok = d <= DECAY_SLACK_TOL * np.maximum(np.maximum(np.abs(d), E_i), 1.0)
     flag[1:-1] = ~small | decay_ok
 
-    gronwall_ok = True
-    gronwall_max_log_ratio = -math.inf
+    # A key that covers no row is None: the centered monitors need m >= 3,
+    # the step increase and the Gronwall envelope m >= 2.
+    gronwall_ok = gronwall_max_log_ratio = None
     if m >= 2:
         omega_h = cols["omega_h_hminushalf"]
         e0_scale = math.sqrt(max(E[0], 1.0))
@@ -501,22 +538,24 @@ def _assemble_series(rows: list[dict], cfg: SolverConfig, status: str,
             # 2D data: the envelope degenerates to zero
             gronwall_ok = not bool(np.any(omega_h[1:] > GRONWALL_2D_GROWTH_TOL * e0_scale))
         else:
-            exponent = _cumulative_trapezoid((2 * E) ** 2, t) / (consts.r2 * cfg.nu**3)
-            log_ratio = 2 * np.log(np.maximum(omega_h[1:], 1e-300) / omega_h[0]) - exponent
-            log_ratio = log_ratio[~np.isnan(log_ratio)]
+            # E^2 past 1e308 overflows to an infinite exponent, a row the
+            # envelope cannot bound: it and rows with no omega_h go unevaluated.
+            with np.errstate(over="ignore"):
+                exponent = _cumulative_trapezoid((2 * E) ** 2, t) / (consts.r2 * cfg.nu**3)
+                log_ratio = 2 * np.log(np.maximum(omega_h[1:], 1e-300) / omega_h[0]) - exponent
+            log_ratio = log_ratio[np.isfinite(exponent) & ~np.isnan(log_ratio)]
             if log_ratio.size:
                 gronwall_max_log_ratio = float(np.max(log_ratio))
-            gronwall_ok = not bool(np.any(log_ratio > GRONWALL_LOG_TOL))
+                gronwall_ok = bool(gronwall_max_log_ratio <= GRONWALL_LOG_TOL)
 
-    per_step_increase = float(np.max(np.diff(K))) if m >= 2 else 0.0
     summary = {
         "max_energy_eq_residual": float(np.max(energy_residual)),
         "max_strain_identity_residual": _non_nan(np.max, strain_res),
         "min_enstrophy_ineq_slack": _non_nan(np.min, slack),
-        "horizontal_flag_all_true": bool(np.all(flag[1:-1] > 0.5)) if m > 2 else True,
+        "horizontal_flag_all_true": bool(np.all(flag[1:-1] > 0.5)) if m > 2 else None,
         "gronwall_envelope_ok": gronwall_ok,
         "gronwall_max_log_ratio": gronwall_max_log_ratio,
-        "max_energy_increase_per_step": per_step_increase,
+        "max_energy_increase_per_step": float(np.max(np.diff(K))) if m >= 2 else None,
         **stability,
     }
     return DiagnosticsSeries(
@@ -532,8 +571,8 @@ def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)
 
 
-def _non_nan(reduce, a: np.ndarray) -> float:
-    """``reduce`` over the non-NaN entries of a, 0.0 if there are none."""
+def _non_nan(reduce, a: np.ndarray) -> float | None:
+    """``reduce`` over the non-NaN entries of a, None if there are none."""
     vals = a[~np.isnan(a)]
-    return float(reduce(vals)) if len(vals) else 0.0
+    return float(reduce(vals)) if len(vals) else None
 

@@ -205,15 +205,23 @@ _TRANSFORMS = {
 
 
 def _transform_sites(node, module, owner=None):
-    """(module, innermost enclosing function or None) of each FFT call, 1-D,
-    2-D or n-d."""
+    """(module, innermost enclosing function or None, call) of each FFT call,
+    1-D, 2-D or n-d."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Call):
             fn = child.func
             if (fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)) in _TRANSFORMS:
-                yield module, owner
+                yield module, owner, child
         name = child.name if isinstance(child, ast.FunctionDef) else owner
         yield from _transform_sites(child, module, name)
+
+
+def _src_transform_sites():
+    return [
+        site
+        for path in sorted(SRC.glob("*.py"))
+        for site in _transform_sites(ast.parse(path.read_text()), path.name)
+    ]
 
 
 def test_nd_transforms_only_in_the_transform_pair():
@@ -221,34 +229,46 @@ def test_nd_transforms_only_in_the_transform_pair():
     functions: the pair rfft3 / irfft3, and the passes of its band form that a
     solver part runs (band_inverse_planes and irfft_k3 inverse, rfft_x3 and
     band_forward_planes forward)."""
-    sites = {
-        site
-        for path in sorted(SRC.glob("*.py"))
-        for site in _transform_sites(ast.parse(path.read_text()), path.name)
-    }
+    sites = {(module, owner) for module, owner, _ in _src_transform_sites()}
     assert sites == {
         ("field.py", "rfft3"), ("field.py", "irfft3"), ("field.py", "band_inverse_planes"),
         ("field.py", "irfft_k3"), ("field.py", "rfft_x3"), ("field.py", "band_forward_planes"),
     }
 
 
+def test_every_transform_runs_on_one_thread():
+    """Every FFT call in src/ passes the literal ``workers=1``: pocketfft
+    starts no thread, and the solver's parts are the only threads a verb
+    runs.  field.py, which holds every call, imports no thread module."""
+    sites = _src_transform_sites()
+    other = [(module, owner) for module, owner, call in sites
+             if [ast.unparse(k.value) for k in call.keywords if k.arg == "workers"] != ["1"]]
+    assert sites and other == []
+    field_imports = set(_imports(ast.parse((SRC / "field.py").read_text())))
+    assert not {name.split(".")[0] for name in field_imports} & {
+        "os", "threading", "concurrent", "multiprocessing"}
+
+
 def test_thread_threshold_and_tolerances_defined_once():
-    """THREADED_MIN_N and every *_TOL tolerance are each assigned exactly
-    once in src/, all in field.py."""
+    """THREADED_MIN_N, SLAB_POINTS and every *_TOL tolerance are each
+    assigned exactly once in src/: the two thread settings in solver.py, the
+    tolerances in field.py."""
     definitions = [
         (target.id, path.name)
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assign)
         for target in node.targets
-        if getattr(target, "id", "") == "THREADED_MIN_N"
+        if getattr(target, "id", "") in ("THREADED_MIN_N", "SLAB_POINTS")
         or getattr(target, "id", "").endswith("_TOL")
     ]
     names = [name for name, _ in definitions]
     assert len(names) == len(set(names))
-    assert {module for _, module in definitions} == {"field.py"}
-    assert {"THREADED_MIN_N", "DIVFREE_TOL", "NORM_DIVFREE_TOL",
-            "CONSTRUCTION_DIVFREE_TOL", "MEAN_TOL", "INITIAL_MEAN_TOL"} <= set(names)
+    assert {(name, module) for name, module in definitions if not name.endswith("_TOL")} == {
+        ("THREADED_MIN_N", "solver.py"), ("SLAB_POINTS", "solver.py")}
+    assert {module for name, module in definitions if name.endswith("_TOL")} == {"field.py"}
+    assert {"DIVFREE_TOL", "NORM_DIVFREE_TOL", "CONSTRUCTION_DIVFREE_TOL", "MEAN_TOL",
+            "INITIAL_MEAN_TOL"} <= set(names)
 
 
 def test_growth_coefficient_written_once():

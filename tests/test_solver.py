@@ -1,12 +1,15 @@
 """Time integration and trajectory monitors."""
 
 import contextlib
+import json
 import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +28,8 @@ from almost2d import solver as solver_module
 from almost2d.cli import main
 from almost2d.families import random_divergence_free, set_mode_pair
 from almost2d.field import (
-    DECAY_SLACK_TOL, FROBENIUS_WEIGHTS, curl, curl_coeffs, divergence_defect, irfft3, k_dot,
-    leray_project, strain_coeffs,
+    DECAY_SLACK_TOL, FROBENIUS_WEIGHTS, GRONWALL_LOG_TOL, curl, curl_coeffs, divergence_defect,
+    irfft3, k_dot, leray_project, strain_coeffs,
 )
 from almost2d.grid import conjugate_planes
 from almost2d.norms import field_summary, samples_lebesgue_norm
@@ -258,10 +261,10 @@ class TestSymmetries:
 class TestThreads:
     def test_threaded_transforms_leave_the_output_unchanged(self, tmp_path, monkeypatch):
         """Lowering the threshold makes an n=16 simulate use every core: the
-        field read is one 3-D transform with ``workers`` = cores, and the run's
-        transforms are 1-D passes with ``workers`` = 1, made by as many
-        distinct threads, its parts.  The CSV and the summary are
-        byte-identical to the run on one thread."""
+        field read is one 3-D transform with ``workers`` = 1 on the calling
+        thread, and the run's transforms are 1-D passes with ``workers`` = 1,
+        made by as many distinct threads as cores, its parts.  The CSV and the
+        summary are byte-identical to the run on one thread."""
         field = str(tmp_path / "u.field")
         assert main(["construct", "random", "--n", "16", "--seed", "5", "--output", field]) == 0
         cfgfile = tmp_path / "sim.cfg"
@@ -284,15 +287,39 @@ class TestThreads:
 
         for name in _FFT_NAMES:  # every scipy.fft transform, 1-D and n-d
             monkeypatch.setattr(scipy.fft, name, spy(name, getattr(scipy.fft, name)))
-        monkeypatch.setattr(field_module, "THREADED_MIN_N", 4)
+        monkeypatch.setattr(solver_module, "THREADED_MIN_N", 4)
         threaded = simulate("threaded.csv")
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         read = [(workers, thread) for nd, workers, thread in calls if nd]
         passes = [(workers, thread) for nd, workers, thread in calls if not nd]
-        assert read == [(cores, threading.get_ident())]
+        assert read == [(1, threading.get_ident())]
         assert {workers for workers, _ in passes} == {1}
         assert len({thread for _, thread in passes}) == cores
         assert threaded == one_thread
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_a_field_read_starts_no_thread(self, tmp_path):
+        """A fresh process that may use two cores reads an n=48 field, a grid
+        on which a run splits: its OS threads, the entries of /proc/self/task,
+        are as many after the read as before."""
+        field = str(tmp_path / "u.field")
+        assert main(["construct", "random", "--n", "48", "--seed", "3", "--output", field]) == 0
+        script = f"""
+import os
+os.sched_getaffinity = lambda pid: {{0, 1}}
+from almost2d.fieldio import read_field
+before = len(os.listdir("/proc/self/task"))
+read_field({field!r})
+print(before, len(os.listdir("/proc/self/task")))
+"""
+        src = str(Path(solver_module.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, after = map(int, proc.stdout.split())
+        assert after == before
 
 
 def band_inputs(lat, count, seed):
@@ -568,7 +595,7 @@ class TestParts:
         raised: one part, in the calling thread.  n=16 is the size of the
         benchmark's small run, whose one part takes the same passes."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(field_module, "THREADED_MIN_N", 4 if threaded else n + 2)
+        monkeypatch.setattr(solver_module, "THREADED_MIN_N", 4 if threaded else n + 2)
         grid = GridSpec(n)
         lat = _lattice(grid, rule)
         with _stage(lat) as stage:
@@ -587,9 +614,8 @@ class TestParts:
         n // parts: n <= 32 runs one slab on one core, n=48 slabs of 14 planes
         and n=64 slabs of 8, dealt out in turn to two parts."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
-        b, _, m = _lattice(GridSpec(n), "two_thirds").shape
-        _, _, parts = field_module.band_parts(n, b, m)
-        assert [[(x.start, x.stop) for x in part] for part in parts] == slabs
+        with _stage(_lattice(GridSpec(n), "two_thirds")) as stage:
+            assert [[(x.start, x.stop) for x in part] for part in stage.slabs] == slabs
 
     @pytest.mark.parametrize("rule, planes, slabs", [("two_thirds", 3, 4), ("none", 5, 8)])
     def test_parts_are_capped_and_never_empty(self, rule, planes, slabs, monkeypatch):
@@ -598,7 +624,7 @@ class TestParts:
         each part gets one, no part's rows are empty, and no transform gets an
         empty array."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        monkeypatch.setattr(field_module, "THREADED_MIN_N", 4)
+        monkeypatch.setattr(solver_module, "THREADED_MIN_N", 4)
         grid = GridSpec(8)
         lat = _lattice(grid, rule)
         sizes = []
@@ -634,7 +660,7 @@ class TestParts:
         before it returns or raises.  A run of one part starts no thread."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         if status != "one part":
-            monkeypatch.setattr(field_module, "THREADED_MIN_N", 4)
+            monkeypatch.setattr(solver_module, "THREADED_MIN_N", 4)
         grid = GridSpec(16)
         u0 = random_divergence_free(grid, 31, kmax=5, amplitude=0.3)
         if status == "rejected":
@@ -678,7 +704,7 @@ class TestBandTransforms:
     ``band_inverse_planes`` per plane part, then ``irfft_k3`` per x1 slab, is
     ``irfft3`` of the padded band; forward, ``rfft_x3`` per slab into a
     compact (3, n, n, m) array, then ``band_forward_planes`` per plane part,
-    is the band of ``rfft3``.  The parts are ``band_parts``' split into one
+    is the band of ``rfft3``.  The parts are ``_stage``'s split into one
     part or into three (two when the band has two planes).  The bands are the
     two rules' (``_lattice``), K = kc and K = n/2, and ``GridSpec.band(K)``
     at K = 1 and n/2 - 1, the last band that leaves the Nyquist row out.
@@ -706,12 +732,13 @@ class TestBandTransforms:
         that an off-band entry left unset shows; the inputs stay unchanged and
         the work array's planes k3 >= m stay zero."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(field_module, "THREADED_MIN_N", 4 if split else n + 2)
+        monkeypatch.setattr(solver_module, "THREADED_MIN_N", 4 if split else n + 2)
         grid, K = GridSpec(n), self.CUTOFFS[rule](n)
         lat = _lattice(grid, rule) if rule in ("two_thirds", "none") else grid.band(K)
         rows, m = self.band_rows(n, K)
         assert lat.shape == (len(rows), len(rows), m)
-        _, planes, slabs = field_module.band_parts(n, len(rows), m)
+        with _stage(lat) as stage:
+            planes, slabs = stage.planes, stage.slabs
         assert len(planes) == (min(3, m) if split else 1)
         slabs = [x1 for part in slabs for x1 in part]
         band = (slice(None),) + np.ix_(rows, rows, np.arange(m))
@@ -793,7 +820,7 @@ class TestTransformBudget:
         """Split into three parts (THREADED_MIN_N lowered, three cores), a run
         makes the lines of one part, counted under the fixture's lock."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(field_module, "THREADED_MIN_N", 4)
+        monkeypatch.setattr(solver_module, "THREADED_MIN_N", 4)
         self.count(tmp_path, transform_counts, 3, 1, rule)
 
 
@@ -978,6 +1005,54 @@ def test_assemble_series_closed_forms_on_many_rows():
     assert rate < 0  # the largest log ratio is on the first step
     assert series.summary["gronwall_max_log_ratio"] == pytest.approx(rate * t[1], rel=1e-9)
     assert series.summary["gronwall_envelope_ok"]
+
+
+def gronwall_rows(E, omega_h, dt):
+    """Rows with the given E and omega_h at t = 0, dt, 2 dt, ...; the other
+    columns constant."""
+    return [{"t": dt * i, "K": 1.0, "E": e, "strain_h1_sq": 1.0, "det_S_integral": 0.0,
+             "omega_h_hminushalf": w, "strain_l3": 1.0} for i, (e, w) in enumerate(zip(E, omega_h))]
+
+
+def test_gronwall_rows_whose_exponent_overflows_are_not_evaluated():
+    """(2E)^2 past the float range makes the envelope's exponent infinite from
+    that row on.  Those rows are skipped, silently: both Gronwall keys come
+    from the finite rows, and are None when there are none."""
+    nu, e, dt, growth = 0.3, 2.0, 1e-4, 1e4
+    t = dt * np.arange(4)
+    rows = gronwall_rows([e, e, e, 1e200], 1e-3 * np.exp(growth * t), dt)
+    summary = _assemble_series(rows, SolverConfig(nu=nu, dt=dt, t_end=3 * dt), "completed",
+                               {}).summary
+    rate = 2 * growth - (2 * e) ** 2 / (constants().r2 * nu**3)
+    assert rate * t[2] > GRONWALL_LOG_TOL  # the last finite row breaks the envelope
+    assert summary["gronwall_max_log_ratio"] == pytest.approx(rate * t[2], rel=1e-9)
+    assert summary["gronwall_envelope_ok"] is False
+
+    rows = gronwall_rows([1e200, 1e200], [1e95, 2e95], dt)  # above the 2-D test's 1e87
+    summary = _assemble_series(rows, SolverConfig(nu=nu, dt=dt, t_end=dt), "completed",
+                               {}).summary
+    assert (summary["gronwall_envelope_ok"], summary["gronwall_max_log_ratio"]) == (None, None)
+
+
+@pytest.mark.parametrize("threshold, rows", [(1e-12, 1), (1e8, 2)])
+def test_summary_keys_that_cover_no_row_are_null(tmp_path, threshold, rows):
+    """A run of one row (stopped at row 0) or two: the centered monitors
+    cover no row, nor, with one row, do the step increase and the Gronwall
+    envelope; the summary reports each as null."""
+    field = str(tmp_path / "u.field")
+    assert main(["construct", "random", "--n", "16", "--seed", "5", "--output", field]) == 0
+    cfgfile = tmp_path / "sim.cfg"
+    cfgfile.write_text(f"nu=0.05\ndt=1e-3\nt_end=1e-3\nblowup_threshold={threshold!r}\n")
+    out = str(tmp_path / "run.csv")
+    assert main(["simulate", "--config", str(cfgfile), "--initial", field, "--output", out]) == 0
+    summary = json.load(open(out + ".summary.json"))
+    assert summary["steps_recorded"] == rows
+    null = {"max_strain_identity_residual", "min_enstrophy_ineq_slack", "horizontal_flag_all_true"}
+    if rows == 1:
+        null |= {"gronwall_envelope_ok", "gronwall_max_log_ratio", "max_energy_increase_per_step"}
+    assert {key for key, value in summary.items() if value is None} == null
+    assert all(math.isfinite(value) for value in summary.values()
+               if isinstance(value, float))
 
 
 def monitor_columns_by_row(rows, cfg):
