@@ -44,13 +44,19 @@ def set_mode_pair(
             half[(slice(None),) + index] = v
 
 
+def _require_amplitude(amplitude: float) -> None:
+    """Refuse an amplitude not finite or subnormal: its field has no usable norms."""
+    if not math.isfinite(amplitude) or 0 < abs(amplitude) < sys.float_info.min:
+        raise ValueError(f"amplitude must be finite, and 0 or at least {sys.float_info.min!r} "
+                         f"in magnitude, got {amplitude!r}")
+
+
 def taylor_green_2d(grid: GridSpec, amplitude: float = 1.0) -> SpectralVectorField:
     """u = A (sin(2pi x1) cos(2pi x2), -cos(2pi x1) sin(2pi x2), 0).
 
     Closed forms at A=1: K0 = 1/4, E0 = 2 pi^2, omega_h = 0.
     """
-    if not math.isfinite(amplitude):
-        raise ValueError(f"amplitude must be finite, got {amplitude}")
+    _require_amplitude(amplitude)
     coeffs = _empty(grid)
     a = amplitude / 4.0
     # sin(a)cos(b) = (1/4i)(e^{i(a+b)} + e^{i(a-b)} - e^{-i(a-b)} - e^{-i(a+b)})
@@ -235,14 +241,8 @@ def random_divergence_free(
 ) -> SpectralVectorField:
     """Seeded band-limited random field: Gaussian coefficients on the modes
     with every |k_i| <= kmax, made Hermitian (real), then Leray
-    projected and recentered to mean zero.  A nonzero amplitude below the
-    smallest normal float is refused: the field's subnormal coefficients
-    would fail the relative divergence test of every norm."""
-    if not math.isfinite(amplitude):
-        raise ValueError(f"amplitude must be finite, got {amplitude}")
-    if 0 < abs(amplitude) < sys.float_info.min:
-        raise ValueError(f"amplitude must be 0 or at least {sys.float_info.min!r} "
-                         f"in magnitude, got {amplitude!r}")
+    projected and recentered to mean zero."""
+    _require_amplitude(amplitude)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     n = grid.n

@@ -21,14 +21,13 @@ block by plane block and slab by slab.  Every transform here runs on one
 thread and starts none.  The band, its rows and its pad and crop are
 ``GridSpec.band(K)``'s.  No function here calls ``numpy.fft``.  Mean zero is
 read from k = 0 by each operation that needs it (``is_mean_zero``).
-Multipliers k.c, 2 pi i k x c and pi i (k_i c_j + k_j c_i) are written once, as
-kernels on coefficients and a ``k_deriv`` triple (``k_dot``, ``curl_coeffs``,
-``strain_coeffs``), the first two applied here to the half lattice and all
-three by the solver to its band.  Each kernel forms its products in its
-result array or one scratch array and adds, subtracts and scales in place,
-in the plain expression's order, so it makes no temporary per product and
-moves no bit; so does ``leray_project``, which returns the divergence-free
-part alone, formed in its gradient array.
+Multipliers k.c, 2 pi i k x c and pi i (k_i c_j + k_j c_i) and the Leray
+projection c - (k.c / |k|^2) k are written once, as kernels on coefficients
+and a ``k_deriv`` triple (``k_dot``, ``curl_coeffs``, ``strain_coeffs``,
+``project_coeffs``): all but the strain applied here to the half lattice, the
+last three by the solver to its band.  Each forms its products in its result
+array or one scratch array and adds, subtracts and scales in place, in the
+plain expression's order: no temporary per product, and no bit moved.
 """
 
 from __future__ import annotations
@@ -254,6 +253,20 @@ def strain_coeffs(c: np.ndarray, k_deriv: tuple, out: np.ndarray | None = None) 
     return out
 
 
+def project_coeffs(c: np.ndarray, k_deriv: tuple, k_sq_safe: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Leray projection c - (k.c / k_sq_safe) k, k_sq_safe = |k_deriv|^2 (1 where
+    0), of coefficients (3, ...) on the lattice of ``k_deriv``: the quotient in
+    k.c's array, each product in ``out`` (made after it if None), then c - it."""
+    dot = k_dot(c, k_deriv)
+    dot /= k_sq_safe
+    out = np.empty(c.shape, dtype=complex) if out is None else out
+    for component, c_i, k_i in zip(out, c, k_deriv):
+        np.multiply(dot, k_i, out=component)
+        np.subtract(c_i, component, out=component)
+    return out
+
+
 def divergence_defect(u: SpectralVectorField, peak: float | None = None) -> float:
     """max_k |k . uhat(k)| / max_k |uhat(k)|, zero for divergence-free fields.
     ``peak`` is max_k |uhat(k)|, when the caller has already taken it."""
@@ -262,20 +275,10 @@ def divergence_defect(u: SpectralVectorField, peak: float | None = None) -> floa
 
 
 def leray_project(v: SpectralVectorField) -> SpectralVectorField:
-    """The divergence-free part u_df(k) = v(k) - (k.v(k)) k / |k|^2 of v,
-    whose gradient part is parallel to k.  The k=0 mode (a constant, hence
-    divergence-free) passes through.  The quotient is formed in place and the
-    gradient part in one array, which v - grad then overwrites, so u_df takes
-    the gradient's buffer.
-    """
-    k_deriv = v.grid.k_deriv
-    dot = k_dot(v.half, k_deriv)
-    dot /= v.grid.k_deriv_sq_safe
-    grad = np.empty_like(v.half)
-    for component, k_i in zip(grad, k_deriv):
-        np.multiply(dot, k_i, out=component)
-    grad[:, 0, 0, 0] = 0.0
-    return SpectralVectorField(v.grid, np.subtract(v.half, grad, out=grad))
+    """The divergence-free part v - (k.v / |k|^2) k of v, ``project_coeffs``
+    into a new array; the k = 0 mode, a constant, passes through."""
+    grid = v.grid
+    return SpectralVectorField(grid, project_coeffs(v.half, grid.k_deriv, grid.k_deriv_sq_safe))
 
 
 def curl(u: SpectralVectorField) -> SpectralVectorField:

@@ -44,12 +44,8 @@ class GridSpec:
 
     @cached_property
     def k_deriv_sq_safe(self) -> np.ndarray:
-        """|k_deriv|^2 with its zeros set to 1, shape (n, n, n/2 + 1): the
-        divisor of the Leray projection, whose numerator vanishes wherever
-        k_deriv does."""
-        k1, k2, k3 = self.k_deriv
-        ksq = k1**2 + k2**2 + k3**2
-        return _read_only(np.where(ksq == 0, 1.0, ksq))
+        """The Leray projection's divisor on the half lattice (``_k_deriv_sq_safe``)."""
+        return _k_deriv_sq_safe(self.k_deriv)
 
     @cached_property
     def k_sq(self) -> np.ndarray:
@@ -91,13 +87,11 @@ class GridSpec:
         index = np.r_[0:lo, n - hi : n]  # the band's k1 and k2 rows of the lattice
         k_deriv = (self.k_deriv[0][index], self.k_deriv[1][:, index], self.k_deriv[2][..., :m])
         k_sq = self.k_sq[np.ix_(index, index, np.arange(m))]
-        kd_sq = k_deriv[0] ** 2 + k_deriv[1] ** 2 + k_deriv[2] ** 2
         with np.errstate(divide="ignore"):
-            inv_kderiv_sq = np.where(kd_sq == 0, 0.0, 1.0 / kd_sq)
             omega_h_weight = np.where(k_sq == 0, 0.0, 1.0 / (2 * np.pi * np.sqrt(k_sq)))
         return Band(
             n, (lo + hi, lo + hi, m), halves, tuple(map(_read_only, k_deriv)), _read_only(k_sq),
-            _read_only(inv_kderiv_sq), self.multiplicity[..., :m], _read_only(omega_h_weight),
+            _k_deriv_sq_safe(k_deriv), self.multiplicity[..., :m], _read_only(omega_h_weight),
         )
 
 
@@ -115,7 +109,7 @@ class Band(NamedTuple):
     rows: tuple  # (band slice, spectrum slice) of the k >= 0, then k < 0, k1/k2 rows
     k_deriv: tuple[np.ndarray, np.ndarray, np.ndarray]  # Nyquist zeroed
     k_sq: np.ndarray
-    inv_kderiv_sq: np.ndarray  # 1/|k_deriv|^2, 0 where k_deriv = 0
+    k_deriv_sq_safe: np.ndarray  # the Leray projection's divisor, from the band's k_deriv
     multiplicity: np.ndarray  # Plancherel weight: 1 on k3 = 0, n/2, else 2 (the grid's)
     omega_h_weight: np.ndarray  # 1/(2 pi |k|), 0 at k = 0
 
@@ -149,6 +143,12 @@ class Band(NamedTuple):
         """``k_deriv`` on the band's k1 rows ``rows``."""
         k1, k2, k3 = self.k_deriv
         return k1[rows], k2, k3
+
+
+def _k_deriv_sq_safe(k_deriv: tuple) -> np.ndarray:
+    """|k_deriv|^2, 1 where it and so k.c are 0, read-only: the Leray projection's divisor."""
+    ksq = sum(k**2 for k in k_deriv)
+    return _read_only(np.where(ksq == 0, 1.0, ksq))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

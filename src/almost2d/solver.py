@@ -27,8 +27,8 @@ do each row's strain and the CFL sample: bit for bit the package's
 ``irfft3`` / ``rfft3`` of the padded band, through ``field``'s band passes,
 which skip the 1-D lines that are zero on input or cropped on output (under
 "none" the band is every line, and nothing is skipped).  The
-curl, each row's strain and the projection's k.c are ``field``'s multiplier
-kernels applied to the band.  ``run`` crops the band from a
+curl, each row's strain and the Leray projection are ``field``'s kernels,
+applied to the band.  ``run`` crops the band from a
 ``SpectralVectorField``'s half spectrum at entry and returns no state.
 (u.grad)u and omega x u differ by the gradient grad(|u|^2/2), which the
 Leray projection P removes.  Under the 2/3 rule every product is
@@ -65,16 +65,16 @@ every band transform (its planes k3 beyond the band stay zero; each inverse
 clears the rest of the off-band part, pads the band and transforms in place,
 and a stage's forward passes then run in fields 0-2 at k3 < m, where a slab
 writes only after its inverse has read them, and slabs are disjoint across
-parts); the 6-field band array of (u, omega), or of a row's strain; and a
-(2, n, n, n) real array, in which a row forms |S|^3 and det S before it
-averages them, and of which each part takes the x1 planes of its first slab
-as the scratch in which u x omega is formed over its samples.  So no stage,
-row or CFL sample holds more samples than one slab per part, and none
-allocates (and page-faults in) a sample or half-spectrum array of its own;
-nor does an RK4 step allocate a band array: ``run`` forms each in four of its
-own, updating its state in place.  The ``_Stage`` is a local of ``run``, not
-module state, so concurrent runs share only the read-only lattices, and no
-thread outlives the call.
+parts); the 6-field band array of (u, omega) (whose first three fields then
+take the cropped u x omega), or of a row's strain; and a (2, n, n, n) real
+array, in which a row forms |S|^3 and det S before it averages them, and of
+which each part takes the x1 planes of its first slab as the scratch in which
+u x omega is formed over its samples.  So no stage, row or CFL sample holds
+more samples than one slab per part, and none allocates (and page-faults in) a
+sample or half-spectrum array of its own; nor does an RK4 step allocate a band
+array: ``run`` forms each in four of its own, updating its state in place.  The
+``_Stage`` is a local of ``run``, not module state, so concurrent runs share
+only the read-only lattices, and no thread outlives the call.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ from .field import (
     DECAY_SLACK_TOL, DIVFREE_TOL, FROBENIUS_WEIGHTS, GRONWALL_2D_GROWTH_TOL, GRONWALL_2D_TOL,
     GRONWALL_LOG_TOL, INITIAL_MEAN_TOL, T_END_LATTICE_TOL, SpectralVectorField,
     band_forward_planes, band_inverse_planes, curl_coeffs, divergence_defect, irfft_k3,
-    is_mean_zero, k_dot, rfft_x3, strain_coeffs,
+    is_mean_zero, project_coeffs, rfft_x3, strain_coeffs,
 )
 from .grid import Band, GridSpec
 from .norms import samples_lebesgue_norm
@@ -192,6 +192,11 @@ THREADED_MIN_N = 48
 #: and so pay the per-call cost of the slab passes once.
 SLAB_POINTS = 8 * 64 * 64
 
+#: numpy's floating-point errors a run reports by its status and its inf or NaN
+#: monitors, not by a warning.  A pool thread does not inherit numpy's setting,
+#: so ``_stage`` makes it in each thread of a run, and ``_assemble_series`` too.
+_RUN_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
+
 
 class _Stage(NamedTuple):
     """What one ``run`` hands every RK stage, diagnostics row and CFL sample:
@@ -208,7 +213,7 @@ class _Stage(NamedTuple):
     rows: tuple[slice, ...]
     planes: tuple[slice, ...]
     slabs: tuple[tuple[slice, ...], ...]
-    band: np.ndarray  # (6, *band shape) complex: (u, omega) of a stage, a row's strain
+    band: np.ndarray  # (6, *band shape) complex: (u, omega), then u x omega, or a row's strain
     half: np.ndarray  # (6, n, n, n/2 + 1) complex, the band transforms' work array: 0 at k3 >= m
     real: np.ndarray  # (2, n, n, n): a row's det S and |S|^3; u x omega's scratch, by slabs
 
@@ -233,7 +238,8 @@ def _stage(lat: Band) -> Iterator[_Stage]:
     slabs = [slice(x, min(x + height, n)) for x in range(0, n, height)]
     rows = tuple(slice(b * i // count, b * (i + 1) // count) for i in range(count))
     planes = tuple(slice(m * i // count, m * (i + 1) // count) for i in range(count))
-    with ThreadPoolExecutor(max(count - 1, 1)) as pool:
+    with np.errstate(**_RUN_ERRSTATE), ThreadPoolExecutor(
+            max(count - 1, 1), initializer=lambda: np.seterr(**_RUN_ERRSTATE)) as pool:
 
         def run_parts(fn, items):
             rest = [pool.submit(fn, item) for item in items[1:]]
@@ -278,12 +284,15 @@ def nonlinear_term(u_hat: np.ndarray, stage: _Stage, out: np.ndarray) -> np.ndar
         # irfft_k3 has read half[:, x1], so the slab's forward lines may land there.
         rfft_x3(_cross_in_place(samples, scratch[:, : len(samples[0])]), forward[:, x1])
 
-    def forward_planes(planes):
-        band_forward_planes(forward[..., planes], lat, out[..., planes])
+    def forward_planes(planes):  # (u, omega) are read: u x omega takes band[:3]
+        band_forward_planes(forward[..., planes], lat, band[:3, ..., planes])
+
+    def project(rows):
+        project_coeffs(band[:3, rows], lat.k_rows(rows), lat.k_deriv_sq_safe[rows], out[:, rows])
 
     _band_samples(band, fill, stage, slab_product)
     stage.map(forward_planes, stage.planes)
-    stage.map(lambda rows: _project(out[:, rows], lat, rows), stage.rows)
+    stage.map(project, stage.rows)
     out[:, 0, 0, 0] = 0.0
     return out
 
@@ -309,16 +318,6 @@ def _band_samples(block: np.ndarray, fill: Callable, stage: _Stage, on_slab: Cal
     stage.map(fill, stage.rows)
     stage.map(planes_part, stage.planes)
     return [result for part in stage.map(slabs_part, stage.slabs) for result in part]
-
-
-def _project(coeffs: np.ndarray, lat: Band, rows: slice) -> None:
-    """Leray-project band coefficients (3, rows, b, m) in place."""
-    k = lat.k_rows(rows)
-    dot = k_dot(coeffs, k)
-    dot *= lat.inv_kderiv_sq[rows]
-    term = np.empty_like(dot)
-    for component, k_i in zip(coeffs, k):
-        component -= np.multiply(dot, k_i, out=term)
 
 
 def _cross_in_place(phys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -429,8 +428,6 @@ def run(u0: SpectralVectorField, cfg: SolverConfig) -> DiagnosticsSeries:
     h_half_decay, two_half_decay = h * half_decay, 2 * half_decay
 
     rows = []
-    # This call's own stage: concurrent runs share neither its buffers nor
-    # its pool, and no thread outlives the call.
     with _stage(lat) as stage:
         stability = _stability(u, stage, cfg)
         a, b, c, arg = np.empty((4, 3) + lat.shape, dtype=complex)
@@ -494,6 +491,7 @@ def _max_speed(u_hat: np.ndarray, stage: _Stage) -> float:
     return float(np.max(slab_max))
 
 
+@np.errstate(**_RUN_ERRSTATE)
 def _assemble_series(rows: list[dict], cfg: SolverConfig, status: str,
                      stability: dict) -> DiagnosticsSeries:
     """The finished record of a run: the rows' columns, the monitors derived
@@ -540,9 +538,8 @@ def _assemble_series(rows: list[dict], cfg: SolverConfig, status: str,
         else:
             # E^2 past 1e308 overflows to an infinite exponent, a row the
             # envelope cannot bound: it and rows with no omega_h go unevaluated.
-            with np.errstate(over="ignore"):
-                exponent = _cumulative_trapezoid((2 * E) ** 2, t) / (consts.r2 * cfg.nu**3)
-                log_ratio = 2 * np.log(np.maximum(omega_h[1:], 1e-300) / omega_h[0]) - exponent
+            exponent = _cumulative_trapezoid((2 * E) ** 2, t) / (consts.r2 * cfg.nu**3)
+            log_ratio = 2 * np.log(np.maximum(omega_h[1:], 1e-300) / omega_h[0]) - exponent
             log_ratio = log_ratio[np.isfinite(exponent) & ~np.isnan(log_ratio)]
             if log_ratio.size:
                 gronwall_max_log_ratio = float(np.max(log_ratio))

@@ -293,7 +293,12 @@ def nonlinear_term_oracle(u_hat, grid, dealias_rule="two_thirds"):
         np.multiply(x, y, out=scratch)
         p -= scratch
     out = lat.crop(rfft3(product))
-    dot = k_dot(out, lat.k_deriv) * lat.inv_kderiv_sq
+    # 1/|k_deriv|^2, 0 where k_deriv = 0, times k.c: the package divides k.c
+    # by |k_deriv|^2 (1 there), which numpy forms as this same multiply.
+    k1, k2, k3 = lat.k_deriv
+    kd_sq = k1**2 + k2**2 + k3**2
+    with np.errstate(divide="ignore"):
+        dot = k_dot(out, lat.k_deriv) * np.where(kd_sq == 0, 0.0, 1.0 / kd_sq)
     for component, k in zip(out, lat.k_deriv):
         component -= dot * k
     out[:, 0, 0, 0] = 0.0
@@ -324,6 +329,13 @@ def strain_coeffs_oracle(c, k_deriv):
     for (i, j), slot in STRAIN_SLOTS.items():
         out[slot] = 1j * np.pi * (k_deriv[i - 1] * c[j - 1] + k_deriv[j - 1] * c[i - 1])
     return out
+
+
+def project_coeffs_oracle(c, k_deriv, k_sq_safe):
+    """The Leray projection of coefficients (3, ...) on the lattice of
+    ``k_deriv``, |k_deriv|^2 (1 where 0) being ``k_sq_safe``: c - grad."""
+    dot = k_dot_oracle(c, k_deriv) / k_sq_safe
+    return c - np.stack([dot * k for k in k_deriv])
 
 
 def leray_project_oracle(half, grid):

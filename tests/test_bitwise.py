@@ -22,13 +22,13 @@ from almost2d.criteria import envelopes, gamma2d_from_norms, gamma2d_lp_from_nor
 from almost2d.families import (
     annulus_analog, large_almost_2d, random_divergence_free, taylor_green_2d, un_family,
 )
-from almost2d.field import curl_coeffs, k_dot, strain_coeffs
+from almost2d.field import curl_coeffs, k_dot, project_coeffs, strain_coeffs
 from almost2d.fieldio import read_field, write_field
 from almost2d.norms import samples_lebesgue_norm
 from almost2d.solver import _cumulative_trapezoid, _lattice
 from conftest import (
     annulus_analog_oracle, curl_coeffs_oracle, envelopes_oracle, gamma2d_from_norms_oracle,
-    gamma2d_lp_from_norms_oracle, k_dot_oracle, leray_project_oracle,
+    gamma2d_lp_from_norms_oracle, k_dot_oracle, leray_project_oracle, project_coeffs_oracle,
     p2d_split, random_divergence_free_oracle, random_physical, samples_lebesgue_norm_oracle,
     sobolev_norm, strain_coeffs_oracle,
 )
@@ -95,6 +95,45 @@ def test_kernel_on_band_rows_into_a_slice(n, rule, kernel, oracle, slots):
                 kernel(c[:, rows], k, out=band[slots, rows])
                 assert same_bits(band[slots, rows], want)
         assert same_bits(c, before)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_projection_kernel_on_the_half_lattice(n):
+    """``project_coeffs``, into a new array or a given one, equals the
+    fresh-temporary form, and on the half lattice ``leray_project_oracle``'s,
+    whose gradient is zeroed at k = 0: there k.c is 0 and c passes through."""
+    grid, halves = fields(n)
+    for half in halves:
+        before = half.copy()
+        want = project_coeffs_oracle(before, grid.k_deriv, grid.k_deriv_sq_safe)
+        assert same_bits(project_coeffs(half, grid.k_deriv, grid.k_deriv_sq_safe), want)
+        out = np.full(half.shape, np.nan + 0j)
+        assert project_coeffs(half, grid.k_deriv, grid.k_deriv_sq_safe, out) is out
+        assert same_bits(out, want)
+        assert same_bits(out, leray_project_oracle(before, grid)[0])
+        assert same_bits(half, before)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("rule", ("two_thirds", "none"))
+def test_projection_kernel_on_band_rows_into_a_slice(n, rule):
+    """As the solver projects: from the first three fields of a 6-field band
+    array, k1 row slice by slice, into the rows of another band array, on the
+    band's divisor, which is the grid's cropped to the band."""
+    grid, halves = fields(n)
+    lat = _lattice(grid, rule)
+    b = lat.shape[0]
+    assert same_bits(lat.k_deriv_sq_safe, lat.crop(grid.k_deriv_sq_safe, np.empty(lat.shape)))
+    for half in halves:
+        band = np.full((6,) + lat.shape, np.nan + 0j)
+        lat.crop(half, out=band[:3])
+        before = band.copy()
+        out = np.full((3,) + lat.shape, np.nan + 0j)
+        for rows in (slice(0, b // 3), slice(b // 3, b)):
+            k, k_sq_safe = lat.k_rows(rows), lat.k_deriv_sq_safe[rows]
+            project_coeffs(band[:3, rows], k, k_sq_safe, out[:, rows])
+            assert same_bits(out[:, rows], project_coeffs_oracle(band[:3, rows], k, k_sq_safe))
+        assert same_bits(band, before)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -415,21 +415,24 @@ class TestCliDefects:
         assert message in _one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", ["random", "taylor-green"])
     @pytest.mark.parametrize("amplitude", ["1e-312", "1e-315", "1e-320", "-1e-320"])
-    def test_subnormal_amplitude_is_a_domain_error(self, tmp_path, capsys, amplitude):
+    def test_subnormal_amplitude_is_a_domain_error(self, tmp_path, capsys, family, amplitude):
         """A random field scaled to a subnormal amplitude failed its own
         summary's relative divergence test (1e-315) or printed zero norms
-        (1e-312); the amplitude is refused by name and no file is written."""
+        (1e-312), and a Taylor-Green field wrote a sidecar of zero norms; the
+        amplitude is refused by name and no file is written."""
         out = tmp_path / "out.field"
-        argv = ["construct", "random", "--n", "16", f"--amplitude={amplitude}", "--output", str(out)]
+        argv = ["construct", family, "--n", "16", f"--amplitude={amplitude}", "--output", str(out)]
         assert main(argv) == 1
         assert f"got {float(amplitude)!r}" in _one_error_line(capsys)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("family", ["random", "taylor-green"])
     @pytest.mark.parametrize("amplitude", ["0", "3e-308"])
-    def test_zero_and_normal_tiny_amplitudes_are_taken(self, tmp_path, amplitude):
+    def test_zero_and_normal_tiny_amplitudes_are_taken(self, tmp_path, family, amplitude):
         out = tmp_path / "out.field"
-        argv = ["construct", "random", "--n", "16", "--amplitude", amplitude, "--output", str(out)]
+        argv = ["construct", family, "--n", "16", "--amplitude", amplitude, "--output", str(out)]
         assert main(argv) == 0
         assert out.exists()
 

@@ -271,6 +271,41 @@ def test_thread_threshold_and_tolerances_defined_once():
             "INITIAL_MEAN_TOL"} <= set(names)
 
 
+def _name(node) -> str:
+    """The name a Name, Attribute or subscript of either ends in, else ''."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return getattr(node, "id", None) or getattr(node, "attr", "")
+
+
+def test_leray_projection_written_once():
+    """The Leray projection is field.project_coeffs alone, which the field
+    layer applies to the half lattice and the solver to its band: k_dot, its
+    k.c, is called only in field.py, and its divisor |k_deriv|^2 (1 where 0)
+    is made only by grid._k_deriv_sq_safe, for the grid and for the band.  No
+    reciprocal 1 / x of a squared wavenumber array is formed in src/."""
+    calls = {
+        (path.name, owner, name)
+        for path in sorted(SRC.glob("*.py"))
+        for owner, name in _calls(ast.parse(path.read_text()))
+        if name in ("k_dot", "project_coeffs", "_k_deriv_sq_safe")
+    }
+    assert calls == {
+        ("field.py", "divergence_defect", "k_dot"), ("field.py", "project_coeffs", "k_dot"),
+        ("field.py", "leray_project", "project_coeffs"), ("solver.py", "project", "project_coeffs"),
+        ("grid.py", "k_deriv_sq_safe", "_k_deriv_sq_safe"), ("grid.py", "band", "_k_deriv_sq_safe"),
+    }
+    reciprocals = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+        and isinstance(node.left, ast.Constant) and node.left.value == 1
+        and _name(node.right).endswith(("sq", "sq_safe"))
+    ]
+    assert reciprocals == []
+
+
 def test_growth_coefficient_written_once():
     """The numeric literal 6912 of SMALL_DATA_COEFF = 6912 pi^4 appears once in
     src/, in criteria.py, and its multiples 3456, 1728 and 13824 nowhere:

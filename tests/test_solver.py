@@ -1034,6 +1034,24 @@ def test_gronwall_rows_whose_exponent_overflows_are_not_evaluated():
     assert (summary["gronwall_envelope_ok"], summary["gronwall_max_log_ratio"]) == (None, None)
 
 
+@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+def test_a_run_past_the_float_range_ends_without_a_warning(dt, threaded, monkeypatch):
+    """An aliased run whose state overflows: at dt = 1e-3 u x omega and the
+    cubic bound's E^3 overflow, at 1e-2 the last row's E is infinite and its
+    monitors too.  It ends in nan_abort, and nothing warns in any of its
+    threads, the pool's (THREADED_MIN_N lowered, two cores) included, which do
+    not inherit the calling thread's numpy setting."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    if threaded:
+        monkeypatch.setattr(solver_module, "THREADED_MIN_N", 4)
+    u0 = random_divergence_free(GridSpec(16), 7, amplitude=10.0)
+    cfg = SolverConfig(nu=0.02, dt=dt, t_end=8 * dt, dealias="none", blowup_threshold=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(u0, cfg).status == "nan_abort"
+
+
 @pytest.mark.parametrize("threshold, rows", [(1e-12, 1), (1e8, 2)])
 def test_summary_keys_that_cover_no_row_are_null(tmp_path, threshold, rows):
     """A run of one row (stopped at row 0) or two: the centered monitors
