@@ -17,10 +17,14 @@ away on the way out, so they agree with the pair as bits.  Each line of the
 complex passes (``band_inverse_planes``, ``band_forward_planes``) lies in one
 band plane k3 < m, and each of the real ones along the last axis
 (``irfft_k3``, ``rfft_x3``) in one x1 slab, so a caller may run them plane
-block by plane block and slab by slab.  Every transform here runs on one
-thread and starts none.  The band, its rows and its pad and crop are
-``GridSpec.band(K)``'s.  No function here calls ``numpy.fft``.  Mean zero is
-read from k = 0 by each operation that needs it (``is_mean_zero``).
+block by plane block and slab by slab.  numpy and scipy ship the same
+pocketfft, so the library only sets the cost: the pair runs on ``numpy.fft``,
+so a verb that runs no solver never imports scipy (315 modules and 26 MB a
+process), and the band passes on ``scipy.fft``, imported inside each, whose
+strided passes along k2 cost half of numpy's on the solver's small blocks.
+Every transform here runs on one thread and starts none.  The band, its rows
+and its pad and crop are ``GridSpec.band(K)``'s.  Mean zero is read from
+k = 0 by each operation that needs it (``is_mean_zero``).
 Multipliers k.c, 2 pi i k x c and pi i (k_i c_j + k_j c_i) and the Leray
 projection c - (k.c / |k|^2) k are written once, as kernels on coefficients
 and a ``k_deriv`` triple (``k_dot``, ``curl_coeffs``, ``strain_coeffs``,
@@ -35,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .grid import Band, GridSpec, conjugate_planes
 
@@ -59,13 +62,29 @@ MAJORANT_TOL = 1e-10  # relative slack of a quadrature value or torus norm under
 
 def rfft3(samples: np.ndarray) -> np.ndarray:
     """k3 >= 0 half-spectrum coefficients (..., n, n, n/2 + 1) of real samples
-    over the last three axes, with the 1/n^3 forward normalization."""
-    return scipy.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward", workers=1)
+    over the last three axes, with the 1/n^3 forward normalization: scipy's
+    ``rfftn`` bits from numpy.fft's 1-D passes, x3 unnormalized and scaled
+    once as in ``rfft_x3``, then x1 and x2 in place.  numpy's passes are
+    ufuncs that warn on overflow; like scipy's, these do not."""
+    n = samples.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.fft.rfft(samples, axis=-1)
+        parts = half.view(np.float64)
+        np.multiply(parts, 1.0 / n**3, out=parts)
+        for axis in (-3, -2):
+            np.fft.fft(half, axis=axis, out=half)
+    return half
 
 
 def irfft3(half: np.ndarray, n: int) -> np.ndarray:
-    """Real samples (..., n, n, n) from k3 >= 0 half-spectrum coefficients."""
-    return scipy.fft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1), norm="forward", workers=1)
+    """Real samples (..., n, n, n) from k3 >= 0 half-spectrum coefficients:
+    scipy's ``irfftn`` bits, k1 into one new array, k2 in place, then the real
+    pass along k3, with no warning on overflow (``numpy.fft.irfftn`` holds one
+    more half spectrum at its peak)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lines = np.fft.ifft(half, axis=-3, norm="forward")
+        np.fft.ifft(lines, axis=-2, norm="forward", out=lines)
+        return np.fft.irfft(lines, n, axis=-1, norm="forward")
 
 
 def band_inverse_planes(block: np.ndarray, band: Band, half: np.ndarray) -> np.ndarray:
@@ -79,6 +98,7 @@ def band_inverse_planes(block: np.ndarray, band: Band, half: np.ndarray) -> np.n
     are zero skipped; ``irfft_k3`` makes the last.  Planes k3 >= m of
     ``half`` are never written and must be zero.  Each line lies in one k3
     plane, so a solver part passes a block and ``half`` cut to its planes."""
+    import scipy.fft  # only a run loads scipy: its strided passes beat numpy's at small n
     m = block.shape[-1]
     (_, low), (_, high) = band.rows
     gap = slice(low.stop, high.start)  # the rows off the band, none when K >= n/2
@@ -97,6 +117,7 @@ def irfft_k3(half: np.ndarray, n: int) -> np.ndarray:
     """Real samples (..., n) from the k3 axis of ``half``: the last inverse
     pass after ``band_inverse_planes``; a solver part passes one x1 slab of
     it."""
+    import scipy.fft  # only a run loads scipy: its strided passes beat numpy's at small n
     return scipy.fft.irfft(half, n, axis=-1, norm="forward", workers=1)
 
 
@@ -108,6 +129,7 @@ def rfft_x3(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
     ``rfftn`` applies its factor (per axis, 1/n moves the last bit when n is
     not a power of two), in place on the contiguous transform, before the
     copy into the strided ``out``."""
+    import scipy.fft  # only a run loads scipy: its strided passes beat numpy's at small n
     n = samples.shape[-1]
     lines = scipy.fft.rfft(samples, axis=-1, workers=1)
     # Real and imaginary parts, each scaled as rfftn scales them.
@@ -124,6 +146,7 @@ def band_forward_planes(forward: np.ndarray, band: Band, out: np.ndarray) -> np.
     every row, then x2 over the band's k1 rows, in place, then the crop to
     the band into ``out`` (..., b, b, m).  Each line lies in one k3 plane, so
     a solver part passes ``forward`` and ``out`` cut to its planes."""
+    import scipy.fft  # only a run loads scipy: its strided passes beat numpy's at small n
     scipy.fft.fft(forward, axis=-3, overwrite_x=True, workers=1)
     for _, s in band.rows:
         scipy.fft.fft(forward[..., s, :, :], axis=-2, overwrite_x=True, workers=1)

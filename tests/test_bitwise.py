@@ -1,8 +1,8 @@
 """The field layer's in-place kernels, chunked draws and vectorized families,
 and the criteria layer's one almost-2D core, growth coefficient and Iftimie
 norms, against the expressions they replaced (conftest's ``*_oracle``,
-``p2d_split`` and ``sobolev_norm``), and the solver's trapezoid sums against
-scipy's, as bits.
+``p2d_split`` and ``sobolev_norm``), and the transform pair and the solver's
+trapezoid sums against scipy's, as bits.
 
 Each kernel runs on the half lattice and, as the solver calls it, on band
 k1 row slices written into a slice of a larger array; every input is
@@ -12,9 +12,11 @@ import dataclasses
 import itertools
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from almost2d import GridSpec, PhysicalVectorField, SpectralVectorField
 from almost2d import leray_project, to_spectral
@@ -22,7 +24,7 @@ from almost2d.criteria import envelopes, gamma2d_from_norms, gamma2d_lp_from_nor
 from almost2d.families import (
     annulus_analog, large_almost_2d, random_divergence_free, taylor_green_2d, un_family,
 )
-from almost2d.field import curl_coeffs, k_dot, project_coeffs, strain_coeffs
+from almost2d.field import curl_coeffs, irfft3, k_dot, project_coeffs, rfft3, strain_coeffs
 from almost2d.fieldio import read_field, write_field
 from almost2d.norms import samples_lebesgue_norm
 from almost2d.solver import _cumulative_trapezoid, _lattice
@@ -184,6 +186,51 @@ def test_trapezoid_sums_are_scipys(rows):
     running = _cumulative_trapezoid(y, t)
     assert same_bits(running, cumulative_trapezoid(y, t))
     assert same_bits(np.concatenate(([0.0], running)), cumulative_trapezoid(y, t, initial=0.0))
+
+
+#: Grids of the pair's scipy oracle: every even n to 20, then the solver's
+#: and the benchmark's sizes.  Each leading shape runs up to n = 64; past it
+#: one component only, which keeps a case's arrays under 115 MB at their peak.
+PAIR_SIZES = (*range(4, 21, 2), 24, 30, 32, 36, 48, 64, 96, 128)
+PAIR_CASES = [(n, lead) for n in PAIR_SIZES for lead in ((1,), (3,), (6,))
+              if n <= 64 or lead == (1,)]
+
+
+def scipy_rfft3(samples):
+    """scipy.fft's rfftn over the last three axes: the pair before it moved
+    to numpy.fft's 1-D passes."""
+    return scipy.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward", workers=1)
+
+
+def scipy_irfft3(half, n):
+    return scipy.fft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1), norm="forward", workers=1)
+
+
+@pytest.mark.parametrize("n, lead", PAIR_CASES, ids=[f"n{n}-{lead[0]}" for n, lead in PAIR_CASES])
+def test_transform_pair_is_scipys(n, lead):
+    """rfft3 / irfft3 against scipy's rfftn / irfftn, as uint64 bits, on
+    random samples and on scipy's half spectrum of them; no input written."""
+    samples = np.random.default_rng(n * 10 + lead[0]).standard_normal(lead + (n, n, n))
+    before = samples.copy()
+    half = scipy_rfft3(samples)
+    assert same_bits(rfft3(samples), half)
+    assert same_bits(samples, before)
+    half.setflags(write=False)  # a field's half spectrum is read-only
+    assert same_bits(irfft3(half, n), scipy_irfft3(half, n))
+
+
+@pytest.mark.parametrize("n", (8, 12))
+def test_transform_pair_overflows_as_scipy_silently(n):
+    """Samples and half spectra of 1e308 overflow to scipy's inf and NaN with
+    no warning, though numpy's passes are ufuncs that warn."""
+    samples = np.full((3, n, n, n), 1e308)
+    half = np.full((3, n, n, n // 2 + 1), 1e308 + 1e308j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forward, inverse = rfft3(samples), irfft3(half, n)
+    assert not np.all(np.isfinite(forward)) and not np.all(np.isfinite(inverse))
+    assert np.array_equal(forward, scipy_rfft3(samples), equal_nan=True)
+    assert np.array_equal(inverse, scipy_irfft3(half, n), equal_nan=True)
 
 
 #: Viscosities that are rejected, whose powers underflow to zero or overflow,

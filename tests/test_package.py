@@ -237,16 +237,41 @@ def test_nd_transforms_only_in_the_transform_pair():
 
 
 def test_every_transform_runs_on_one_thread():
-    """Every FFT call in src/ passes the literal ``workers=1``: pocketfft
-    starts no thread, and the solver's parts are the only threads a verb
-    runs.  field.py, which holds every call, imports no thread module."""
-    sites = _src_transform_sites()
-    other = [(module, owner) for module, owner, call in sites
-             if [ast.unparse(k.value) for k in call.keywords if k.arg == "workers"] != ["1"]]
-    assert sites and other == []
+    """The pair calls numpy.fft alone and the four band passes scipy.fft
+    alone.  Every scipy call passes the literal ``workers=1``, and numpy's
+    pocketfft has no ``workers`` and starts no thread, so the solver's parts
+    are the only threads a verb runs.  scipy.fft is imported only inside the
+    band passes, which only a run calls.  field.py, which holds every call,
+    imports no thread module."""
+    library = {}
+    for module, owner, call in _src_transform_sites():
+        name = ast.unparse(call.func.value)
+        library.setdefault(name, set()).add((module, owner))
+        if name == "scipy.fft":
+            assert [ast.unparse(k.value) for k in call.keywords if k.arg == "workers"] == ["1"]
+    band_passes = {("field.py", owner) for owner in (
+        "band_inverse_planes", "irfft_k3", "rfft_x3", "band_forward_planes")}
+    assert library == {"np.fft": {("field.py", "rfft3"), ("field.py", "irfft3")},
+                       "scipy.fft": band_passes}
+    scipy_imports = {
+        (path.name, owner)
+        for path in sorted(SRC.glob("*.py"))
+        for owner, name in _owned_imports(ast.parse(path.read_text()))
+        if name.startswith("scipy")
+    }
+    assert scipy_imports == band_passes
     field_imports = set(_imports(ast.parse((SRC / "field.py").read_text())))
     assert not {name.split(".")[0] for name in field_imports} & {
         "os", "threading", "concurrent", "multiprocessing"}
+
+
+def _owned_imports(node, owner=None):
+    """(innermost enclosing function or None, module name) of each import."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield from ((owner, name) for name in _imports(child))
+        name = child.name if isinstance(child, ast.FunctionDef) else owner
+        yield from _owned_imports(child, name)
 
 
 def test_thread_threshold_and_tolerances_defined_once():
@@ -505,42 +530,60 @@ def test_no_module_imports_optimize_or_integrate():
     assert found == []
 
 
-def _modules_loaded(steps: str) -> str:
-    """The banned modules in sys.modules, as printed by a fresh process that
-    imports the CLI and then runs ``steps``."""
+def _modules_loaded(steps: str) -> list[str]:
+    """The scipy modules in sys.modules, every ``scipy*`` name, as printed by
+    a fresh process that imports the CLI and then runs ``steps``."""
     script = f"""
 import sys
 from almost2d.cli import main
 {steps}
-print(sorted(m for m in {_BANNED!r} if m in sys.modules))
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return ast.literal_eval(proc.stdout.strip())
 
 
-def test_a_simulate_loads_neither_optimize_nor_integrate(tmp_path):
+def test_a_simulate_loads_scipy_fft_but_neither_optimize_nor_integrate(tmp_path):
     """A fresh process that imports the CLI, constructs a field and simulates
-    it has imported neither module."""
+    it has imported scipy.fft, for the run's band passes, and neither banned
+    module."""
     field = str(tmp_path / "tg.field")
-    assert _modules_loaded(f"""
+    loaded = _modules_loaded(f"""
 assert main(["construct", "taylor-green", "--n", "8", "--output", {field!r}]) == 0
 assert main(["simulate", "--initial", {field!r}, "--output", {str(tmp_path / "run.csv")!r},
              "--nu", "0.1", "--dt", "0.01", "--t-end", "0.03"]) == 0
-""") == "[]"
+""")
+    assert "scipy.fft" in loaded
+    assert [m for m in loaded if m.startswith(_BANNED)] == []
 
 
-def test_the_analysis_verbs_load_neither_optimize_nor_integrate(tmp_path):
-    """Nor does one that computes a Besov norm (sweep annulus-analog) and runs
-    check."""
-    field = str(tmp_path / "u.field")
-    assert _modules_loaded(f"""
-assert main(["sweep", "annulus-analog", "--n", "3", "--n-grid", "16",
-             "--output", {str(tmp_path / "sweep.json")!r}]) == 0
-assert main(["construct", "random", "--n", "8", "--output", {field!r}]) == 0
-assert main(["check", {field!r}, "--nu", "0.1", "--iftimie-c", "2.0",
-             "--output", {str(tmp_path / "check.json")!r}]) == 0
-""") == "[]"
+def test_the_analysis_verbs_load_no_scipy(tmp_path):
+    """Nor does any verb but simulate load any scipy module: a fresh process
+    constructs every family, reads one field with norms and with check (with
+    and without the Iftimie test), and runs every sweep, every wholespace
+    table and constants.  Their transforms are the pair, on numpy.fft."""
+    field = str(tmp_path / "random.field")
+    out = str(tmp_path / "out.json")
+    verbs = [["construct", family, "--n", "16", "--index", "3",
+              "--output", str(tmp_path / f"{family}.field")]
+             for family in almost2d.cli._FAMILIES]
+    verbs += [
+        ["norms", field, "--output", out],
+        ["check", field, "--nu", "0.1", "--output", out],
+        ["check", field, "--nu", "0.1", "--iftimie-c", "2.0", "--output", out],
+        ["sweep", "annulus-analog", "--n", "3", "--n-grid", "16", "--output", out],
+        ["sweep", "un", "--n", "3", "--n-grid", "16", "--output", out],
+        ["sweep", "rescaled", "--m", "2", "--n-grid", "16", "--output", out],
+        ["wholespace", "lambda-n", "--n", "3", "--output", out],
+        ["wholespace", "embedding", "--p", "4", "--output", out],
+        ["wholespace", "heat-kernel", "--output", out],
+        ["constants", "--output", out],
+    ]
+    commands = {command for command, _ in _handler_parsers(almost2d.cli.build_parser())}
+    ran = {" ".join(verb[:2]) if " ".join(verb[:2]) in commands else verb[0] for verb in verbs}
+    assert ran == commands - {"simulate"}
+    assert _modules_loaded("".join(f"assert main({verb!r}) == 0\n" for verb in verbs)) == []

@@ -261,8 +261,8 @@ class TestSymmetries:
 class TestThreads:
     def test_threaded_transforms_leave_the_output_unchanged(self, tmp_path, monkeypatch):
         """Lowering the threshold makes an n=16 simulate use every core: the
-        field read is one 3-D transform with ``workers`` = 1 on the calling
-        thread, and the run's transforms are 1-D passes with ``workers`` = 1,
+        field read is the pair's numpy.fft passes on the calling thread, and
+        the run's transforms are scipy.fft 1-D passes with ``workers`` = 1,
         made by as many distinct threads as cores, its parts.  The CSV and the
         summary are byte-identical to the run on one thread."""
         field = str(tmp_path / "u.field")
@@ -277,22 +277,23 @@ class TestThreads:
             return open(out, "rb").read(), open(out + ".summary.json", "rb").read()
 
         one_thread = simulate("one.csv")
-        calls = []  # (n-d transform, workers, thread)
+        calls = []  # (library, workers or None, thread)
 
-        def spy(name, transform):
+        def spy(library, transform):
             def spied(*args, **kwargs):
-                calls.append((name.endswith("n"), kwargs["workers"], threading.get_ident()))
+                calls.append((library, kwargs.get("workers"), threading.get_ident()))
                 return transform(*args, **kwargs)
             return spied
 
-        for name in _FFT_NAMES:  # every scipy.fft transform, 1-D and n-d
-            monkeypatch.setattr(scipy.fft, name, spy(name, getattr(scipy.fft, name)))
+        for library, module in (("numpy", np.fft), ("scipy", scipy.fft)):
+            for name in _FFT_NAMES:  # every transform, 1-D and n-d
+                monkeypatch.setattr(module, name, spy(library, getattr(module, name)))
         monkeypatch.setattr(solver_module, "THREADED_MIN_N", 4)
         threaded = simulate("threaded.csv")
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        read = [(workers, thread) for nd, workers, thread in calls if nd]
-        passes = [(workers, thread) for nd, workers, thread in calls if not nd]
-        assert read == [(1, threading.get_ident())]
+        read = [(workers, thread) for library, workers, thread in calls if library == "numpy"]
+        passes = [(workers, thread) for library, workers, thread in calls if library == "scipy"]
+        assert read == [(None, threading.get_ident())] * 3  # x3, then x1 and x2 in place
         assert {workers for workers, _ in passes} == {1}
         assert len({thread for _, thread in passes}) == cores
         assert threaded == one_thread
@@ -773,9 +774,10 @@ class TestBandTransforms:
 
 
 class TestTransformBudget:
-    """A simulate invocation reads its field with one 3-D transform of 3
-    fields (``to_spectral``) and makes every other transform as 1-D lines
-    through the band pair.  With b band rows along k1 and k2 and m planes
+    """A simulate invocation reads its field with one ``rfft3`` of 3 fields
+    (``to_spectral``), 3 (n^2 + 2 n (n/2 + 1)) lines on numpy.fft's passes,
+    and makes every other transform as 1-D lines through the band pair.
+    With b band rows along k1 and k2 and m planes
     k3 < m (b = 2kc + 1 and m = kc + 1, kc = (n - 1) // 3, under the 2/3 rule;
     b = n and m = n/2 + 1 under "none"), one field costs L = b m + n m + n^2
     lines each way:
@@ -789,7 +791,8 @@ class TestTransformBudget:
     (36 L), each recorded row the 6 strain components (6 L), and the CFL
     sample before the first step 3 fields (3 L).  At n = 8, L = 15 + 24 + 64
     = 103 under the 2/3 rule and 40 + 40 + 64 = 144 under "none", the
-    n^2 + 2 n (n/2 + 1) lines of a full 3-D transform: "none" prunes none."""
+    n^2 + 2 n (n/2 + 1) lines of a full 3-D transform: "none" prunes none,
+    and the read is 3 * 144 lines."""
 
     LINES = {"two_thirds": 103, "none": 144}
 
@@ -806,7 +809,7 @@ class TestTransformBudget:
         rows = len(open(out).read().strip().splitlines()) - 1
         assert rows == steps // stride + 1 + (steps % stride > 0)
         lines = (36 * steps + 6 * rows + 3) * self.LINES[rule]
-        assert transform_counts == {"3d": 3, "other": lines}
+        assert transform_counts == {"3d": 0, "other": 3 * self.LINES["none"] + lines}
 
     @pytest.mark.parametrize("steps, stride", [(3, 1), (4, 2), (5, 2)])
     def test_simulate_transform_count(self, tmp_path, transform_counts, steps, stride):
