@@ -18,10 +18,11 @@ complex passes (``band_inverse_planes``, ``band_forward_planes``) lies in one
 band plane k3 < m, and each of the real ones along the last axis
 (``irfft_k3``, ``rfft_x3``) in one x1 slab, so a caller may run them plane
 block by plane block and slab by slab.  numpy and scipy ship the same
-pocketfft, so the library only sets the cost: the pair runs on ``numpy.fft``,
-so a verb that runs no solver never imports scipy (315 modules and 26 MB a
-process), and the band passes on ``scipy.fft``, imported inside each, whose
-strided passes along k2 cost half of numpy's on the solver's small blocks.
+pocketfft, so on float64 data the library only sets the cost: the pair runs
+on ``numpy.fft``, so a verb that runs no solver never imports scipy (315
+modules and 26 MB a process), and the band passes on ``scipy.fft``, imported
+inside each, whose strided passes along k2 cost half of numpy's on the
+solver's small blocks.
 Every transform here runs on one thread and starts none.  The band, its rows
 and its pad and crop are ``GridSpec.band(K)``'s.  Mean zero is read from
 k = 0 by each operation that needs it (``is_mean_zero``).
@@ -60,17 +61,26 @@ QUADRATURE_TOL = 1e-8  # quadrature against closed forms: the acceptance oracle'
 MAJORANT_TOL = 1e-10  # relative slack of a quadrature value or torus norm under its majorant
 
 
+def _scale_x3(lines: np.ndarray, n: int) -> np.ndarray:
+    """The unnormalized transform ``lines`` (..., n/2 + 1) along x3 of n^3
+    samples, scaled in place by 1/n^3 where pocketfft's ``rfftn`` applies its
+    factor, before any other axis (per axis, 1/n moves the last bit when n is
+    not a power of two): on its real and imaginary parts, in the lines' own
+    precision, the factor rounded to it once as pocketfft rounds it."""
+    parts = lines.view(lines.real.dtype)
+    np.multiply(parts, np.reciprocal(n**3, dtype=parts.dtype), out=parts)
+    return lines
+
+
 def rfft3(samples: np.ndarray) -> np.ndarray:
     """k3 >= 0 half-spectrum coefficients (..., n, n, n/2 + 1) of real samples
     over the last three axes, with the 1/n^3 forward normalization: scipy's
     ``rfftn`` bits from numpy.fft's 1-D passes, x3 unnormalized and scaled
-    once as in ``rfft_x3``, then x1 and x2 in place.  numpy's passes are
-    ufuncs that warn on overflow; like scipy's, these do not."""
-    n = samples.shape[-1]
+    by ``_scale_x3``, then x1 and x2 in place.  Samples of another precision
+    stay in it, as in scipy, and agree with scipy's to roundoff.  numpy's
+    passes are ufuncs that warn on overflow; like scipy's, these do not."""
     with np.errstate(over="ignore", invalid="ignore"):
-        half = np.fft.rfft(samples, axis=-1)
-        parts = half.view(np.float64)
-        np.multiply(parts, 1.0 / n**3, out=parts)
+        half = _scale_x3(np.fft.rfft(samples, axis=-1), samples.shape[-1])
         for axis in (-3, -2):
             np.fft.fft(half, axis=axis, out=half)
     return half
@@ -98,7 +108,8 @@ def band_inverse_planes(block: np.ndarray, band: Band, half: np.ndarray) -> np.n
     are zero skipped; ``irfft_k3`` makes the last.  Planes k3 >= m of
     ``half`` are never written and must be zero.  Each line lies in one k3
     plane, so a solver part passes a block and ``half`` cut to its planes."""
-    import scipy.fft  # only a run loads scipy: its strided passes beat numpy's at small n
+    import scipy.fft
+
     m = block.shape[-1]
     (_, low), (_, high) = band.rows
     gap = slice(low.stop, high.start)  # the rows off the band, none when K >= n/2
@@ -117,7 +128,8 @@ def irfft_k3(half: np.ndarray, n: int) -> np.ndarray:
     """Real samples (..., n) from the k3 axis of ``half``: the last inverse
     pass after ``band_inverse_planes``; a solver part passes one x1 slab of
     it."""
-    import scipy.fft  # only a run loads scipy: its strided passes beat numpy's at small n
+    import scipy.fft
+
     return scipy.fft.irfft(half, n, axis=-1, norm="forward", workers=1)
 
 
@@ -125,16 +137,11 @@ def rfft_x3(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The real transform of ``samples`` (..., n) along x3, its planes k3 < m
     scaled by 1/n^3 into ``out`` (..., m): the first forward pass on one x1
     slab, written into the planes k3 < m of a half-spectrum work array.  It
-    runs unnormalized and the scale is applied once, here, where pocketfft's
-    ``rfftn`` applies its factor (per axis, 1/n moves the last bit when n is
-    not a power of two), in place on the contiguous transform, before the
-    copy into the strided ``out``."""
-    import scipy.fft  # only a run loads scipy: its strided passes beat numpy's at small n
-    n = samples.shape[-1]
-    lines = scipy.fft.rfft(samples, axis=-1, workers=1)
-    # Real and imaginary parts, each scaled as rfftn scales them.
-    parts = lines.view(np.float64)
-    np.multiply(parts, 1.0 / n**3, out=parts)
+    runs unnormalized and ``_scale_x3`` scales the contiguous transform
+    before the copy into the strided ``out``."""
+    import scipy.fft
+
+    lines = _scale_x3(scipy.fft.rfft(samples, axis=-1, workers=1), samples.shape[-1])
     out[...] = lines[..., : out.shape[-1]]
     return out
 
@@ -146,7 +153,8 @@ def band_forward_planes(forward: np.ndarray, band: Band, out: np.ndarray) -> np.
     every row, then x2 over the band's k1 rows, in place, then the crop to
     the band into ``out`` (..., b, b, m).  Each line lies in one k3 plane, so
     a solver part passes ``forward`` and ``out`` cut to its planes."""
-    import scipy.fft  # only a run loads scipy: its strided passes beat numpy's at small n
+    import scipy.fft
+
     scipy.fft.fft(forward, axis=-3, overwrite_x=True, workers=1)
     for _, s in band.rows:
         scipy.fft.fft(forward[..., s, :, :], axis=-2, overwrite_x=True, workers=1)

@@ -219,6 +219,21 @@ def test_transform_pair_is_scipys(n, lead):
     assert same_bits(irfft3(half, n), scipy_irfft3(half, n))
 
 
+@pytest.mark.parametrize("dtype, eps", ((np.float32, 4), (np.longdouble, 0)))
+@pytest.mark.parametrize("n", (6, 8, 12, 16, 30))
+def test_transform_pair_keeps_the_input_precision(n, dtype, eps):
+    """Samples and half spectra of another precision stay in it, as in scipy,
+    and give scipy's values: to ``eps`` units of roundoff of the largest
+    coefficient, as numpy's single-precision pocketfft rounds apart from
+    scipy's, and exactly in long double (whose bytes hold padding)."""
+    samples = np.random.default_rng(n).standard_normal((3, n, n, n)).astype(dtype)
+    half = scipy_rfft3(samples)
+    for ours, theirs in ((rfft3(samples), half), (irfft3(half, n), scipy_irfft3(half, n))):
+        assert ours.dtype == theirs.dtype
+        tol = eps * np.finfo(dtype).eps * np.max(np.abs(theirs))
+        assert np.max(np.abs(ours - theirs)) <= tol
+
+
 @pytest.mark.parametrize("n", (8, 12))
 def test_transform_pair_overflows_as_scipy_silently(n):
     """Samples and half spectra of 1e308 overflow to scipy's inf and NaN with
